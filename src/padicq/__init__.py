@@ -8,7 +8,7 @@ action of continuous functions on q-expansions, and the torsion arithmetic
 of Kummer groups.
 """
 
-from .action import ActionContext, act, act_character, derivative_check, psi
+from .action import act, act_character, derivative_check, psi
 from .cyclotomic import CyclotomicElem, cyclo_pow, phi_pm
 from .errors import (BaseMismatch, ConfigError, EulerFactorNotInvertible,
                      IncompatibleRoots, NotPIntegral, NotRootOfUnity, NotUnit,
@@ -25,9 +25,9 @@ from .measures import (ActionMeasure, AmiceMeasure, DiracMeasure,
                        pushforward_halving, two_variable_L)
 from .padic import (DualNumber, PadicContext, PadicInt, bernoulli,
                     bernoulli_polynomial, binomial_padic, reduce_rational)
-from .qseries import (QExpansion, double_divisor_series, eisenstein_2G,
-                      eisenstein_2G_scaled, eisenstein_2G_twisted,
-                      lvalue_periodic, series_from_json, series_to_json,
+from .qseries import (QExpansion, divisor_sum, double_divisor_series,
+                      eisenstein_2G, eisenstein_2G_scaled,
+                      eisenstein_2G_twisted, lvalue_periodic, series_from_json, series_to_json,
                       sigma_table, theta, u_p, v_p)
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
                     MahlerSeries, Polynomial, Product, Scaled, TwoVarFn,

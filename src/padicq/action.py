@@ -8,24 +8,13 @@ pointwise product equals acting twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import CyclotomicElem
 from .errors import NotRootOfUnity
-from .padic import DualNumber, PadicContext, PadicInt
+from .padic import DualNumber, PadicInt
 from .qseries import QExpansion
 from .zpfun import ContinuousFn
 
 DEFAULT_M_MAX = 3
-
-
-@dataclass(frozen=True)
-class ActionContext:
-    """A PadicContext together with the deepest cyclotomic level available
-    for character actions."""
-
-    ctx: PadicContext
-    m_max: int = DEFAULT_M_MAX
 
 
 def act(f: ContinuousFn, g: QExpansion) -> QExpansion:

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .action import DEFAULT_M_MAX
 from .errors import ConfigError, PadicqError
@@ -47,6 +46,9 @@ def default_a(p: int) -> int:
         a += 1
 
 
+CONFIG_KEYS = ("p", "N", "M", "a", "mmax")
+
+
 def load_config_file(path: str) -> dict:
     out = {}
     with open(path) as fh:
@@ -57,12 +59,16 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"bad config line: {line!r}")
             key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}; expected one "
+                                  f"of {', '.join(CONFIG_KEYS)}")
+            out[key] = value.strip()
     return out
 
 
 class RunConfig:
-    """Validated run parameters: p, N, M, m_max, a, threads."""
+    """Validated run parameters: p, N, M, m_max, a."""
 
     def __init__(self, args):
         file_cfg = load_config_file(args.config) if args.config else {}
@@ -79,7 +85,6 @@ class RunConfig:
             self.N = pick("N", args.N, int, 12)
             self.M = pick("M", args.M, int, 60)
             self.m_max = pick("mmax", args.mmax, int, DEFAULT_M_MAX)
-            self.threads = pick("threads", args.threads, int, 1)
             a = pick("a", args.a, int, None)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -87,22 +92,14 @@ class RunConfig:
             raise ConfigError(f"p must be an odd prime, got {self.p}")
         if self.N < 1 or self.M < 1:
             raise ConfigError("N and M must be >= 1")
-        if self.m_max < 0 or self.threads < 1:
-            raise ConfigError("mmax must be >= 0 and threads >= 1")
+        if self.m_max < 0:
+            raise ConfigError("mmax must be >= 0")
         self.ctx = PadicContext(self.p, self.N, self.M)
         if a is None:
             a = default_a(self.p)
         if a % self.p == 0:
             raise ConfigError(f"a = {a} is not a unit mod {self.p}")
         self.a = PadicInt(self.ctx, a)
-
-
-def par_map(fn, items, threads: int) -> list:
-    """Order-preserving map, optionally across a thread pool."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def value_to_json(v, cfg: RunConfig) -> dict:
@@ -134,21 +131,6 @@ def cmd_eisenstein(cfg: RunConfig, args) -> int:
         if lc_level(f) is None:
             raise ConfigError("twist must be locally constant")
         g = eisenstein_2G_twisted(ctx, args.k, f)
-        if cfg.threads > 1:
-            # recompute coefficients in parallel chunks; the constant term
-            # stays from the sequential path
-            fvals = [f.evaluate(PadicInt(ctx, d)) for d in range(ctx.M + 1)]
-
-            def coeff(n):
-                acc = PadicInt(ctx, 0)
-                for d in range(1, n + 1):
-                    if n % d == 0:
-                        acc = acc + fvals[d] * d ** (args.k - 1)
-                return 2 * acc
-
-            coeffs = [g.coefficient(0)] + par_map(coeff, range(1, ctx.M + 1),
-                                                  cfg.threads)
-            g = QExpansion(ctx, coeffs)
     else:
         g = eisenstein_2G(ctx, args.k)
     emit(series_to_json(g))
@@ -274,8 +256,16 @@ def cmd_kummer_dump(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad command line instead of printing usage,
+    so stderr carries only the JSON error line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicq",
         description="Exact p-adic Eisenstein measures, q-expansion actions, "
                     "and Kummer torsion arithmetic.",
@@ -288,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "of (Z/p^2)^x)")
     parser.add_argument("--mmax", type=int,
                         help="deepest locally constant level (default 3)")
-    parser.add_argument("--threads", type=int,
-                        help="data-parallel coefficient loops (default 1)")
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -342,17 +330,13 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code in (0, None):
-            return EXIT_OK
-        _emit_error(EXIT_CONFIG, ConfigError("invalid command line"))
-        return EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
         cfg = RunConfig(args)
         return COMMANDS[args.command](cfg, args)
+    except SystemExit:
+        # only --help exits the parser; a bad command line raises ConfigError
+        return EXIT_OK
     except ConfigError as exc:
         _emit_error(EXIT_CONFIG, exc)
         return EXIT_CONFIG

@@ -24,7 +24,7 @@ from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import (EulerFactorNotInvertible, NotRootOfUnity, NotUnit,
                      PrecisionExhausted, UnsupportedShape)
 from .padic import PadicContext, PadicInt
-from .qseries import QExpansion
+from .qseries import QExpansion, divisor_sum
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
                     Polynomial, TwoVarFn, ZeroExtendedUnits, as_table,
                     indicator, lc_level, mahler_coeffs, monomial, multiply,
@@ -192,7 +192,7 @@ class KLConstantTerm:
         for j, tab in terms.items():
             ind = self._indicator_values(j, m)
             for c, v in enumerate(tab):
-                if isinstance(v, PadicInt) and v.is_zero():
+                if isinstance(v, PadicInt) and v.is_exact_zero():
                     continue
                 acc = acc + v * ind[c]
         return acc
@@ -320,16 +320,9 @@ class EisensteinMeasure(Measure):
 
     def __call__(self, f: ContinuousFn) -> QExpansion:
         ctx, a = self.ctx, self.a
-        M = ctx.M
-        fd = [None] + [f.evaluate(PadicInt(ctx, d)) for d in range(1, M + 1)]
-        fad = [None] + [f.evaluate(a * d) for d in range(1, M + 1)]
-        out = [PadicInt(ctx, 0) for _ in range(M + 1)]
-        for d in range(1, M + 1):
-            t = fd[d] - a * fad[d]
-            if isinstance(t, PadicInt) and t.is_zero():
-                continue
-            for n in range(d, M + 1, d):
-                out[n] = out[n] + t
+        w = [None] + [f.evaluate(PadicInt(ctx, d)) - a * f.evaluate(a * d)
+                      for d in range(1, ctx.M + 1)]
+        out = divisor_sum(w, 0, PadicInt(ctx, 0))
         coeffs = [self.kl.value(f)] + [2 * c for c in out[1:]]
         return QExpansion(ctx, coeffs)
 

@@ -101,6 +101,14 @@ class PadicInt:
         """True when the value is 0 at the known precision."""
         return self.residue == 0
 
+    def is_exact_zero(self) -> bool:
+        """True when the value is 0 to the full precision N.
+
+        Only such a term may be dropped from a sum or a product: a zero
+        known to fewer digits still caps the precision of what it enters.
+        """
+        return self.residue == 0 and self.prec == self.ctx.N
+
     def valuation(self) -> int:
         """v_p of the value, capped at prec (a residue of 0 means v >= prec)."""
         if self.residue == 0:

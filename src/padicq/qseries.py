@@ -72,7 +72,7 @@ class QExpansion:
         qp = min(self.qprec, other.qprec)
         out = [PadicInt(self.ctx, 0) for _ in range(qp + 1)]
         for i, a in enumerate(self.coeffs[: qp + 1]):
-            if isinstance(a, PadicInt) and a.is_zero():
+            if isinstance(a, PadicInt) and a.is_exact_zero():
                 continue
             for j in range(qp + 1 - i):
                 out[i + j] = out[i + j] + a * other.coeffs[j]
@@ -118,26 +118,43 @@ def v_p(g: QExpansion) -> QExpansion:
 
 # -- divisor sums --------------------------------------------------------------
 
+def divisor_sum(w, e: int, zero=0) -> list:
+    """out[n] = sum_{d | n} d^e w[d] for 1 <= n <= M, where M = len(w) - 1.
+
+    The weights may be ints, PadicInts or cyclotomic elements; w[0] is
+    ignored.  Every out[n] starts at ``zero``.  A weight that is zero to
+    full precision is skipped before it is scaled by d^e (and e = 0 scales
+    nothing); a zero known to fewer digits still enters its sums.
+    """
+    M = len(w) - 1
+    out = [zero] * (M + 1)
+    for d in range(1, M + 1):
+        t = w[d]
+        if isinstance(t, PadicInt) and t.is_exact_zero():
+            continue
+        if e:
+            t = t * d ** e
+        for n in range(d, M + 1, d):
+            out[n] = out[n] + t
+    return out
+
+
 @lru_cache(maxsize=None)
 def sigma_table(e: int, M: int) -> tuple:
     """sigma_e(n) = sum of e-th powers of divisors, exactly, for n <= M."""
-    out = [0] * (M + 1)
-    for d in range(1, M + 1):
-        de = d ** e
-        for n in range(d, M + 1, d):
-            out[n] += de
-    return tuple(out)
+    return tuple(divisor_sum([0] + [1] * M, e))
 
 
 def double_divisor_series(ctx: PadicContext, k: int, r: int) -> QExpansion:
-    """2 sum_n q^n sum_{d d' = n} d^k d'^r, constant term 0 (exact integers)."""
-    M = ctx.M
-    out = [0] * (M + 1)
-    for d in range(1, M + 1):
-        dk = d ** k
-        for dd in range(1, M // d + 1):
-            out[d * dd] += dk * dd ** r
-    return QExpansion(ctx, [PadicInt(ctx, 2 * c) for c in out])
+    """2 sum_n q^n sum_{d d' = n} d^k d'^r, constant term 0 (exact integers).
+
+    The inner sum is symmetric in k and r and equals n^r sigma_(k-r)(n)
+    for k >= r.
+    """
+    lo, hi = sorted((k, r))
+    sig = sigma_table(hi - lo, ctx.M)
+    return QExpansion(ctx, [0] + [PadicInt(ctx, 2 * n ** lo * sig[n])
+                                  for n in range(1, ctx.M + 1)])
 
 
 # -- Eisenstein series ----------------------------------------------------------
@@ -181,14 +198,8 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
         raise ValueError("twisted 2G_k requires k >= 2")
     if lc_level(f) is None:
         raise ValueError("twist must be locally constant")
-    fvals = [f.evaluate(PadicInt(ctx, d)) for d in range(ctx.M + 1)]
-    out = [PadicInt(ctx, 0) for _ in range(ctx.M + 1)]
-    for d in range(1, ctx.M + 1):
-        if isinstance(fvals[d], PadicInt) and fvals[d].is_zero():
-            continue
-        term = fvals[d] * d ** (k - 1)
-        for n in range(d, ctx.M + 1, d):
-            out[n] = out[n] + term
+    fvals = [None] + [f.evaluate(PadicInt(ctx, d)) for d in range(1, ctx.M + 1)]
+    out = divisor_sum(fvals, k - 1, PadicInt(ctx, 0))
     coeffs = [reduce_rational(lvalue_periodic(k, f), ctx)]
     coeffs += [2 * c for c in out[1:]]
     return QExpansion(ctx, coeffs)

@@ -20,7 +20,8 @@ from .measures import (AmiceMeasure, DiracMeasure, amice_transform,
                        convolution_nu, eisenstein_eval, eval_at_character,
                        kl_constant)
 from .padic import PadicContext, PadicInt, bernoulli, reduce_rational
-from .qseries import QExpansion, eisenstein_2G_scaled, theta, u_p, v_p
+from .qseries import (QExpansion, eisenstein_2G_scaled, sigma_table, theta,
+                      u_p, v_p)
 from .zpfun import (Character, Polynomial, Scaled, TwoVarFn, indicator,
                     mahler_coeffs, monomial, multiply)
 
@@ -41,9 +42,16 @@ class SuiteResult:
 
 
 def reference_nu(ctx: PadicContext, a: PadicInt, s: int, t: int) -> QExpansion:
-    """(1 - a^(s+1)) theta^t 2G_(s+1): the divisor-sum route to the moments."""
-    factor = 1 - a.residue ** (s + 1)
-    g = eisenstein_2G_scaled(ctx, s + 1, factor)
+    """(1 - a^(s+1)) theta^t 2G_(s+1): the divisor-sum route to the moments.
+
+    Here 2G_(s+1) means -B_(s+1)/(s+1) + 2 sum_n sigma_s(n) q^n for every
+    s >= 0, not the convention of eisenstein_2G that is zero at odd weight.
+    """
+    factor = Fraction(1 - a.residue ** (s + 1))
+    sig = sigma_table(s, ctx.M)
+    const = reduce_rational(factor * (-bernoulli(s + 1)) / (s + 1), ctx)
+    g = QExpansion(ctx, [const] + [reduce_rational(2 * factor * sig[n], ctx)
+                                   for n in range(1, ctx.M + 1)])
     for _ in range(t):
         g = theta(g)
     return g

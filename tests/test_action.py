@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from padicq import (ActionContext, CyclotomicElem, NotRootOfUnity,
-                    PadicInt, Polynomial, QExpansion, Scaled, act,
-                    act_character, amice_transform, constant_fn,
-                    derivative_check, indicator, monomial, multiply, psi,
-                    theta, u_p, v_p)
+from padicq import (CyclotomicElem, NotRootOfUnity, PadicInt, Polynomial,
+                    QExpansion, Scaled, act, act_character, amice_transform,
+                    constant_fn, derivative_check, indicator, monomial,
+                    multiply, psi, theta, u_p, v_p)
 from padicq.zpfun import Character
 
 
@@ -100,11 +99,6 @@ def test_act_character_rejects_deep_levels(ctx5):
         act_character(z, g, m_max=1)
     with pytest.raises(NotRootOfUnity):
         act_character(z + 1, g)
-
-
-def test_action_context_defaults(ctx5):
-    actx = ActionContext(ctx5)
-    assert actx.m_max == 3 and actx.ctx.p == 5
 
 
 def test_psi_zero(ctx5):

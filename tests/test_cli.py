@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import padicq
 from padicq.cli import main
 
 
@@ -63,6 +65,14 @@ def test_nu_agreement(capsys):
     assert obj["agree"] is True
     assert obj["convolution"]["coeffs"][2] == str((-36) % 5 ** 12)
     assert obj["convolution"] == obj["reference"]
+    # even and zero s: the reference is not the odd-weight zero series
+    for s in ("0", "2", "4"):
+        code, out, _ = run_cli(capsys, "--p", "5", "--M", "20", "nu",
+                               "--s", s, "--t", "1")
+        obj = json.loads(out)
+        assert code == 0 and obj["agree"] is True, s
+        assert obj["convolution"] == obj["reference"]
+        assert obj["reference"]["coeffs"][2] != "0"
 
 
 def test_nu_disagreement_exits_3(capsys, monkeypatch):
@@ -120,16 +130,22 @@ def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
     assert obj["suites"][0]["failures"] == ["synthetic failure"]
 
 
-def test_determinism_and_threads(capsys):
+def assert_config_error(code, out, err):
+    assert code == 4 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == 4
+
+
+def test_determinism_and_threads(capsys, tmp_path):
     args = ["--p", "5", "--M", "15", "eisenstein", "--k", "2"]
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
-    twist = ["--p", "5", "--M", "15", "eisenstein", "--k", "4",
-             "--twist", '{"kind":"indicator","level":1,"class":0}']
-    _, single, _ = run_cli(capsys, *twist)
-    _, multi, _ = run_cli(capsys, "--threads", "4", *twist[:2] + twist[2:])
-    assert single == multi
+    # the thread pool is gone: the flag and the config key are both rejected
+    assert_config_error(*run_cli(capsys, "--threads", "2", *args))
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads=2\n")
+    assert_config_error(*run_cli(capsys, "--config", str(cfg), *args))
 
 
 def test_config_file_and_overrides(tmp_path, capsys):
@@ -154,6 +170,11 @@ def test_config_errors_exit_4(capsys, tmp_path):
     bad.write_text("nonsense\n")
     code, _, err = run_cli(capsys, "--config", str(bad), "moment", "--k", "2")
     assert code == 4
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("p=5\nn=3\n")
+    assert_config_error(*run_cli(capsys, "--config", str(typo), "moment",
+                                 "--k", "2"))
+    assert_config_error(*run_cli(capsys, "moment"))
 
 
 def test_apply_measure_descriptor(capsys):
@@ -184,10 +205,14 @@ def test_kummer_dump(capsys):
 
 
 def test_entry_point_subprocess():
+    # the child imports padicq from wherever this process found it
+    src = os.path.dirname(os.path.dirname(padicq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "padicq", "--p", "5", "--M", "6",
          "moment", "--k", "2"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["residue"] == str(pow(4, -1, 5 ** 12))

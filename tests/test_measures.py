@@ -312,6 +312,20 @@ def test_eisenstein_coefficient_rule_random_tables(ctx5):
     inner()
 
 
+def test_low_precision_zero_caps_eisenstein_measure(ctx5):
+    # f(1) - a f(a) is 0 known to 3 digits only
+    f = LocallyConstant(ctx5, 1, [1, PadicInt(ctx5, 0, 3), 0, 0, 0])
+    g = EisensteinMeasure(ctx5, PadicInt(ctx5, 2))(f)
+    assert g.coefficient(1).prec == 3
+
+
+def test_low_precision_zero_caps_kl_constant(ctx5):
+    f = LocallyConstant(ctx5, 1, [1, PadicInt(ctx5, 0, 3), 0, 0, 0])
+    assert kl_constant(PadicInt(ctx5, 2), f).prec == 3
+    exact = LocallyConstant(ctx5, 1, [1, 0, 0, 0, 0])
+    assert kl_constant(PadicInt(ctx5, 2), exact).prec == 11
+
+
 # -- Kummer congruences ----------------------------------------------------------
 
 def test_kummer_congruence(ctx5):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from padicq import (LocallyConstant, NotPIntegral, PadicContext, PadicInt,
-                    QExpansion, bernoulli, constant_fn, double_divisor_series,
-                    eisenstein_2G, eisenstein_2G_scaled, eisenstein_2G_twisted,
-                    indicator, lvalue_periodic, reduce_rational,
-                    series_from_json, series_to_json, sigma_table, theta, u_p,
-                    v_p)
+                    QExpansion, bernoulli, constant_fn, divisor_sum,
+                    double_divisor_series, eisenstein_2G, eisenstein_2G_scaled,
+                    eisenstein_2G_twisted, indicator, lvalue_periodic,
+                    reduce_rational, series_from_json, series_to_json,
+                    sigma_table, theta, u_p, v_p)
 
 
 def brute_sigma(e, n):
@@ -156,15 +156,18 @@ def test_lvalue_units_removes_euler_factor(ctx5):
 
 
 def test_phi_identity(ctx5):
-    # n^r 2 sigma_{k-r}(n) = 2 sum_{dd'=n} d^k d'^r, as exact integers
+    # double_divisor_series is the closed form n^r 2 sigma_{k-r}(n); check it
+    # against the brute-force 2 sum_{dd'=n} d^k d'^r, in both orders of k, r
     M = ctx5.M
     for k in range(1, 9):
         for r in range(1, k + 1):
             dd = double_divisor_series(ctx5, k, r)
-            sig = sigma_table(k - r, M)
+            assert double_divisor_series(ctx5, r, k) == dd
+            assert dd.coefficient(0) == 0
             for n in range(1, M + 1):
-                lhs = n ** r * 2 * sig[n]
-                assert PadicInt(ctx5, lhs) == dd.coefficient(n)
+                rhs = 2 * sum(d ** k * (n // d) ** r
+                              for d in range(1, n + 1) if n % d == 0)
+                assert PadicInt(ctx5, rhs) == dd.coefficient(n)
     # the concrete instance from the identity: n=6, k=3, r=1
     assert 6 * 2 * brute_sigma(2, 6) == 600
     assert 2 * sum(d ** 3 * (6 // d) for d in (1, 2, 3, 6)) == 600
@@ -175,6 +178,32 @@ def test_sigma_table_against_brute_force():
         tab = sigma_table(e, 40)
         for n in range(1, 41):
             assert tab[n] == brute_sigma(e, n)
+
+
+def test_divisor_sum_scalar_types(ctx5):
+    w = [None] + [PadicInt(ctx5, d % 3) for d in range(1, 21)]
+    out = divisor_sum(w, 2, PadicInt(ctx5, 0))
+    ints = divisor_sum([0] + [d % 3 for d in range(1, 21)], 2)
+    for n in range(1, 21):
+        want = sum(d ** 2 * (d % 3) for d in range(1, n + 1) if n % d == 0)
+        assert ints[n] == want and out[n] == want and out[n].prec == 12
+
+
+def test_low_precision_zero_caps_twisted_series(ctx5):
+    # f(1) is 0 known to 3 digits, and d = 1 enters every coefficient
+    f = LocallyConstant(ctx5, 1, [1, PadicInt(ctx5, 0, 3), 0, 0, 0])
+    g = eisenstein_2G_twisted(ctx5, 2, f)
+    assert all(g.coefficient(n).prec == 3 for n in range(1, ctx5.M + 1))
+    assert g.coefficient(1).is_zero()
+
+
+def test_low_precision_zero_caps_product(ctx5):
+    g = QExpansion(ctx5, [PadicInt(ctx5, 0, 3), 1, 0, 0, 0])
+    h = g * QExpansion(ctx5, [1] * 5)
+    assert h.coefficient(0).prec == 3
+    q = QExpansion(ctx5, [0, 1])
+    assert (q * h).coefficient(1).prec == 3
+    assert (q * QExpansion(ctx5, [1])).coefficient(0).prec == 12
 
 
 def test_series_ring_laws():
