@@ -178,6 +178,15 @@ class CyclotomicElem:
         return CyclotomicElem(self.ctx, self.level, [-c for c in self.coeffs])
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            other = PadicInt(self.ctx, other)
+        if isinstance(other, PadicInt):
+            # a scalar scales each coefficient; the precision is that of
+            # the full product with the scalar lifted to this level
+            prec = min(self.min_prec(), other.prec)
+            return CyclotomicElem(self.ctx, self.level, [
+                PadicInt(self.ctx, c.residue * other.residue, prec)
+                for c in self.coeffs])
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented

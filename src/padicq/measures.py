@@ -21,8 +21,8 @@ from math import comb
 
 from .action import DEFAULT_M_MAX, act, act_character
 from .cyclotomic import CyclotomicElem, phi_pm
-from .errors import (EulerFactorNotInvertible, NotRootOfUnity, NotUnit,
-                     PrecisionExhausted, UnsupportedShape)
+from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
+                     NotUnit, PrecisionExhausted, UnsupportedShape)
 from .padic import PadicContext, PadicInt
 from .qseries import QExpansion, divisor_sum
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
@@ -87,13 +87,13 @@ class RegularizedKernel:
         return cur[: K + 1]
 
 
-def _monomial_mahler(j: int) -> list[int]:
-    """Exact Mahler coefficients of z^j (finite differences of n^j)."""
-    vals = [n ** j for n in range(j + 1)]
+def _monomial_mahler(j: int, mod: int) -> list[int]:
+    """Mahler coefficients of z^j mod ``mod`` (finite differences of n^j)."""
+    vals = [pow(n, j, mod) for n in range(j + 1)]
     out = []
     for _ in range(j + 1):
         out.append(vals[0])
-        vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
+        vals = [(y - x) % mod for x, y in zip(vals, vals[1:])]
     return out
 
 
@@ -119,7 +119,7 @@ class KLConstantTerm:
         """kappa(z^j), exact mod p^N (finite Mahler pairing)."""
         ctx = self.ctx
         b = self.kernel.base(j)
-        c = _monomial_mahler(j)
+        c = _monomial_mahler(j, ctx.modulus)
         acc = sum(ck * bk for ck, bk in zip(c, b))
         return PadicInt(ctx, acc)
 
@@ -512,6 +512,8 @@ def measure_from_json(ctx: PadicContext, obj) -> Measure:
     """Build a measure from its JSON descriptor (dict or JSON string)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a measure descriptor is a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "dirac":
         return DiracMeasure(PadicInt(ctx, int(obj["c"])))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
-    reduce_rational
+    padic_valuation, reduce_rational
 from .zpfun import ContinuousFn, LocallyConstant, lc_level, as_table
 
 
@@ -67,16 +67,39 @@ class QExpansion:
         return QExpansion(self.ctx, [c * a for a in self.coeffs], self.qprec)
 
     def __mul__(self, other):
+        """Product truncated at the smaller q-precision.
+
+        Coefficient n is sum_{i<=n} a_i b_(n-i), where a term with a_i zero
+        to full precision is dropped and every other term caps the
+        precision at min(prec a_i, prec b_(n-i)).  Defined for scalar
+        coefficients only; the residues are multiplied as one Kronecker
+        product.
+        """
         if not isinstance(other, QExpansion):
             return self.scale(other)
+        ctx = self.ctx
+        if (other.ctx.p, other.ctx.N) != (ctx.p, ctx.N):
+            raise ValueError("mixed p-adic contexts")
         qp = min(self.qprec, other.qprec)
-        out = [PadicInt(self.ctx, 0) for _ in range(qp + 1)]
-        for i, a in enumerate(self.coeffs[: qp + 1]):
-            if isinstance(a, PadicInt) and a.is_exact_zero():
-                continue
-            for j in range(qp + 1 - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return QExpansion(self.ctx, out, qp)
+        a, b = self.coeffs[: qp + 1], other.coeffs[: qp + 1]
+        if not all(isinstance(c, PadicInt) for c in a + b):
+            raise TypeError("products need scalar coefficients")
+        live = [0 if c.is_exact_zero() else 1 for c in a]
+        # the precision of the live a_i enters every later coefficient ...
+        prec, low = [], ctx.N
+        for c, alive in zip(a, live):
+            if alive:
+                low = min(low, c.prec)
+            prec.append(low)
+        # ... and a low-precision b_j enters n = i + j for every live a_i
+        for v in {c.prec for c in b if c.prec < ctx.N}:
+            hits = _convolve(live, [int(c.prec == v) for c in b],
+                             (qp + 1).bit_length())
+            prec = [min(pr, v) if h else pr for pr, h in zip(prec, hits)]
+        sums = _convolve([c.residue for c in a], [c.residue for c in b],
+                         2 * ctx.modulus.bit_length() + (qp + 1).bit_length())
+        return QExpansion(ctx, [PadicInt(ctx, s, pr)
+                                for s, pr in zip(sums, prec)], qp)
 
     def __eq__(self, other):
         if not isinstance(other, QExpansion):
@@ -89,6 +112,22 @@ class QExpansion:
     def __repr__(self):
         head = ", ".join(repr(c) for c in self.coeffs[:4])
         return f"QExpansion([{head}, ...], qprec={self.qprec})"
+
+
+def _convolve(xs: list[int], ys: list[int], bits: int) -> list[int]:
+    """First len(xs) coefficients of the product of two polynomials with
+    non-negative integer coefficients, each product coefficient < 2^bits.
+
+    Kronecker substitution: both lists are packed into one integer with
+    slots of whole bytes, multiplied once (CPython's Karatsuba) and the
+    slots read back; the bound on the coefficients keeps slots from carrying.
+    """
+    w = (bits + 7) // 8
+    x = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in xs), "little")
+    y = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in ys), "little")
+    buf = (x * y).to_bytes(w * (len(xs) + len(ys)), "little")
+    return [int.from_bytes(buf[i: i + w], "little")
+            for i in range(0, w * len(xs), w)]
 
 
 # -- operators ----------------------------------------------------------------
@@ -198,9 +237,18 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
         raise ValueError("twisted 2G_k requires k >= 2")
     if lc_level(f) is None:
         raise ValueError("twist must be locally constant")
+    # the constant term sum_c f(c) w_c is known to prec f(c) + v_p(w_c)
+    # digits for each entry f(c) known to fewer than N digits
+    F, table = _period_table(f)
+    prec = ctx.N
+    for c, v in enumerate(table):
+        w = _lvalue_weight(k, F, c) if v.prec < ctx.N else 0
+        if w:
+            prec = min(prec, v.prec + padic_valuation(w.numerator, ctx.p)
+                       - padic_valuation(w.denominator, ctx.p))
     fvals = [None] + [f.evaluate(PadicInt(ctx, d)) for d in range(1, ctx.M + 1)]
     out = divisor_sum(fvals, k - 1, PadicInt(ctx, 0))
-    coeffs = [reduce_rational(lvalue_periodic(k, f), ctx)]
+    coeffs = [reduce_rational(lvalue_periodic(k, f), ctx, max(prec, 0))]
     coeffs += [2 * c for c in out[1:]]
     return QExpansion(ctx, coeffs)
 
@@ -214,20 +262,27 @@ def lvalue_periodic(k: int, f: ContinuousFn) -> Fraction:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    F, table = _period_table(f)
+    return sum((v.residue * _lvalue_weight(k, F, c)
+                for c, v in enumerate(table) if v.residue), Fraction(0))
+
+
+def _period_table(f: ContinuousFn) -> tuple[int, list]:
+    """The period F = p^m of a locally constant f and its scalar table."""
     m = lc_level(f)
     if m is None:
         raise ValueError("f must be locally constant")
-    ctx = f.ctx
     table = f.table if isinstance(f, LocallyConstant) and f.level == m \
         else as_table(f, m)
-    F = ctx.p ** m
-    acc = Fraction(0)
-    for c, v in enumerate(table):
-        if not isinstance(v, PadicInt):
-            raise TypeError("L-values need scalar (non-cyclotomic) twists")
-        if v.residue:
-            acc += v.residue * bernoulli_polynomial(k, Fraction(c, F))
-    return Fraction(F) ** (k - 1) * acc * Fraction(-1, k)
+    if not all(isinstance(v, PadicInt) for v in table):
+        raise TypeError("L-values need scalar (non-cyclotomic) twists")
+    return f.ctx.p ** m, table
+
+
+def _lvalue_weight(k: int, F: int, c: int) -> Fraction:
+    """w_c = -F^(k-1) B_k(c/F)/k, so that L(1-k, f) = sum_c f(c) w_c."""
+    return Fraction(F) ** (k - 1) * bernoulli_polynomial(k, Fraction(c, F)) \
+        * Fraction(-1, k)
 
 
 # -- JSON ------------------------------------------------------------------------

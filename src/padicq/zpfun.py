@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .cyclotomic import CyclotomicElem, cyclo_pow
-from .errors import NotUnit, PrecisionExhausted, UnsupportedShape
+from .errors import ConfigError, NotUnit, PrecisionExhausted, UnsupportedShape
 from .padic import PadicContext, PadicInt, binomial_padic
 
 
@@ -48,6 +48,8 @@ class Polynomial(ContinuousFn):
 
 
 def monomial(ctx: PadicContext, degree: int) -> Polynomial:
+    if degree < 0:
+        raise ValueError(f"monomial degree must be >= 0, got {degree}")
     coeffs = [0] * degree + [1]
     return Polynomial(ctx, coeffs)
 
@@ -360,6 +362,8 @@ def fn_from_json(ctx: PadicContext, obj) -> ContinuousFn:
     """Build a ContinuousFn from its JSON descriptor (dict or JSON string)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a function descriptor is a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "monomial":
         return monomial(ctx, int(obj["degree"]))
@@ -380,6 +384,8 @@ def fn_from_json(ctx: PadicContext, obj) -> ContinuousFn:
                             int(obj["tail_valuation"]))
     if kind == "product":
         fs = [fn_from_json(ctx, o) for o in obj["factors"]]
+        if not fs:
+            raise ConfigError("a product needs at least one factor")
         out = fs[0]
         for g in fs[1:]:
             out = multiply(out, g)

@@ -177,6 +177,18 @@ def test_config_errors_exit_4(capsys, tmp_path):
     assert_config_error(*run_cli(capsys, "moment"))
 
 
+def test_bad_descriptors_and_degrees_exit_4(capsys):
+    dirac = '{"kind":"dirac","c":1}'
+    for argv in (["moment", "--k", "0"],
+                 ["apply", "--measure", "[]", "--fn", "{}"],
+                 ["apply", "--measure", dirac, "--fn", "[]"],
+                 ["apply", "--measure", dirac,
+                  "--fn", '{"kind":"product","factors":[]}'],
+                 ["apply", "--measure", dirac,
+                  "--fn", '{"kind":"monomial","degree":-2}']):
+        assert_config_error(*run_cli(capsys, *argv))
+
+
 def test_apply_measure_descriptor(capsys):
     code, out, _ = run_cli(capsys, "--p", "5", "--M", "8", "apply",
                            "--measure", '{"kind":"dirac","c":2}',

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -155,3 +157,23 @@ def test_augmentation_and_constant():
     x = z ** 0 * 3
     assert x.is_constant() and x.constant_part() == 3
     assert (z + z ** 2).augmentation() == 2
+
+
+def test_scalar_product_matches_lifted_product():
+    ctx = PadicContext(3, 8, 4)
+    rng = random.Random(11)
+
+    def pairs(x):
+        return x.level, [(c.residue, c.prec) for c in x.coeffs]
+
+    for level in range(4):
+        for _ in range(10):
+            a = CyclotomicElem(ctx, level, [
+                PadicInt(ctx, rng.randrange(3 ** 8), rng.choice([8, 8, 5, 0]))
+                for _ in range(phi_pm(3, level))])
+            x = PadicInt(ctx, rng.randrange(3 ** 8), rng.choice([8, 6, 2, 0]))
+            want = pairs(a * CyclotomicElem.from_scalar(x))
+            assert pairs(a * x) == want and pairs(x * a) == want
+            k = rng.randrange(-100, 100)
+            want = pairs(a * CyclotomicElem.from_scalar(PadicInt(ctx, k)))
+            assert pairs(a * k) == want and pairs(k * a) == want

@@ -196,6 +196,17 @@ def test_kl_moments_against_bernoulli_oracle(ctx5):
             assert got == want and got.prec == ctx5.N, (ar, k)
 
 
+def test_monomial_mahler_mod_matches_exact():
+    from padicq.measures import _monomial_mahler
+
+    for j in range(31):
+        # Delta^k n^j at 0 = sum_i (-1)^(k-i) C(k, i) i^j, exactly
+        exact = [sum((-1) ** (k - i) * comb(k, i) * i ** j
+                     for i in range(k + 1)) for k in range(j + 1)]
+        for mod in (2, 3 ** 7, 5 ** 12, 7 ** 40):
+            assert _monomial_mahler(j, mod) == [c % mod for c in exact]
+
+
 def test_kl_total_mass(ctx5):
     a = PadicInt(ctx5, 2)
     assert kl_constant(a, constant_fn(ctx5, 1)) == \

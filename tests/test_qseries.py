@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicq import (LocallyConstant, NotPIntegral, PadicContext, PadicInt,
+from padicq import (CyclotomicElem, LocallyConstant, NotPIntegral, PadicContext, PadicInt,
                     QExpansion, bernoulli, constant_fn, divisor_sum,
                     double_divisor_series, eisenstein_2G, eisenstein_2G_scaled,
                     eisenstein_2G_twisted, indicator, lvalue_periodic,
@@ -195,6 +195,13 @@ def test_low_precision_zero_caps_twisted_series(ctx5):
     g = eisenstein_2G_twisted(ctx5, 2, f)
     assert all(g.coefficient(n).prec == 3 for n in range(1, ctx5.M + 1))
     assert g.coefficient(1).is_zero()
+    # f(1) enters the constant term with weight -5 B_2(1/5)/2 = -1/60, of
+    # valuation -1, so the constant term is known to 3 - 1 digits
+    lift = eisenstein_2G_twisted(
+        ctx5, 2, LocallyConstant(ctx5, 1, [1, 125, 0, 0, 0]))
+    assert g.coefficient(0).prec == 2
+    assert (g.coefficient(0).residue - lift.coefficient(0).residue) % 25 == 0
+    assert lift.coefficient(0).prec == 12
 
 
 def test_low_precision_zero_caps_product(ctx5):
@@ -204,6 +211,68 @@ def test_low_precision_zero_caps_product(ctx5):
     q = QExpansion(ctx5, [0, 1])
     assert (q * h).coefficient(1).prec == 3
     assert (q * QExpansion(ctx5, [1])).coefficient(0).prec == 12
+
+
+def schoolbook_product(f, g):
+    """(residue, prec) of each coefficient of f * g, on plain ints: a term
+    with f_i zero to full precision is dropped, every other term caps the
+    precision at min(prec f_i, prec g_(n-i))."""
+    ctx = f.ctx
+    qp = min(f.qprec, g.qprec)
+    out = []
+    for n in range(qp + 1):
+        acc, prec = 0, ctx.N
+        for i in range(n + 1):
+            a, b = f.coeffs[i], g.coeffs[n - i]
+            if a.residue == 0 and a.prec == ctx.N:
+                continue
+            acc += a.residue * b.residue
+            prec = min(prec, a.prec, b.prec)
+        out.append((acc % ctx.p ** prec, prec))
+    return out
+
+
+def test_product_matches_schoolbook():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def inner(data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        N = data.draw(st.integers(1, 12))
+        M = data.draw(st.integers(1, 25))
+        ctx = PadicContext(p, N, M)
+        residue = st.integers(0, p ** N - 1)
+        coeff = st.one_of(
+            st.just((0, N)),                                  # exact zero
+            st.tuples(st.just(0), st.integers(0, N - 1)),     # low-prec zero
+            st.tuples(residue, st.integers(0, N - 1)),        # low-prec value
+            st.tuples(residue, st.just(N)))
+
+        def series():
+            qp = data.draw(st.integers(0, M))
+            pairs = data.draw(st.lists(coeff, min_size=qp + 1,
+                                       max_size=qp + 1))
+            return QExpansion(ctx, [PadicInt(ctx, r, pr) for r, pr in pairs],
+                              qp)
+
+        f, g = series(), series()
+        for x, y in ((f, g), (g, f)):
+            got = x * y
+            assert got.qprec == min(x.qprec, y.qprec)
+            assert [(c.residue, c.prec) for c in got.coeffs] == \
+                schoolbook_product(x, y)
+
+    inner()
+
+
+def test_product_needs_scalar_coefficients(ctx5):
+    g = QExpansion(ctx5, [CyclotomicElem.zeta(ctx5, 1), 1])
+    h = QExpansion(ctx5, [1, 1])
+    for x, y in ((g, h), (h, g)):
+        with pytest.raises(TypeError, match="scalar coefficients"):
+            x * y
 
 
 def test_series_ring_laws():
