@@ -14,7 +14,9 @@ from .padic import DualNumber, PadicInt
 from .qseries import QExpansion
 from .zpfun import ContinuousFn
 
-DEFAULT_M_MAX = 3
+# the deepest cyclotomic level the package evaluates: it guards the
+# character sums, whose cost grows like p^(2m) at level m
+M_MAX = 3
 
 
 def act(f: ContinuousFn, g: QExpansion) -> QExpansion:
@@ -24,7 +26,7 @@ def act(f: ContinuousFn, g: QExpansion) -> QExpansion:
     return QExpansion(ctx, out, g.qprec)
 
 
-def act_character(zeta, g: QExpansion, m_max: int = DEFAULT_M_MAX) -> QExpansion:
+def act_character(zeta, g: QExpansion) -> QExpansion:
     """Twist by a root of unity: coefficient n becomes zeta^n * a_n.
 
     zeta may also be a dual number; the exponents here are the literal
@@ -36,9 +38,9 @@ def act_character(zeta, g: QExpansion, m_max: int = DEFAULT_M_MAX) -> QExpansion
         return QExpansion(g.ctx, out, g.qprec)
     if not isinstance(zeta, CyclotomicElem):
         raise TypeError("zeta must be a cyclotomic element or a dual number")
-    if zeta.level > m_max:
+    if zeta.level > M_MAX:
         raise NotRootOfUnity(
-            f"level {zeta.level} exceeds the available cyclotomic level {m_max}"
+            f"level {zeta.level} exceeds the available cyclotomic level {M_MAX}"
         )
     if not zeta.is_root_of_unity():
         raise NotRootOfUnity("argument is not a p-power root of unity")

@@ -12,7 +12,6 @@ import json
 import sys
 import time
 
-from .action import DEFAULT_M_MAX
 from .errors import ConfigError, PadicqError
 from .kummer import KummerBase, kummer_mul
 from .measures import (convolution_nu, eval_measure, kl_constant,
@@ -20,7 +19,7 @@ from .measures import (convolution_nu, eval_measure, kl_constant,
 from .padic import PadicContext, PadicInt, is_prime
 from .qseries import (QExpansion, eisenstein_2G, eisenstein_2G_twisted,
                       series_to_json)
-from .verify import reference_nu, run_suites
+from .verify import SUITES, reference_nu, run_suites
 from .zpfun import (LocallyConstant, TwoVarFn, fn_from_json, lc_level,
                     monomial)
 
@@ -46,7 +45,7 @@ def default_a(p: int) -> int:
         a += 1
 
 
-CONFIG_KEYS = ("p", "N", "M", "a", "mmax")
+CONFIG_KEYS = ("p", "N", "M", "a")
 
 
 def load_config_file(path: str) -> dict:
@@ -68,7 +67,7 @@ def load_config_file(path: str) -> dict:
 
 
 class RunConfig:
-    """Validated run parameters: p, N, M, m_max, a."""
+    """Validated run parameters: p, N, M, a."""
 
     def __init__(self, args):
         file_cfg = load_config_file(args.config) if args.config else {}
@@ -84,7 +83,6 @@ class RunConfig:
             self.p = pick("p", args.p, int, 5)
             self.N = pick("N", args.N, int, 12)
             self.M = pick("M", args.M, int, 60)
-            self.m_max = pick("mmax", args.mmax, int, DEFAULT_M_MAX)
             a = pick("a", args.a, int, None)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -92,8 +90,6 @@ class RunConfig:
             raise ConfigError(f"p must be an odd prime, got {self.p}")
         if self.N < 1 or self.M < 1:
             raise ConfigError("N and M must be >= 1")
-        if self.m_max < 0:
-            raise ConfigError("mmax must be >= 0")
         self.ctx = PadicContext(self.p, self.N, self.M)
         if a is None:
             a = default_a(self.p)
@@ -138,7 +134,9 @@ def cmd_eisenstein(cfg: RunConfig, args) -> int:
 
 
 def cmd_moment(cfg: RunConfig, args) -> int:
-    v = kl_constant(cfg.a, monomial(cfg.ctx, args.k - 1), cfg.m_max)
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
+    v = kl_constant(cfg.a, monomial(cfg.ctx, args.k - 1))
     emit(value_to_json(v, cfg))
     return EXIT_OK
 
@@ -146,7 +144,7 @@ def cmd_moment(cfg: RunConfig, args) -> int:
 def cmd_nu(cfg: RunConfig, args) -> int:
     ctx = cfg.ctx
     F = TwoVarFn.tensor(monomial(ctx, args.s), monomial(ctx, args.t))
-    conv = convolution_nu(cfg.a, F, cfg.m_max)
+    conv = convolution_nu(cfg.a, F)
     ref = reference_nu(ctx, cfg.a, args.s, args.t)
     agree = conv == ref
     emit({
@@ -180,8 +178,8 @@ def _parse_character(cfg: RunConfig, text: str) -> LocallyConstant:
 def cmd_lvalue(cfg: RunConfig, args) -> int:
     chi1 = _parse_character(cfg, args.chi1)
     chi2 = _parse_character(cfg, args.chi2)
-    value = two_variable_L(chi1, chi2, cfg.a, cfg.m_max)
-    series = nu_character_series(chi1, chi2, cfg.a, cfg.m_max)
+    value = two_variable_L(chi1, chi2, cfg.a)
+    series = nu_character_series(chi1, chi2, cfg.a)
     ar = cfg.a.residue % (cfg.p ** max(lc_level(chi1), lc_level(chi2), 1))
     factor = PadicInt(cfg.ctx, 1) - \
         chi1.evaluate(PadicInt(cfg.ctx, ar)) * cfg.a * \
@@ -276,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--a", type=int,
                         help="regularizing unit (default: smallest generator "
                              "of (Z/p^2)^x)")
-    parser.add_argument("--mmax", type=int,
-                        help="deepest locally constant level (default 3)")
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -305,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help='JSON descriptor, e.g. {"kind":"monomial","degree":2}')
 
     p_ver = sub.add_parser("verify", help="run an invariant suite")
-    p_ver.add_argument("suite",
-                       choices=["moments", "congruences", "action", "amice",
-                                "kummer", "nu", "all"])
+    p_ver.add_argument("suite", choices=[*SUITES, "all"])
     p_ver.add_argument("--k", type=int, default=1,
                        help="torsion level for the kummer suite")
 

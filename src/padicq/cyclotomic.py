@@ -218,15 +218,19 @@ class CyclotomicElem:
         return acc
 
     def inverse(self) -> "CyclotomicElem":
-        """Unit inverse by inverting mod p and Hensel lifting."""
+        """Unit inverse by inverting mod p and Hensel lifting.
+
+        Mod p the ring is F_p[T]/(T - 1)^phi, whose nilpotent part Frobenius
+        kills, so x^(p^m) = aug(x) mod p and x^(p^m - 1) / aug(x) inverts x
+        mod p.
+        """
         if self.level == 0:
             return CyclotomicElem.from_scalar(self.coeffs[0].inverse())
         if not self.is_unit():
             raise NotUnit(f"{self!r} is not a unit (augmentation divisible by p)")
         p, m = self.ctx.p, self.level
         prec = self.min_prec()
-        y0 = _invert_mod_p(self._raw(), p, m)
-        y = CyclotomicElem(self.ctx, m, [PadicInt(self.ctx, c) for c in y0])
+        y = self ** (p ** m - 1) * pow(self.augmentation().residue % p, -1, p)
         # each Newton step doubles the number of correct digits
         digits = 1
         while digits < prec:
@@ -276,67 +280,6 @@ class CyclotomicElem:
         ]
         body = " + ".join(terms) if terms else "0"
         return f"Cyclo(level={self.level}, {body} + O(p^{self.min_prec()}))"
-
-
-def _poly_divmod_fp(a: list[int], b: list[int], p: int):
-    """Quotient and remainder of a by b in F_p[T]; b must be nonzero."""
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    while a and a[-1] == 0:
-        a.pop()
-    if len(a) < len(b):
-        return [0], a
-    q = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    for i in range(len(a) - len(b), -1, -1):
-        c = (a[i + len(b) - 1] * inv_lead) % p
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _invert_mod_p(raw: list[int], p: int, m: int) -> list[int]:
-    """Inverse of raw modulo (Phi_{p^m}, p) by extended Euclid in F_p[T]."""
-    phi = phi_pm(p, m)
-    step = p ** (m - 1)
-    modpoly = [0] * (phi + 1)
-    for i in range(p):
-        modpoly[i * step] = 1
-    r0, r1 = modpoly, [c % p for c in raw]
-    s0, s1 = [0], [1]
-    while True:
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        if not r1:
-            raise NotUnit("element is a zero divisor mod p")
-        if len(r1) == 1:
-            inv = pow(r1[0], -1, p)
-            out = [(c * inv) % p for c in s1]
-            _, out = _poly_divmod_fp(out, modpoly, p)
-            out += [0] * (phi - len(out))
-            return out[:phi]
-        q, r = _poly_divmod_fp(r0, r1, p)
-        # s_next = s0 - q*s1
-        prod = [0] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] = (prod[i + j] + qi * sj) % p
-        s_next = [0] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            s_next[i] = c % p
-        for i, c in enumerate(prod):
-            s_next[i] = (s_next[i] - c) % p
-        r0, r1 = r1, r
-        s0, s1 = s1, s_next
 
 
 def cyclo_pow(x: CyclotomicElem, e: PadicInt) -> CyclotomicElem:

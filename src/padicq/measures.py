@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from math import comb
 
-from .action import DEFAULT_M_MAX, act, act_character
+from .action import M_MAX, act, act_character
 from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
                      NotUnit, PrecisionExhausted, UnsupportedShape)
@@ -101,15 +101,14 @@ class KLConstantTerm:
     """The constant-term functional of the Eisenstein measure.
 
     Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N; values on
-    level-m step functions are exact to N - m digits.  Levels beyond m_max
-    fail loudly rather than degrade silently.
+    level-m step functions are exact to N - m digits.  Levels beyond the
+    fixed cap action.M_MAX raise PrecisionExhausted rather than start a
+    character sum whose cost grows like p^(2m).
     """
 
-    def __init__(self, ctx: PadicContext, a: PadicInt,
-                 m_max: int = DEFAULT_M_MAX):
+    def __init__(self, ctx: PadicContext, a: PadicInt):
         self.ctx = ctx
         self.a = a
-        self.m_max = m_max
         self.kernel = RegularizedKernel(ctx, a)
         self._indicator_cache: dict = {}
 
@@ -180,9 +179,9 @@ class KLConstantTerm:
         if isinstance(f, Character):
             return self.value_character(f.zeta)
         m, terms = poly_lc_terms(f)
-        if m > self.m_max:
+        if m > M_MAX:
             raise PrecisionExhausted(
-                f"level {m} exceeds the configured cap m_max={self.m_max}")
+                f"level {m} exceeds the level cap {M_MAX}")
         if m == 0:
             acc = PadicInt(ctx, 0)
             for j, tab in terms.items():
@@ -212,18 +211,16 @@ def _horner_cyclo(ctx: PadicContext, coeffs: list[int], zeta: CyclotomicElem,
 _kl_cache: dict = {}
 
 
-def kl_constant_functional(ctx: PadicContext, a: PadicInt,
-                           m_max: int = DEFAULT_M_MAX) -> KLConstantTerm:
-    key = (ctx.p, ctx.N, a.residue, m_max)
+def kl_constant_functional(ctx: PadicContext, a: PadicInt) -> KLConstantTerm:
+    key = (ctx.p, ctx.N, a.residue)
     if key not in _kl_cache:
-        _kl_cache[key] = KLConstantTerm(ctx, a, m_max)
+        _kl_cache[key] = KLConstantTerm(ctx, a)
     return _kl_cache[key]
 
 
-def kl_constant(a: PadicInt, f: ContinuousFn,
-                m_max: int = DEFAULT_M_MAX) -> PadicInt:
+def kl_constant(a: PadicInt, f: ContinuousFn) -> PadicInt:
     """The regularized constant term attached to a, applied to f."""
-    return kl_constant_functional(f.ctx, a, m_max).value(f)
+    return kl_constant_functional(f.ctx, a).value(f)
 
 
 # -- measures -------------------------------------------------------------------
@@ -310,13 +307,12 @@ class EisensteinMeasure(Measure):
     (1 - a^k) 2G_k including the constant term.
     """
 
-    def __init__(self, ctx: PadicContext, a: PadicInt,
-                 m_max: int = DEFAULT_M_MAX):
+    def __init__(self, ctx: PadicContext, a: PadicInt):
         if not a.is_unit():
             raise NotUnit("the Eisenstein measure needs a unit parameter")
         self.ctx = ctx
         self.a = a
-        self.kl = kl_constant_functional(ctx, a, m_max)
+        self.kl = kl_constant_functional(ctx, a)
 
     def __call__(self, f: ContinuousFn) -> QExpansion:
         ctx, a = self.ctx, self.a
@@ -347,7 +343,7 @@ class ActionMeasure(Measure):
         return [act(Binomial(self.ctx, k), self.g) for k in range(K + 1)]
 
     def at_character(self, zeta: CyclotomicElem) -> QExpansion:
-        return act_character(zeta, self.g, m_max=max(zeta.level, DEFAULT_M_MAX))
+        return act_character(zeta, self.g)
 
 
 class LinearMeasure(Measure):
@@ -436,10 +432,9 @@ def eval_at_character(mu: Measure, zeta: CyclotomicElem):
     return mu.at_character(zeta)
 
 
-def eisenstein_eval(a: PadicInt, f: ContinuousFn,
-                    m_max: int = DEFAULT_M_MAX) -> QExpansion:
+def eisenstein_eval(a: PadicInt, f: ContinuousFn) -> QExpansion:
     """Value of the Eisenstein measure attached to a on f."""
-    return EisensteinMeasure(f.ctx, a, m_max)(f)
+    return EisensteinMeasure(f.ctx, a)(f)
 
 
 class ProductMeasure(Measure):
@@ -462,13 +457,12 @@ def product_measure(ctx: PadicContext, bilinear, F: TwoVarFn):
     return ProductMeasure(ctx, bilinear)(F)
 
 
-def convolution_nu(a: PadicInt, F: TwoVarFn,
-                   m_max: int = DEFAULT_M_MAX) -> QExpansion:
+def convolution_nu(a: PadicInt, F: TwoVarFn) -> QExpansion:
     """The convolution measure: on f (x) g it acts by g on the Eisenstein
     value at f, so its moments on x^s y^t are (1 - a^(s+1)) theta^t 2G_(s+1).
     """
     ctx = F.ctx
-    mu = EisensteinMeasure(ctx, a, m_max)
+    mu = EisensteinMeasure(ctx, a)
     acc = QExpansion.zero(ctx)
     for f, g in F.terms:
         acc = acc + act(g, mu(f))
@@ -520,8 +514,7 @@ def measure_from_json(ctx: PadicContext, obj) -> Measure:
     if kind == "amice":
         return AmiceMeasure(ctx, [int(c) for c in obj["coeffs"]])
     if kind == "eisenstein":
-        return EisensteinMeasure(ctx, PadicInt(ctx, int(obj["a"])),
-                                 int(obj.get("m_max", DEFAULT_M_MAX)))
+        return EisensteinMeasure(ctx, PadicInt(ctx, int(obj["a"])))
     if kind == "linear":
         return LinearMeasure(ctx, [(int(w), measure_from_json(ctx, inner))
                                    for w, inner in obj["terms"]])
@@ -556,8 +549,22 @@ def validate_character(chi: ContinuousFn, m: int) -> list:
     return tab
 
 
-def two_variable_L(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt,
-                   m_max: int = DEFAULT_M_MAX):
+def _character_pair(chi1: ContinuousFn, chi2: ContinuousFn):
+    """The common level m >= 1 of a character pair, both validated tables
+    at that level, and the table of chi1/chi2 zero-extended off the units."""
+    ctx = chi1.ctx
+    m = max(lc_level(chi1) or 0, lc_level(chi2) or 0, 1)
+    tab1 = validate_character(chi1, m)
+    tab2 = validate_character(chi2, m)
+    quotient = [
+        tab1[c] * tab2[c].inverse() if c % ctx.p != 0
+        else PadicInt(ctx, 0)
+        for c in range(ctx.p ** m)
+    ]
+    return m, tab1, tab2, quotient
+
+
+def two_variable_L(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt):
     """The two-variable L-value pinned by the defining identity.
 
     Both characters are zero-extended off the units.  The y-side extension
@@ -567,42 +574,26 @@ def two_variable_L(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt,
     Euler-type factor 1 - chi1(a) a / chi2(a).
     """
     ctx = chi1.ctx
-    m = max(lc_level(chi1) or 0, lc_level(chi2) or 0, 1)
-    tab1 = validate_character(chi1, m)
-    tab2 = validate_character(chi2, m)
-    pm = ctx.p ** m
+    m, tab1, tab2, quotient = _character_pair(chi1, chi2)
     if not a.is_unit():
         raise NotUnit("a must be a unit")
-    quotient = [
-        tab1[c] * tab2[c].inverse() if c % ctx.p != 0
-        else PadicInt(ctx, 0)
-        for c in range(pm)
-    ]
-    ar = a.residue % pm
+    ar = a.residue % ctx.p ** m
     factor = PadicInt(ctx, 1) - tab1[ar] * a * tab2[ar].inverse()
     if not factor.is_unit():
         raise EulerFactorNotInvertible(
             "1 - chi1(a) a / chi2(a) is congruent to 0 mod p")
     fn = ZeroExtendedUnits(LocallyConstant(ctx, m, quotient))
-    kl_side = kl_constant(a, fn, m_max)
+    kl_side = kl_constant(a, fn)
     return kl_side * factor.inverse()
 
 
-def nu_character_series(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt,
-                        m_max: int = DEFAULT_M_MAX) -> QExpansion:
+def nu_character_series(chi1: ContinuousFn, chi2: ContinuousFn,
+                        a: PadicInt) -> QExpansion:
     """The full convolution value on the zero-extended character pair."""
     ctx = chi1.ctx
-    m = max(lc_level(chi1) or 0, lc_level(chi2) or 0, 1)
-    tab1 = validate_character(chi1, m)
-    tab2 = validate_character(chi2, m)
-    pm = ctx.p ** m
-    quotient = [
-        tab1[c] * tab2[c].inverse() if c % ctx.p != 0
-        else PadicInt(ctx, 0)
-        for c in range(pm)
-    ]
+    m, _, tab2, quotient = _character_pair(chi1, chi2)
     F = TwoVarFn.tensor(
         ZeroExtendedUnits(LocallyConstant(ctx, m, quotient)),
         ZeroExtendedUnits(LocallyConstant(ctx, m, tab2)),
     )
-    return convolution_nu(a, F, m_max)
+    return convolution_nu(a, F)

@@ -205,6 +205,7 @@ def suite_nu(ctx: PadicContext, a: PadicInt) -> SuiteResult:
     return res
 
 
+# insertion order is the order of `verify all` and of the CLI's choices
 SUITES = {
     "moments": lambda ctx, a, k: suite_moments(ctx, a),
     "congruences": lambda ctx, a, k: suite_congruences(ctx, a),
@@ -218,8 +219,7 @@ SUITES = {
 def run_suites(name: str, ctx: PadicContext, a: PadicInt,
                k: int = 1) -> list[SuiteResult]:
     if name == "all":
-        return [SUITES[s](ctx, a, k) for s in
-                ("moments", "congruences", "action", "amice", "kummer", "nu")]
+        return [suite(ctx, a, k) for suite in SUITES.values()]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)} or 'all'")

@@ -93,12 +93,15 @@ def test_act_character_group_law(ctx5):
 
 
 def test_act_character_rejects_deep_levels(ctx5):
-    z = CyclotomicElem.zeta(ctx5, 2)
+    z = CyclotomicElem.zeta(ctx5, 4)
     g = QExpansion(ctx5, [1, 1])
     with pytest.raises(NotRootOfUnity):
-        act_character(z, g, m_max=1)
+        act_character(z, g)
+    # psi(g) applies the same level cap
     with pytest.raises(NotRootOfUnity):
-        act_character(z + 1, g)
+        psi(g).at_character(z)
+    with pytest.raises(NotRootOfUnity):
+        act_character(CyclotomicElem.zeta(ctx5, 2) + 1, g)
 
 
 def test_psi_zero(ctx5):

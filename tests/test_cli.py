@@ -115,6 +115,17 @@ def test_verify_kummer(capsys):
     assert all(s["passed"] for s in obj["suites"])
 
 
+def test_verify_all_passes(capsys):
+    import padicq.verify as pv
+
+    for p in ("3", "5"):
+        code, out, _ = run_cli(capsys, "--p", p, "--M", "20", "verify", "all")
+        assert code == 0
+        suites = json.loads(out)["suites"]
+        assert [s["name"] for s in suites] == list(pv.SUITES)
+        assert all(s["passed"] for s in suites)
+
+
 def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
     import padicq.verify as pv
 
@@ -141,11 +152,13 @@ def test_determinism_and_threads(capsys, tmp_path):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
-    # the thread pool is gone: the flag and the config key are both rejected
-    assert_config_error(*run_cli(capsys, "--threads", "2", *args))
-    cfg = tmp_path / "threads.cfg"
-    cfg.write_text("threads=2\n")
-    assert_config_error(*run_cli(capsys, "--config", str(cfg), *args))
+    # the thread pool and the level-cap option are gone: each flag and
+    # each config key is rejected
+    for key, value in (("threads", "2"), ("mmax", "3")):
+        assert_config_error(*run_cli(capsys, f"--{key}", value, *args))
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert_config_error(*run_cli(capsys, "--config", str(cfg), *args))
 
 
 def test_config_file_and_overrides(tmp_path, capsys):
@@ -187,6 +200,8 @@ def test_bad_descriptors_and_degrees_exit_4(capsys):
                  ["apply", "--measure", dirac,
                   "--fn", '{"kind":"monomial","degree":-2}']):
         assert_config_error(*run_cli(capsys, *argv))
+    _, _, err = run_cli(capsys, "moment", "--k", "0")
+    assert json.loads(err)["message"] == "--k must be >= 1, got 0"
 
 
 def test_apply_measure_descriptor(capsys):

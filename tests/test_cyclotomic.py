@@ -92,6 +92,27 @@ def test_inverse_of_units():
         (CyclotomicElem.zeta(ctx, 1) - 1).inverse()  # augmentation 0
 
 
+def test_inverse_of_low_precision_units():
+    # the inverse is unique, so x * y == 1 at x's precision fixes every digit
+    rng = random.Random(7)
+    for p in (3, 5, 7):
+        ctx = PadicContext(p, 6, 4)
+        one = CyclotomicElem.one(ctx, 0)
+        for level in (1, 2, 3):
+            n = phi_pm(p, level)
+            for _ in range(3 if p ** level < 100 else 1):
+                low = rng.choice((1, 2, 3))
+                precs = [rng.choice((low, 6)) for _ in range(n)]
+                x = CyclotomicElem(ctx, level, [
+                    PadicInt(ctx, rng.randrange(ctx.modulus), pr)
+                    for pr in precs])
+                if not x.is_unit():
+                    x = x + 1
+                y = x.inverse()
+                assert x * y == one
+                assert y.min_prec() == x.min_prec()
+
+
 def test_root_of_unity_inverse_is_power():
     ctx = PadicContext(5, 10, 4)
     z = CyclotomicElem.zeta(ctx, 2)

@@ -214,10 +214,11 @@ def test_kl_total_mass(ctx5):
 
 
 def test_kl_level_cap(ctx5):
+    # levels past action.M_MAX = 3 are refused before the character sum
     a = PadicInt(ctx5, 2)
-    f = indicator(ctx5, 3, 1)
+    f = indicator(ctx5, 4, 1)
     with pytest.raises(PrecisionExhausted):
-        kl_constant(a, f, m_max=2)
+        kl_constant(a, f)
 
 
 def test_kl_riemann_sum_consistency(ctx5):
