@@ -2,13 +2,15 @@
 
 All output is JSON with a schema version; every numeric field carries its
 precision next to the residue.  Exit codes: 0 success, 1 verification
-failure, 2 domain error, 3 internal identity disagreement, 4 config error.
+failure, 2 domain error, 3 internal identity disagreement, 4 config error,
+141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -28,6 +30,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_DISAGREE = 3
 EXIT_CONFIG = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def default_a(p: int) -> int:
@@ -327,10 +330,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = RunConfig(args)
-        return COMMANDS[args.command](cfg, args)
+        code = COMMANDS[args.command](cfg, args)
+        sys.stdout.flush()
+        return code
     except SystemExit:
         # only --help exits the parser; a bad command line raises ConfigError
         return EXIT_OK
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at
+        # interpreter exit cannot fail again, and report nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         _emit_error(EXIT_CONFIG, exc)
         return EXIT_CONFIG

@@ -11,7 +11,11 @@ which lies in Z_p[[T]] because the denominator has unit linear coefficient.
 Truncations of A_a are computed by exact series inversion modulo p^N (the
 only division is by the unit a), polynomial moments come out of the finite
 Mahler pairing at full precision, and locally constant functions go through
-the character decomposition, costing exactly m digits for level m.
+the character decomposition, costing exactly m digits for level m.  At a
+primitive p^l-th root zeta, zeta - 1 is a root of Phi_{p^l}(1 + T), which is
+monic of degree phi(p^l): the kernel series is reduced modulo it with plain
+integers before it is evaluated, so each root costs phi(p^l) ring steps
+instead of N phi(p^l).
 """
 
 from __future__ import annotations
@@ -101,9 +105,9 @@ class KLConstantTerm:
     """The constant-term functional of the Eisenstein measure.
 
     Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N; values on
-    level-m step functions are exact to N - m digits.  Levels beyond the
-    fixed cap action.M_MAX raise PrecisionExhausted rather than start a
-    character sum whose cost grows like p^(2m).
+    level-m step functions are exact to N - m digits.  Step functions and
+    characters beyond the fixed cap action.M_MAX raise PrecisionExhausted
+    rather than start a character sum whose cost grows like p^(2m).
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -124,10 +128,13 @@ class KLConstantTerm:
 
     def value_character(self, zeta: CyclotomicElem, j: int = 0):
         """kappa(z^j chi_zeta) = (twisted series)(zeta - 1), full precision."""
-        m = zeta.level
-        K = self.ctx.N * phi_pm(self.ctx.p, m)
+        ctx = self.ctx
+        K = ctx.N * phi_pm(ctx.p, zeta.level)
         coeffs = self.kernel.twisted(j, K)
-        return _horner_cyclo(self.ctx, coeffs, zeta, m)
+        lvl = _root_level(zeta)
+        if lvl is not None:
+            coeffs = _mod_psi(coeffs, ctx.p, lvl, ctx.modulus)
+        return _horner_cyclo(ctx, coeffs, zeta)
 
     def _indicator_values(self, j: int, m: int) -> list[PadicInt]:
         """kappa(z^j 1_{c + p^m Z_p}) for all c, via the character sum."""
@@ -137,8 +144,11 @@ class KLConstantTerm:
         ctx = self.ctx
         pm = ctx.p ** m
         # evaluate the twisted series at every p^m-th root of unity, each in
-        # the ring of its exact level, then assemble the finite Fourier sum
+        # the ring of its exact level, then assemble the finite Fourier sum;
+        # the roots of one level share their minimal polynomial, so the
+        # series is reduced modulo it once per level
         evals = []
+        rems: dict[int, list[int]] = {}
         for i in range(pm):
             lvl = m
             ii = i
@@ -149,10 +159,12 @@ class KLConstantTerm:
                 b = self.kernel.twisted(j, 0)
                 evals.append(CyclotomicElem.from_scalar(PadicInt(ctx, b[0])))
             else:
+                if lvl not in rems:
+                    K = ctx.N * phi_pm(ctx.p, lvl)
+                    rems[lvl] = _mod_psi(self.kernel.twisted(j, K), ctx.p,
+                                         lvl, ctx.modulus)
                 zeta = CyclotomicElem.zeta_power(ctx, lvl, ii)
-                K = ctx.N * phi_pm(ctx.p, lvl)
-                coeffs = self.kernel.twisted(j, K)
-                evals.append(_horner_cyclo(ctx, coeffs, zeta, lvl))
+                evals.append(_horner_cyclo(ctx, rems[lvl], zeta))
         zpow = [CyclotomicElem.zeta_power(ctx, m, e) for e in range(pm)]
         out = []
         for c in range(pm):
@@ -177,11 +189,10 @@ class KLConstantTerm:
         if isinstance(f, Binomial):
             return PadicInt(ctx, self.kernel.base(f.k)[f.k])
         if isinstance(f, Character):
+            _check_level(f.level)
             return self.value_character(f.zeta)
         m, terms = poly_lc_terms(f)
-        if m > M_MAX:
-            raise PrecisionExhausted(
-                f"level {m} exceeds the level cap {M_MAX}")
+        _check_level(m)
         if m == 0:
             acc = PadicInt(ctx, 0)
             for j, tab in terms.items():
@@ -197,11 +208,66 @@ class KLConstantTerm:
         return acc
 
 
-def _horner_cyclo(ctx: PadicContext, coeffs: list[int], zeta: CyclotomicElem,
-                  level: int):
-    """Evaluate an integer-coefficient series at zeta - 1 in its own ring."""
+def _check_level(m: int) -> None:
+    if m > M_MAX:
+        raise PrecisionExhausted(f"level {m} exceeds the level cap {M_MAX}")
+
+
+def _mod_psi(coeffs: list[int], p: int, level: int, mod: int) -> list[int]:
+    """Remainder of an integer series modulo Psi_l(T) = Phi_{p^l}(1 + T).
+
+    Psi_l is monic of degree phi(p^l) with integer coefficients
+    Psi_k = sum_{i<p} C(i p^(l-1), k) (and Psi_0 = T); the remainder has at
+    most phi(p^l) coefficients, reduced mod ``mod``.
+    """
+    if level == 0:
+        psi = [0, 1]
+    else:
+        step = p ** (level - 1)
+        psi = [sum(comb(i * step, k) for i in range(p)) % mod
+               for k in range(phi_pm(p, level) + 1)]
+    phi = len(psi) - 1
+    rem = list(coeffs)
+    for d in range(len(rem) - 1, phi - 1, -1):
+        c = rem[d] % mod
+        if c:
+            rem[d - phi:d] = [r - c * q for r, q in zip(rem[d - phi:d], psi)]
+    return [c % mod for c in rem[:phi]]
+
+
+def _root_level(zeta: CyclotomicElem) -> int | None:
+    """The l <= zeta.level with Phi_{p^l}(zeta) = 0 exactly in zeta's ring.
+
+    Phi_{p^l}(zeta) = 1 + y + ... + y^(p-1) with y = zeta^(p^(l-1)), and
+    Phi_1(zeta) = zeta - 1.  None when no such l exists (say 1 + p known
+    mod p^2, a root of unity that no Phi_{p^l} kills); the series is then
+    evaluated in full.
+    """
+    p = zeta.ctx.p
+    ys = [zeta]                     # ys[k] = zeta^(p^k)
+    for _ in range(zeta.level - 1):
+        ys.append(ys[-1] ** p)
+    for lvl in range(zeta.level, 0, -1):
+        term = total = CyclotomicElem.one(zeta.ctx, 0)
+        for _ in range(p - 1):
+            term = term * ys[lvl - 1]
+            total = total + term
+        if total.is_zero():
+            return lvl
+    return 0 if (zeta - 1).is_zero() else None
+
+
+def _horner_cyclo(ctx: PadicContext, coeffs: list[int], zeta: CyclotomicElem):
+    """Evaluate an integer-coefficient series at zeta - 1 in zeta's ring.
+
+    Callers first reduce the series modulo Psi_l(T) = Phi_{p^l}(1 + T) when
+    zeta is a root of Phi_{p^l} (``_mod_psi``): Psi_l(zeta - 1) = Phi(zeta)
+    = 0 exactly in (Z/p^N)[T]/Phi, so the value is unchanged, residues and
+    precisions alike, and Horner takes phi(p^l) ring steps instead of one per
+    series coefficient (N phi(p^l) for the kernel series).
+    """
     x = zeta - CyclotomicElem.one(ctx, 0)
-    acc = CyclotomicElem.zero(ctx, level)
+    acc = CyclotomicElem.zero(ctx, zeta.level)
     for c in reversed(coeffs):
         acc = acc * x
         acc = acc + PadicInt(ctx, c)
@@ -316,10 +382,13 @@ class EisensteinMeasure(Measure):
 
     def __call__(self, f: ContinuousFn) -> QExpansion:
         ctx, a = self.ctx, self.a
+        # the constant term first: it refuses levels past the cap before
+        # any coefficient is evaluated
+        const = self.kl.value(f)
         w = [None] + [f.evaluate(PadicInt(ctx, d)) - a * f.evaluate(a * d)
                       for d in range(1, ctx.M + 1)]
         out = divisor_sum(w, 0, PadicInt(ctx, 0))
-        coeffs = [self.kl.value(f)] + [2 * c for c in out[1:]]
+        coeffs = [const] + [2 * c for c in out[1:]]
         return QExpansion(ctx, coeffs)
 
     def amice(self, K: int) -> list:

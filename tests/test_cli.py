@@ -231,18 +231,59 @@ def test_kummer_dump(capsys):
     assert len(obj["table"]) == 9
 
 
-def test_entry_point_subprocess():
+def _child_env():
     # the child imports padicq from wherever this process found it
     src = os.path.dirname(os.path.dirname(padicq.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "padicq", "--p", "5", "--M", "6",
          "moment", "--k", "2"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["residue"] == str(pow(4, -1, 5 ** 12))
+
+
+def test_closed_stdout_exits_141_silently():
+    # a reader that went away is not a config error: exit 128 + SIGPIPE
+    # with nothing on stderr, whether the write fails at once (unbuffered)
+    # or only when the buffer is flushed
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        for unbuffered in ("", "1"):
+            env = {k: v for k, v in _child_env().items()
+                   if k != "PYTHONUNBUFFERED"}
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = unbuffered
+            proc = subprocess.run(
+                [sys.executable, "-m", "padicq", "--p", "5", "--M", "6",
+                 "moment", "--k", "2"],
+                stdout=w, stderr=subprocess.PIPE, timeout=120, env=env,
+            )
+            assert proc.returncode == 141
+            assert proc.stderr == b""
+    finally:
+        os.close(w)
+
+
+def test_character_past_level_cap_exits_2_before_work():
+    # a level-4 character is refused up front, not after its character sum
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicq", "--M", "5", "apply",
+         "--measure", '{"kind":"eisenstein","a":2}',
+         "--fn", '{"kind":"character","level":4,"power":1}'],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"code": 2,
+                                    "message": "level 4 exceeds the level cap 3"}
 
 
 def test_default_a_choices():

@@ -219,6 +219,115 @@ def test_kl_level_cap(ctx5):
     f = indicator(ctx5, 4, 1)
     with pytest.raises(PrecisionExhausted):
         kl_constant(a, f)
+    # characters too, and the Eisenstein measure refuses before its
+    # coefficient loop evaluates the character anywhere
+    class Unevaluated(Character):
+        def evaluate(self, x):
+            raise AssertionError("evaluated before the level check")
+
+    chi = Unevaluated(CyclotomicElem.zeta(ctx5, 4))
+    with pytest.raises(PrecisionExhausted):
+        kl_constant(a, chi)
+    with pytest.raises(PrecisionExhausted):
+        EisensteinMeasure(ctx5, a)(chi)
+
+
+def _full_horner(ctx, series, zeta):
+    """The series evaluated at zeta - 1 term by term, with no reduction."""
+    x = zeta - 1
+    acc = CyclotomicElem.zero(ctx, zeta.level)
+    for c in reversed(series):
+        acc = acc * x + c
+    return acc
+
+
+_PSI_CASES = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("p, level", _PSI_CASES)
+def test_psi_reduction_matches_full_horner(p, level):
+    # the series reduced modulo Psi_l = Phi_{p^l}(1 + T) and evaluated at
+    # zeta - 1 equals the full-length Horner evaluation, coefficient by
+    # coefficient, residues and precisions alike
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from padicq.cyclotomic import phi_pm
+    from padicq.measures import _horner_cyclo, _mod_psi, _root_level
+    from padicq.padic import padic_valuation
+
+    @settings(max_examples=4)
+    @given(st.data())
+    def check(data):
+        N = data.draw(st.integers(min_value=1, max_value=3))
+        ctx = PadicContext(p, N, 1)
+        K = N * phi_pm(p, level)
+        series = data.draw(st.lists(
+            st.integers(min_value=0, max_value=ctx.modulus - 1),
+            min_size=K + 1, max_size=K + 1))
+        pm = p ** level
+        # the reference costs K ring products per root: every root up to
+        # 27 of them, one drawn root at p=7 level 2 and p=5 level 3
+        roots = range(pm) if pm <= 27 else [data.draw(
+            st.integers(min_value=0, max_value=pm - 1))]
+        for i in roots:
+            zeta = CyclotomicElem.zeta_power(ctx, level, i)
+            lvl = _root_level(zeta)
+            assert lvl is not None
+            if N > 1:
+                # zeta^i has order p^(level - v_p(i)); mod p every root of
+                # unity is also a root of the top-level Phi
+                assert lvl == (0 if i == 0 else
+                               level - padic_valuation(i, p))
+            got = _horner_cyclo(ctx, _mod_psi(series, p, lvl, ctx.modulus),
+                                zeta)
+            want = _full_horner(ctx, series, zeta)
+            assert [(c.residue, c.prec) for c in got.coeffs] == \
+                [(c.residue, c.prec) for c in want.coeffs]
+
+    check()
+
+
+def test_value_character_off_phi_roots_uses_full_series(ctx5):
+    # 1 + p known mod p^2 is a root of unity that no Phi_{p^l} kills, so
+    # value_character must not reduce the series
+    from padicq.measures import _root_level
+
+    zeta = CyclotomicElem(ctx5, 1, [PadicInt(ctx5, 6, 2)] +
+                          [PadicInt(ctx5, 0, 2)] * 3)
+    assert zeta ** 5 == CyclotomicElem.one(ctx5, 0)
+    assert _root_level(zeta) is None
+    kl = kl_constant_functional(ctx5, PadicInt(ctx5, 2))
+    got = kl.value_character(zeta, 1)
+    want = _full_horner(ctx5, kl.kernel.twisted(1, ctx5.N * 4), zeta)
+    assert [(c.residue, c.prec) for c in got.coeffs] == \
+        [(c.residue, c.prec) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (3, 3), (7, 2)])
+def test_kl_step_values_match_bernoulli_distribution(p, m):
+    # kappa(z^j 1_U) = L(-j, 1_U) - a^(j+1) L(-j, 1_{a^-1 U}) for
+    # U = c + p^m Z_p, with L(-j, 1_U) = -p^(mj) B_{j+1}(c/p^m)/(j+1);
+    # level m costs m digits
+    from padicq.padic import bernoulli_polynomial
+
+    ctx = PadicContext(p, 12, 1)
+    a, F = 2, p ** m
+
+    def L(j, c):
+        x = Fraction(c % F, F)
+        return -Fraction(F) ** j * bernoulli_polynomial(j + 1, x) / (j + 1)
+
+    digits = ctx.N - m
+    for j in (0, 1, 2):
+        for c in range(F):
+            want = reduce_rational(
+                L(j, c) - Fraction(a) ** (j + 1) * L(j, pow(a, -1, F) * c),
+                ctx)
+            got = kl_constant(PadicInt(ctx, a),
+                              multiply(monomial(ctx, j), indicator(ctx, m, c)))
+            assert got.prec >= digits
+            assert (got.residue - want.residue) % p ** digits == 0
 
 
 def test_kl_riemann_sum_consistency(ctx5):
