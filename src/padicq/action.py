@@ -3,7 +3,10 @@
 The action sends (f, sum a_n q^n) to sum f(n) a_n q^n.  Characters act by
 twisting q by a root of unity, the monomial z^t acts as the t-th power of
 the derivation theta, and the whole thing is an algebra action: acting by a
-pointwise product equals acting twice.
+pointwise product equals acting twice.  The values f(0), ..., f(M) come
+from ``zpfun.values``: f's polynomial-times-step tables are built once and
+read at n mod p^m, and only functions without tables (Mahler series,
+binomials C(z, k) with k > 0) are evaluated coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from .cyclotomic import CyclotomicElem
 from .errors import NotRootOfUnity
 from .padic import DualNumber, PadicInt
 from .qseries import QExpansion
-from .zpfun import ContinuousFn
+from .zpfun import ContinuousFn, values
 
 # the deepest cyclotomic level the package evaluates: it guards the
 # character sums, whose cost grows like p^(2m) at level m
@@ -21,9 +24,8 @@ M_MAX = 3
 
 def act(f: ContinuousFn, g: QExpansion) -> QExpansion:
     """Coefficient n of the result is f(n) * a_n (constant term scaled by f(0))."""
-    ctx = g.ctx
-    out = [f.evaluate(PadicInt(ctx, n)) * c for n, c in enumerate(g.coeffs)]
-    return QExpansion(ctx, out, g.qprec)
+    out = [v * c for v, c in zip(values(f, range(len(g.coeffs))), g.coeffs)]
+    return QExpansion(g.ctx, out, g.qprec)
 
 
 def act_character(zeta, g: QExpansion) -> QExpansion:

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from .errors import ConfigError, PadicqError
+from .errors import ConfigError, PadicqError, json_int_field, json_int_list
 from .kummer import KummerBase, kummer_mul
 from .measures import (convolution_nu, eval_measure, kl_constant,
                        measure_from_json, nu_character_series, two_variable_L)
@@ -169,9 +169,9 @@ def _parse_character(cfg: RunConfig, text: str) -> LocallyConstant:
         table = [1 if c % ctx.p != 0 else 0 for c in range(ctx.p)]
         return LocallyConstant(ctx, 1, table)
     obj = json.loads(text)
-    if obj.get("kind") == "table":
-        return LocallyConstant(ctx, int(obj["level"]),
-                               [int(v) for v in obj["values"]])
+    if isinstance(obj, dict) and obj.get("kind") == "table":
+        return LocallyConstant(ctx, json_int_field(obj, "level", "table"),
+                               json_int_list(obj, "values", "table"))
     f = fn_from_json(ctx, obj)
     if lc_level(f) is None:
         raise ConfigError("character data must be locally constant")

@@ -1,4 +1,7 @@
-"""Domain errors shared by all modules."""
+"""Domain errors shared by all modules, and the integer-field checks of the
+JSON descriptors, which raise ConfigError."""
+
+import json
 
 
 class PadicqError(Exception):
@@ -39,3 +42,46 @@ class EulerFactorNotInvertible(PadicqError, ArithmeticError):
 
 class ConfigError(PadicqError, ValueError):
     """Invalid run configuration."""
+
+
+# -- JSON descriptor fields -----------------------------------------------------
+
+def json_field(obj: dict, key: str, kind: str):
+    """obj[key] of a descriptor of the given kind; ConfigError naming both
+    when the field is missing."""
+    if key not in obj:
+        raise ConfigError(f"{kind!r} descriptor needs the field {key!r}")
+    return obj[key]
+
+
+def json_int(value, what: str) -> int:
+    """An integer given in JSON as a number or a decimal string.
+
+    Floats and booleans are refused, never truncated: 2.7 is not 2 and true
+    is not 1.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {json.dumps(value)}")
+
+
+def json_int_field(obj: dict, key: str, kind: str, default=None) -> int:
+    """obj[key] as an integer (``default`` when given and the field is
+    missing)."""
+    if default is not None and key not in obj:
+        return default
+    return json_int(json_field(obj, key, kind), f"{kind} field {key!r}")
+
+
+def json_int_list(obj: dict, key: str, kind: str) -> list[int]:
+    """obj[key] as a list of integers."""
+    items = json_field(obj, key, kind)
+    if not isinstance(items, list):
+        raise ConfigError(f"{kind} field {key!r} must be a list, "
+                          f"got {json.dumps(items)}")
+    return [json_int(v, f"each entry of {kind} field {key!r}") for v in items]

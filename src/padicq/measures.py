@@ -21,18 +21,20 @@ instead of N phi(p^l).
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from math import comb
 
 from .action import M_MAX, act, act_character
 from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
-                     NotUnit, PrecisionExhausted, UnsupportedShape)
+                     NotUnit, PrecisionExhausted, UnsupportedShape, json_field,
+                     json_int, json_int_field, json_int_list)
 from .padic import PadicContext, PadicInt
 from .qseries import QExpansion, divisor_sum
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
                     Polynomial, TwoVarFn, ZeroExtendedUnits, as_table,
                     indicator, lc_level, mahler_coeffs, monomial, multiply,
-                    poly_lc_terms)
+                    poly_lc_terms, values)
 
 
 # -- the regularized kernel series -------------------------------------------
@@ -274,13 +276,21 @@ def _horner_cyclo(ctx: PadicContext, coeffs: list[int], zeta: CyclotomicElem):
     return acc
 
 
-_kl_cache: dict = {}
+# the functionals most recently used, keyed by (p, N, a); each holds its
+# kernel series and indicator values, so a process sweeping many a keeps
+# only the last KL_CACHE_SIZE of them
+KL_CACHE_SIZE = 32
+_kl_cache: OrderedDict = OrderedDict()
 
 
 def kl_constant_functional(ctx: PadicContext, a: PadicInt) -> KLConstantTerm:
     key = (ctx.p, ctx.N, a.residue)
-    if key not in _kl_cache:
+    if key in _kl_cache:
+        _kl_cache.move_to_end(key)
+    else:
         _kl_cache[key] = KLConstantTerm(ctx, a)
+        if len(_kl_cache) > KL_CACHE_SIZE:
+            _kl_cache.popitem(last=False)
     return _kl_cache[key]
 
 
@@ -370,7 +380,9 @@ class EisensteinMeasure(Measure):
 
     Coefficient n of mu(f) is 2 sum_{d|n} (f(d) - a f(a d)); the constant
     term is the regularized functional.  On z^(k-1) this reproduces
-    (1 - a^k) 2G_k including the constant term.
+    (1 - a^k) 2G_k including the constant term.  The rows f(d) and f(a d)
+    come from zpfun.values, and scalar weights are divisor-summed as
+    residues.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -385,11 +397,16 @@ class EisensteinMeasure(Measure):
         # the constant term first: it refuses levels past the cap before
         # any coefficient is evaluated
         const = self.kl.value(f)
-        w = [None] + [f.evaluate(PadicInt(ctx, d)) - a * f.evaluate(a * d)
-                      for d in range(1, ctx.M + 1)]
-        out = divisor_sum(w, 0, PadicInt(ctx, 0))
-        coeffs = [const] + [2 * c for c in out[1:]]
-        return QExpansion(ctx, coeffs)
+        ds = range(1, ctx.M + 1)
+        fd, fad = values(f, ds), values(f, [a.residue * d for d in ds])
+        # the weights 2 (f(d) - a f(a d)), built from residues when scalar
+        if all(isinstance(v, PadicInt) for v in fd + fad):
+            w = [PadicInt(ctx, 2 * (x.residue - a.residue * y.residue),
+                          min(x.prec, y.prec)) for x, y in zip(fd, fad)]
+        else:
+            w = [2 * (x - a * y) for x, y in zip(fd, fad)]
+        out = divisor_sum([None] + w, 0, PadicInt(ctx, 0))
+        return QExpansion(ctx, [const] + out[1:])
 
     def amice(self, K: int) -> list:
         return [self(Binomial(self.ctx, k)) for k in range(K + 1)]
@@ -579,14 +596,16 @@ def measure_from_json(ctx: PadicContext, obj) -> Measure:
         raise ConfigError(f"a measure descriptor is a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "dirac":
-        return DiracMeasure(PadicInt(ctx, int(obj["c"])))
+        return DiracMeasure(PadicInt(ctx, json_int_field(obj, "c", kind)))
     if kind == "amice":
-        return AmiceMeasure(ctx, [int(c) for c in obj["coeffs"]])
+        return AmiceMeasure(ctx, json_int_list(obj, "coeffs", kind))
     if kind == "eisenstein":
-        return EisensteinMeasure(ctx, PadicInt(ctx, int(obj["a"])))
+        return EisensteinMeasure(ctx, PadicInt(ctx, json_int_field(obj, "a",
+                                                                   kind)))
     if kind == "linear":
-        return LinearMeasure(ctx, [(int(w), measure_from_json(ctx, inner))
-                                   for w, inner in obj["terms"]])
+        return LinearMeasure(ctx, [
+            (json_int(w, "linear term weight"), measure_from_json(ctx, inner))
+            for w, inner in json_field(obj, "terms", kind)])
     raise ValueError(f"unknown measure kind {kind!r}")
 
 

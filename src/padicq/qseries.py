@@ -13,9 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import json_int_field, json_int_list
 from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
     padic_valuation, reduce_rational
-from .zpfun import ContinuousFn, LocallyConstant, lc_level, as_table
+from .zpfun import ContinuousFn, LocallyConstant, as_table, lc_level, values
 
 
 class QExpansion:
@@ -164,8 +165,24 @@ def divisor_sum(w, e: int, zero=0) -> list:
     ignored.  Every out[n] starts at ``zero``.  A weight that is zero to
     full precision is skipped before it is scaled by d^e (and e = 0 scales
     nothing); a zero known to fewer digits still enters its sums.
+    PadicInt weights over a PadicInt zero are summed as residues mod p^N,
+    and out[n] is known to the least precision of zero and the w[d], d | n.
     """
     M = len(w) - 1
+    if isinstance(zero, PadicInt) and \
+            all(isinstance(t, PadicInt) for t in w[1:]):
+        ctx = zero.ctx
+        mod = ctx.modulus
+        sums = divisor_sum([0] + [t.residue * pow(d, e, mod) % mod
+                                  for d, t in enumerate(w) if d], 0)
+        prec = [zero.prec] * (M + 1)
+        # only weights below the zero's precision lower any out[n]
+        for d in range(1, M + 1):
+            if w[d].prec < zero.prec:
+                for n in range(d, M + 1, d):
+                    prec[n] = min(prec[n], w[d].prec)
+        return [zero] + [PadicInt(ctx, zero.residue + s, pr)
+                         for s, pr in zip(sums[1:], prec[1:])]
     out = [zero] * (M + 1)
     for d in range(1, M + 1):
         t = w[d]
@@ -246,7 +263,7 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
         if w:
             prec = min(prec, v.prec + padic_valuation(w.numerator, ctx.p)
                        - padic_valuation(w.denominator, ctx.p))
-    fvals = [None] + [f.evaluate(PadicInt(ctx, d)) for d in range(1, ctx.M + 1)]
+    fvals = [None] + values(f, range(1, ctx.M + 1))
     out = divisor_sum(fvals, k - 1, PadicInt(ctx, 0))
     coeffs = [reduce_rational(lvalue_periodic(k, f), ctx, max(prec, 0))]
     coeffs += [2 * c for c in out[1:]]
@@ -307,7 +324,9 @@ def series_to_json(g: QExpansion) -> dict:
 
 
 def series_from_json(obj: dict) -> QExpansion:
-    ctx = PadicContext(int(obj["p"]), int(obj["N"]), max(int(obj["M"]), 1))
-    coeffs = [PadicInt(ctx, int(c), pr)
-              for c, pr in zip(obj["coeffs"], obj["prec"])]
-    return QExpansion(ctx, coeffs, int(obj["M"]))
+    p, N, M = (json_int_field(obj, key, "series") for key in ("p", "N", "M"))
+    ctx = PadicContext(p, N, max(M, 1))
+    coeffs = [PadicInt(ctx, c, pr)
+              for c, pr in zip(json_int_list(obj, "coeffs", "series"),
+                               json_int_list(obj, "prec", "series"))]
+    return QExpansion(ctx, coeffs, M)

@@ -3,10 +3,16 @@
 Every variant evaluates exactly at p-adic integer arguments; locally
 constant functions (step functions, p-power characters and their products
 with polynomials) additionally decompose into a canonical
-"sum of z^j times step function" form, which is what measure evaluation
-consumes.  General continuous functions enter only as Mahler series with an
-explicit, caller-declared tail valuation; the library never guesses a
-modulus of continuity.
+"sum of z^j times step function" form, f(z) = sum_j z^j T_j[z mod p^m],
+which is what measure evaluation consumes.  The same tables evaluate f at
+many integers at once (``values``): they are built once, with p^m entries,
+and each value is then a sum of x^j T_j[x mod p^m] on plain integers, with
+exactly the residue and precision ``evaluate`` gives.
+Functions without such tables (Mahler series, binomials C(z, k) with k > 0,
+argument scalings known to fewer than N digits) raise UnsupportedShape and
+are evaluated point by point.  General continuous functions enter only as
+Mahler series with an explicit, caller-declared tail valuation; the library
+never guesses a modulus of continuity.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 import json
 
 from .cyclotomic import CyclotomicElem, cyclo_pow
-from .errors import ConfigError, NotUnit, PrecisionExhausted, UnsupportedShape
+from .errors import (ConfigError, NotUnit, PrecisionExhausted, UnsupportedShape,
+                     json_field, json_int_field, json_int_list)
 from .padic import PadicContext, PadicInt, binomial_padic
 
 
@@ -198,12 +205,23 @@ def mahler_coeffs(f: ContinuousFn, K: int) -> list:
     """Coefficients c_k = (finite difference)^k f at 0, for k = 0..K.
 
     These satisfy f(n) = sum_k c_k C(n, k) for every integer 0 <= n <= K.
+    Scalar values are differenced as residues mod p^N; c_k is known to the
+    least precision among f(0), ..., f(k).
     """
-    vals = [f.evaluate(PadicInt(f.ctx, n)) for n in range(K + 1)]
-    out = []
-    for _ in range(K + 1):
-        out.append(vals[0])
-        vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
+    vals = values(f, range(K + 1))
+    if not all(isinstance(v, PadicInt) for v in vals):
+        out = []
+        for _ in range(K + 1):
+            out.append(vals[0])
+            vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
+        return out
+    ctx, mod = f.ctx, f.ctx.modulus
+    res = [v.residue for v in vals]
+    out, prec = [], ctx.N
+    for v in vals:
+        prec = min(prec, v.prec)
+        out.append(PadicInt(ctx, res[0], prec))
+        res = [(y - x) % mod for x, y in zip(res, res[1:])]
     return out
 
 
@@ -279,15 +297,26 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
     """
     ctx = f.ctx
     if isinstance(f, Polynomial):
-        return 0, {j: [c] for j, c in enumerate(f.coeffs) if not c.is_zero()}
+        # a zero known to fewer than N digits stays: it caps the value's
+        # precision as it does in Horner's rule; the zero polynomial keeps
+        # one term, so that a product with it still sees the other factor
+        return 0, {j: [c] for j, c in enumerate(f.coeffs)
+                   if not c.is_exact_zero()} or {0: [PadicInt(ctx, 0)]}
     if isinstance(f, Binomial):
         if f.k == 0:
             return 0, {0: [PadicInt(ctx, 1)]}
         raise UnsupportedShape("binomial functions have no p-integral "
                                "polynomial presentation")
-    if isinstance(f, (Character, LocallyConstant)):
-        m = f.level
-        return m, {0: as_table(f, m)}
+    if isinstance(f, Character):
+        # one evaluation checks zeta (a root of unity, a level within N);
+        # then zeta^c = zeta^(c-1) zeta costs one ring product per entry,
+        # not a checked power
+        tab = [f.evaluate(PadicInt(ctx, 0))]
+        for _ in range(ctx.p ** f.level - 1):
+            tab.append(tab[-1] * f.zeta)
+        return f.level, {0: tab}
+    if isinstance(f, LocallyConstant):
+        return f.level, {0: as_table(f, f.level)}
     if isinstance(f, Product):
         m1, t1 = poly_lc_terms(f.f)
         m2, t2 = poly_lc_terms(f.g)
@@ -301,13 +330,21 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
                             [a * b for a, b in zip(tab1, tab2l)], ctx)
         return m, out
     if isinstance(f, Scaled):
+        u = f.mult
+        if u.prec < ctx.N:
+            # evaluate caps some parts of inner(u z) at u's precision and
+            # not others; a table cannot record which
+            raise UnsupportedShape("argument scalings known to fewer than "
+                                   "N digits are evaluated pointwise")
         m, terms = poly_lc_terms(f.inner)
         n = ctx.p ** m
-        u = f.mult
         out = {}
         for j, tab in terms.items():
-            uj = u ** j
-            out[j] = [uj * tab[(u.residue * c) % n] for c in range(n)]
+            shifted = [tab[(u.residue * c) % n] for c in range(n)]
+            if j:
+                uj = u ** j
+                shifted = [uj * v for v in shifted]
+            out[j] = shifted
         return m, out
     if isinstance(f, ZeroExtendedUnits):
         m_in, terms = poly_lc_terms(f.inner)
@@ -327,6 +364,45 @@ def _accumulate(out: dict, j: int, table: list, ctx: PadicContext):
         out[j] = [a + b for a, b in zip(out[j], table)]
     else:
         out[j] = table
+
+
+def values(f: ContinuousFn, xs) -> list:
+    """[f(x) for x in xs] for integers x, as f.evaluate(PadicInt(ctx, x)).
+
+    The poly_lc_terms tables are built once and f(x) is read off as
+    sum_j x^j T_j[x mod p^m]: a table entry when j = 0 is the only term, a
+    sum over residues mod p^N for scalar tables, a ring sum for cyclotomic
+    ones.  Residues, precisions and raised exception types equal those of
+    evaluate; functions without tables are evaluated point by point.
+    """
+    xs = list(xs)
+    if not xs:
+        return []
+    ctx = f.ctx
+    try:
+        m, terms = poly_lc_terms(f)
+    except UnsupportedShape:
+        return [f.evaluate(PadicInt(ctx, x)) for x in xs]
+    pm, mod = ctx.p ** m, ctx.modulus
+    if list(terms) == [0]:
+        tab = terms[0]
+        return [tab[x % pm] for x in xs]
+    items = sorted(terms.items())
+    if all(isinstance(v, PadicInt) for _, tab in items for v in tab):
+        sums = [0] * len(xs)
+        for j, tab in items:
+            r = [v.residue for v in tab]
+            sums = [s + pow(x, j, mod) * r[x % pm] for s, x in zip(sums, xs)]
+        prec = [min(tab[c].prec for _, tab in items) for c in range(pm)]
+        return [PadicInt(ctx, s, prec[x % pm]) for s, x in zip(sums, xs)]
+    out = []
+    for x in xs:
+        c, acc = x % pm, None
+        for j, tab in items:
+            v = tab[c] if j == 0 else tab[c] * pow(x, j, mod)
+            acc = v if acc is None else acc + v
+        out.append(acc)
+    return out
 
 
 # -- two-variable functions ---------------------------------------------------
@@ -366,24 +442,25 @@ def fn_from_json(ctx: PadicContext, obj) -> ContinuousFn:
         raise ConfigError(f"a function descriptor is a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "monomial":
-        return monomial(ctx, int(obj["degree"]))
+        return monomial(ctx, json_int_field(obj, "degree", kind))
     if kind == "polynomial":
-        return Polynomial(ctx, [int(c) for c in obj["coeffs"]])
+        return Polynomial(ctx, json_int_list(obj, "coeffs", kind))
     if kind == "constant":
-        return constant_fn(ctx, int(obj["value"]))
+        return constant_fn(ctx, json_int_field(obj, "value", kind))
     if kind == "indicator":
-        return indicator(ctx, int(obj["level"]), int(obj["class"]))
+        return indicator(ctx, json_int_field(obj, "level", kind),
+                         json_int_field(obj, "class", kind))
     if kind == "character":
-        level = int(obj["level"])
-        power = int(obj.get("power", 1))
+        level = json_int_field(obj, "level", kind)
+        power = json_int_field(obj, "power", kind, default=1)
         return Character(CyclotomicElem.zeta_power(ctx, level, power))
     if kind == "binomial":
-        return Binomial(ctx, int(obj["k"]))
+        return Binomial(ctx, json_int_field(obj, "k", kind))
     if kind == "mahler":
-        return MahlerSeries(ctx, [int(c) for c in obj["coeffs"]],
-                            int(obj["tail_valuation"]))
+        return MahlerSeries(ctx, json_int_list(obj, "coeffs", kind),
+                            json_int_field(obj, "tail_valuation", kind))
     if kind == "product":
-        fs = [fn_from_json(ctx, o) for o in obj["factors"]]
+        fs = [fn_from_json(ctx, o) for o in json_field(obj, "factors", kind)]
         if not fs:
             raise ConfigError("a product needs at least one factor")
         out = fs[0]
@@ -391,8 +468,9 @@ def fn_from_json(ctx: PadicContext, obj) -> ContinuousFn:
             out = multiply(out, g)
         return out
     if kind == "scaled":
-        return scale_argument(fn_from_json(ctx, obj["inner"]),
-                              PadicInt(ctx, int(obj["unit"])))
+        return scale_argument(fn_from_json(ctx, json_field(obj, "inner", kind)),
+                              PadicInt(ctx, json_int_field(obj, "unit", kind)))
     if kind == "zero_extended_units":
-        return ZeroExtendedUnits(fn_from_json(ctx, obj["inner"]))
+        return ZeroExtendedUnits(fn_from_json(ctx, json_field(obj, "inner",
+                                                              kind)))
     raise ValueError(f"unknown function kind {kind!r}")

@@ -3,7 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import padicq
+from padicq import (ConfigError, PadicContext, eisenstein_2G,
+                    series_from_json, series_to_json)
 from padicq.cli import main
 
 
@@ -202,6 +206,62 @@ def test_bad_descriptors_and_degrees_exit_4(capsys):
         assert_config_error(*run_cli(capsys, *argv))
     _, _, err = run_cli(capsys, "moment", "--k", "0")
     assert json.loads(err)["message"] == "--k must be >= 1, got 0"
+
+
+def test_descriptor_fields_are_strict_integers(capsys):
+    dirac = '{"kind":"dirac","c":1}'
+    mono = '{"kind":"monomial","degree":1}'
+    cases = [
+        # (measure, fn, words the message must name)
+        ('{"kind":"eisenstein","a":2.7}', mono, ["eisenstein", "'a'", "2.7"]),
+        (dirac, '{"kind":"monomial","degree":1.9}', ["monomial", "1.9"]),
+        ('{"kind":"dirac","c":true}', mono, ["dirac", "'c'", "true"]),
+        ('{"kind":"amice","coeffs":[1,0.5]}', mono, ["amice", "'coeffs'"]),
+        ('{"kind":"linear","terms":[[false,' + dirac + ']]}', mono,
+         ["linear", "false"]),
+        (dirac, '{"kind":"character","level":1,"power":1.0}',
+         ["character", "'power'"]),
+        (dirac, '{"kind":"polynomial","coeffs":3}', ["polynomial", "list"]),
+        # a missing field names the field and the descriptor's kind
+        (dirac, '{"kind":"indicator","level":1}', ["indicator", "'class'"]),
+        ('{"kind":"eisenstein"}', mono, ["eisenstein", "'a'"]),
+        (dirac, '{"kind":"scaled","unit":2}', ["scaled", "'inner'"]),
+    ]
+    for measure, fn, words in cases:
+        code, out, err = run_cli(capsys, "apply", "--measure", measure,
+                                 "--fn", fn)
+        assert_config_error(code, out, err)
+        message = json.loads(err)["message"]
+        assert all(w in message for w in words), (measure, fn, message)
+    for table in ('{"kind":"table","level":1,"values":[0,1,1,1,1.0]}',
+                  '{"kind":"table","level":true,"values":[0,1,1,1,1]}',
+                  '{"kind":"table","values":[0,1,1,1,1]}'):
+        code, out, err = run_cli(capsys, "lvalue", "--chi1", table,
+                                 "--chi2", "trivial")
+        assert_config_error(code, out, err)
+        assert "table" in json.loads(err)["message"]
+    # character data that is no JSON object exits 4, not with a traceback
+    assert_config_error(*run_cli(capsys, "lvalue", "--chi1", "[1]",
+                                 "--chi2", "trivial"))
+    # integers written as decimal strings are exact and still accepted
+    code, out, _ = run_cli(capsys, "apply", "--measure",
+                           '{"kind":"dirac","c":"3"}', "--fn",
+                           '{"kind":"monomial","degree":2}')
+    assert code == 0 and json.loads(out)["residue"] == "9"
+
+
+def test_series_from_json_is_strict():
+    g = eisenstein_2G(PadicContext(5, 12, 4), 6)
+    good = series_to_json(g)
+    assert series_from_json(good) == g
+    for key, bad in (("M", 4.0), ("p", True), ("prec", [12, 12.5, 12, 12, 12]),
+                     ("coeffs", ["1", "2.5", "0", "0", "0"])):
+        with pytest.raises(ConfigError, match=key):
+            series_from_json({**good, key: bad})
+    missing = {k: v for k, v in good.items() if k != "N"}
+    with pytest.raises(ConfigError, match="'series' descriptor needs the "
+                                          "field 'N'"):
+        series_from_json(missing)
 
 
 def test_apply_measure_descriptor(capsys):

@@ -4,13 +4,14 @@ from math import comb
 
 import pytest
 
-from padicq import (AmiceMeasure, Character, CyclotomicElem, DiracMeasure,
-                    EisensteinMeasure, EulerFactorNotInvertible,
+from padicq import (AmiceMeasure, Binomial, Character, CyclotomicElem,
+                    DiracMeasure, EisensteinMeasure, EulerFactorNotInvertible,
                     LocallyConstant, MahlerSeries, NotUnit, PadicContext,
                     PadicInt, Polynomial, PrecisionExhausted, QExpansion,
-                    TwoVarFn, UnsupportedShape, ZeroExtendedUnits,
+                    Scaled, TwoVarFn, UnsupportedShape, ZeroExtendedUnits,
                     amice_transform, bernoulli, constant_fn, convolution_nu,
-                    eisenstein_2G, eisenstein_2G_scaled, eisenstein_eval,
+                    eisenstein_2G, eisenstein_2G_scaled,
+                    eisenstein_2G_twisted, eisenstein_eval,
                     eval_at_character, eval_measure, indicator, kl_constant,
                     lvalue_periodic, monomial, multiply, nu_character_series,
                     product_measure, pushforward_halving, reduce_rational,
@@ -438,6 +439,81 @@ def test_low_precision_zero_caps_eisenstein_measure(ctx5):
     f = LocallyConstant(ctx5, 1, [1, PadicInt(ctx5, 0, 3), 0, 0, 0])
     g = EisensteinMeasure(ctx5, PadicInt(ctx5, 2))(f)
     assert g.coefficient(1).prec == 3
+
+
+def _pointwise_divisor_sum(w, e, zero):
+    out = [zero] * len(w)
+    for d in range(1, len(w)):
+        t = w[d]
+        if isinstance(t, PadicInt) and t.is_exact_zero():
+            continue
+        if e:
+            t = t * d ** e
+        for n in range(d, len(w), d):
+            out[n] = out[n] + t
+    return out
+
+
+def _shapes(g):
+    return [(c.residue, c.prec) if isinstance(c, PadicInt)
+            else (c.level, [(x.residue, x.prec) for x in c.coeffs])
+            for c in g.coeffs]
+
+
+def test_eisenstein_rows_match_pointwise_loops():
+    # the f(d) and f(a d) rows, read from tables and summed on residues,
+    # against the per-coefficient evaluate loop and ring divisor sum
+    ctx = PadicContext(5, 6, 40)
+    low = PadicInt(ctx, 0, 2)
+    fns = [
+        monomial(ctx, 2),
+        Polynomial(ctx, [3, PadicInt(ctx, 7, 4), low]),
+        indicator(ctx, 2, 7),
+        LocallyConstant(ctx, 1, [1, low, PadicInt(ctx, 9, 3), 0, 4]),
+        multiply(Polynomial(ctx, [1, 2]), indicator(ctx, 1, 3)),
+        ZeroExtendedUnits(LocallyConstant(ctx, 1, [0, 1, 2, 3, low])),
+        Scaled(indicator(ctx, 1, 2), PadicInt(ctx, 3)),
+        Character(CyclotomicElem.zeta(ctx, 1)),
+        multiply(monomial(ctx, 1), Character(CyclotomicElem.zeta(ctx, 1))),
+        Binomial(ctx, 3),
+    ]
+    for ar in (2, 3):
+        a = PadicInt(ctx, ar)
+        mu = EisensteinMeasure(ctx, a)
+        for f in fns:
+            w = [None] + [f.evaluate(PadicInt(ctx, d)) - a * f.evaluate(a * d)
+                          for d in range(1, ctx.M + 1)]
+            out = _pointwise_divisor_sum(w, 0, PadicInt(ctx, 0))
+            want = QExpansion(ctx, [mu.kl.value(f)] + [2 * c for c in out[1:]])
+            assert _shapes(mu(f)) == _shapes(want), (ar, f)
+    # twists whose constant terms are p-integral
+    twists = [indicator(ctx, 1, 0), indicator(ctx, 2, 0),
+              LocallyConstant(ctx, 1, [1, low, 0, 0, 0])]
+    for f in twists:
+        for k in (2, 5):
+            fvals = [None] + [f.evaluate(PadicInt(ctx, d))
+                              for d in range(1, ctx.M + 1)]
+            out = _pointwise_divisor_sum(fvals, k - 1, PadicInt(ctx, 0))
+            got = eisenstein_2G_twisted(ctx, k, f)
+            assert _shapes(got)[1:] == \
+                [(c.residue, c.prec) for c in (2 * c for c in out[1:])]
+
+
+def test_kl_cache_is_bounded_lru():
+    from padicq import measures
+
+    ctx = PadicContext(7, 6, 10)
+    first = kl_constant_functional(ctx, PadicInt(ctx, 2))
+    units = [a for a in range(3, 400) if a % 7]
+    for a in units:
+        kl_constant_functional(ctx, PadicInt(ctx, a))
+        # a repeated key is a hit and keeps the key recent
+        assert kl_constant_functional(ctx, PadicInt(ctx, 3)) is \
+            kl_constant_functional(ctx, PadicInt(ctx, 3))
+        assert len(measures._kl_cache) <= measures.KL_CACHE_SIZE
+    assert (7, 6, 3) in measures._kl_cache
+    # the least recently used key was dropped and is built afresh
+    assert kl_constant_functional(ctx, PadicInt(ctx, 2)) is not first
 
 
 def test_low_precision_zero_caps_kl_constant(ctx5):

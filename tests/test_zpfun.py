@@ -2,12 +2,18 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicq import (Character, CyclotomicElem, MahlerSeries,
-                    NotUnit, PadicInt, Polynomial, PrecisionExhausted, Scaled,
-                    TwoVarFn, UnsupportedShape, ZeroExtendedUnits, evaluate,
-                    fn_from_json, indicator, lc_level, mahler_coeffs,
-                    monomial, multiply, poly_lc_terms, scale_argument)
+from padicq import (Binomial, Character, CyclotomicElem, LocallyConstant,
+                    MahlerSeries, NotUnit, PadicContext, PadicInt,
+                    PadicqError, Polynomial, PrecisionExhausted, Product,
+                    QExpansion, Scaled, TwoVarFn, UnsupportedShape,
+                    ZeroExtendedUnits, act, eisenstein_eval, evaluate,
+                    fn_from_json, indicator, kl_constant, lc_level,
+                    mahler_coeffs, monomial, multiply, poly_lc_terms,
+                    scale_argument)
+from padicq.zpfun import values
 
 
 def test_evaluate_polynomial(ctx5):
@@ -223,3 +229,156 @@ def test_fn_from_json(ctx5):
     assert evaluate(prod, PadicInt(ctx5, 6)) == 6
     with pytest.raises(ValueError):
         fn_from_json(ctx5, {"kind": "nope"})
+
+
+# -- the table evaluation path against pointwise evaluate ----------------------
+
+# N = 6 keeps low precisions (0 .. N - 1) a large share of the draws
+TABLE_CTXS = {p: PadicContext(p, 6, 20) for p in (3, 5, 7)}
+
+
+@st.composite
+def _scalars(draw, ctx):
+    prec = draw(st.sampled_from([ctx.N, ctx.N, ctx.N, 0, 1, 3]))
+    value = draw(st.sampled_from([0, 0, 1]) | st.integers(0, ctx.modulus - 1))
+    return PadicInt(ctx, value, prec)
+
+
+@st.composite
+def _table_entries(draw, ctx):
+    if draw(st.integers(0, 4)) == 0:
+        # a cyclotomic entry, its coefficients known to differing precisions
+        zeta = CyclotomicElem.zeta_power(ctx, 1, draw(st.integers(0, ctx.p)))
+        return CyclotomicElem(ctx, 1, [
+            PadicInt(ctx, c.residue, draw(st.sampled_from([ctx.N, 2])))
+            for c in zeta.coeffs])
+    return draw(_scalars(ctx))
+
+
+@st.composite
+def _functions(draw, ctx, depth=2):
+    p = ctx.p
+    kinds = ["polynomial", "table", "character", "binomial", "mahler"]
+    if depth:
+        kinds += ["product", "scaled", "zero_extended"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "polynomial":
+        return Polynomial(ctx, draw(st.lists(_scalars(ctx), min_size=1,
+                                             max_size=4)))
+    if kind == "table":
+        level = draw(st.integers(0, 3 if p < 7 else 2))
+        n = p ** level
+        return LocallyConstant(ctx, level, draw(st.lists(
+            _table_entries(ctx), min_size=n, max_size=n)))
+    if kind == "character":
+        level = draw(st.integers(1, 2 if p < 7 else 1))
+        power = draw(st.integers(0, p ** level - 1))
+        zeta = CyclotomicElem.zeta_power(ctx, level, power)
+        # a root known to fewer digits, or an element that is no root
+        prec = draw(st.sampled_from([ctx.N, ctx.N, 2]))
+        shift = draw(st.sampled_from([0, 0, 0, p]))
+        return Character(CyclotomicElem(ctx, level, [
+            PadicInt(ctx, c.residue + (shift if i == 0 else 0), prec)
+            for i, c in enumerate(zeta.coeffs)]))
+    if kind == "binomial":
+        return Binomial(ctx, draw(st.integers(0, 3)))
+    if kind == "mahler":
+        return MahlerSeries(ctx, draw(st.lists(_scalars(ctx), max_size=3)),
+                            draw(st.integers(0, ctx.N)))
+    inner = draw(_functions(ctx, depth - 1))
+    if kind == "product":
+        return Product(inner, draw(_functions(ctx, depth - 1)))
+    if kind == "scaled":
+        return Scaled(inner, draw(_scalars(ctx)))
+    return ZeroExtendedUnits(inner)
+
+
+def _shape(v):
+    """(residue, prec) of a scalar; level and per-coefficient pairs of a
+    cyclotomic value."""
+    if isinstance(v, PadicInt):
+        return ("scalar", v.residue, v.prec)
+    return ("cyclo", v.level, [(c.residue, c.prec) for c in v.coeffs])
+
+
+def _outcome(thunk):
+    try:
+        out = thunk()
+    except PadicqError as exc:
+        return ("raises", type(exc))
+    if isinstance(out, QExpansion):
+        out = out.coeffs
+    return ("ok", [_shape(v) for v in out])
+
+
+def _old_mahler(f, K):
+    vals = [f.evaluate(PadicInt(f.ctx, n)) for n in range(K + 1)]
+    out = []
+    for _ in range(K + 1):
+        out.append(vals[0])
+        vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
+    return out
+
+
+def _old_act(f, g):
+    ctx = g.ctx
+    return QExpansion(ctx, [f.evaluate(PadicInt(ctx, n)) * c
+                            for n, c in enumerate(g.coeffs)], g.qprec)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_values_match_evaluate(data):
+    ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
+    f = data.draw(_functions(ctx))
+    xs = data.draw(st.lists(st.integers(0, 2 * ctx.modulus), min_size=1,
+                            max_size=12))
+    want = _outcome(lambda: [f.evaluate(PadicInt(ctx, x)) for x in xs])
+    assert _outcome(lambda: values(f, xs)) == want
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_act_and_mahler_match_pointwise_loops(data):
+    ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
+    f = data.draw(_functions(ctx))
+    g = QExpansion(ctx, data.draw(st.lists(_scalars(ctx), min_size=1,
+                                           max_size=ctx.M + 1)))
+    assert _outcome(lambda: act(f, g)) == _outcome(lambda: _old_act(f, g))
+    K = data.draw(st.integers(0, 12))
+    assert _outcome(lambda: mahler_coeffs(f, K)) == \
+        _outcome(lambda: _old_mahler(f, K))
+
+
+def test_values_of_no_arguments_builds_no_table(ctx5, monkeypatch):
+    calls = []
+    monkeypatch.setattr(Character, "evaluate",
+                        lambda self, x: calls.append(x))
+    f = Character(CyclotomicElem.zeta(ctx5, 2))
+    assert values(f, []) == [] and mahler_coeffs(f, -1) == []
+    assert calls == []
+
+
+def test_values_return_scaled_table_entries_unchanged(ctx5):
+    # evaluate returns a table entry as it is, per-coefficient precisions
+    # included; a unit scaling only permutes the entries
+    zeta = CyclotomicElem.zeta(ctx5, 1)
+    mixed = CyclotomicElem(ctx5, 1, [PadicInt(ctx5, c.residue, 12 - 10 * i)
+                                     for i, c in enumerate(zeta.coeffs[:2])]
+                           + zeta.coeffs[2:])
+    f = Scaled(LocallyConstant(ctx5, 1, [1, mixed, 0, 0, 0]), PadicInt(ctx5, 3))
+    xs = list(range(10))
+    want = [_shape(f.evaluate(PadicInt(ctx5, x))) for x in xs]
+    assert [_shape(v) for v in values(f, xs)] == want
+    assert ("cyclo", 1, [(c.residue, c.prec) for c in mixed.coeffs]) in want
+
+
+def test_poly_lc_terms_keeps_low_precision_zeros(ctx5):
+    f = Polynomial(ctx5, [1, PadicInt(ctx5, 0, 3)])
+    m, terms = poly_lc_terms(f)
+    assert m == 0 and terms[1][0].prec == 3
+    assert [v.prec for v in values(f, range(4))] == [3] * 4
+    # kappa(z) = 1/4 is a unit, so only 3 digits of kappa(f) are known
+    assert kl_constant(PadicInt(ctx5, 2), f).prec == 3
+    mu = eisenstein_eval(PadicInt(ctx5, 2), f)
+    assert all(c.prec == 3 for c in mu.coeffs)
