@@ -4,6 +4,9 @@ All output is JSON with a schema version; every numeric field carries its
 precision next to the residue.  Exit codes: 0 success, 1 verification
 failure, 2 domain error, 3 internal identity disagreement, 4 config error,
 141 stdout closed by its reader (128 + SIGPIPE).
+
+The module loads only ``errors`` and ``padic``; each command imports the
+layers it runs in its own body, so a process compiles no others.
 """
 
 from __future__ import annotations
@@ -15,15 +18,7 @@ import sys
 import time
 
 from .errors import ConfigError, PadicqError, json_int_field, json_int_list
-from .kummer import KummerBase, kummer_mul
-from .measures import (convolution_nu, eval_measure, kl_constant,
-                       measure_from_json, nu_character_series, two_variable_L)
 from .padic import PadicContext, PadicInt, is_prime
-from .qseries import (QExpansion, eisenstein_2G, eisenstein_2G_twisted,
-                      series_to_json)
-from .verify import SUITES, reference_nu, run_suites
-from .zpfun import (LocallyConstant, TwoVarFn, fn_from_json, lc_level,
-                    monomial)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -108,14 +103,8 @@ def value_to_json(v, cfg: RunConfig) -> dict:
         else:
             raise ConfigError("cyclotomic-valued results are not serializable; "
                               "use scalar character tables")
-    return {
-        "schema": 1,
-        "kind": "value",
-        "p": cfg.p,
-        "N": cfg.N,
-        "residue": str(v.residue),
-        "prec": v.prec,
-    }
+    return {"schema": 1, "kind": "value", "p": cfg.p, "N": cfg.N,
+            "residue": str(v.residue), "prec": v.prec}
 
 
 def emit(obj) -> None:
@@ -123,7 +112,14 @@ def emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _check_k(args) -> None:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
+
+
 def cmd_eisenstein(cfg: RunConfig, args) -> int:
+    from .qseries import eisenstein_2G, eisenstein_2G_twisted, series_to_json
+    from .zpfun import fn_from_json, lc_level
     ctx = cfg.ctx
     if args.twist:
         f = fn_from_json(ctx, args.twist)
@@ -137,33 +133,32 @@ def cmd_eisenstein(cfg: RunConfig, args) -> int:
 
 
 def cmd_moment(cfg: RunConfig, args) -> int:
-    if args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
+    _check_k(args)
+    from .measures import kl_constant
+    from .zpfun import monomial
     v = kl_constant(cfg.a, monomial(cfg.ctx, args.k - 1))
     emit(value_to_json(v, cfg))
     return EXIT_OK
 
 
 def cmd_nu(cfg: RunConfig, args) -> int:
+    from .measures import convolution_nu
+    from .qseries import series_to_json
+    from .verify import reference_nu
+    from .zpfun import TwoVarFn, monomial
     ctx = cfg.ctx
     F = TwoVarFn.tensor(monomial(ctx, args.s), monomial(ctx, args.t))
     conv = convolution_nu(cfg.a, F)
     ref = reference_nu(ctx, cfg.a, args.s, args.t)
     agree = conv == ref
-    emit({
-        "schema": 1,
-        "kind": "nu",
-        "s": args.s,
-        "t": args.t,
-        "a": cfg.a.residue,
-        "convolution": series_to_json(conv),
-        "reference": series_to_json(ref),
-        "agree": agree,
-    })
+    emit({"schema": 1, "kind": "nu", "s": args.s, "t": args.t, "a": cfg.a.residue,
+          "convolution": series_to_json(conv), "reference": series_to_json(ref),
+          "agree": agree})
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
-def _parse_character(cfg: RunConfig, text: str) -> LocallyConstant:
+def _parse_character(cfg: RunConfig, text: str):
+    from .zpfun import LocallyConstant, fn_from_json, lc_level
     ctx = cfg.ctx
     if text == "trivial":
         table = [1 if c % ctx.p != 0 else 0 for c in range(ctx.p)]
@@ -179,6 +174,9 @@ def _parse_character(cfg: RunConfig, text: str) -> LocallyConstant:
 
 
 def cmd_lvalue(cfg: RunConfig, args) -> int:
+    from .measures import nu_character_series, two_variable_L
+    from .qseries import series_to_json
+    from .zpfun import lc_level
     chi1 = _parse_character(cfg, args.chi1)
     chi2 = _parse_character(cfg, args.chi2)
     value = two_variable_L(chi1, chi2, cfg.a)
@@ -187,17 +185,16 @@ def cmd_lvalue(cfg: RunConfig, args) -> int:
     factor = PadicInt(cfg.ctx, 1) - \
         chi1.evaluate(PadicInt(cfg.ctx, ar)) * cfg.a * \
         chi2.evaluate(PadicInt(cfg.ctx, ar)).inverse()
-    emit({
-        "schema": 1,
-        "kind": "lvalue",
-        "value": value_to_json(value, cfg),
-        "euler_factor": value_to_json(factor, cfg),
-        "nu_series": series_to_json(series),
-    })
+    emit({"schema": 1, "kind": "lvalue", "value": value_to_json(value, cfg),
+          "euler_factor": value_to_json(factor, cfg),
+          "nu_series": series_to_json(series)})
     return EXIT_OK
 
 
 def cmd_apply(cfg: RunConfig, args) -> int:
+    from .measures import eval_measure, measure_from_json
+    from .qseries import QExpansion, series_to_json
+    from .zpfun import fn_from_json
     mu = measure_from_json(cfg.ctx, args.measure)
     f = fn_from_json(cfg.ctx, args.fn)
     v = eval_measure(mu, f)
@@ -209,20 +206,15 @@ def cmd_apply(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    _check_k(args)
+    from .verify import run_suites
     start = time.monotonic()
     results = run_suites(args.suite, cfg.ctx, cfg.a, k=args.k)
     report = {
         "schema": 1,
         "kind": "report",
-        "suites": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "checks": r.checks,
-                "failures": r.failures,
-            }
-            for r in results
-        ],
+        "suites": [{"name": r.name, "passed": r.passed, "checks": r.checks,
+                    "failures": r.failures} for r in results],
         "elapsed_s": round(time.monotonic() - start, 3),
     }
     emit(report)
@@ -230,30 +222,22 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def cmd_kummer_dump(cfg: RunConfig, args) -> int:
+    _check_k(args)
+    from .kummer import KummerBase, kummer_mul
     ctx = cfg.ctx
     pk = ctx.p ** args.k
     base = KummerBase.standard(ctx, args.k)
     if args.what == "cayley":
         els = base.elements()
-        table = []
-        for e1 in els:
-            row = []
-            for e2 in els:
-                prod = kummer_mul(e1, e2)
-                row.append([prod.a, prod.j])
-            table.append(row)
+        table = [[[e.a, e.j] for e in (kummer_mul(e1, e2) for e2 in els)]
+                 for e1 in els]
     else:
         table = [
             [(i * b + j * a) % pk for b in range(pk) for j in range(pk)]
             for a in range(pk) for i in range(pk)
         ]
-    emit({
-        "schema": 1,
-        "kind": f"kummer-{args.what}",
-        "p": cfg.p,
-        "k": args.k,
-        "table": table,
-    })
+    emit({"schema": 1, "kind": f"kummer-{args.what}", "p": cfg.p, "k": args.k,
+          "table": table})
     return EXIT_OK
 
 
@@ -304,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help='JSON descriptor, e.g. {"kind":"monomial","degree":2}')
 
     p_ver = sub.add_parser("verify", help="run an invariant suite")
-    p_ver.add_argument("suite", choices=[*SUITES, "all"])
+    # no choices, which would import verify: run_suites names the suites
+    p_ver.add_argument("suite", help="an invariant suite's name, or all")
     p_ver.add_argument("--k", type=int, default=1,
                        help="torsion level for the kummer suite")
 

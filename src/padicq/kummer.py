@@ -10,8 +10,6 @@ exists to verify every closed form against honest ring arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cyclotomic import CyclotomicElem
 from .errors import BaseMismatch, IncompatibleRoots, NotRootOfUnity
 from .padic import PadicContext
@@ -278,12 +276,14 @@ def constant_roots(ctx: PadicContext, K: int, level: int, power: int,
 
 # -- exhaustive checks -----------------------------------------------------------
 
-@dataclass
 class CheckReport:
-    name: str
-    passed: bool
-    checks: int = 0
-    failures: list = field(default_factory=list)
+    """Outcome of one exhaustive check: cases run and the first failures."""
+
+    def __init__(self, name, passed, checks=0, failures=None):
+        self.name = name
+        self.passed = passed
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     def fail(self, msg: str):
         self.passed = False

@@ -8,7 +8,6 @@ exact integer and the precision says which congruence class it pins down.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 
@@ -274,26 +273,21 @@ class DualNumber:
 # -- exact rational utilities ----------------------------------------------
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
 
 
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2).
 
     Computed by the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0 and
-    memoized in a write-once table.
+    memoized in an append-only table.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k >= len(_bernoulli_cache):
-        with _bernoulli_lock:
-            table = list(_bernoulli_cache)
-            for m in range(len(table), k + 1):
-                s = sum(comb(m + 1, j) * table[j] for j in range(m))
-                table.append(Fraction(-s, m + 1))
-            # publish atomically so concurrent readers never see a partial table
-            _bernoulli_cache[:] = table
-    return _bernoulli_cache[k]
+    table = _bernoulli_cache
+    for m in range(len(table), k + 1):
+        s = sum(comb(m + 1, j) * table[j] for j in range(m))
+        table.append(Fraction(-s, m + 1))
+    return table[k]
 
 
 def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:

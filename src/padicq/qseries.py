@@ -234,17 +234,18 @@ def eisenstein_2G_scaled(ctx: PadicContext, k: int, factor) -> QExpansion:
 
     The constant term is reduced from the exact rational factor * (-B_k/k),
     so an integer factor divisible by p can cancel the pole at (p-1) | k.
+    The other coefficients are 2 factor sigma_(k-1)(n), built from integers:
+    a rational factor is first reduced to its residue mod p^N.
     """
     if k < 2:
         raise ValueError("2G_k requires k >= 2")
     if k % 2 == 1:
         return QExpansion.zero(ctx)
-    factor = Fraction(factor)
-    const = reduce_rational(factor * (-bernoulli(k)) / k, ctx)
-    sig = sigma_table(k - 1, ctx.M)
-    coeffs = [const] + [reduce_rational(2 * factor * sig[n], ctx)
-                        for n in range(1, ctx.M + 1)]
-    return QExpansion(ctx, coeffs)
+    const = reduce_rational(Fraction(factor) * (-bernoulli(k)) / k, ctx)
+    if not isinstance(factor, int):
+        factor = reduce_rational(factor, ctx).residue
+    return QExpansion(ctx, [const] + [PadicInt(ctx, 2 * factor * s)
+                                      for s in sigma_table(k - 1, ctx.M)[1:]])
 
 
 def eisenstein_2G_twisted(ctx: PadicContext, k: int,

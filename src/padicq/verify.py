@@ -8,7 +8,6 @@ fixed seed so repeated runs are byte-identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -26,12 +25,14 @@ from .zpfun import (Character, Polynomial, Scaled, TwoVarFn, indicator,
                     mahler_coeffs, monomial, multiply)
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: bool = True
-    checks: int = 0
-    failures: list = field(default_factory=list)
+    """Outcome of one named suite: checks run and the first failures."""
+
+    def __init__(self, name, passed=True, checks=0, failures=None):
+        self.name = name
+        self.passed = passed
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     def check(self, ok: bool, msg: str):
         self.checks += 1

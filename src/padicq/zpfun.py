@@ -447,11 +447,13 @@ def fn_from_json(ctx: PadicContext, obj) -> ContinuousFn:
         return Polynomial(ctx, json_int_list(obj, "coeffs", kind))
     if kind == "constant":
         return constant_fn(ctx, json_int_field(obj, "value", kind))
-    if kind == "indicator":
-        return indicator(ctx, json_int_field(obj, "level", kind),
-                         json_int_field(obj, "class", kind))
-    if kind == "character":
+    if kind in ("indicator", "character"):
         level = json_int_field(obj, "level", kind)
+        if level < 0:
+            raise ConfigError(f"{kind} field 'level' must be >= 0, got {level}")
+    if kind == "indicator":
+        return indicator(ctx, level, json_int_field(obj, "class", kind))
+    if kind == "character":
         power = json_int_field(obj, "power", kind, default=1)
         return Character(CyclotomicElem.zeta_power(ctx, level, power))
     if kind == "binomial":

@@ -80,13 +80,13 @@ def test_nu_agreement(capsys):
 
 
 def test_nu_disagreement_exits_3(capsys, monkeypatch):
-    import padicq.cli as cli_mod
+    import padicq.verify as verify_mod
     from padicq import QExpansion
 
     def wrong_reference(ctx, a, s, t):
         return QExpansion(ctx, [1] * (ctx.M + 1))
 
-    monkeypatch.setattr(cli_mod, "reference_nu", wrong_reference)
+    monkeypatch.setattr(verify_mod, "reference_nu", wrong_reference)
     code, out, _ = run_cli(capsys, "--p", "5", "--M", "8", "nu",
                            "--s", "1", "--t", "0")
     assert code == 3
@@ -208,6 +208,17 @@ def test_bad_descriptors_and_degrees_exit_4(capsys):
     assert json.loads(err)["message"] == "--k must be >= 1, got 0"
 
 
+def test_k_below_1_exits_4_before_work(capsys):
+    # a bad torsion level is bad input, not a failed verification, and
+    # the message names the flag the user typed
+    for k, argv in (("0", ["verify", "kummer"]), ("-2", ["verify", "all"]),
+                    ("-1", ["kummer-dump"]),
+                    ("0", ["kummer-dump", "--what", "pairing"])):
+        code, out, err = run_cli(capsys, *argv, "--k", k)
+        assert_config_error(code, out, err)
+        assert json.loads(err)["message"] == f"--k must be >= 1, got {k}"
+
+
 def test_descriptor_fields_are_strict_integers(capsys):
     dirac = '{"kind":"dirac","c":1}'
     mono = '{"kind":"monomial","degree":1}'
@@ -240,6 +251,15 @@ def test_descriptor_fields_are_strict_integers(capsys):
                                  "--chi2", "trivial")
         assert_config_error(code, out, err)
         assert "table" in json.loads(err)["message"]
+    # a negative level names the field and the descriptor's kind
+    for fn in ('{"kind":"indicator","level":-1,"class":0}',
+               '{"kind":"character","level":-1,"power":1}'):
+        code, out, err = run_cli(capsys, "apply", "--measure", dirac,
+                                 "--fn", fn)
+        assert_config_error(code, out, err)
+        kind = json.loads(fn)["kind"]
+        assert json.loads(err)["message"] == \
+            f"{kind} field 'level' must be >= 0, got -1"
     # character data that is no JSON object exits 4, not with a traceback
     assert_config_error(*run_cli(capsys, "lvalue", "--chi1", "[1]",
                                  "--chi2", "trivial"))

@@ -95,6 +95,29 @@ def test_eisenstein_scaled_cancels_pole(ctx5):
     assert g.coefficient(2) == (1 - 16) * 2 * 9
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_eisenstein_scaled_matches_rational_reduction(p):
+    # every coefficient, residue and precision, equals the exact rational
+    # factor * (-B_k/k) or 2 factor sigma_(k-1)(n) reduced mod p^N, for
+    # integer and rational factors, and the pole at (p-1) | k is kept
+    ctx = PadicContext(p, 12, 40)
+    for k in range(2, 3 * (p - 1) + 3, 2):
+        for factor in (1, -1, 7 * p, -p ** 3, p ** 13, 1 - 2 ** k, 0,
+                       Fraction(3 * p, 2), Fraction(-1, 4)):
+            try:
+                want = [reduce_rational(Fraction(factor) * -bernoulli(k) / k,
+                                        ctx)]
+            except NotPIntegral:
+                with pytest.raises(NotPIntegral):
+                    eisenstein_2G_scaled(ctx, k, factor)
+                continue
+            want += [reduce_rational(2 * Fraction(factor) * brute_sigma(k - 1, n),
+                                     ctx) for n in range(1, ctx.M + 1)]
+            got = eisenstein_2G_scaled(ctx, k, factor)
+            assert [(c.residue, c.prec) for c in got.coeffs] == \
+                [(c.residue, c.prec) for c in want], (k, factor)
+
+
 def test_twisted_trivial_equals_plain(ctx5):
     one = constant_fn(ctx5, 1)
     assert eisenstein_2G_twisted(ctx5, 2, one) == eisenstein_2G(ctx5, 2)

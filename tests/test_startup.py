@@ -1,0 +1,83 @@
+"""What a one-shot process imports: each CLI command loads only the layers it
+runs, and the package's lazy re-exports resolve to the defining modules."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import padicq
+
+LAYERS = {"padicq." + m for m in ("action", "cyclotomic", "errors", "kummer",
+                                  "measures", "padic", "qseries", "verify",
+                                  "zpfun", "cli")}
+
+
+def _loaded_after(code: str) -> set:
+    """Modules loaded by a fresh interpreter that runs ``code``."""
+    src = os.path.dirname(os.path.dirname(padicq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    script = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _after_command(*argv) -> set:
+    code = ("import padicq.cli\n"
+            f"assert padicq.cli.main({list(argv)!r}) == 0, {argv!r}")
+    return _loaded_after(code)
+
+
+def test_parser_loads_only_errors_and_padic():
+    mods = _loaded_after("import padicq.cli; padicq.cli.build_parser()")
+    assert mods & LAYERS == {"padicq.cli", "padicq.errors", "padicq.padic"}
+    assert "dataclasses" not in mods
+
+
+@pytest.mark.parametrize("argv", [
+    ("--M", "8", "moment", "--k", "2"),
+    ("--M", "8", "apply", "--measure", '{"kind":"eisenstein","a":2}',
+     "--fn", '{"kind":"indicator","level":1,"class":1}'),
+    ("--M", "8", "lvalue", "--chi1", "trivial", "--chi2", "trivial"),
+])
+def test_value_commands_skip_kummer_and_verify(argv):
+    mods = _after_command(*argv)
+    assert not mods & {"padicq.kummer", "padicq.verify", "dataclasses"}
+
+
+def test_kummer_dump_skips_the_measure_layers():
+    mods = _after_command("--p", "3", "kummer-dump", "--k", "1")
+    assert "padicq.kummer" in mods
+    assert not mods & {"padicq.measures", "padicq.qseries", "padicq.zpfun",
+                       "padicq.verify", "dataclasses"}
+
+
+def test_lazy_exports_resolve_to_their_modules():
+    # in a fresh process, so every name goes through the package hook, and
+    # dir() is read before any name is looked up
+    code = ("import padicq\n"
+            "names = dir(padicq)\n"
+            "bad = [n for n, m in padicq._EXPORTS.items() if n not in names\n"
+            "       or getattr(padicq, n) is not\n"
+            "       getattr(sys.modules['padicq.' + m], n)]\n"
+            "assert not bad, bad")
+    _loaded_after(code)
+    for name, module in padicq._EXPORTS.items():
+        obj = getattr(padicq, name)
+        assert obj is getattr(importlib.import_module(f"padicq.{module}"), name)
+        assert obj.__module__ == f"padicq.{module}", name
+    star: dict = {}
+    exec("from padicq import *", star)
+    assert set(padicq._EXPORTS) <= set(star)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        padicq.no_such_name
+    assert not hasattr(padicq, "SuiteResult")
