@@ -18,7 +18,7 @@ from .qseries import QExpansion
 from .zpfun import ContinuousFn, values
 
 # the deepest cyclotomic level the package evaluates: it guards the
-# character sums, whose cost grows like p^(2m) at level m
+# character sums, which cost about p^(3m) integer products at level m
 M_MAX = 3
 
 

@@ -78,10 +78,16 @@ def json_int_field(obj: dict, key: str, kind: str, default=None) -> int:
     return json_int(json_field(obj, key, kind), f"{kind} field {key!r}")
 
 
-def json_int_list(obj: dict, key: str, kind: str) -> list[int]:
-    """obj[key] as a list of integers."""
+def json_list(obj: dict, key: str, kind: str) -> list:
+    """obj[key], which must be a list."""
     items = json_field(obj, key, kind)
     if not isinstance(items, list):
         raise ConfigError(f"{kind} field {key!r} must be a list, "
                           f"got {json.dumps(items)}")
-    return [json_int(v, f"each entry of {kind} field {key!r}") for v in items]
+    return items
+
+
+def json_int_list(obj: dict, key: str, kind: str) -> list[int]:
+    """obj[key] as a list of integers."""
+    return [json_int(v, f"each entry of {kind} field {key!r}")
+            for v in json_list(obj, key, kind)]

@@ -14,8 +14,9 @@ Mahler pairing at full precision, and locally constant functions go through
 the character decomposition, costing exactly m digits for level m.  At a
 primitive p^l-th root zeta, zeta - 1 is a root of Phi_{p^l}(1 + T), which is
 monic of degree phi(p^l): the kernel series is reduced modulo it with plain
-integers before it is evaluated, so each root costs phi(p^l) ring steps
-instead of N phi(p^l).
+integers, then evaluated by Horner in phi(p^l) ring steps.  One such root per
+level suffices: the other roots of level l are its Galois conjugates, so
+their share of the character sum is an integer trace of the one value.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from math import comb
 from .action import M_MAX, act, act_character
 from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
-                     NotUnit, PrecisionExhausted, UnsupportedShape, json_field,
-                     json_int, json_int_field, json_int_list)
+                     NotUnit, PrecisionExhausted, UnsupportedShape, json_int,
+                     json_int_field, json_int_list, json_list)
 from .padic import PadicContext, PadicInt
 from .qseries import QExpansion, divisor_sum
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
@@ -107,9 +108,9 @@ class KLConstantTerm:
     """The constant-term functional of the Eisenstein measure.
 
     Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N; values on
-    level-m step functions are exact to N - m digits.  Step functions and
-    characters beyond the fixed cap action.M_MAX raise PrecisionExhausted
-    rather than start a character sum whose cost grows like p^(2m).
+    level-m step functions are exact to N - m digits and cost one Horner per
+    level l <= m (phi(p^l) ring products) plus integer traces.  Step functions
+    and characters beyond the fixed cap action.M_MAX raise PrecisionExhausted.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -139,47 +140,35 @@ class KLConstantTerm:
         return _horner_cyclo(ctx, coeffs, zeta)
 
     def _indicator_values(self, j: int, m: int) -> list[PadicInt]:
-        """kappa(z^j 1_{c + p^m Z_p}) for all c, via the character sum."""
+        """kappa(z^j 1_{c + p^m Z_p}) for all c, by Galois traces.
+
+        p^m kappa(z^j 1_c) = F(0) + sum_l Tr_l(zeta_l^(-c) F(zeta_l - 1)) for
+        the j-th twisted series F and one primitive p^l-th root zeta_l per
+        level l <= m: the other roots of level l are its Galois conjugates.
+        So F is evaluated once per level, and each trace is read off the
+        power-basis coordinates of that value with integers.
+        """
         key = (j, m)
         if key in self._indicator_cache:
             return self._indicator_cache[key]
-        ctx = self.ctx
-        pm = ctx.p ** m
-        # evaluate the twisted series at every p^m-th root of unity, each in
-        # the ring of its exact level, then assemble the finite Fourier sum;
-        # the roots of one level share their minimal polynomial, so the
-        # series is reduced modulo it once per level
-        evals = []
-        rems: dict[int, list[int]] = {}
-        for i in range(pm):
-            lvl = m
-            ii = i
-            while lvl > 0 and ii % ctx.p == 0:
-                ii //= ctx.p
-                lvl -= 1
-            if lvl == 0:
-                b = self.kernel.twisted(j, 0)
-                evals.append(CyclotomicElem.from_scalar(PadicInt(ctx, b[0])))
-            else:
-                if lvl not in rems:
-                    K = ctx.N * phi_pm(ctx.p, lvl)
-                    rems[lvl] = _mod_psi(self.kernel.twisted(j, K), ctx.p,
-                                         lvl, ctx.modulus)
-                zeta = CyclotomicElem.zeta_power(ctx, lvl, ii)
-                evals.append(_horner_cyclo(ctx, rems[lvl], zeta))
-        zpow = [CyclotomicElem.zeta_power(ctx, m, e) for e in range(pm)]
-        out = []
-        for c in range(pm):
-            acc = CyclotomicElem.zero(ctx, m)
-            for i in range(pm):
-                acc = acc + zpow[(-c * i) % pm] * evals[i]
-            # the true value lies in Z_p and is divisible by p^m; anything in
-            # the higher basis coordinates is below working precision
-            for coeff in acc.lift_to(m).coeffs[1:]:
-                if not coeff.is_zero():
-                    raise PrecisionExhausted(
-                        "character sum failed to collapse to a scalar")
-            out.append(acc.lift_to(m).coeffs[0].divide_by_p(m))
+        ctx, p = self.ctx, self.ctx.p
+        sums = [self.kernel.twisted(j, 0)[0]] * p ** m
+        prec = ctx.N
+        for lvl in range(1, m + 1):
+            K = ctx.N * phi_pm(p, lvl)
+            rem = _mod_psi(self.kernel.twisted(j, K), p, lvl, ctx.modulus)
+            e = _horner_cyclo(ctx, rem, CyclotomicElem.zeta(ctx, lvl))
+            prec = min(prec, e.min_prec())
+            # Tr_l(zeta^k) is p^l - q if p^l | k, -q if v_p(k) = l - 1 and 0
+            # otherwise (q = p^(l-1)), so zeta^(-c) meets only the p - 1
+            # coordinates k = c mod q, and k = c mod p^l if k < phi(p^l)
+            q, x = p ** (lvl - 1), e._raw()
+            for c in range(len(sums)):
+                k = c % (p * q)
+                sums[c] -= q * sum(x[c % q::q])
+                if k < len(x):
+                    sums[c] += p * q * x[k]
+        out = [PadicInt(ctx, s, prec).divide_by_p(m) for s in sums]
         self._indicator_cache[key] = out
         return out
 
@@ -603,9 +592,13 @@ def measure_from_json(ctx: PadicContext, obj) -> Measure:
         return EisensteinMeasure(ctx, PadicInt(ctx, json_int_field(obj, "a",
                                                                    kind)))
     if kind == "linear":
+        terms = json_list(obj, "terms", kind)
+        if not all(isinstance(t, list) and len(t) == 2 for t in terms):
+            raise ConfigError("linear field 'terms' must hold [weight, "
+                              f"measure] pairs, got {json.dumps(terms)}")
         return LinearMeasure(ctx, [
             (json_int(w, "linear term weight"), measure_from_json(ctx, inner))
-            for w, inner in json_field(obj, "terms", kind)])
+            for w, inner in terms])
     raise ValueError(f"unknown measure kind {kind!r}")
 
 

@@ -48,11 +48,10 @@ def reference_nu(ctx: PadicContext, a: PadicInt, s: int, t: int) -> QExpansion:
     Here 2G_(s+1) means -B_(s+1)/(s+1) + 2 sum_n sigma_s(n) q^n for every
     s >= 0, not the convention of eisenstein_2G that is zero at odd weight.
     """
-    factor = Fraction(1 - a.residue ** (s + 1))
-    sig = sigma_table(s, ctx.M)
+    factor = 1 - a.residue ** (s + 1)
     const = reduce_rational(factor * (-bernoulli(s + 1)) / (s + 1), ctx)
-    g = QExpansion(ctx, [const] + [reduce_rational(2 * factor * sig[n], ctx)
-                                   for n in range(1, ctx.M + 1)])
+    g = QExpansion(ctx, [const] + [PadicInt(ctx, 2 * factor * sig)
+                                   for sig in sigma_table(s, ctx.M)[1:]])
     for _ in range(t):
         g = theta(g)
     return g

@@ -21,7 +21,7 @@ import json
 
 from .cyclotomic import CyclotomicElem, cyclo_pow
 from .errors import (ConfigError, NotUnit, PrecisionExhausted, UnsupportedShape,
-                     json_field, json_int_field, json_int_list)
+                     json_field, json_int_field, json_int_list, json_list)
 from .padic import PadicContext, PadicInt, binomial_padic
 
 
@@ -462,7 +462,7 @@ def fn_from_json(ctx: PadicContext, obj) -> ContinuousFn:
         return MahlerSeries(ctx, json_int_list(obj, "coeffs", kind),
                             json_int_field(obj, "tail_valuation", kind))
     if kind == "product":
-        fs = [fn_from_json(ctx, o) for o in json_field(obj, "factors", kind)]
+        fs = [fn_from_json(ctx, o) for o in json_list(obj, "factors", kind)]
         if not fs:
             raise ConfigError("a product needs at least one factor")
         out = fs[0]

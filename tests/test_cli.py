@@ -206,6 +206,24 @@ def test_bad_descriptors_and_degrees_exit_4(capsys):
         assert_config_error(*run_cli(capsys, *argv))
     _, _, err = run_cli(capsys, "moment", "--k", "0")
     assert json.loads(err)["message"] == "--k must be >= 1, got 0"
+    # a badly shaped list field names the descriptor's kind and the field,
+    # not whatever Python raised while unpacking it
+    mono = '{"kind":"monomial","degree":1}'
+    for measure, fn, words in (
+            ('{"kind":"linear","terms":3}', mono, ["linear", "'terms'"]),
+            ('{"kind":"linear","terms":[1]}', mono, ["linear", "'terms'"]),
+            ('{"kind":"linear","terms":[[1]]}', mono, ["linear", "'terms'"]),
+            ('{"kind":"linear","terms":[[1,' + dirac + ',2]]}', mono,
+             ["linear", "'terms'"]),
+            (dirac, '{"kind":"product","factors":"ab"}',
+             ["product", "'factors'"]),
+            (dirac, '{"kind":"product","factors":3}',
+             ["product", "'factors'"])):
+        code, out, err = run_cli(capsys, "apply", "--measure", measure,
+                                 "--fn", fn)
+        assert_config_error(code, out, err)
+        message = json.loads(err)["message"]
+        assert all(w in message for w in words), (measure, fn, message)
 
 
 def test_k_below_1_exits_4_before_work(capsys):

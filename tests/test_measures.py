@@ -16,7 +16,7 @@ from padicq import (AmiceMeasure, Binomial, Character, CyclotomicElem,
                     lvalue_periodic, monomial, multiply, nu_character_series,
                     product_measure, pushforward_halving, reduce_rational,
                     theta, two_variable_L)
-from padicq.measures import kl_constant_functional
+from padicq.measures import KLConstantTerm, kl_constant_functional
 from padicq.verify import reference_nu
 
 
@@ -305,7 +305,56 @@ def test_value_character_off_phi_roots_uses_full_series(ctx5):
         [(c.residue, c.prec) for c in want.coeffs]
 
 
-@pytest.mark.parametrize("p, m", [(5, 2), (3, 3), (7, 2)])
+def _fourier_sum_indicator_values(kl, j, m):
+    # the character sum root by root, on integer lists: F(zeta^i - 1) at
+    # every p^m-th root of unity zeta^i, then the p^(2m) Fourier sum
+    # sum_i zeta^(-ci) F(zeta^i - 1), which must collapse in the level-m
+    # ring to a scalar divisible by p^m.  The j-th twisted series F stops at
+    # degree N phi(p^m): (zeta^i - 1)^n vanishes mod p^N beyond it
+    from padicq.cyclotomic import _reduce_raw, phi_pm
+
+    ctx, p = kl.ctx, kl.ctx.p
+    pm, mod = p ** m, ctx.modulus
+    F = kl.kernel.twisted(j, ctx.N * phi_pm(p, m))
+    # F(Z - 1) = sum_k G_k Z^k, so F(zeta^i - 1) = sum_k G_k zeta^(ik)
+    G = [sum(F[n] * comb(n, k) * (-1) ** (n - k)
+             for n in range(k, len(F))) % mod for k in range(len(F))]
+    evals = []
+    for i in range(pm):
+        raw = [0] * pm
+        for k, g in enumerate(G):
+            raw[i * k % pm] += g
+        evals.append(raw)
+    out = []
+    for c in range(pm):
+        acc = [0] * pm
+        for i in range(pm):
+            for e, v in enumerate(evals[i]):
+                acc[(e - c * i) % pm] += v
+        acc = _reduce_raw(acc, p, m, mod)
+        assert not any(acc[1:])
+        out.append(PadicInt(ctx, acc[0]).divide_by_p(m))
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                                  (7, 1), (7, 2)])
+def test_indicator_values_match_fourier_sum(p, m):
+    # the Galois-trace values equal the root-by-root Fourier sum, residues
+    # and precisions alike, for every class; N = 1 <= m exhausts precision
+    # and must agree too
+    for N in (1, 2, 5):
+        ctx = PadicContext(p, N, 1)
+        for a in (2, p + 2):
+            kl = KLConstantTerm(ctx, PadicInt(ctx, a))
+            for j in range(4):
+                got = kl._indicator_values(j, m)
+                want = _fourier_sum_indicator_values(kl, j, m)
+                assert [(v.residue, v.prec) for v in got] == \
+                    [(v.residue, v.prec) for v in want], (N, a, j)
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (3, 3), (7, 2), (5, 3)])
 def test_kl_step_values_match_bernoulli_distribution(p, m):
     # kappa(z^j 1_U) = L(-j, 1_U) - a^(j+1) L(-j, 1_{a^-1 U}) for
     # U = c + p^m Z_p, with L(-j, 1_U) = -p^(mj) B_{j+1}(c/p^m)/(j+1);
@@ -552,6 +601,25 @@ def test_convolution_theorem_grid(ctx5):
                 F = TwoVarFn.tensor(monomial(ctx5, s), monomial(ctx5, t))
                 assert convolution_nu(a, F) == reference_nu(ctx5, a, s, t), \
                     (ar, s, t)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reference_nu_matches_rational_reduction(p):
+    # the integer coefficients of reference_nu equal the reduction of the
+    # exact rationals, residues and precisions alike, constant term included
+    from padicq.qseries import sigma_table
+
+    ctx = PadicContext(p, 12, 40)
+    for ar in (2, p + 2):
+        a = PadicInt(ctx, ar)
+        for s in range(7):
+            factor = Fraction(1 - ar ** (s + 1))
+            want = [reduce_rational(factor * -bernoulli(s + 1) / (s + 1), ctx)]
+            want += [reduce_rational(2 * factor * sig, ctx)
+                     for sig in sigma_table(s, ctx.M)[1:]]
+            got = reference_nu(ctx, a, s, 0).coeffs
+            assert [(c.residue, c.prec) for c in got] == \
+                [(c.residue, c.prec) for c in want], (ar, s)
 
 
 def test_convolution_t0_is_plain_eisenstein(ctx5):
