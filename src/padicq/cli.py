@@ -17,7 +17,8 @@ import os
 import sys
 import time
 
-from .errors import ConfigError, PadicqError, json_int_field, json_int_list
+from .errors import (ConfigError, PadicqError, json_int_field, json_int_list,
+                     json_object)
 from .padic import PadicContext, PadicInt, is_prime
 
 EXIT_OK = 0
@@ -163,8 +164,8 @@ def _parse_character(cfg: RunConfig, text: str):
     if text == "trivial":
         table = [1 if c % ctx.p != 0 else 0 for c in range(ctx.p)]
         return LocallyConstant(ctx, 1, table)
-    obj = json.loads(text)
-    if isinstance(obj, dict) and obj.get("kind") == "table":
+    obj = json_object(text, "a character descriptor")
+    if obj.get("kind") == "table":
         return LocallyConstant(ctx, json_int_field(obj, "level", "table"),
                                json_int_list(obj, "values", "table"))
     f = fn_from_json(ctx, obj)
@@ -333,8 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except PadicqError as exc:
         _emit_error(EXIT_DOMAIN, exc)
         return EXIT_DOMAIN
-    except (ValueError, TypeError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         _emit_error(EXIT_CONFIG, exc)
         return EXIT_CONFIG
 

@@ -1,5 +1,5 @@
-"""Domain errors shared by all modules, and the integer-field checks of the
-JSON descriptors, which raise ConfigError."""
+"""Domain errors shared by all modules, and the parsing and field checks of
+the JSON descriptors, which raise ConfigError."""
 
 import json
 
@@ -45,6 +45,19 @@ class ConfigError(PadicqError, ValueError):
 
 
 # -- JSON descriptor fields -----------------------------------------------------
+
+def json_object(obj, what: str) -> dict:
+    """A descriptor given as a dict or as a JSON string; ConfigError naming
+    ``what`` when the string does not parse or the value is not an object."""
+    if isinstance(obj, str):
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
 
 def json_field(obj: dict, key: str, kind: str):
     """obj[key] of a descriptor of the given kind; ConfigError naming both

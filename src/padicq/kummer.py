@@ -4,8 +4,9 @@ The p^k-torsion points over a base with enough roots adjoined are pairs
 (a, j) realizing the ring element zeta^j * q^(a/p^k); multiplying two of
 them "carries": when the q-exponents overflow past 1 the product is divided
 by q and the overflow is absorbed into the exponent bookkeeping.  Elements
-are stored as the discrete index pairs; the Laurent-cyclotomic realization
-exists to verify every closed form against honest ring arithmetic.
+are stored as the discrete index pairs; their realizations, the
+Laurent-cyclotomic monomials zeta^j * q^(e/p^D), exist to verify every
+closed form against honest ring arithmetic.
 """
 
 from __future__ import annotations
@@ -16,68 +17,42 @@ from .padic import PadicContext
 
 
 class LaurentElem:
-    """Finite sum of coeff * q^(e / p^D) with cyclotomic coefficients.
+    """The monomial coeff * q^(e / p^D) with a cyclotomic coefficient.
 
-    Exponents are stored as the integer numerators e on the 1/p^D grid.
+    The exponent is stored as its integer numerator e on the 1/p^D grid.
+    Every coefficient realized here is a root of unity, so none is zero.
     """
 
-    __slots__ = ("ctx", "D", "terms")
+    __slots__ = ("ctx", "D", "e", "coeff")
 
-    def __init__(self, ctx: PadicContext, D: int, terms: dict):
+    def __init__(self, ctx: PadicContext, D: int, e: int,
+                 coeff: CyclotomicElem):
         self.ctx = ctx
         self.D = D
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-
-    @classmethod
-    def monomial(cls, ctx: PadicContext, D: int, e: int,
-                 coeff: CyclotomicElem) -> "LaurentElem":
-        return cls(ctx, D, {e: coeff})
+        self.e = e
+        self.coeff = coeff
 
     @classmethod
     def one(cls, ctx: PadicContext, D: int) -> "LaurentElem":
-        return cls.monomial(ctx, D, 0, CyclotomicElem.one(ctx, 0))
-
-    def __add__(self, other: "LaurentElem") -> "LaurentElem":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return LaurentElem(self.ctx, self.D, out)
+        return cls(ctx, D, 0, CyclotomicElem.one(ctx, 0))
 
     def __mul__(self, other: "LaurentElem") -> "LaurentElem":
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return LaurentElem(self.ctx, self.D, out)
+        return LaurentElem(self.ctx, self.D, self.e + other.e,
+                           self.coeff * other.coeff)
 
     def __pow__(self, n: int) -> "LaurentElem":
-        if n < 0:
-            raise ValueError("negative Laurent powers are not needed here")
-        acc = LaurentElem.one(self.ctx, self.D)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return LaurentElem(self.ctx, self.D, n * self.e, self.coeff ** n)
 
     def __eq__(self, other):
-        if not isinstance(other, LaurentElem) or self.D != other.D:
+        if not isinstance(other, LaurentElem):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = CyclotomicElem.zero(self.ctx, 0)
-        return all(
-            self.terms.get(e, zero) == other.terms.get(e, zero) for e in keys
-        )
+        return (self.D == other.D and self.e == other.e
+                and self.coeff == other.coeff)
 
     __hash__ = None
 
     def __repr__(self):
-        parts = [f"({c!r}) q^({e}/p^{self.D})" for e, c in self.terms.items()]
-        return " + ".join(parts) if parts else "0"
+        return f"({self.coeff!r}) q^({self.e}/p^{self.D})"
 
 
 class KummerBase:
@@ -103,15 +78,15 @@ class KummerBase:
     @classmethod
     def standard(cls, ctx: PadicContext, k: int, K: int | None = None):
         K = 2 * k if K is None else K
-        root = LaurentElem.monomial(ctx, K, ctx.p ** (K - k),
-                                    CyclotomicElem.one(ctx, 0))
+        root = LaurentElem(ctx, K, ctx.p ** (K - k),
+                           CyclotomicElem.one(ctx, 0))
         return cls(ctx, k, K, root)
 
     @classmethod
     def inverted(cls, ctx: PadicContext, k: int, K: int | None = None):
         K = 2 * k if K is None else K
-        root = LaurentElem.monomial(ctx, K, -(ctx.p ** (K - k)),
-                                    CyclotomicElem.one(ctx, 0))
+        root = LaurentElem(ctx, K, -(ctx.p ** (K - k)),
+                           CyclotomicElem.one(ctx, 0))
         return cls(ctx, k, K, root)
 
     def transformed(self, t_root_k: LaurentElem) -> "KummerBase":
@@ -131,14 +106,14 @@ class KummerBase:
         if key not in self._realized:
             coeff = self.zeta(e.j)
             self._realized[key] = \
-                LaurentElem.monomial(self.ctx, self.K, 0, coeff) * \
+                LaurentElem(self.ctx, self.K, 0, coeff) * \
                 self.param_root ** e.a
         return self._realized[key]
 
     def compatible(self, other: "KummerBase") -> bool:
-        return (self.ctx == other.ctx and self.k == other.k
-                and self.K == other.K
-                and self.param_root == other.param_root)
+        return self is other or (
+            self.ctx == other.ctx and self.k == other.k and self.K == other.K
+            and self.param_root == other.param_root)
 
     def elements(self) -> list["KummerElement"]:
         pk = self.ctx.p ** self.k
@@ -238,7 +213,7 @@ def verify_pair_realization(e: KummerElement, e_inv: KummerElement) -> bool:
     base = e.base
     val = base.realize(e) ** e_inv.a * e_inv.base.realize(e_inv) ** e.a
     idx = kummer_pair(e, e_inv)
-    want = LaurentElem.monomial(base.ctx, base.K, 0, base.zeta(idx))
+    want = LaurentElem(base.ctx, base.K, 0, base.zeta(idx))
     return val == want
 
 
@@ -270,7 +245,7 @@ def constant_roots(ctx: PadicContext, K: int, level: int, power: int,
                 f"depth {i} roots of a level-{level} constant need cyclotomic "
                 f"level {level + i} > available {K}")
         c = CyclotomicElem.zeta_power(ctx, level + i, power)
-        out.append(LaurentElem.monomial(ctx, K, 0, c))
+        out.append(LaurentElem(ctx, K, 0, c))
     return out
 
 
@@ -426,8 +401,7 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
 
     # (0) the twisted parameter is zeta^(-1) q
     rep.checks += 1
-    zinv = LaurentElem.monomial(ctx, K, 0,
-                                CyclotomicElem.zeta_power(ctx, k, -power))
+    zinv = LaurentElem(ctx, K, 0, CyclotomicElem.zeta_power(ctx, k, -power))
     if not twisted.parameter() == zinv * base.parameter():
         rep.fail("twisted parameter is not zeta^(-1) q")
 
@@ -453,16 +427,13 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
 
     # (2) substitution q^(1/p^k) -> s q^(1/p^k) maps table to twisted table
     stride = ctx.p ** (K - k)
-    s_const = roots_bwd[k].terms[0]
+    s_const = roots_bwd[k].coeff
 
     def substitute(elem: LaurentElem) -> LaurentElem:
-        out = {}
-        for e, c in elem.terms.items():
-            n, r = divmod(e, stride)
-            if r:
-                raise ValueError("element does not live over q^(1/p^k)")
-            out[e] = c * s_const ** n
-        return LaurentElem(ctx, K, out)
+        n, r = divmod(elem.e, stride)
+        if r:
+            raise ValueError("element does not live over q^(1/p^k)")
+        return LaurentElem(ctx, K, elem.e, elem.coeff * s_const ** n)
 
     for e in els:
         rep.checks += 1

@@ -29,7 +29,7 @@ from .action import M_MAX, act, act_character
 from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
                      NotUnit, PrecisionExhausted, UnsupportedShape, json_int,
-                     json_int_field, json_int_list, json_list)
+                     json_int_field, json_int_list, json_list, json_object)
 from .padic import PadicContext, PadicInt
 from .qseries import QExpansion, divisor_sum
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
@@ -577,12 +577,11 @@ def pushforward_halving(F: TwoVarFn) -> TwoVarFn:
     return TwoVarFn(ctx, out)
 
 
-def measure_from_json(ctx: PadicContext, obj) -> Measure:
-    """Build a measure from its JSON descriptor (dict or JSON string)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"a measure descriptor is a JSON object, got {obj!r}")
+def measure_from_json(ctx: PadicContext, obj,
+                      what: str = "a measure descriptor") -> Measure:
+    """Build a measure from its JSON descriptor (dict or JSON string);
+    ``what`` names the descriptor in the ConfigError of a malformed one."""
+    obj = json_object(obj, what)
     kind = obj.get("kind")
     if kind == "dirac":
         return DiracMeasure(PadicInt(ctx, json_int_field(obj, "c", kind)))
@@ -596,8 +595,10 @@ def measure_from_json(ctx: PadicContext, obj) -> Measure:
         if not all(isinstance(t, list) and len(t) == 2 for t in terms):
             raise ConfigError("linear field 'terms' must hold [weight, "
                               f"measure] pairs, got {json.dumps(terms)}")
+        what = "a measure in linear field 'terms'"
         return LinearMeasure(ctx, [
-            (json_int(w, "linear term weight"), measure_from_json(ctx, inner))
+            (json_int(w, "linear term weight"),
+             measure_from_json(ctx, inner, what))
             for w, inner in terms])
     raise ValueError(f"unknown measure kind {kind!r}")
 

@@ -319,7 +319,9 @@ def reduce_rational(r: Fraction, ctx: PadicContext, prec: int | None = None) -> 
     if r.numerator == 0:
         return PadicInt(ctx, 0, prec)
     if r.denominator % ctx.p == 0:
-        raise NotPIntegral(f"{r} has p={ctx.p} in its denominator")
+        v = padic_valuation(r.denominator, ctx.p)
+        raise NotPIntegral(f"value of {ctx.p}-adic valuation {-v} has "
+                           f"p={ctx.p} in its denominator")
     m = ctx.p ** prec
     return PadicInt(ctx, r.numerator * pow(r.denominator, -1, m), prec)
 

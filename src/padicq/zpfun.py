@@ -17,11 +17,10 @@ never guesses a modulus of continuity.
 
 from __future__ import annotations
 
-import json
-
 from .cyclotomic import CyclotomicElem, cyclo_pow
 from .errors import (ConfigError, NotUnit, PrecisionExhausted, UnsupportedShape,
-                     json_field, json_int_field, json_int_list, json_list)
+                     json_field, json_int_field, json_int_list, json_list,
+                     json_object)
 from .padic import PadicContext, PadicInt, binomial_padic
 
 
@@ -434,12 +433,11 @@ class TwoVarFn:
 
 # -- JSON descriptors ---------------------------------------------------------
 
-def fn_from_json(ctx: PadicContext, obj) -> ContinuousFn:
-    """Build a ContinuousFn from its JSON descriptor (dict or JSON string)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"a function descriptor is a JSON object, got {obj!r}")
+def fn_from_json(ctx: PadicContext, obj,
+                 what: str = "a function descriptor") -> ContinuousFn:
+    """Build a ContinuousFn from its JSON descriptor (dict or JSON string);
+    ``what`` names the descriptor in the ConfigError of a malformed one."""
+    obj = json_object(obj, what)
     kind = obj.get("kind")
     if kind == "monomial":
         return monomial(ctx, json_int_field(obj, "degree", kind))
@@ -462,17 +460,20 @@ def fn_from_json(ctx: PadicContext, obj) -> ContinuousFn:
         return MahlerSeries(ctx, json_int_list(obj, "coeffs", kind),
                             json_int_field(obj, "tail_valuation", kind))
     if kind == "product":
-        fs = [fn_from_json(ctx, o) for o in json_list(obj, "factors", kind)]
+        fs = [fn_from_json(ctx, o, f"an entry of {kind} field 'factors'")
+              for o in json_list(obj, "factors", kind)]
         if not fs:
             raise ConfigError("a product needs at least one factor")
         out = fs[0]
         for g in fs[1:]:
             out = multiply(out, g)
         return out
+    if kind in ("scaled", "zero_extended_units"):
+        inner = fn_from_json(ctx, json_field(obj, "inner", kind),
+                             f"{kind} field 'inner'")
     if kind == "scaled":
-        return scale_argument(fn_from_json(ctx, json_field(obj, "inner", kind)),
+        return scale_argument(inner,
                               PadicInt(ctx, json_int_field(obj, "unit", kind)))
     if kind == "zero_extended_units":
-        return ZeroExtendedUnits(fn_from_json(ctx, json_field(obj, "inner",
-                                                              kind)))
+        return ZeroExtendedUnits(inner)
     raise ValueError(f"unknown function kind {kind!r}")

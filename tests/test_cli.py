@@ -41,6 +41,18 @@ def test_eisenstein_pole_exit_2(capsys):
     assert json.loads(err)["code"] == 2
 
 
+def test_pole_message_names_the_valuation(capsys):
+    # B_k/k at weight 500 has a numerator of hundreds of digits; the error
+    # reports only its valuation, -4 = -1 (von Staudt) - 3 (from 1/500)
+    for k, v in (("200", -3), ("500", -4)):
+        code, out, err = run_cli(capsys, "--p", "5", "--M", "5",
+                                 "eisenstein", "--k", k)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        message = json.loads(err)["message"]
+        assert len(message) < 200 and f"valuation {v}" in message, message
+
+
 def test_eisenstein_twist(capsys):
     code, out, _ = run_cli(capsys, "--p", "5", "--M", "12", "eisenstein",
                            "--k", "4",
@@ -218,7 +230,14 @@ def test_bad_descriptors_and_degrees_exit_4(capsys):
             (dirac, '{"kind":"product","factors":"ab"}',
              ["product", "'factors'"]),
             (dirac, '{"kind":"product","factors":3}',
-             ["product", "'factors'"])):
+             ["product", "'factors'"]),
+            # a nested descriptor given as a string that is not JSON
+            (dirac, '{"kind":"product","factors":["ab"]}',
+             ["product", "'factors'", "JSON"]),
+            (dirac, '{"kind":"scaled","unit":2,"inner":"ab"}',
+             ["scaled", "'inner'", "JSON"]),
+            ('{"kind":"linear","terms":[[1,"ab"]]}', mono,
+             ["linear", "'terms'", "JSON"])):
         code, out, err = run_cli(capsys, "apply", "--measure", measure,
                                  "--fn", fn)
         assert_config_error(code, out, err)

@@ -20,6 +20,44 @@ def kctx5():
     return PadicContext(5, 8, 4)
 
 
+def test_laurent_monomial_arithmetic(kctx3):
+    z = CyclotomicElem.zeta(kctx3, 1)
+    one = CyclotomicElem.one(kctx3, 0)
+    x = LaurentElem(kctx3, 2, 3, z)
+    y = LaurentElem(kctx3, 2, -5, z ** 2)
+    for got, e, coeff in ((x * y, -2, one), (y * y, -10, z),
+                          (x ** 4, 12, z), (x ** 0, 0, one)):
+        assert (got.D, got.e, got.coeff) == (2, e, coeff)
+    assert x == LaurentElem(kctx3, 2, 3, CyclotomicElem.zeta_power(kctx3, 1, 4))
+    assert x != LaurentElem(kctx3, 2, 4, z)
+    assert x != LaurentElem(kctx3, 2, 3, z ** 2)
+    assert x != LaurentElem(kctx3, 3, 3, z)
+
+
+# (passed, checks) of the group-axiom, realization and pairing checks and of
+# serre_tate_action_check without and with the corrupted carry; `verify`
+# prints these counts
+CHECK_COUNTS = {
+    (3, 1): [(True, 912), (True, 162), (True, 18), (True, 181), (False, 86)],
+    (5, 1): [(True, 16928), (True, 1250), (True, 50), (True, 1301),
+             (False, 342)],
+    (3, 2): [(True, 544729), (True, 13122), (True, 162), (True, 13285),
+             (False, 1766)],
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(CHECK_COUNTS))
+def test_check_report_counts(p, k):
+    ctx = PadicContext(p, 8, 4)
+    zeta = CyclotomicElem.zeta(ctx, k)
+    reps = [check_group_axioms(ctx, k), check_realization(ctx, k),
+            check_pairing_perfect(ctx, k),
+            serre_tate_action_check(ctx, zeta, k),
+            serre_tate_action_check(ctx, zeta, k, corrupt_carry=True)]
+    assert [(r.passed, r.checks) for r in reps] == CHECK_COUNTS[(p, k)]
+    assert reps[-1].failures
+
+
 def test_carrying_examples(kctx3):
     base = KummerBase.standard(kctx3, 1)
     assert kummer_mul(KummerElement(base, 1, 0), KummerElement(base, 2, 0)) \
@@ -104,7 +142,7 @@ def test_iso_rejects_incompatible_roots(kctx3):
     base = KummerBase.standard(kctx3, 1)
     two = CyclotomicElem.one(kctx3, 0) + 1
     bad = [LaurentElem.one(kctx3, base.K),
-           LaurentElem.monomial(kctx3, base.K, 0, two)]  # 2^3 != 1
+           LaurentElem(kctx3, base.K, 0, two)]  # 2^3 != 1
     with pytest.raises(IncompatibleRoots):
         kummer_iso(bad, KummerElement(base, 1, 0))
     short = [LaurentElem.one(kctx3, base.K)]
@@ -126,7 +164,7 @@ def test_iso_homomorphism_all_pairs(kctx3):
         e = KummerElement(base, 0, j)
         out = kummer_iso(roots, e)
         assert out.base.realize(out) == \
-            LaurentElem.monomial(kctx3, base.K, 0, base.zeta(j))
+            LaurentElem(kctx3, base.K, 0, base.zeta(j))
 
 
 def test_serre_tate_positive_and_negative(kctx3, kctx5):
