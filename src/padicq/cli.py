@@ -97,13 +97,20 @@ class RunConfig:
         self.a = PadicInt(self.ctx, a)
 
 
+def _as_scalar(v) -> PadicInt:
+    """v itself, or a cyclotomic v's constant coefficient when every other
+    coefficient is 0 to the full N digits; any other v cannot print."""
+    if isinstance(v, PadicInt):
+        return v
+    head, *rest = v.coeffs
+    if not all(c.is_exact_zero() for c in rest):
+        raise ConfigError("cyclotomic-valued results are not serializable; "
+                          "use scalar character tables")
+    return head
+
+
 def value_to_json(v, cfg: RunConfig) -> dict:
-    if not isinstance(v, PadicInt):
-        if hasattr(v, "is_constant") and v.is_constant():
-            v = v.constant_part()
-        else:
-            raise ConfigError("cyclotomic-valued results are not serializable; "
-                              "use scalar character tables")
+    v = _as_scalar(v)
     return {"schema": 1, "kind": "value", "p": cfg.p, "N": cfg.N,
             "residue": str(v.residue), "prec": v.prec}
 
@@ -143,6 +150,9 @@ def cmd_moment(cfg: RunConfig, args) -> int:
 
 
 def cmd_nu(cfg: RunConfig, args) -> int:
+    for flag, degree in (("--s", args.s), ("--t", args.t)):
+        if degree < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {degree}")
     from .measures import convolution_nu
     from .qseries import series_to_json
     from .verify import reference_nu
@@ -200,7 +210,8 @@ def cmd_apply(cfg: RunConfig, args) -> int:
     f = fn_from_json(cfg.ctx, args.fn)
     v = eval_measure(mu, f)
     if isinstance(v, QExpansion):
-        emit(series_to_json(v))
+        scalars = [_as_scalar(c) for c in v.coeffs]
+        emit(series_to_json(QExpansion(cfg.ctx, scalars, v.qprec)))
     else:
         emit(value_to_json(v, cfg))
     return EXIT_OK

@@ -4,6 +4,14 @@ Elements are polynomials in T reduced modulo the cyclotomic polynomial
 Phi_{p^m}(T) = sum_{i<p} T^(i*p^(m-1)), so the class of T is a genuinely
 primitive p^m-th root of unity and failing x**(p**m) == 1 is detectable.
 Level 0 is the scalar ring Z/p^N itself.
+
+An element stores its power-basis coordinates flat, as two integer lists:
+``res[i]`` is the residue of the coefficient of T^i, reduced into
+[0, p^prec[i]), and ``prec[i]`` is how many digits of it are known.  The
+precision rules are those of ``PadicInt`` applied coordinate by coordinate:
+sums and differences keep min(prec) per coordinate, and a ring product
+knows min over all coordinates of both factors.  The lists are never
+mutated once an element is built, so results may share them.
 """
 
 from __future__ import annotations
@@ -35,10 +43,23 @@ def _reduce_raw(raw: list[int], p: int, m: int, mod: int) -> list[int]:
     return [c % mod for c in raw[:phi]]
 
 
-class CyclotomicElem:
-    """Element of (Z/p^N)[T] / Phi_{p^m}(T); hosts p-power roots of unity."""
+def _make(ctx: PadicContext, level: int, res: list[int],
+          prec: list[int]) -> "CyclotomicElem":
+    """An element from reduced residues and their precisions, unchecked."""
+    x = object.__new__(CyclotomicElem)
+    x.ctx, x.level, x.res, x.prec = ctx, level, res, prec
+    return x
 
-    __slots__ = ("ctx", "level", "coeffs")
+
+class CyclotomicElem:
+    """Element of (Z/p^N)[T] / Phi_{p^m}(T); hosts p-power roots of unity.
+
+    ``res`` and ``prec`` hold the flat coordinates (see the module
+    docstring); ``coeffs`` is a fresh list of ``PadicInt`` built from them
+    on each read, so writing to it leaves the element unchanged.
+    """
+
+    __slots__ = ("ctx", "level", "res", "prec")
 
     def __init__(self, ctx: PadicContext, level: int, coeffs: list[PadicInt]):
         if len(coeffs) != phi_pm(ctx.p, level):
@@ -48,30 +69,32 @@ class CyclotomicElem:
             )
         self.ctx = ctx
         self.level = level
-        self.coeffs = coeffs
+        self.res = [c.residue for c in coeffs]
+        self.prec = [c.prec for c in coeffs]
+
+    @property
+    def coeffs(self) -> list[PadicInt]:
+        return [PadicInt(self.ctx, r, e) for r, e in zip(self.res, self.prec)]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_scalar(cls, x: PadicInt) -> "CyclotomicElem":
-        return cls(x.ctx, 0, [x])
+        return _make(x.ctx, 0, [x.residue], [x.prec])
 
     @classmethod
     def zero(cls, ctx: PadicContext, level: int = 0) -> "CyclotomicElem":
         n = phi_pm(ctx.p, level)
-        return cls(ctx, level, [PadicInt(ctx, 0) for _ in range(n)])
+        return _make(ctx, level, [0] * n, [ctx.N] * n)
 
     @classmethod
     def one(cls, ctx: PadicContext, level: int = 0) -> "CyclotomicElem":
-        z = cls.zero(ctx, level)
-        z.coeffs[0] = PadicInt(ctx, 1)
-        return z
+        n = phi_pm(ctx.p, level)
+        return _make(ctx, level, [1] + [0] * (n - 1), [ctx.N] * n)
 
     @classmethod
     def zeta(cls, ctx: PadicContext, level: int) -> "CyclotomicElem":
         """The class of T: a primitive p^level-th root of unity."""
-        if level == 0:
-            return cls.one(ctx, 0)
         return cls.zeta_power(ctx, level, 1)
 
     @classmethod
@@ -82,21 +105,17 @@ class CyclotomicElem:
         j %= ctx.p ** level
         raw = [0] * (j + 1)
         raw[j] = 1
-        return cls._from_raw(ctx, level, raw, ctx.N)
-
-    @classmethod
-    def _from_raw(cls, ctx, level, raw, prec) -> "CyclotomicElem":
-        mod = ctx.p ** prec if prec > 0 else 1
-        ints = _reduce_raw(list(raw), ctx.p, level, mod)
-        return cls(ctx, level, [PadicInt(ctx, c, prec) for c in ints])
+        res = _reduce_raw(raw, ctx.p, level, ctx.modulus)
+        return _make(ctx, level, res, [ctx.N] * len(res))
 
     # -- structure ---------------------------------------------------------
 
     def min_prec(self) -> int:
-        return min(c.prec for c in self.coeffs)
+        return min(self.prec)
 
     def _raw(self) -> list[int]:
-        return [c.residue for c in self.coeffs]
+        """The residues themselves, not a copy: callers only read them."""
+        return self.res
 
     def lift_to(self, level: int) -> "CyclotomicElem":
         """Image under Z[zeta_{p^m}] -> Z[zeta_{p^m'}], zeta |-> zeta^(p^(m'-m))."""
@@ -107,26 +126,25 @@ class CyclotomicElem:
         stride = self.ctx.p ** (level - self.level)
         n = phi_pm(self.ctx.p, level)
         prec = self.min_prec()
-        out = [PadicInt(self.ctx, 0, prec) for _ in range(n)]
-        for i, c in enumerate(self.coeffs):
-            out[i * stride] = PadicInt(self.ctx, c.residue, prec)
-        return CyclotomicElem(self.ctx, level, out)
+        mod = self.ctx.pows[prec]
+        res = [0] * n
+        res[::stride] = [r % mod for r in self.res]
+        return _make(self.ctx, level, res, [prec] * n)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.res)
 
     def is_constant(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs[1:])
+        return not any(self.res[1:])
 
     def constant_part(self) -> PadicInt:
         if not self.is_constant():
             raise ValueError(f"{self!r} is not a scalar")
-        return self.coeffs[0]
+        return PadicInt(self.ctx, self.res[0], self.prec[0])
 
     def augmentation(self) -> PadicInt:
         """Evaluation at T = 1 (detects units: the ring is local over p)."""
-        prec = self.min_prec()
-        return PadicInt(self.ctx, sum(c.residue for c in self.coeffs), prec)
+        return PadicInt(self.ctx, sum(self.res), self.min_prec())
 
     def is_unit(self) -> bool:
         return self.augmentation().is_unit()
@@ -144,11 +162,14 @@ class CyclotomicElem:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            other = PadicInt(self.ctx, other)
-        if isinstance(other, PadicInt):
+            other = _make(self.ctx, 0, [other % self.ctx.modulus], [self.ctx.N])
+        elif isinstance(other, PadicInt):
             other = CyclotomicElem.from_scalar(other)
-        if not isinstance(other, CyclotomicElem):
+        elif not isinstance(other, CyclotomicElem):
             return None, None
+        if other.ctx is not self.ctx and \
+                (other.ctx.p, other.ctx.N) != (self.ctx.p, self.ctx.N):
+            raise ValueError("mixed p-adic contexts")
         lvl = max(self.level, other.level)
         return self.lift_to(lvl), other.lift_to(lvl)
 
@@ -156,8 +177,10 @@ class CyclotomicElem:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return CyclotomicElem(self.ctx, a.level,
-                              [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        pows = self.ctx.pows
+        prec = [e if e < f else f for e, f in zip(a.prec, b.prec)]
+        return _make(self.ctx, a.level, [(x + y) % pows[e] for x, y, e
+                                         in zip(a.res, b.res, prec)], prec)
 
     __radd__ = __add__
 
@@ -165,8 +188,10 @@ class CyclotomicElem:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return CyclotomicElem(self.ctx, a.level,
-                              [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        pows = self.ctx.pows
+        prec = [e if e < f else f for e, f in zip(a.prec, b.prec)]
+        return _make(self.ctx, a.level, [(x - y) % pows[e] for x, y, e
+                                         in zip(a.res, b.res, prec)], prec)
 
     def __rsub__(self, other):
         a, b = self._coerce(other)
@@ -175,33 +200,34 @@ class CyclotomicElem:
         return b - a
 
     def __neg__(self):
-        return CyclotomicElem(self.ctx, self.level, [-c for c in self.coeffs])
+        pows = self.ctx.pows
+        return _make(self.ctx, self.level,
+                     [-x % pows[e] for x, e in zip(self.res, self.prec)],
+                     self.prec)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = PadicInt(self.ctx, other)
-        if isinstance(other, PadicInt):
+        ctx = self.ctx
+        if isinstance(other, (int, PadicInt)):
             # a scalar scales each coefficient; the precision is that of
             # the full product with the scalar lifted to this level
-            prec = min(self.min_prec(), other.prec)
-            return CyclotomicElem(self.ctx, self.level, [
-                PadicInt(self.ctx, c.residue * other.residue, prec)
-                for c in self.coeffs])
+            y, prec = (other, self.min_prec()) if isinstance(other, int) \
+                else (other.residue, min(self.min_prec(), other.prec))
+            mod = ctx.pows[prec]
+            return _make(ctx, self.level, [x * y % mod for x in self.res],
+                         [prec] * len(self.res))
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
         prec = min(a.min_prec(), b.min_prec())
-        mod = self.ctx.p ** prec if prec > 0 else 1
-        ra, rb = a._raw(), b._raw()
+        ra, rb = a.res, b.res
         n = len(ra)
         raw = [0] * (2 * n - 1)
         for i, x in enumerate(ra):
             if x:
                 for j, y in enumerate(rb):
                     raw[i + j] += x * y
-        ints = _reduce_raw(raw, self.ctx.p, a.level, mod)
-        return CyclotomicElem(self.ctx, a.level,
-                              [PadicInt(self.ctx, c, prec) for c in ints])
+        res = _reduce_raw(raw, ctx.p, a.level, ctx.pows[prec])
+        return _make(ctx, a.level, res, [prec] * n)
 
     __rmul__ = __mul__
 
@@ -222,10 +248,11 @@ class CyclotomicElem:
 
         Mod p the ring is F_p[T]/(T - 1)^phi, whose nilpotent part Frobenius
         kills, so x^(p^m) = aug(x) mod p and x^(p^m - 1) / aug(x) inverts x
-        mod p.
+        mod p.  Every step is a ring product with x, so the result knows
+        x.min_prec() digits in each coefficient.
         """
         if self.level == 0:
-            return CyclotomicElem.from_scalar(self.coeffs[0].inverse())
+            return CyclotomicElem.from_scalar(self.constant_part().inverse())
         if not self.is_unit():
             raise NotUnit(f"{self!r} is not a unit (augmentation divisible by p)")
         p, m = self.ctx.p, self.level
@@ -236,9 +263,7 @@ class CyclotomicElem:
         while digits < prec:
             y = y * (2 - self * y)
             digits *= 2
-        return CyclotomicElem(
-            self.ctx, m,
-            [PadicInt(self.ctx, c.residue, min(c.prec, prec)) for c in y.coeffs])
+        return y
 
     # -- valuation ---------------------------------------------------------
 
@@ -251,12 +276,11 @@ class CyclotomicElem:
         their precision as a floor.
         """
         phi = phi_pm(self.ctx.p, self.level)
-        raw = self._raw()
+        raw, prec = self.res, self.min_prec()
         best = None
         for j in range(phi):
             d = sum(comb(i, j) * raw[i] for i in range(j, phi))
-            c = PadicInt(self.ctx, d, self.min_prec())
-            val = j + phi * c.valuation()
+            val = j + phi * PadicInt(self.ctx, d, prec).valuation()
             if best is None or val < best:
                 best = val
         return best
@@ -267,17 +291,16 @@ class CyclotomicElem:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        for x, y in zip(a.coeffs, b.coeffs):
-            if x.residue != y.residue and not x == y:
+        pows = self.ctx.pows
+        for x, y, e, f in zip(a.res, b.res, a.prec, b.prec):
+            if x != y and (x - y) % pows[e if e < f else f]:
                 return False
         return True
 
     __hash__ = None
 
     def __repr__(self):
-        terms = [
-            f"{c.residue}*z^{i}" for i, c in enumerate(self.coeffs) if c.residue
-        ]
+        terms = [f"{r}*z^{i}" for i, r in enumerate(self.res) if r]
         body = " + ".join(terms) if terms else "0"
         return f"Cyclo(level={self.level}, {body} + O(p^{self.min_prec()}))"
 

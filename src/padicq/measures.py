@@ -261,7 +261,7 @@ def _horner_cyclo(ctx: PadicContext, coeffs: list[int], zeta: CyclotomicElem):
     acc = CyclotomicElem.zero(ctx, zeta.level)
     for c in reversed(coeffs):
         acc = acc * x
-        acc = acc + PadicInt(ctx, c)
+        acc = acc + c
     return acc
 
 

@@ -31,10 +31,11 @@ class PadicContext:
     """Global parameters: the odd prime p, p-adic precision N, q-precision M.
 
     Every computation in the package happens modulo p**N with q-expansions
-    truncated after q**M.
+    truncated after q**M.  ``pows[e]`` is p**e for e = 0..N, so reducing to
+    e digits is one lookup (and e = 0 reduces modulo 1, to 0).
     """
 
-    __slots__ = ("p", "N", "M", "modulus")
+    __slots__ = ("p", "N", "M", "modulus", "pows")
 
     def __init__(self, p: int, N: int, M: int):
         if not is_prime(p) or p < 3:
@@ -46,7 +47,8 @@ class PadicContext:
         self.p = p
         self.N = N
         self.M = M
-        self.modulus = p ** N
+        self.pows = tuple(p ** e for e in range(N + 1))
+        self.modulus = self.pows[N]
 
     def __eq__(self, other):
         return (
@@ -72,14 +74,13 @@ class PadicInt:
     __slots__ = ("ctx", "residue", "prec")
 
     def __init__(self, ctx: PadicContext, value: int, prec: int | None = None):
-        if prec is None:
+        if prec is None or prec > ctx.N:
             prec = ctx.N
-        if prec < 0:
+        elif prec < 0:
             prec = 0
-        prec = min(prec, ctx.N)
         self.ctx = ctx
         self.prec = prec
-        self.residue = value % (ctx.p ** prec) if prec > 0 else 0
+        self.residue = value % ctx.pows[prec]
 
     # -- constructors ------------------------------------------------------
 
@@ -169,14 +170,14 @@ class PadicInt:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        m = self.ctx.p ** self.prec if self.prec > 0 else 1
-        return PadicInt(self.ctx, pow(self.residue, e, m), self.prec)
+        return PadicInt(self.ctx, pow(self.residue, e, self.ctx.pows[self.prec]),
+                        self.prec)
 
     def inverse(self) -> "PadicInt":
         if not self.is_unit():
             raise NotUnit(f"{self!r} is not a unit")
-        m = self.ctx.p ** self.prec
-        return PadicInt(self.ctx, pow(self.residue, -1, m), self.prec)
+        return PadicInt(self.ctx, pow(self.residue, -1, self.ctx.pows[self.prec]),
+                        self.prec)
 
     def divide_by_p(self, d: int = 1) -> "PadicInt":
         """Divide by p**d; requires divisibility, costs d digits of precision."""
@@ -191,8 +192,7 @@ class PadicInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        e = min(self.prec, o.prec)
-        m = self.ctx.p ** e
+        m = self.ctx.pows[min(self.prec, o.prec)]
         return self.residue % m == o.residue % m
 
     __hash__ = None

@@ -214,10 +214,17 @@ def test_bad_descriptors_and_degrees_exit_4(capsys):
                  ["apply", "--measure", dirac,
                   "--fn", '{"kind":"product","factors":[]}'],
                  ["apply", "--measure", dirac,
-                  "--fn", '{"kind":"monomial","degree":-2}']):
+                  "--fn", '{"kind":"monomial","degree":-2}'],
+                 ["nu", "--s", "-1", "--t", "0"],
+                 ["nu", "--s", "1", "--t", "-1"]):
         assert_config_error(*run_cli(capsys, *argv))
     _, _, err = run_cli(capsys, "moment", "--k", "0")
     assert json.loads(err)["message"] == "--k must be >= 1, got 0"
+    # a negative nu degree names the flag the user typed
+    for flag, argv in (("--s", ["--s", "-1", "--t", "0"]),
+                       ("--t", ["--s", "1", "--t", "-1"])):
+        _, _, err = run_cli(capsys, "nu", *argv)
+        assert json.loads(err)["message"] == f"{flag} must be >= 0, got -1"
     # a badly shaped list field names the descriptor's kind and the field,
     # not whatever Python raised while unpacking it
     mono = '{"kind":"monomial","degree":1}'
@@ -334,6 +341,42 @@ def test_apply_measure_descriptor(capsys):
     obj = json.loads(out)
     assert obj["kind"] == "series"
     assert obj["coeffs"][1] == str(-6 % 5 ** 12)
+
+
+def test_scalar_cyclotomic_results_print_as_values(capsys):
+    # a character that is the constant 1 prints like the monomial z^0,
+    # as a value and as a series; a genuine character exits 4 either way
+    for measure in ('{"kind":"dirac","c":3}', '{"kind":"eisenstein","a":2}'):
+        want = run_cli(capsys, "--M", "8", "apply", "--measure", measure,
+                       "--fn", '{"kind":"monomial","degree":0}')
+        assert want[0] == 0
+        for level, power in ((0, 1), (1, 5)):
+            fn = json.dumps({"kind": "character", "level": level,
+                             "power": power})
+            assert run_cli(capsys, "--M", "8", "apply", "--measure", measure,
+                           "--fn", fn) == want
+        code, out, err = run_cli(
+            capsys, "--M", "8", "apply", "--measure", measure,
+            "--fn", '{"kind":"character","level":1,"power":1}')
+        assert_config_error(code, out, err)
+        assert json.loads(err)["message"] == (
+            "cyclotomic-valued results are not serializable; "
+            "use scalar character tables")
+
+
+def test_as_scalar_needs_zeros_to_full_precision():
+    from padicq import CyclotomicElem, PadicInt
+    from padicq.cli import _as_scalar
+    ctx = PadicContext(5, 6, 4)
+    head = PadicInt(ctx, 7, 4)
+    exact = CyclotomicElem(ctx, 1, [head] + [PadicInt(ctx, 0)] * 3)
+    got = _as_scalar(exact)
+    assert (got.residue, got.prec) == (7, 4)
+    # a coefficient known to be 0 only mod p^2 may be any multiple of p^2
+    low = CyclotomicElem(ctx, 1, [head, PadicInt(ctx, 0, 2)]
+                         + [PadicInt(ctx, 0)] * 2)
+    with pytest.raises(ConfigError):
+        _as_scalar(low)
 
 
 def test_kummer_dump(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -217,3 +218,53 @@ def test_binomial_padic_precision_loss():
         a //= 5
         v += 1
     assert v >= e - 1
+
+
+precs = st.integers(min_value=-2, max_value=8)
+
+
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 6), ints, ints, precs, precs)
+def test_power_table_matches_direct_powers(p, N, x, y, px, py):
+    # reduction looks p^prec up in ctx.pows; the direct form computes it
+    ctx = PadicContext(p, N, 4)
+
+    def direct(v, e):
+        e = min(max(e, 0), N)
+        return (v % p ** e if e > 0 else 0), e
+
+    a, b = PadicInt(ctx, x, px), PadicInt(ctx, y, py)
+    assert ctx.pows == tuple(p ** e for e in range(N + 1))
+    assert (a.residue, a.prec) == direct(x, px)
+    e = min(a.prec, b.prec)
+    assert (a == b) == (x % p ** e == y % p ** e if e else True)
+    assert ((a ** 3).residue, (a ** 3).prec) == direct(x ** 3, a.prec)
+    if a.is_unit():
+        inv = a.inverse()
+        assert (inv.residue, inv.prec) == direct(pow(x, -1, p ** a.prec), a.prec)
+
+
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 6), ints, ints, precs, precs,
+       st.integers(0, 2 ** 32))
+def test_claimed_digits_do_not_depend_on_unknown_ones(p, N, x, y, px, py, seed):
+    # any integer congruent to a residue mod p^prec, taken at full
+    # precision, is a possible true value: every digit a result claims
+    # must come out the same from it
+    rng = random.Random(seed)
+    ctx = PadicContext(p, N, 4)
+
+    def other(c):
+        return PadicInt(ctx, c.residue + rng.randrange(ctx.modulus) * p ** c.prec)
+
+    def agree(u, v):
+        return (u.residue - v.residue) % p ** u.prec == 0
+
+    a, b = PadicInt(ctx, x, px), PadicInt(ctx, y, py)
+    a2, b2 = other(a), other(b)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+               lambda u, v: -u, lambda u, v: u ** 5):
+        assert agree(op(a, b), op(a2, b2))
+    if a.is_unit():
+        assert agree(a.inverse(), a2.inverse())
+        assert agree(a ** -2, a2 ** -2)
+    if a.prec >= 1 and a.residue % p == 0:
+        assert agree(a.divide_by_p(), a2.divide_by_p())
