@@ -17,8 +17,8 @@ import os
 import sys
 import time
 
-from .errors import (ConfigError, PadicqError, json_int_field, json_int_list,
-                     json_object)
+from .errors import (ConfigError, PadicqError, check_a_range, json_int_field,
+                     json_int_list, json_object)
 from .padic import PadicContext, PadicInt, is_prime
 
 EXIT_OK = 0
@@ -94,7 +94,7 @@ class RunConfig:
             a = default_a(self.p)
         if a % self.p == 0:
             raise ConfigError(f"a = {a} is not a unit mod {self.p}")
-        self.a = PadicInt(self.ctx, a)
+        self.a = PadicInt(self.ctx, check_a_range(a, self.p, self.N, "a"))
 
 
 def _as_scalar(v) -> PadicInt:

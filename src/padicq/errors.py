@@ -91,6 +91,15 @@ def json_int_field(obj: dict, key: str, kind: str, default=None) -> int:
     return json_int(json_field(obj, key, kind), f"{kind} field {key!r}")
 
 
+def check_a_range(a: int, p: int, N: int, what: str) -> int:
+    """a, when 0 < a < p^N; else ConfigError.  For (p - 1) | k the moments
+    depend on a beyond p^N, so a may not stand in for its residue."""
+    if not 0 < a < p ** N:
+        raise ConfigError(f"{what} must lie in 0 < a < {p}^{N} = {p ** N}, "
+                          f"got {a}")
+    return a
+
+
 def json_list(obj: dict, key: str, kind: str) -> list:
     """obj[key], which must be a list."""
     items = json_field(obj, key, kind)

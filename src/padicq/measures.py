@@ -11,12 +11,16 @@ which lies in Z_p[[T]] because the denominator has unit linear coefficient.
 Truncations of A_a are computed by exact series inversion modulo p^N (the
 only division is by the unit a), polynomial moments come out of the finite
 Mahler pairing at full precision, and locally constant functions go through
-the character decomposition, costing exactly m digits for level m.  At a
-primitive p^l-th root zeta, zeta - 1 is a root of Phi_{p^l}(1 + T), which is
-monic of degree phi(p^l): the kernel series is reduced modulo it with plain
-integers, then evaluated by Horner in phi(p^l) ring steps.  One such root per
-level suffices: the other roots of level l are its Galois conjugates, so
-their share of the character sum is an integer trace of the one value.
+the character decomposition, costing exactly m digits for level m.  The
+pairing stops at the least n0 with v_p(n0!) >= N, about (p-1)N whatever the
+weight: the n-th Mahler coefficient of z^j is Delta^n(z^j)(0) = n! S(j, n),
+a multiple of n! and so 0 mod p^N from n0 on, which keeps the sum exact.
+At a primitive p^l-th root zeta, zeta - 1 is a root of Phi_{p^l}(1 + T),
+which is monic of degree phi(p^l): the kernel series is reduced modulo it
+with plain integers, then evaluated by Horner in phi(p^l) ring steps.  One
+such root per level suffices: the other roots of level l are its Galois
+conjugates, so their share of the character sum is an integer trace of the
+one value.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from math import comb
 from .action import M_MAX, act, act_character
 from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
-                     NotUnit, PrecisionExhausted, UnsupportedShape, json_int,
-                     json_int_field, json_int_list, json_list, json_object)
-from .padic import PadicContext, PadicInt
+                     NotUnit, PrecisionExhausted, UnsupportedShape,
+                     check_a_range, json_int, json_int_field, json_int_list,
+                     json_list, json_object)
+from .padic import PadicContext, PadicInt, padic_valuation
 from .qseries import QExpansion, divisor_sum
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
                     Polynomial, TwoVarFn, ZeroExtendedUnits, as_table,
@@ -45,6 +50,8 @@ class RegularizedKernel:
 
     Multiplying the integrand by z corresponds to (1+T) d/dT on this series,
     so the j-th twist evaluated at zeta - 1 is the functional on z^j chi_zeta.
+    The series is built from a.residue, read as an exact integer: the
+    values are those of A_r for r = a.residue, not for another lift of a.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -94,11 +101,16 @@ class RegularizedKernel:
         return cur[: K + 1]
 
 
-def _monomial_mahler(j: int, mod: int) -> list[int]:
-    """Mahler coefficients of z^j mod ``mod`` (finite differences of n^j)."""
-    vals = [pow(n, j, mod) for n in range(j + 1)]
+def _monomial_mahler(j: int, p: int, N: int) -> list[int]:
+    """Mahler coefficients n < n0 of z^j mod p^N, n0 the least n with
+    v_p(n!) >= N, capped at j + 1; the later ones are 0 mod p^N."""
+    mod, n0, v = p ** N, 0, 0
+    while v < N and n0 <= j:
+        n0 += 1
+        v += padic_valuation(n0, p)
+    vals = [pow(i, j, mod) for i in range(n0)]
     out = []
-    for _ in range(j + 1):
+    for _ in range(n0):
         out.append(vals[0])
         vals = [(y - x) % mod for x, y in zip(vals, vals[1:])]
     return out
@@ -107,10 +119,13 @@ def _monomial_mahler(j: int, mod: int) -> list[int]:
 class KLConstantTerm:
     """The constant-term functional of the Eisenstein measure.
 
-    Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N; values on
-    level-m step functions are exact to N - m digits and cost one Horner per
-    level l <= m (phi(p^l) ring products) plus integer traces.  Step functions
-    and characters beyond the fixed cap action.M_MAX raise PrecisionExhausted.
+    Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N.  They
+    pair only the first n0 = min(k, least n with v_p(n!) >= N) Mahler
+    coefficients of z^(k-1), since the rest vanish mod p^N, so their cost
+    does not grow with k.  Values on level-m step functions are exact to
+    N - m digits and cost one Horner per level l <= m (phi(p^l) ring
+    products) plus integer traces.  Step functions and characters beyond the
+    fixed cap action.M_MAX raise PrecisionExhausted.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -124,8 +139,8 @@ class KLConstantTerm:
     def moment(self, j: int) -> PadicInt:
         """kappa(z^j), exact mod p^N (finite Mahler pairing)."""
         ctx = self.ctx
-        b = self.kernel.base(j)
-        c = _monomial_mahler(j, ctx.modulus)
+        c = _monomial_mahler(j, ctx.p, ctx.N)
+        b = self.kernel.base(len(c) - 1)
         acc = sum(ck * bk for ck, bk in zip(c, b))
         return PadicInt(ctx, acc)
 
@@ -588,8 +603,9 @@ def measure_from_json(ctx: PadicContext, obj,
     if kind == "amice":
         return AmiceMeasure(ctx, json_int_list(obj, "coeffs", kind))
     if kind == "eisenstein":
-        return EisensteinMeasure(ctx, PadicInt(ctx, json_int_field(obj, "a",
-                                                                   kind)))
+        a = check_a_range(json_int_field(obj, "a", kind), ctx.p, ctx.N,
+                          "eisenstein field 'a'")
+        return EisensteinMeasure(ctx, PadicInt(ctx, a))
     if kind == "linear":
         terms = json_list(obj, "terms", kind)
         if not all(isinstance(t, list) and len(t) == 2 for t in terms):

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import padicq
-from padicq import (ConfigError, PadicContext, eisenstein_2G,
-                    series_from_json, series_to_json)
+from padicq import (ConfigError, PadicContext, bernoulli, eisenstein_2G,
+                    reduce_rational, series_from_json, series_to_json)
 from padicq.cli import main
 
 
@@ -204,6 +205,31 @@ def test_config_errors_exit_4(capsys, tmp_path):
     assert_config_error(*run_cli(capsys, "--config", str(typo), "moment",
                                  "--k", "2"))
     assert_config_error(*run_cli(capsys, "moment"))
+
+
+def test_a_outside_0_to_p_pow_N_exits_4(capsys, tmp_path):
+    # the moments with (p - 1) | k depend on a beyond p^N: a = 2 + 5^12
+    # once printed the moment for a = 2, wrong in the last digit
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"a={5 ** 12 + 2}\n")
+    mono = '{"kind":"monomial","degree":3}'
+    big = '{"kind":"eisenstein","a":%d}' % (5 ** 12 + 2)
+    for argv in (["--a", str(5 ** 12 + 2), "moment", "--k", "4"],
+                 ["--a", "-1", "moment", "--k", "4"],
+                 ["--config", str(cfg), "moment", "--k", "4"],
+                 ["apply", "--measure", '{"kind":"eisenstein","a":-1}',
+                  "--fn", mono],
+                 ["apply", "--measure", big, "--fn", mono]):
+        code, out, err = run_cli(capsys, *argv)
+        assert_config_error(code, out, err)
+        assert "0 < a < 5^12 = 244140625" in json.loads(err)["message"]
+    # the largest a in range is read as that exact integer
+    a, ctx = 5 ** 12 - 1, PadicContext(5, 12, 1)
+    for k in (4, 8, 20):
+        code, out, _ = run_cli(capsys, "--a", str(a), "moment", "--k", str(k))
+        want = reduce_rational(Fraction(1 - a ** k) * -bernoulli(k) / k, ctx)
+        assert code == 0 and json.loads(out)["residue"] == str(want.residue)
+        assert json.loads(out)["prec"] == 12
 
 
 def test_bad_descriptors_and_degrees_exit_4(capsys):

@@ -197,15 +197,121 @@ def test_kl_moments_against_bernoulli_oracle(ctx5):
             assert got == want and got.prec == ctx5.N, (ar, k)
 
 
+def _mahler_cutoff(p, N):
+    """The least n with v_p(n!) >= N, from Legendre's formula."""
+    n = 0
+    while sum(n // p ** i for i in range(1, N + 2)) < N:
+        n += 1
+    return n
+
+
 def test_monomial_mahler_mod_matches_exact():
     from padicq.measures import _monomial_mahler
 
-    for j in range(31):
-        # Delta^k n^j at 0 = sum_i (-1)^(k-i) C(k, i) i^j, exactly
-        exact = [sum((-1) ** (k - i) * comb(k, i) * i ** j
-                     for i in range(k + 1)) for k in range(j + 1)]
-        for mod in (2, 3 ** 7, 5 ** 12, 7 ** 40):
-            assert _monomial_mahler(j, mod) == [c % mod for c in exact]
+    for j in list(range(31)) + [49, 50, 51, 60]:
+        # Delta^n n^j at 0 = sum_i (-1)^(n-i) C(n, i) i^j, exactly
+        exact = [sum((-1) ** (n - i) * comb(n, i) * i ** j
+                     for i in range(n + 1)) for n in range(j + 1)]
+        for p, N in ((2, 1), (3, 7), (5, 12), (7, 40)):
+            mod = p ** N
+            got = _monomial_mahler(j, p, N)
+            # the prefix is exact, and every coefficient past it is a
+            # multiple of n! and so of p^N
+            assert len(got) == min(j + 1, _mahler_cutoff(p, N))
+            assert got == [c % mod for c in exact[:len(got)]]
+            assert all(c % mod == 0 for c in exact[len(got):]), (j, p, N)
+
+
+def _full_pairing_moment(kl, j):
+    """kappa(z^j) paired against all j + 1 Mahler coefficients of z^j."""
+    mod = kl.ctx.modulus
+    vals = [pow(n, j, mod) for n in range(j + 1)]
+    c = []
+    for _ in range(j + 1):
+        c.append(vals[0])
+        vals = [(y - x) % mod for x, y in zip(vals, vals[1:])]
+    return PadicInt(kl.ctx, sum(x * y for x, y in zip(c, kl.kernel.base(j))))
+
+
+def test_moment_cutoff_matches_full_pairing():
+    for p in (3, 5, 7):
+        for N in (1, 2, 5, 12):
+            ctx = PadicContext(p, N, 4)
+            n0 = _mahler_cutoff(p, N)
+            js = set(range(12)) | set(range(n0 - 2, n0 + 3)) | {99}
+            for a in (2, p + 1, p ** N - 1):
+                kl = KLConstantTerm(ctx, PadicInt(ctx, a))
+                for j in sorted(js):
+                    got, want = kl.moment(j), _full_pairing_moment(kl, j)
+                    assert (got.residue, got.prec) == \
+                        (want.residue, want.prec), (p, N, a, j)
+
+
+def _bernoulli_from_tangent_numbers(k):
+    """B_k for even k >= 2 from the integer tangent numbers T_1..T_(k/2)
+    (Brent and Harvey, arXiv:1108.0286): B_2n = (-1)^(n-1) 2n T_n /
+    (4^n (4^n - 1))."""
+    n = k // 2
+    T = [0, 1] + [0] * (n - 1)
+    for i in range(2, n + 1):
+        T[i] = (i - 1) * T[i - 1]
+    for i in range(2, n + 1):
+        for m in range(i, n + 1):
+            T[m] = (m - i) * T[m - 1] + (m - i + 2) * T[m]
+    return Fraction((-1) ** (n - 1) * 2 * n * T[n], 4 ** n * (4 ** n - 1))
+
+
+def test_high_weight_moments_against_exact_rationals():
+    assert all(_bernoulli_from_tangent_numbers(k) == bernoulli(k)
+               for k in range(2, 41, 2))
+    # 4 = p - 1 divides 500 and 1000: B_k has 5 in its denominator there
+    ctx = PadicContext(5, 40, 4)
+    for k in (500, 1000, 1002):
+        bk = _bernoulli_from_tangent_numbers(k)
+        for a in (2, 3, 5 ** 40 - 1):
+            got = KLConstantTerm(ctx, PadicInt(ctx, a)).moment(k - 1)
+            want = reduce_rational(Fraction(1 - a ** k) * -bk / k, ctx)
+            assert (got.residue, got.prec) == (want.residue, 40), (k, a)
+
+
+def test_kummer_congruence_at_weight_1e5():
+    # k = k' mod (p-1) p^e with k' - 1 >= e + 1: z^(k-1) - z^(k'-1) is
+    # divisible by p^(e+1) on all of Z_p, so the moments agree mod p^(e+1)
+    for p, e in ((3, 4), (5, 3), (5, 6), (7, 2)):
+        ctx = PadicContext(p, 12, 4)
+        step = (p - 1) * p ** e
+        kl = KLConstantTerm(ctx, PadicInt(ctx, 2))
+        for k1 in (e + 2, e + 3, e + 2 + p):
+            k = k1 + step * (10 ** 5 // step)
+            d = kl.moment(k - 1) - kl.moment(k1 - 1)
+            assert d.residue % p ** (e + 1) == 0, (p, e, k1)
+
+
+def test_kl_value_on_polynomials_claims_only_known_digits():
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    # a polynomial up to degree 40 with coefficients known to N, few or no
+    # digits (zeros among them); every coefficient moved by a random
+    # multiple of p^prec must give the same claimed digits of kappa(f)
+    @given(st.sampled_from((3, 5, 7)), st.integers(1, 6), st.data())
+    def inner(p, N, data):
+        ctx = PadicContext(p, N, 4)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        ar = data.draw(st.integers(1, ctx.modulus - 1).filter(
+            lambda x: x % p != 0))
+        low = data.draw(st.integers(0, N - 1))
+        coeffs = [PadicInt(ctx, rng.choice((0, rng.randrange(ctx.modulus))),
+                           rng.choice((N, N, low)))
+                  for _ in range(data.draw(st.integers(1, 41)))]
+        other = [PadicInt(ctx, c.residue + rng.randrange(ctx.modulus) *
+                          p ** c.prec) for c in coeffs]
+        kl = KLConstantTerm(ctx, PadicInt(ctx, ar))
+        got = kl.value(Polynomial(ctx, coeffs))
+        want = kl.value(Polynomial(ctx, other))
+        assert (got.residue - want.residue) % p ** got.prec == 0
+
+    inner()
 
 
 def test_kl_total_mass(ctx5):

@@ -350,6 +350,44 @@ def test_act_and_mahler_match_pointwise_loops(data):
         _outcome(lambda: _old_mahler(f, K))
 
 
+def _other_lift(c: PadicInt, rng) -> PadicInt:
+    """c's residue moved by a random multiple of p^prec, at full precision:
+    an integer that the digits c claims cannot tell from c."""
+    ctx = c.ctx
+    return PadicInt(ctx, c.residue + rng.randrange(ctx.modulus) * ctx.pows[c.prec])
+
+
+def _agree(claimed: PadicInt, other: PadicInt) -> bool:
+    return (claimed.residue - other.residue) % claimed.ctx.pows[claimed.prec] == 0
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_values_and_mahler_claim_only_known_digits(data):
+    ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
+    coeffs = data.draw(st.lists(_scalars(ctx), min_size=1, max_size=5))
+    level = data.draw(st.integers(0, 2))
+    n = ctx.p ** level
+    table = data.draw(st.lists(_scalars(ctx), min_size=n, max_size=n))
+    shape = data.draw(st.sampled_from(["polynomial", "table", "product"]))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+
+    def build(cs, tab):
+        poly, step = Polynomial(ctx, cs), LocallyConstant(ctx, level, tab)
+        return {"polynomial": poly, "table": step,
+                "product": Product(poly, step)}[shape]
+
+    f = build(coeffs, table)
+    g = build([_other_lift(c, rng) for c in coeffs],
+              [_other_lift(v, rng) for v in table])
+    xs = data.draw(st.lists(st.integers(0, 2 * ctx.modulus), min_size=1,
+                            max_size=12))
+    assert all(_agree(u, v) for u, v in zip(values(f, xs), values(g, xs)))
+    K = data.draw(st.integers(0, 12))
+    assert all(_agree(u, v)
+               for u, v in zip(mahler_coeffs(f, K), mahler_coeffs(g, K)))
+
+
 def test_values_of_no_arguments_builds_no_table(ctx5, monkeypatch):
     calls = []
     monkeypatch.setattr(Character, "evaluate",
