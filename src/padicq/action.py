@@ -24,8 +24,10 @@ M_MAX = 3
 
 def act(f: ContinuousFn, g: QExpansion) -> QExpansion:
     """Coefficient n of the result is f(n) * a_n (constant term scaled by f(0))."""
-    out = [v * c for v, c in zip(values(f, range(len(g.coeffs))), g.coeffs)]
-    return QExpansion(g.ctx, out, g.qprec)
+    vals = values(f, range(g.qprec + 1))
+    if isinstance(vals, tuple):
+        return g.times_scalars(*vals)
+    return QExpansion(g.ctx, [v * c for v, c in zip(vals, g.coeffs)], g.qprec)
 
 
 def act_character(zeta, g: QExpansion) -> QExpansion:
@@ -50,7 +52,12 @@ def act_character(zeta, g: QExpansion) -> QExpansion:
     powers = [CyclotomicElem.one(g.ctx, 0)]
     for _ in range(min(pm, g.qprec + 1) - 1):
         powers.append(powers[-1] * zeta)
-    out = [powers[n % pm] * c for n, c in enumerate(g.coeffs)]
+    if g.elems is not None:
+        out = [powers[n % pm] * c for n, c in enumerate(g.elems)]
+    else:
+        out = [None] * (g.qprec + 1)
+        for k, z in enumerate(powers):
+            out[k::pm] = z.scalar_multiples(g.res[k::pm], g.prec[k::pm])
     return QExpansion(g.ctx, out, g.qprec)
 
 

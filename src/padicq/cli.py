@@ -210,8 +210,9 @@ def cmd_apply(cfg: RunConfig, args) -> int:
     f = fn_from_json(cfg.ctx, args.fn)
     v = eval_measure(mu, f)
     if isinstance(v, QExpansion):
-        scalars = [_as_scalar(c) for c in v.coeffs]
-        emit(series_to_json(QExpansion(cfg.ctx, scalars, v.qprec)))
+        if v.elems is not None:
+            v = QExpansion(cfg.ctx, [_as_scalar(c) for c in v.elems], v.qprec)
+        emit(series_to_json(v))
     else:
         emit(value_to_json(v, cfg))
     return EXIT_OK

@@ -231,6 +231,21 @@ class CyclotomicElem:
 
     __rmul__ = __mul__
 
+    def scalar_multiples(self, res: list, prec: list) -> list:
+        """[self * PadicInt(ctx, r, e) for r, e in zip(res, prec)], from
+        the nonzero coordinates of self, sharing equal precision lists."""
+        ctx, n, top = self.ctx, len(self.res), self.min_prec()
+        nonzero = [(i, x) for i, x in enumerate(self.res) if x]
+        shared, out, pows = {}, [], ctx.pows
+        for y, e in zip(res, prec):
+            e = e if e < top else top
+            r = [0] * n
+            for i, x in nonzero:
+                r[i] = x * y % pows[e]
+            out.append(_make(ctx, self.level, r,
+                             shared.get(e) or shared.setdefault(e, [e] * n)))
+        return out
+
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)

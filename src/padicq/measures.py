@@ -73,9 +73,12 @@ class RegularizedKernel:
     def _compute(self, K: int) -> list[int]:
         ctx, r = self.ctx, self.a.residue
         mod = ctx.modulus
-        # P(T) = ((1+T)^r - 1)/T, Q(T) = ((1+T)^r - 1 - rT)/T^2, both exact
-        P = [comb(r, i + 1) % mod for i in range(min(r - 1, K) + 1)]
-        Q = [comb(r, i + 2) % mod for i in range(min(max(r - 2, 0), K) + 1)]
+        # P(T) = ((1+T)^r - 1)/T, Q(T) = ((1+T)^r - 1 - rT)/T^2, both exact,
+        # from C(r, i) = C(r, i - 1) (r - i + 1) / i for i <= min(r, K + 2)
+        c = [1]
+        for i in range(1, min(r, K + 2) + 1):
+            c.append(c[-1] * (r - i + 1) // i)
+        P, Q = [x % mod for x in c[1:K + 2]], [x % mod for x in c[2:K + 3]] or [0]
         inv0 = pow(P[0], -1, mod)
         R = [inv0] + [0] * K
         for n in range(1, K + 1):
@@ -374,8 +377,7 @@ class AmiceMeasure(Measure):
         for b in reversed(self.coeffs):
             if acc is None:
                 acc = _scalar_or_series_zero(self.ctx, b)
-            acc = _mul_value(acc, x)
-            acc = _add_value(acc, b)
+            acc = acc * x + b
         return acc
 
 
@@ -401,15 +403,18 @@ class EisensteinMeasure(Measure):
         # the constant term first: it refuses levels past the cap before
         # any coefficient is evaluated
         const = self.kl.value(f)
-        ds = range(1, ctx.M + 1)
+        zero, ds = PadicInt(ctx, 0), range(ctx.M + 1)
         fd, fad = values(f, ds), values(f, [a.residue * d for d in ds])
-        # the weights 2 (f(d) - a f(a d)), built from residues when scalar
-        if all(isinstance(v, PadicInt) for v in fd + fad):
-            w = [PadicInt(ctx, 2 * (x.residue - a.residue * y.residue),
-                          min(x.prec, y.prec)) for x, y in zip(fd, fad)]
-        else:
-            w = [2 * (x - a * y) for x, y in zip(fd, fad)]
-        out = divisor_sum([None] + w, 0, PadicInt(ctx, 0))
+        # the weights 2 (f(d) - a f(a d)); kl reads the same tables (or f is
+        # a Binomial), so both rows are flat exactly when the constant is scalar
+        if isinstance(fd, tuple):
+            (x, xp), (y, yp) = fd, fad
+            res, prec = divisor_sum(
+                ([2 * (u - a.residue * v) for u, v in zip(x, y)],
+                 [u if u < v else v for u, v in zip(xp, yp)]), 0, zero)
+            res[0], prec[0] = const.residue, const.prec
+            return QExpansion.from_flat(ctx, res, prec)
+        out = divisor_sum([2 * (u - a * v) for u, v in zip(fd, fad)], 0, zero)
         return QExpansion(ctx, [const] + out[1:])
 
     def amice(self, K: int) -> list:
@@ -445,29 +450,17 @@ class LinearMeasure(Measure):
                       for w, mu in terms]
 
     def __call__(self, f: ContinuousFn):
-        acc = None
-        for w, mu in self.terms:
-            v = _mul_value(mu(f), w)
-            acc = v if acc is None else _add_value(acc, v)
-        return acc if acc is not None else PadicInt(self.ctx, 0)
+        return _dot(self.ctx, [w for w, _ in self.terms],
+                    [mu(f) for _, mu in self.terms])
 
     def amice(self, K: int) -> list:
         cols = [mu.amice(K) for _, mu in self.terms]
-        out = []
-        for k in range(K + 1):
-            acc = None
-            for (w, _), col in zip(self.terms, cols):
-                v = _mul_value(col[k], w)
-                acc = v if acc is None else _add_value(acc, v)
-            out.append(acc if acc is not None else PadicInt(self.ctx, 0))
-        return out
+        return [_dot(self.ctx, [w for w, _ in self.terms],
+                     [col[k] for col in cols]) for k in range(K + 1)]
 
     def at_character(self, zeta: CyclotomicElem):
-        acc = None
-        for w, mu in self.terms:
-            v = _mul_value(mu.at_character(zeta), w)
-            acc = v if acc is None else _add_value(acc, v)
-        return acc
+        return _dot(self.ctx, [w for w, _ in self.terms],
+                    [mu.at_character(zeta) for _, mu in self.terms])
 
 
 def _scalar_or_series_zero(ctx, sample):
@@ -476,22 +469,11 @@ def _scalar_or_series_zero(ctx, sample):
     return PadicInt(ctx, 0)
 
 
-def _mul_value(v, c):
-    """v * c where v may be a scalar or a QExpansion and c is a scalar."""
-    if isinstance(v, QExpansion):
-        return v.scale(c)
-    return v * c
-
-
-def _add_value(u, v):
-    return u + v
-
-
 def _dot(ctx, cks, bs):
     acc = None
     for ck, b in zip(cks, bs):
-        term = _mul_value(b, ck)
-        acc = term if acc is None else _add_value(acc, term)
+        term = b * ck
+        acc = term if acc is None else acc + term
     return acc if acc is not None else PadicInt(ctx, 0)
 
 
@@ -538,7 +520,7 @@ class ProductMeasure(Measure):
         acc = None
         for f, g in F.terms:
             v = self.bilinear(f, g)
-            acc = v if acc is None else _add_value(acc, v)
+            acc = v if acc is None else acc + v
         return acc if acc is not None else PadicInt(self.ctx, 0)
 
 

@@ -6,66 +6,120 @@ truncates at the minimum q-precision of the operands, and U_p records the
 q-precision drop to floor(M/p) instead of silently inventing coefficients.
 No operation divides by the index n, so q-coefficients never lose p-adic
 precision.
+
+A series with scalar coefficients is stored flat: ``res[n]`` is the residue
+of a_n reduced into [0, p^prec[n]) and ``prec[n]`` its known digits, the
+pair (res, prec) in which ``zpfun.values`` and ``divisor_sum`` also return
+scalars.  Ring-valued coefficients (characters, dual numbers) stay elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
-from .errors import json_int_field, json_int_list
+from .errors import ConfigError, json_int_field, json_int_list
 from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
     padic_valuation, reduce_rational
 from .zpfun import ContinuousFn, LocallyConstant, as_table, lc_level, values
 
 
-class QExpansion:
-    """sum_{n=0}^{qprec} a_n q^n with scalar coefficients."""
+def _same_ring(ctx: PadicContext, other: PadicContext) -> None:
+    if other is not ctx and (other.p, other.N) != (ctx.p, ctx.N):
+        raise ValueError("mixed p-adic contexts")
 
-    __slots__ = ("ctx", "coeffs", "qprec")
+
+class QExpansion:
+    """sum_{n<=qprec} a_n q^n, flat ``res``/``prec`` or ring ``elems``.
+
+    ``coeffs`` is a fresh list on each read (new ``PadicInt``s when flat);
+    no list is mutated once a series is built, so results may share them.
+    """
+
+    __slots__ = ("ctx", "qprec", "res", "prec", "elems")
 
     def __init__(self, ctx: PadicContext, coeffs, qprec: int | None = None):
-        if qprec is None:
-            qprec = ctx.M
-        qprec = min(qprec, ctx.M)
+        qprec = ctx.M if qprec is None else min(qprec, ctx.M)
         coeffs = list(coeffs)[: qprec + 1]
-        coeffs = [c if not isinstance(c, int) else PadicInt(ctx, c)
-                  for c in coeffs]
-        while len(coeffs) < qprec + 1:
-            coeffs.append(PadicInt(ctx, 0))
-        self.ctx = ctx
-        self.coeffs = coeffs
-        self.qprec = qprec
+        coeffs += [0] * (qprec + 1 - len(coeffs))
+        ring = [c for c in coeffs if not isinstance(c, int)]
+        for c in ring:
+            _same_ring(ctx, getattr(c, "ctx", ctx))
+        self.ctx, self.qprec, self.res, self.prec, self.elems = \
+            ctx, qprec, None, None, None
+        if all(isinstance(c, PadicInt) for c in ring):
+            self.res = [c % ctx.modulus if isinstance(c, int) else c.residue
+                        for c in coeffs]
+            self.prec = [ctx.N if isinstance(c, int) else c.prec for c in coeffs]
+        else:
+            self.elems = [PadicInt(ctx, c) if isinstance(c, int) else c
+                          for c in coeffs]
+
+    @classmethod
+    def from_flat(cls, ctx: PadicContext, res: list, prec: list) -> "QExpansion":
+        """a_n = res[n] + O(p^prec[n]), unchecked and kept (see the module)."""
+        g = object.__new__(cls)
+        g.ctx, g.qprec, g.res, g.prec, g.elems = ctx, len(res) - 1, res, prec, None
+        return g
 
     @classmethod
     def zero(cls, ctx: PadicContext, qprec: int | None = None) -> "QExpansion":
         return cls(ctx, [], qprec)
 
+    @property
+    def coeffs(self) -> list:
+        return list(self.elems) if self.elems is not None else \
+            [PadicInt(self.ctx, r, e) for r, e in zip(self.res, self.prec)]
+
     def coefficient(self, n: int):
         if n > self.qprec:
             raise IndexError(f"coefficient {n} beyond q-precision {self.qprec}")
-        return self.coeffs[n]
+        return self.elems[n] if self.elems is not None \
+            else PadicInt(self.ctx, self.res[n], self.prec[n])
+
+    def _combine(self, other, sign: int):
+        if not isinstance(other, QExpansion):
+            return NotImplemented
+        ctx = self.ctx
+        _same_ring(ctx, other.ctx)
+        if self.elems is not None or other.elems is not None:
+            return QExpansion(ctx, [x + y if sign > 0 else x - y for x, y
+                                    in zip(self.coeffs, other.coeffs)],
+                              min(self.qprec, other.qprec))
+        pows = ctx.pows
+        prec = [e if e < f else f for e, f in zip(self.prec, other.prec)]
+        return QExpansion.from_flat(ctx, [(x + sign * y) % pows[e] for x, y, e
+                                          in zip(self.res, other.res, prec)], prec)
 
     def __add__(self, other):
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        qp = min(self.qprec, other.qprec)
-        return QExpansion(self.ctx,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)], qp)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        qp = min(self.qprec, other.qprec)
-        return QExpansion(self.ctx,
-                          [a - b for a, b in zip(self.coeffs, other.coeffs)], qp)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return QExpansion(self.ctx, [-c for c in self.coeffs], self.qprec)
+        # 0 - c keeps every residue and precision of -c, in every ring
+        return QExpansion.zero(self.ctx, self.qprec) - self
+
+    def times_scalars(self, res, prec) -> "QExpansion":
+        """Coefficient n times the scalar res[n] + O(p^prec[n]), n <= qprec."""
+        ctx = self.ctx
+        if self.elems is not None:
+            return QExpansion(ctx, [PadicInt(ctx, r, e) * c for r, e, c
+                                    in zip(res, prec, self.elems)], self.qprec)
+        pows = ctx.pows
+        prec = [e if e < f else f for e, f in zip(prec, self.prec)]
+        return QExpansion.from_flat(ctx, [x * y % pows[e] for x, y, e
+                                          in zip(res, self.res, prec)], prec)
 
     def scale(self, c) -> "QExpansion":
         """Multiply every coefficient by the scalar c."""
-        return QExpansion(self.ctx, [c * a for a in self.coeffs], self.qprec)
+        if not isinstance(c, (int, PadicInt)):
+            return QExpansion(self.ctx, [c * a for a in self.coeffs], self.qprec)
+        c, n = PadicInt(self.ctx, c) if isinstance(c, int) else c, self.qprec + 1
+        _same_ring(self.ctx, c.ctx)
+        return self.times_scalars([c.residue] * n, [c.prec] * n)
 
     def __mul__(self, other):
         """Product truncated at the smaller q-precision.
@@ -79,39 +133,40 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return self.scale(other)
         ctx = self.ctx
-        if (other.ctx.p, other.ctx.N) != (ctx.p, ctx.N):
-            raise ValueError("mixed p-adic contexts")
-        qp = min(self.qprec, other.qprec)
-        a, b = self.coeffs[: qp + 1], other.coeffs[: qp + 1]
-        if not all(isinstance(c, PadicInt) for c in a + b):
+        _same_ring(ctx, other.ctx)
+        if self.elems is not None or other.elems is not None:
             raise TypeError("products need scalar coefficients")
-        live = [0 if c.is_exact_zero() else 1 for c in a]
+        n, N = min(self.qprec, other.qprec) + 1, ctx.N
+        pa, pb = self.prec[:n], other.prec[:n]
+        live = [0 if x == 0 and e == N else 1 for x, e in zip(self.res, pa)]
         # the precision of the live a_i enters every later coefficient ...
-        prec, low = [], ctx.N
-        for c, alive in zip(a, live):
-            if alive:
-                low = min(low, c.prec)
+        prec, low = [], N
+        for e, alive in zip(pa, live):
+            if alive and e < low:
+                low = e
             prec.append(low)
         # ... and a low-precision b_j enters n = i + j for every live a_i
-        for v in {c.prec for c in b if c.prec < ctx.N}:
-            hits = _convolve(live, [int(c.prec == v) for c in b],
-                             (qp + 1).bit_length())
+        for v in {e for e in pb if e < N}:
+            hits = _convolve(live, [int(e == v) for e in pb], n.bit_length())
             prec = [min(pr, v) if h else pr for pr, h in zip(prec, hits)]
-        sums = _convolve([c.residue for c in a], [c.residue for c in b],
-                         2 * ctx.modulus.bit_length() + (qp + 1).bit_length())
-        return QExpansion(ctx, [PadicInt(ctx, s, pr)
-                                for s, pr in zip(sums, prec)], qp)
+        sums = _convolve(self.res[:n], other.res[:n],
+                         2 * ctx.modulus.bit_length() + n.bit_length())
+        pows = ctx.pows
+        return QExpansion.from_flat(ctx, [s % pows[e] for s, e
+                                          in zip(sums, prec)], prec)
 
     def __eq__(self, other):
+        """Equal at the smaller precision of each pair of coefficients."""
         if not isinstance(other, QExpansion):
             return NotImplemented
-        qp = min(self.qprec, other.qprec)
-        return all(self.coeffs[n] == other.coeffs[n] for n in range(qp + 1))
+        diff = self - other
+        return all(c == 0 for c in diff.elems) if diff.res is None \
+            else not any(diff.res)
 
     __hash__ = None
 
     def __repr__(self):
-        head = ", ".join(repr(c) for c in self.coeffs[:4])
+        head = ", ".join(repr(self.coefficient(n)) for n in range(self.qprec + 1)[:4])
         return f"QExpansion([{head}, ...], qprec={self.qprec})"
 
 
@@ -135,63 +190,60 @@ def _convolve(xs: list[int], ys: list[int], bits: int) -> list[int]:
 
 def theta(g: QExpansion) -> QExpansion:
     """The derivation q d/dq: multiplies coefficient n by n."""
-    return QExpansion(g.ctx, [n * c for n, c in enumerate(g.coeffs)], g.qprec)
+    n = g.qprec + 1
+    return g.times_scalars(range(n), [g.ctx.N] * n)
 
 
 def u_p(g: QExpansion) -> QExpansion:
     """Coefficient n of the result is a_{pn}; q-precision drops to floor(M/p)."""
     p = g.ctx.p
-    qp = g.qprec // p
-    return QExpansion(g.ctx, [g.coeffs[p * n] for n in range(qp + 1)], qp)
+    if g.elems is not None:
+        return QExpansion(g.ctx, g.elems[::p], g.qprec // p)
+    return QExpansion.from_flat(g.ctx, g.res[::p], g.prec[::p])
 
 
 def v_p(g: QExpansion) -> QExpansion:
     """Coefficient pn of the result is a_n, all other coefficients 0."""
-    p = g.ctx.p
-    out = [PadicInt(g.ctx, 0) for _ in range(g.qprec + 1)]
-    for n, c in enumerate(g.coeffs):
-        if p * n > g.qprec:
-            break
-        out[p * n] = c
-    return QExpansion(g.ctx, out, g.qprec)
+    p, n, k = g.ctx.p, g.qprec + 1, g.qprec // g.ctx.p + 1
+    if g.elems is not None:
+        out = [PadicInt(g.ctx, 0)] * n
+        out[::p] = g.elems[:k]
+        return QExpansion(g.ctx, out, g.qprec)
+    res, prec = [0] * n, [g.ctx.N] * n
+    res[::p], prec[::p] = g.res[:k], g.prec[:k]
+    return QExpansion.from_flat(g.ctx, res, prec)
 
 
 # -- divisor sums --------------------------------------------------------------
 
-def divisor_sum(w, e: int, zero=0) -> list:
-    """out[n] = sum_{d | n} d^e w[d] for 1 <= n <= M, where M = len(w) - 1.
+def divisor_sum(w, e: int, zero=0):
+    """out[n] = sum_{d | n} d^e w[d] for 1 <= n < len(w); w[0] is ignored.
 
-    The weights may be ints, PadicInts or cyclotomic elements; w[0] is
-    ignored.  Every out[n] starts at ``zero``.  A weight that is zero to
-    full precision is skipped before it is scaled by d^e (and e = 0 scales
-    nothing); a zero known to fewer digits still enters its sums.
-    PadicInt weights over a PadicInt zero are summed as residues mod p^N,
-    and out[n] is known to the least precision of zero and the w[d], d | n.
+    The weights are ints, ring elements or flat scalars (res, prec); every
+    out[n] starts at ``zero``, and a zero weight known to fewer digits still
+    caps its sums.  Flat weights over a PadicInt zero are summed mod p^N and
+    come back flat, out[n] known to the least prec of zero and the w[d], d | n.
     """
-    M = len(w) - 1
-    if isinstance(zero, PadicInt) and \
-            all(isinstance(t, PadicInt) for t in w[1:]):
-        ctx = zero.ctx
-        mod = ctx.modulus
-        sums = divisor_sum([0] + [t.residue * pow(d, e, mod) % mod
-                                  for d, t in enumerate(w) if d], 0)
-        prec = [zero.prec] * (M + 1)
+    if isinstance(w, tuple):
+        (res, wprec), mod, pows = w, zero.ctx.modulus, zero.ctx.pows
+        sums = divisor_sum([r * pow(d, e, mod) % mod
+                            for d, r in enumerate(res)], 0)
+        prec = [zero.prec] * len(res)
         # only weights below the zero's precision lower any out[n]
-        for d in range(1, M + 1):
-            if w[d].prec < zero.prec:
-                for n in range(d, M + 1, d):
-                    prec[n] = min(prec[n], w[d].prec)
-        return [zero] + [PadicInt(ctx, zero.residue + s, pr)
-                         for s, pr in zip(sums[1:], prec[1:])]
+        for d, v in enumerate(wprec):
+            if d and v < zero.prec:
+                prec[d::d] = [min(pr, v) for pr in prec[d::d]]
+        return [(zero.residue + s) % pows[pr]
+                for s, pr in zip(sums, prec)], prec
+    M, s = len(w) - 1, isqrt(len(w) - 1)
+    if e:
+        w = [None] + [t * d ** e for d, t in enumerate(w) if d]
     out = [zero] * (M + 1)
-    for d in range(1, M + 1):
-        t = w[d]
-        if isinstance(t, PadicInt) and t.is_exact_zero():
-            continue
-        if e:
-            t = t * d ** e
-        for n in range(d, M + 1, d):
-            out[n] = out[n] + t
+    # each d <= s with all of its multiples, then d > s by cofactor j < M / s
+    for d in range(1, s + 1):
+        out[d::d] = [x + w[d] for x in out[d::d]]
+    for j in range(1, M // (s + 1) + 1):
+        out[j * (s + 1)::j] = [x + t for x, t in zip(out[j * (s + 1)::j], w[s + 1:])]
     return out
 
 
@@ -208,9 +260,8 @@ def double_divisor_series(ctx: PadicContext, k: int, r: int) -> QExpansion:
     for k >= r.
     """
     lo, hi = sorted((k, r))
-    sig = sigma_table(hi - lo, ctx.M)
-    return QExpansion(ctx, [0] + [PadicInt(ctx, 2 * n ** lo * sig[n])
-                                  for n in range(1, ctx.M + 1)])
+    return QExpansion(ctx, [2 * n ** lo * s
+                            for n, s in enumerate(sigma_table(hi - lo, ctx.M))])
 
 
 # -- Eisenstein series ----------------------------------------------------------
@@ -244,8 +295,11 @@ def eisenstein_2G_scaled(ctx: PadicContext, k: int, factor) -> QExpansion:
     const = reduce_rational(Fraction(factor) * (-bernoulli(k)) / k, ctx)
     if not isinstance(factor, int):
         factor = reduce_rational(factor, ctx).residue
-    return QExpansion(ctx, [const] + [PadicInt(ctx, 2 * factor * s)
-                                      for s in sigma_table(k - 1, ctx.M)[1:]])
+    mod = ctx.modulus
+    return QExpansion.from_flat(
+        ctx, [const.residue] + [2 * factor * s % mod
+                                for s in sigma_table(k - 1, ctx.M)[1:]],
+        [const.prec] + [ctx.N] * ctx.M)
 
 
 def eisenstein_2G_twisted(ctx: PadicContext, k: int,
@@ -258,17 +312,17 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
     # the constant term sum_c f(c) w_c is known to prec f(c) + v_p(w_c)
     # digits for each entry f(c) known to fewer than N digits
     F, table = _period_table(f)
-    prec = ctx.N
+    top = ctx.N
     for c, v in enumerate(table):
         w = _lvalue_weight(k, F, c) if v.prec < ctx.N else 0
         if w:
-            prec = min(prec, v.prec + padic_valuation(w.numerator, ctx.p)
-                       - padic_valuation(w.denominator, ctx.p))
-    fvals = [None] + values(f, range(1, ctx.M + 1))
-    out = divisor_sum(fvals, k - 1, PadicInt(ctx, 0))
-    coeffs = [reduce_rational(lvalue_periodic(k, f), ctx, max(prec, 0))]
-    coeffs += [2 * c for c in out[1:]]
-    return QExpansion(ctx, coeffs)
+            top = min(top, v.prec + padic_valuation(w.numerator, ctx.p)
+                      - padic_valuation(w.denominator, ctx.p))
+    const = reduce_rational(lvalue_periodic(k, f), ctx, max(top, 0))
+    res, prec = values(f, range(ctx.M + 1))  # flat: f's table is scalar
+    res, prec = divisor_sum(([2 * r for r in res], prec), k - 1, PadicInt(ctx, 0))
+    res[0], prec[0] = const.residue, const.prec
+    return QExpansion.from_flat(ctx, res, prec)
 
 
 def lvalue_periodic(k: int, f: ContinuousFn) -> Fraction:
@@ -307,27 +361,28 @@ def _lvalue_weight(k: int, F: int, c: int) -> Fraction:
 
 def series_to_json(g: QExpansion) -> dict:
     """Stable JSON form; every residue string is paired with its precision."""
-    coeffs, prec = [], []
-    for c in g.coeffs:
-        if not isinstance(c, PadicInt):
-            raise TypeError("only scalar series serialize to JSON")
-        coeffs.append(str(c.residue))
-        prec.append(c.prec)
+    if g.elems is not None:
+        raise TypeError("only scalar series serialize to JSON")
     return {
         "schema": 1,
         "kind": "series",
         "p": g.ctx.p,
         "N": g.ctx.N,
         "M": g.qprec,
-        "coeffs": coeffs,
-        "prec": prec,
+        "coeffs": [str(r) for r in g.res],
+        "prec": list(g.prec),
     }
 
 
 def series_from_json(obj: dict) -> QExpansion:
+    """The series of ``series_to_json``; ConfigError names a field unless
+    coeffs and prec hold M + 1 >= 1 entries and every prec is in 0..N."""
     p, N, M = (json_int_field(obj, key, "series") for key in ("p", "N", "M"))
+    res, prec = (json_int_list(obj, key, "series") for key in ("coeffs", "prec"))
+    for key, ok in (("M", M >= 0), ("coeffs", len(res) == M + 1),
+                    ("prec", len(prec) == M + 1 and all(0 <= e <= N for e in prec))):
+        if not ok:
+            raise ConfigError(f"series field {key!r} does not fit M = {M}, N = {N}")
     ctx = PadicContext(p, N, max(M, 1))
-    coeffs = [PadicInt(ctx, c, pr)
-              for c, pr in zip(json_int_list(obj, "coeffs", "series"),
-                               json_int_list(obj, "prec", "series"))]
-    return QExpansion(ctx, coeffs, M)
+    return QExpansion.from_flat(ctx, [r % ctx.pows[e] for r, e in zip(res, prec)],
+                                prec)

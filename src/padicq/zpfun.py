@@ -208,17 +208,17 @@ def mahler_coeffs(f: ContinuousFn, K: int) -> list:
     least precision among f(0), ..., f(k).
     """
     vals = values(f, range(K + 1))
-    if not all(isinstance(v, PadicInt) for v in vals):
+    if not isinstance(vals, tuple):
         out = []
         for _ in range(K + 1):
             out.append(vals[0])
             vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
         return out
     ctx, mod = f.ctx, f.ctx.modulus
-    res = [v.residue for v in vals]
+    res, precs = vals
     out, prec = [], ctx.N
-    for v in vals:
-        prec = min(prec, v.prec)
+    for e in precs:
+        prec = min(prec, e)
         out.append(PadicInt(ctx, res[0], prec))
         res = [(y - x) % mod for x, y in zip(res, res[1:])]
     return out
@@ -365,14 +365,15 @@ def _accumulate(out: dict, j: int, table: list, ctx: PadicContext):
         out[j] = table
 
 
-def values(f: ContinuousFn, xs) -> list:
+def values(f: ContinuousFn, xs):
     """[f(x) for x in xs] for integers x, as f.evaluate(PadicInt(ctx, x)).
 
     The poly_lc_terms tables are built once and f(x) is read off as
-    sum_j x^j T_j[x mod p^m]: a table entry when j = 0 is the only term, a
-    sum over residues mod p^N for scalar tables, a ring sum for cyclotomic
-    ones.  Residues, precisions and raised exception types equal those of
-    evaluate; functions without tables are evaluated point by point.
+    sum_j x^j T_j[x mod p^m]: residues mod p^N for scalar tables, returned
+    flat as two int lists (res, prec) with res[i] in [0, p^prec[i]), and a
+    list of ring sums for cyclotomic ones.  Residues, precisions and raised
+    exception types equal those of evaluate; functions without tables are
+    evaluated point by point.
     """
     xs = list(xs)
     if not xs:
@@ -381,19 +382,19 @@ def values(f: ContinuousFn, xs) -> list:
     try:
         m, terms = poly_lc_terms(f)
     except UnsupportedShape:
-        return [f.evaluate(PadicInt(ctx, x)) for x in xs]
-    pm, mod = ctx.p ** m, ctx.modulus
-    if list(terms) == [0]:
-        tab = terms[0]
-        return [tab[x % pm] for x in xs]
+        out = [f.evaluate(PadicInt(ctx, x)) for x in xs]
+        if all(isinstance(v, PadicInt) for v in out):
+            return [v.residue for v in out], [v.prec for v in out]
+        return out
+    pm, mod, pows = ctx.p ** m, ctx.modulus, ctx.pows
     items = sorted(terms.items())
     if all(isinstance(v, PadicInt) for _, tab in items for v in tab):
-        sums = [0] * len(xs)
+        top = [min(tab[c].prec for _, tab in items) for c in range(pm)]
+        sums, prec = [0] * len(xs), [top[x % pm] for x in xs]
         for j, tab in items:
             r = [v.residue for v in tab]
             sums = [s + pow(x, j, mod) * r[x % pm] for s, x in zip(sums, xs)]
-        prec = [min(tab[c].prec for _, tab in items) for c in range(pm)]
-        return [PadicInt(ctx, s, prec[x % pm]) for s, x in zip(sums, xs)]
+        return [s % pows[e] for s, e in zip(sums, prec)], prec
     out = []
     for x in xs:
         c, acc = x % pm, None

@@ -168,3 +168,153 @@ def test_up_vp_compatibility(ctx5):
         fp = Scaled(f, PadicInt(ctx5, 5))
         assert act(f, v_p(g)) == v_p(act(fp, g))
         assert u_p(act(f, g)) == act(fp, u_p(g))
+
+
+# -- the flat representation against PadicInt-list arithmetic ------------------
+
+def _cyclo_shape(c):
+    if isinstance(c, PadicInt):
+        return ("scalar", c.residue, c.prec)
+    return ("cyclo", c.level, [(x.residue, x.prec) for x in c.coeffs])
+
+
+def _draw_coeffs(data, ctx, n):
+    from hypothesis import strategies as st
+
+    N = ctx.N
+    residue = st.integers(0, 2 * ctx.modulus)
+    coeff = st.one_of(st.just((0, N)), st.tuples(st.just(0), st.integers(0, N - 1)),
+                      st.tuples(residue, st.integers(0, N - 1)),
+                      st.tuples(residue, st.just(N)))
+    return [PadicInt(ctx, r, e)
+            for r, e in data.draw(st.lists(coeff, min_size=n, max_size=n))]
+
+
+def _draw_fn(data, ctx):
+    """A polynomial, a step table or their product, from drawn coefficients
+    with mixed precisions."""
+    from hypothesis import strategies as st
+    from padicq import LocallyConstant, Product
+
+    level = data.draw(st.integers(0, 2))
+    coeffs = _draw_coeffs(data, ctx, data.draw(st.integers(1, 4)))
+    table = _draw_coeffs(data, ctx, ctx.p ** level)
+    poly, step = Polynomial(ctx, coeffs), LocallyConstant(ctx, level, table)
+    return data.draw(st.sampled_from([poly, step, Product(poly, step)]))
+
+
+def test_act_and_twists_match_padicint_lists():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from padicq import PadicContext
+
+    @settings(max_examples=120)
+    @given(st.data())
+    def inner(data):
+        ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
+                           data.draw(st.integers(2, 6)), data.draw(st.integers(1, 60)))
+        qp = data.draw(st.integers(0, ctx.M))
+        coeffs = _draw_coeffs(data, ctx, qp + 1)
+        g = QExpansion(ctx, coeffs, qp)
+        f = _draw_fn(data, ctx)
+        got = act(f, g)
+        want = [f.evaluate(PadicInt(ctx, n)) * c for n, c in enumerate(coeffs)]
+        assert got.qprec == qp
+        assert [_cyclo_shape(c) for c in got.coeffs] == [_cyclo_shape(c) for c in want]
+        # a power of zeta, or one times 1 + p^(N-1) zeta: a root of unity mod
+        # p^N that is not a signed monomial
+        level = data.draw(st.integers(0, 2))
+        zeta = CyclotomicElem.zeta_power(ctx, level, data.draw(st.integers(0, 50)))
+        if level and data.draw(st.booleans()):
+            zeta = zeta * (1 + ctx.pows[ctx.N - 1] * CyclotomicElem.zeta(ctx, level))
+        pm = ctx.p ** zeta.level
+        powers = [CyclotomicElem.one(ctx, 0)]
+        for _ in range(pm - 1):
+            powers.append(powers[-1] * zeta)
+        try:
+            twisted = act_character(zeta, g)
+        except NotRootOfUnity:
+            assert not zeta.is_root_of_unity()
+            return
+        want = [powers[n % pm] * c for n, c in enumerate(coeffs)]
+        assert [_cyclo_shape(c) for c in twisted.coeffs] == \
+            [_cyclo_shape(c) for c in want]
+        # a ring-valued series twists element by element
+        again = act_character(zeta, twisted)
+        assert [_cyclo_shape(c) for c in again.coeffs] == \
+            [_cyclo_shape(powers[n % pm] * c) for n, c in enumerate(want)]
+
+    inner()
+
+
+def test_eisenstein_measure_matches_padicint_lists():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from padicq import EisensteinMeasure, PadicContext, PadicqError
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def inner(data):
+        ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
+                           data.draw(st.integers(2, 6)), data.draw(st.integers(1, 40)))
+        a = PadicInt(ctx, data.draw(st.sampled_from([2, ctx.p + 1, ctx.modulus - 1])))
+        f = _draw_fn(data, ctx)
+        mu = EisensteinMeasure(ctx, a)
+        try:
+            const = mu.kl.value(f)
+        except PadicqError as exc:
+            with pytest.raises(type(exc)):
+                mu(f)
+            return
+        want = [const]
+        for n in range(1, ctx.M + 1):
+            acc = PadicInt(ctx, 0)
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    acc = acc + 2 * (f.evaluate(PadicInt(ctx, d))
+                                     - a * f.evaluate(a * d))
+            want.append(acc)
+        assert [_cyclo_shape(c) for c in mu(f).coeffs] == \
+            [_cyclo_shape(c) for c in want]
+
+    inner()
+
+
+def test_eisenstein_measure_claims_only_known_digits():
+    # another lift of every coefficient of f, inside its stated precision,
+    # gives a series that agrees to the precision the first one claims
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from padicq import (EisensteinMeasure, LocallyConstant, PadicContext,
+                        PadicqError, Product)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def inner(data):
+        ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
+                           data.draw(st.integers(2, 6)), data.draw(st.integers(1, 30)))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        coeffs = _draw_coeffs(data, ctx, data.draw(st.integers(1, 4)))
+        level = data.draw(st.integers(0, 2))
+        table = _draw_coeffs(data, ctx, ctx.p ** level)
+
+        def lift(c):
+            return PadicInt(ctx, c.residue
+                            + rng.randrange(ctx.modulus) * ctx.pows[c.prec])
+
+        shape = data.draw(st.integers(0, 2))
+
+        def build(cs, tab):
+            poly, step = Polynomial(ctx, cs), LocallyConstant(ctx, level, tab)
+            return [poly, step, Product(poly, step)][shape]
+
+        mu = EisensteinMeasure(ctx, PadicInt(ctx, 2))
+        try:
+            got = mu(build(coeffs, table))
+        except PadicqError:
+            return
+        other = mu(build([lift(c) for c in coeffs], [lift(v) for v in table]))
+        assert all((x - y) % ctx.pows[e] == 0
+                   for x, y, e in zip(got.res, other.res, got.prec))
+
+    inner()

@@ -352,6 +352,18 @@ def test_series_from_json_is_strict():
     with pytest.raises(ConfigError, match="'series' descriptor needs the "
                                           "field 'N'"):
         series_from_json(missing)
+    # every coefficient needs a residue and a precision in 0..N; padding a
+    # short list would claim N digits of zeros that were never given
+    for key, bad in (("coeffs", ["1", "2", "3"]), ("prec", [12]),
+                     ("coeffs", good["coeffs"] + ["0"]), ("prec", [12] * 6),
+                     ("prec", [12, 13, 12, 12, 12]), ("prec", [12, -1, 12, 12, 12]),
+                     ("M", -1)):
+        with pytest.raises(ConfigError, match=key):
+            series_from_json({**good, key: bad})
+    with pytest.raises(ConfigError, match="coeffs"):
+        series_from_json({"p": 5, "N": 12, "M": 4, "coeffs": [1, 2, 3], "prec": [12]})
+    empty = series_from_json({**good, "M": 0, "coeffs": ["7"], "prec": [0]})
+    assert (empty.qprec, empty.res, empty.prec) == (0, [0], [0])
 
 
 def test_apply_measure_descriptor(capsys):

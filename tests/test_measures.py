@@ -1056,3 +1056,28 @@ def test_measure_from_json(ctx5):
     assert eval_measure(mu, monomial(ctx5, 1)) == 6
     with pytest.raises(ValueError):
         measure_from_json(ctx5, {"kind": "bogus"})
+
+
+def _kernel_from_comb(r, K, mod):
+    """A_r(T) mod (mod, T^(K+1)) with one math.comb per coefficient of
+    P = ((1+T)^r - 1)/T and Q = ((1+T)^r - 1 - rT)/T^2."""
+    P = [comb(r, i + 1) % mod for i in range(min(r - 1, K) + 1)]
+    Q = [comb(r, i + 2) % mod for i in range(min(max(r - 2, 0), K) + 1)]
+    inv0 = pow(P[0], -1, mod)
+    R = [inv0] + [0] * K
+    for n in range(1, K + 1):
+        R[n] = -inv0 * sum(P[i] * R[n - i]
+                           for i in range(1, min(n, len(P) - 1) + 1)) % mod
+    return [-sum(Q[i] * R[n - i] for i in range(min(n, len(Q) - 1) + 1)) % mod
+            for n in range(K + 1)]
+
+
+@pytest.mark.parametrize("p,N", [(5, 3), (7, 2), (5, 12)])
+def test_kernel_binomials_match_math_comb(p, N):
+    from padicq.measures import RegularizedKernel
+
+    ctx = PadicContext(p, N, 10)
+    for r in (1, 2, 3, p ** N - 1):
+        for K in (0, 1, 2, 5, 17, 60):
+            got = RegularizedKernel(ctx, PadicInt(ctx, r))._compute(K)
+            assert got == _kernel_from_comb(r, K, ctx.modulus), (r, K)

@@ -210,6 +210,15 @@ def test_divisor_sum_scalar_types(ctx5):
     for n in range(1, 21):
         want = sum(d ** 2 * (d % 3) for d in range(1, n + 1) if n % d == 0)
         assert ints[n] == want and out[n] == want and out[n].prec == 12
+    # flat weights come back flat, reduced, each sum capped by its divisors
+    res = [0] + [d % 3 for d in range(1, 21)]
+    prec = [12] * 21
+    prec[4] = 3
+    got, got_prec = divisor_sum((res, prec), 2, PadicInt(ctx5, 0))
+    for n in range(1, 21):
+        want = sum(d ** 2 * (d % 3) for d in range(1, n + 1) if n % d == 0)
+        assert got_prec[n] == (3 if n % 4 == 0 else 12)
+        assert got[n] == want % 5 ** got_prec[n]
 
 
 def test_low_precision_zero_caps_twisted_series(ctx5):
@@ -242,11 +251,12 @@ def schoolbook_product(f, g):
     precision at min(prec f_i, prec g_(n-i))."""
     ctx = f.ctx
     qp = min(f.qprec, g.qprec)
+    fc, gc = f.coeffs, g.coeffs
     out = []
     for n in range(qp + 1):
         acc, prec = 0, ctx.N
         for i in range(n + 1):
-            a, b = f.coeffs[i], g.coeffs[n - i]
+            a, b = fc[i], gc[n - i]
             if a.residue == 0 and a.prec == ctx.N:
                 continue
             acc += a.residue * b.residue
@@ -337,3 +347,245 @@ def test_series_json_roundtrip(ctx5):
     assert obj["schema"] == 1 and len(obj["coeffs"]) == len(obj["prec"])
     back = series_from_json(obj)
     assert back == g
+
+
+# -- the flat representation against PadicInt-list arithmetic ------------------
+
+class RefSeries:
+    """A q-expansion kept as a list of PadicInts, with the coefficient-wise
+    rules the package used before storing scalar series flat."""
+
+    def __init__(self, ctx, coeffs, qprec):
+        coeffs = [c if isinstance(c, PadicInt) else PadicInt(ctx, c)
+                  for c in coeffs[: qprec + 1]]
+        self.ctx, self.qprec = ctx, qprec
+        self.coeffs = coeffs + [PadicInt(ctx, 0)] * (qprec + 1 - len(coeffs))
+
+    def zip(self, other, op):
+        qp = min(self.qprec, other.qprec)
+        return RefSeries(self.ctx, [op(a, b) for a, b in
+                                    zip(self.coeffs, other.coeffs)], qp)
+
+    def product(self, other):
+        qp = min(self.qprec, other.qprec)
+        out = []
+        for n in range(qp + 1):
+            acc = None
+            for i in range(n + 1):
+                a, b = self.coeffs[i], other.coeffs[n - i]
+                if not a.is_exact_zero():
+                    acc = a * b if acc is None else acc + a * b
+            out.append(PadicInt(self.ctx, 0) if acc is None else acc)
+        return RefSeries(self.ctx, out, qp)
+
+    def theta(self):
+        return RefSeries(self.ctx, [n * c for n, c in enumerate(self.coeffs)],
+                         self.qprec)
+
+    def u_p(self):
+        p = self.ctx.p
+        qp = self.qprec // p
+        return RefSeries(self.ctx, [self.coeffs[p * n] for n in range(qp + 1)], qp)
+
+    def v_p(self):
+        out = [PadicInt(self.ctx, 0)] * (self.qprec + 1)
+        for n, c in enumerate(self.coeffs):
+            if self.ctx.p * n <= self.qprec:
+                out[self.ctx.p * n] = c
+        return RefSeries(self.ctx, out, self.qprec)
+
+    def pairs(self):
+        return self.qprec, [(c.residue, c.prec) for c in self.coeffs]
+
+
+def _pairs(g):
+    return g.qprec, [(c.residue, c.prec) for c in g.coeffs]
+
+
+def _outcome(thunk):
+    try:
+        out = thunk()
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        return ("raises", type(exc))
+    if isinstance(out, (RefSeries, QExpansion)):
+        return ("ok", out.pairs() if isinstance(out, RefSeries) else _pairs(out))
+    return ("ok", out)
+
+
+def _draw_series(data, ctx):
+    """A series with exact zeros, low-precision zeros, low-precision values
+    and full values, at a drawn q-precision."""
+    from hypothesis import strategies as st
+
+    N = ctx.N
+    residue = st.integers(0, 2 * ctx.modulus)
+    coeff = st.one_of(st.just((0, N)), st.tuples(st.just(0), st.integers(0, N - 1)),
+                      st.tuples(residue, st.integers(0, N - 1)),
+                      st.tuples(residue, st.just(N)))
+    qp = data.draw(st.integers(0, ctx.M))
+    pairs = data.draw(st.lists(coeff, min_size=qp + 1, max_size=qp + 1))
+    coeffs = [PadicInt(ctx, r, e) for r, e in pairs]
+    return QExpansion(ctx, coeffs, qp), RefSeries(ctx, coeffs, qp)
+
+
+def _ctx(data):
+    from hypothesis import strategies as st
+
+    return PadicContext(data.draw(st.sampled_from([3, 5, 7])),
+                        data.draw(st.integers(1, 8)), data.draw(st.integers(1, 30)))
+
+
+def test_flat_series_match_padicint_lists():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def inner(data):
+        ctx = _ctx(data)
+        (f, rf), (g, rg) = _draw_series(data, ctx), _draw_series(data, ctx)
+        c = PadicInt(ctx, data.draw(st.integers(0, ctx.modulus)),
+                     data.draw(st.integers(0, ctx.N)))
+        k = data.draw(st.integers(-ctx.modulus, ctx.modulus))
+        checks = [
+            (lambda: f + g, lambda: rf.zip(rg, lambda a, b: a + b)),
+            (lambda: f - g, lambda: rf.zip(rg, lambda a, b: a - b)),
+            (lambda: -f, lambda: RefSeries(ctx, [-a for a in rf.coeffs], rf.qprec)),
+            (lambda: f * g, lambda: rf.product(rg)),
+            (lambda: f.scale(c), lambda: RefSeries(ctx, [c * a for a in rf.coeffs],
+                                                   rf.qprec)),
+            (lambda: f * k, lambda: RefSeries(ctx, [k * a for a in rf.coeffs],
+                                              rf.qprec)),
+            (lambda: theta(f), rf.theta),
+            (lambda: u_p(f), rf.u_p),
+            (lambda: v_p(f), rf.v_p),
+            (lambda: f == g, lambda: all(a == b for a, b in zip(rf.coeffs, rg.coeffs))),
+            (lambda: f == f + g.scale(ctx.modulus),
+             lambda: all(a == a + b * ctx.modulus
+                         for a, b in zip(rf.coeffs, rg.coeffs))),
+            (lambda: series_from_json(series_to_json(f)), lambda: rf),
+        ]
+        for got, want in checks:
+            assert _outcome(got) == _outcome(want)
+
+    inner()
+
+
+def _ref_divisor_sum(w, e, zero):
+    out = [zero] * len(w)
+    for d in range(1, len(w)):
+        t = w[d] if not e else w[d] * d ** e
+        for n in range(d, len(w), d):
+            out[n] = out[n] + t
+    return out
+
+
+def test_flat_divisor_sums_match_padicint_lists():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def inner(data):
+        ctx = _ctx(data)
+        g, rg = _draw_series(data, ctx)
+        e = data.draw(st.integers(0, 6))
+        zero = PadicInt(ctx, 0, data.draw(st.integers(0, ctx.N)))
+        res, prec = divisor_sum((g.res, g.prec), e, zero)
+        want = _ref_divisor_sum(rg.coeffs, e, zero)
+        assert list(zip(res, prec)) == [(c.residue, c.prec) for c in want]
+        # ring weights (here PadicInts in a list) take the same sums
+        assert [(c.residue, c.prec) for c in divisor_sum(rg.coeffs, e, zero)] == \
+            [(c.residue, c.prec) for c in want]
+
+    inner()
+
+
+def _other_lift(c: PadicInt, rng) -> PadicInt:
+    ctx = c.ctx
+    return PadicInt(ctx, c.residue + rng.randrange(ctx.modulus) * ctx.pows[c.prec])
+
+
+def _agree(claimed: QExpansion, other: QExpansion) -> bool:
+    return claimed.qprec == other.qprec and all(
+        (x - y) % claimed.ctx.pows[e] == 0
+        for x, y, e in zip(claimed.res, other.res, claimed.prec))
+
+
+def test_series_ops_claim_only_known_digits():
+    # another lift of every input residue, inside its stated precision,
+    # gives outputs that agree to the precision the first output claims
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def inner(data):
+        ctx = _ctx(data)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        (f, rf), (g, rg) = _draw_series(data, ctx), _draw_series(data, ctx)
+        f2 = QExpansion(ctx, [_other_lift(c, rng) for c in rf.coeffs], f.qprec)
+        g2 = QExpansion(ctx, [_other_lift(c, rng) for c in rg.coeffs], g.qprec)
+        assert _agree(f * g, f2 * g2)
+        for op in (theta, u_p, v_p, lambda s: u_p(theta(s))):
+            assert _agree(op(f), op(f2))
+        e = data.draw(st.integers(0, 5))
+        zero = PadicInt(ctx, 0)
+        out = QExpansion.from_flat(ctx, *divisor_sum((f.res, f.prec), e, zero))
+        out2 = QExpansion.from_flat(ctx, *divisor_sum((f2.res, f2.prec), e, zero))
+        assert _agree(out, out2)
+        obj = series_to_json(f)
+        lifted = {**obj, "coeffs": [str(c.residue) for c in f2.coeffs]}
+        assert _agree(series_from_json(obj), series_from_json(lifted))
+
+    inner()
+
+
+def test_series_refuse_mixed_contexts(ctx5):
+    other = PadicContext(5, 11, ctx5.M)
+    g, h = QExpansion(ctx5, [1, 2]), QExpansion(other, [1, 2])
+    for thunk in (lambda: QExpansion(ctx5, [1, PadicInt(other, 1)]),
+                  lambda: QExpansion(ctx5, [CyclotomicElem.zeta(other, 1)]),
+                  lambda: g + h, lambda: g - h, lambda: g * h, lambda: g == h,
+                  lambda: g.scale(PadicInt(other, 2))):
+        with pytest.raises(ValueError, match="mixed p-adic contexts"):
+            thunk()
+    # the same p and N with another q-precision is the same ring
+    assert g + QExpansion(PadicContext(5, 12, 3), [1]) == QExpansion(ctx5, [2, 2], 3)
+
+
+def test_coeffs_is_a_fresh_view(ctx5):
+    g = QExpansion(ctx5, [1, PadicInt(ctx5, 7, 3)], 1)
+    view = g.coeffs
+    view[0] = PadicInt(ctx5, 4)
+    assert g.coefficient(0) == 1 and g.coeffs is not view
+    assert (g.res, g.prec) == ([1, 7], [12, 3])
+
+
+def test_scalar_series_build_few_padicints(monkeypatch):
+    # at M = 3000 the scalar-series paths work on the flat lists: a call
+    # builds a handful of PadicInts (tables, constant terms), not one per
+    # coefficient
+    from padicq import TwoVarFn, act, convolution_nu, eisenstein_eval, monomial, \
+        multiply
+
+    ctx = PadicContext(5, 12, 3000)
+    a, E = PadicInt(ctx, 2), eisenstein_2G(ctx, 14)
+    step = multiply(monomial(ctx, 1), indicator(ctx, 1, 3))
+    made = []
+    init = PadicInt.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PadicInt, "__init__", counting)
+    calls = [lambda: eisenstein_eval(a, monomial(ctx, 2)),
+             lambda: eisenstein_eval(a, step), lambda: act(step, E),
+             lambda: theta(E), lambda: series_to_json(E),
+             lambda: convolution_nu(a, TwoVarFn.tensor(monomial(ctx, 3),
+                                                       monomial(ctx, 1)))]
+    for call in calls:
+        made.clear()
+        call()
+        assert len(made) < 50

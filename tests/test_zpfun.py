@@ -308,6 +308,8 @@ def _outcome(thunk):
         return ("raises", type(exc))
     if isinstance(out, QExpansion):
         out = out.coeffs
+    if isinstance(out, tuple):
+        return ("ok", [("scalar", r, e) for r, e in zip(*out)])
     return ("ok", [_shape(v) for v in out])
 
 
@@ -382,7 +384,8 @@ def test_values_and_mahler_claim_only_known_digits(data):
               [_other_lift(v, rng) for v in table])
     xs = data.draw(st.lists(st.integers(0, 2 * ctx.modulus), min_size=1,
                             max_size=12))
-    assert all(_agree(u, v) for u, v in zip(values(f, xs), values(g, xs)))
+    (fr, fp), (gr, _) = values(f, xs), values(g, xs)
+    assert all((u - v) % ctx.pows[e] == 0 for u, v, e in zip(fr, gr, fp))
     K = data.draw(st.integers(0, 12))
     assert all(_agree(u, v)
                for u, v in zip(mahler_coeffs(f, K), mahler_coeffs(g, K)))
@@ -415,7 +418,7 @@ def test_poly_lc_terms_keeps_low_precision_zeros(ctx5):
     f = Polynomial(ctx5, [1, PadicInt(ctx5, 0, 3)])
     m, terms = poly_lc_terms(f)
     assert m == 0 and terms[1][0].prec == 3
-    assert [v.prec for v in values(f, range(4))] == [3] * 4
+    assert values(f, range(4))[1] == [3] * 4
     # kappa(z) = 1/4 is a unit, so only 3 digits of kappa(f) are known
     assert kl_constant(PadicInt(ctx5, 2), f).prec == 3
     mu = eisenstein_eval(PadicInt(ctx5, 2), f)
