@@ -236,9 +236,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_kummer_dump(cfg: RunConfig, args) -> int:
     _check_k(args)
-    from .kummer import KummerBase, kummer_mul
     ctx = cfg.ctx
     pk = ctx.p ** args.k
+    if pk ** 4 > 10 ** 7:  # p = 7, k = 2 prints 5.8e6 entries, 44 MB
+        raise ConfigError(f"kummer-dump --k {args.k} at p={ctx.p} needs p^(4k) = "
+                          f"{pk ** 4} table entries, over 10^7")
+    from .kummer import KummerBase, kummer_mul
     base = KummerBase.standard(ctx, args.k)
     if args.what == "cayley":
         els = base.elements()

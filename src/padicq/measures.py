@@ -15,6 +15,8 @@ the character decomposition, costing exactly m digits for level m.  The
 pairing stops at the least n0 with v_p(n0!) >= N, about (p-1)N whatever the
 weight: the n-th Mahler coefficient of z^j is Delta^n(z^j)(0) = n! S(j, n),
 a multiple of n! and so 0 mod p^N from n0 on, which keeps the sum exact.
+As Delta^n f(0) = sum_i (-1)^(n-i) C(n, i) f(i), the pairing is a dot
+product sum_i w_i i^j with point weights w_i, i < n0, built once.
 At a primitive p^l-th root zeta, zeta - 1 is a root of Phi_{p^l}(1 + T),
 which is monic of degree phi(p^l): the kernel series is reduced modulo it
 with plain integers, then evaluated by Horner in phi(p^l) ring steps.  One
@@ -40,7 +42,7 @@ from .qseries import QExpansion, divisor_sum
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
                     Polynomial, TwoVarFn, ZeroExtendedUnits, as_table,
                     indicator, lc_level, mahler_coeffs, monomial, multiply,
-                    poly_lc_terms, values)
+                    poly_lc_terms, table_values, values)
 
 
 # -- the regularized kernel series -------------------------------------------
@@ -104,48 +106,48 @@ class RegularizedKernel:
         return cur[: K + 1]
 
 
-def _monomial_mahler(j: int, p: int, N: int) -> list[int]:
-    """Mahler coefficients n < n0 of z^j mod p^N, n0 the least n with
-    v_p(n!) >= N, capped at j + 1; the later ones are 0 mod p^N."""
-    mod, n0, v = p ** N, 0, 0
-    while v < N and n0 <= j:
-        n0 += 1
-        v += padic_valuation(n0, p)
-    vals = [pow(i, j, mod) for i in range(n0)]
-    out = []
-    for _ in range(n0):
-        out.append(vals[0])
-        vals = [(y - x) % mod for x, y in zip(vals, vals[1:])]
-    return out
+def _point_weights(b: list[int], mod: int) -> list[int]:
+    """w with sum_i w_i f(i) = sum_n b_n Delta^n f(0) mod ``mod`` for all f:
+    the coefficients of sum_n b_n (X - 1)^n, by Horner in X - 1."""
+    w: list[int] = []
+    for c in reversed(b):
+        w = [x - y for x, y in zip([c] + w, w + [0])]
+    return [x % mod for x in w]
 
 
 class KLConstantTerm:
     """The constant-term functional of the Eisenstein measure.
 
-    Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N.  They
-    pair only the first n0 = min(k, least n with v_p(n!) >= N) Mahler
-    coefficients of z^(k-1), since the rest vanish mod p^N, so their cost
-    does not grow with k.  Values on level-m step functions are exact to
-    N - m digits and cost one Horner per level l <= m (phi(p^l) ring
-    products) plus integer traces.  Step functions and characters beyond the
-    fixed cap action.M_MAX raise PrecisionExhausted.
+    Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N.  Each
+    is one dot product with point weights built once per functional, so
+    its cost does not grow with k.  Values on level-m step functions are
+    exact to N - m digits and cost one Horner per level l <= m (phi(p^l)
+    ring products) plus integer traces.  Step functions and characters
+    beyond the fixed cap action.M_MAX raise PrecisionExhausted.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
         self.ctx = ctx
         self.a = a
         self.kernel = RegularizedKernel(ctx, a)
+        self._weights: list[int] = []
         self._indicator_cache: dict = {}
 
     # -- core values --------------------------------------------------------
 
     def moment(self, j: int) -> PadicInt:
-        """kappa(z^j), exact mod p^N (finite Mahler pairing)."""
-        ctx = self.ctx
-        c = _monomial_mahler(j, ctx.p, ctx.N)
-        b = self.kernel.base(len(c) - 1)
-        acc = sum(ck * bk for ck, bk in zip(c, b))
-        return PadicInt(ctx, acc)
+        """kappa(z^j) = sum_{n<n0} b_n Delta^n(z^j)(0) = sum_{i<n0} w_i i^j
+        mod p^N, b_n the kernel coefficients (see the module docstring)."""
+        ctx, w = self.ctx, self._weights
+        if not w:
+            n0, v = 0, 0
+            while v < ctx.N:
+                n0 += 1
+                v += padic_valuation(n0, ctx.p)
+            w = self._weights = _point_weights(self.kernel.base(n0 - 1),
+                                               ctx.modulus)
+        return PadicInt(ctx, sum(x * pow(i, j, ctx.modulus)
+                                 for i, x in enumerate(w)))
 
     def value_character(self, zeta: CyclotomicElem, j: int = 0):
         """kappa(z^j chi_zeta) = (twisted series)(zeta - 1), full precision."""
@@ -192,15 +194,15 @@ class KLConstantTerm:
 
     # -- public evaluation ----------------------------------------------------
 
-    def value(self, f: ContinuousFn):
-        """kappa(f) for exactly representable f."""
+    def value(self, f: ContinuousFn, lc: tuple | None = None):
+        """kappa(f) for exactly representable f (``lc``: poly_lc_terms(f))."""
         ctx = self.ctx
         if isinstance(f, Binomial):
             return PadicInt(ctx, self.kernel.base(f.k)[f.k])
         if isinstance(f, Character):
             _check_level(f.level)
             return self.value_character(f.zeta)
-        m, terms = poly_lc_terms(f)
+        m, terms = lc or poly_lc_terms(f)
         _check_level(m)
         if m == 0:
             acc = PadicInt(ctx, 0)
@@ -386,9 +388,10 @@ class EisensteinMeasure(Measure):
 
     Coefficient n of mu(f) is 2 sum_{d|n} (f(d) - a f(a d)); the constant
     term is the regularized functional.  On z^(k-1) this reproduces
-    (1 - a^k) 2G_k including the constant term.  The rows f(d) and f(a d)
-    come from zpfun.values, and scalar weights are divisor-summed as
-    residues.
+    (1 - a^k) 2G_k including the constant term.  f(d) - a f(a d) is read
+    off the combined tables U_j[c] = T_j[c] - a^(j+1) T_j[a c mod p^m] of
+    f = sum_j z^j T_j (zpfun.table_values), and scalar weights are
+    divisor-summed as residues; binomials take f(d), f(a d) point by point.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -399,23 +402,27 @@ class EisensteinMeasure(Measure):
         self.kl = kl_constant_functional(ctx, a)
 
     def __call__(self, f: ContinuousFn) -> QExpansion:
-        ctx, a = self.ctx, self.a
+        ctx, ar = self.ctx, self.a.residue
         # the constant term first: it refuses levels past the cap before
-        # any coefficient is evaluated
-        const = self.kl.value(f)
-        zero, ds = PadicInt(ctx, 0), range(ctx.M + 1)
-        fd, fad = values(f, ds), values(f, [a.residue * d for d in ds])
-        # the weights 2 (f(d) - a f(a d)); kl reads the same tables (or f is
-        # a Binomial), so both rows are flat exactly when the constant is scalar
-        if isinstance(fd, tuple):
-            (x, xp), (y, yp) = fd, fad
-            res, prec = divisor_sum(
-                ([2 * (u - a.residue * v) for u, v in zip(x, y)],
-                 [u if u < v else v for u, v in zip(xp, yp)]), 0, zero)
+        # any table of a character is built; kl shares f's other tables
+        lc = None if isinstance(f, (Binomial, Character)) else poly_lc_terms(f)
+        const = self.kl.value(f, lc)
+        zero, ds = PadicInt(ctx, 0), list(range(ctx.M + 1))
+        try:
+            m, terms = lc or poly_lc_terms(f)
+        except UnsupportedShape:  # binomials: two scalar rows
+            (x, xp), (y, yp) = values(f, ds), values(f, [ar * d for d in ds])
+            w = ([2 * (u - ar * v) for u, v in zip(x, y)],
+                 [u if u < v else v for u, v in zip(xp, yp)])
+        else:  # t has p^m entries
+            w = table_values(ctx, m, {j: [
+                (t[c] - t[ar * c % len(t)] * pow(ar, j + 1, ctx.modulus)) * 2
+                for c in range(len(t))] for j, t in terms.items()}, ds)
+        if isinstance(w, tuple):
+            res, prec = divisor_sum(w, 0, zero)
             res[0], prec[0] = const.residue, const.prec
             return QExpansion.from_flat(ctx, res, prec)
-        out = divisor_sum([2 * (u - a * v) for u, v in zip(fd, fad)], 0, zero)
-        return QExpansion(ctx, [const] + out[1:])
+        return QExpansion(ctx, [const] + divisor_sum(w, 0, zero)[1:])
 
     def amice(self, K: int) -> list:
         return [self(Binomial(self.ctx, k)) for k in range(K + 1)]
@@ -533,12 +540,10 @@ def convolution_nu(a: PadicInt, F: TwoVarFn) -> QExpansion:
     """The convolution measure: on f (x) g it acts by g on the Eisenstein
     value at f, so its moments on x^s y^t are (1 - a^(s+1)) theta^t 2G_(s+1).
     """
-    ctx = F.ctx
-    mu = EisensteinMeasure(ctx, a)
-    acc = QExpansion.zero(ctx)
-    for f, g in F.terms:
-        acc = acc + act(g, mu(f))
-    return acc
+    mu = EisensteinMeasure(F.ctx, a)
+    terms = (act(g, mu(f)) for f, g in F.terms)
+    first = next(terms, None)
+    return QExpansion.zero(F.ctx) if first is None else sum(terms, first)
 
 
 def pushforward_halving(F: TwoVarFn) -> TwoVarFn:

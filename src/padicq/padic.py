@@ -9,7 +9,7 @@ exact integer and the precision says which congruence class it pins down.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .errors import NotPIntegral, NotUnit
 
@@ -272,27 +272,35 @@ class DualNumber:
 
 # -- exact rational utilities ----------------------------------------------
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2).
 
-    Computed by the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0 and
-    memoized in an append-only table.
-    """
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) from the tangent numbers T_n,
+    in O(n^2) small integer products (Brent and Harvey, arXiv:1108.0286).
+    The append-only table grows by one slice assignment: a correct prefix
+    even when threads extend it at once."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    table = _bernoulli_cache
-    for m in range(len(table), k + 1):
-        s = sum(comb(m + 1, j) * table[j] for j in range(m))
-        table.append(Fraction(-s, m + 1))
-    return table[k]
+    table, n = _bernoulli_cache, k // 2
+    m0 = len(table)
+    if k < m0:
+        return table[k]
+    t = [0] + [factorial(i - 1) for i in range(1, n + 1)]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    table[m0:] = new = [Fraction(0) if m % 2 else Fraction(
+        -(-1) ** (m // 2) * m * t[m // 2], 4 ** m - 2 ** m) for m in range(m0, k + 1)]
+    return new[-1]
 
 
 def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
     """B_k(x) = sum_j C(k, j) B_j x^(k-j), evaluated exactly."""
     x = Fraction(x)
+    bernoulli(k)  # fill the table once, not once per j
     return sum(comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1))
 
 

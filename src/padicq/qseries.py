@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt
+from operator import add
 
 from .errors import ConfigError, json_int_field, json_int_list
 from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
@@ -226,8 +228,8 @@ def divisor_sum(w, e: int, zero=0):
     """
     if isinstance(w, tuple):
         (res, wprec), mod, pows = w, zero.ctx.modulus, zero.ctx.pows
-        sums = divisor_sum([r * pow(d, e, mod) % mod
-                            for d, r in enumerate(res)], 0)
+        sums = divisor_sum([r * pow(d, e, mod) % mod for d, r in enumerate(res)]
+                           if e else res, 0)
         prec = [zero.prec] * len(res)
         # only weights below the zero's precision lower any out[n]
         for d, v in enumerate(wprec):
@@ -241,9 +243,10 @@ def divisor_sum(w, e: int, zero=0):
     out = [zero] * (M + 1)
     # each d <= s with all of its multiples, then d > s by cofactor j < M / s
     for d in range(1, s + 1):
-        out[d::d] = [x + w[d] for x in out[d::d]]
+        out[d::d] = map(add, out[d::d], repeat(w[d]))
+    tail = w[s + 1:]
     for j in range(1, M // (s + 1) + 1):
-        out[j * (s + 1)::j] = [x + t for x, t in zip(out[j * (s + 1)::j], w[s + 1:])]
+        out[j * (s + 1)::j] = map(add, out[j * (s + 1)::j], tail)
     return out
 
 

@@ -368,12 +368,9 @@ def _accumulate(out: dict, j: int, table: list, ctx: PadicContext):
 def values(f: ContinuousFn, xs):
     """[f(x) for x in xs] for integers x, as f.evaluate(PadicInt(ctx, x)).
 
-    The poly_lc_terms tables are built once and f(x) is read off as
-    sum_j x^j T_j[x mod p^m]: residues mod p^N for scalar tables, returned
-    flat as two int lists (res, prec) with res[i] in [0, p^prec[i]), and a
-    list of ring sums for cyclotomic ones.  Residues, precisions and raised
-    exception types equal those of evaluate; functions without tables are
-    evaluated point by point.
+    The poly_lc_terms tables are built once and read by ``table_values``;
+    residues, precisions and raised exception types equal those of
+    evaluate.  Functions without tables are evaluated point by point.
     """
     xs = list(xs)
     if not xs:
@@ -386,6 +383,13 @@ def values(f: ContinuousFn, xs):
         if all(isinstance(v, PadicInt) for v in out):
             return [v.residue for v in out], [v.prec for v in out]
         return out
+    return table_values(ctx, m, terms, xs)
+
+
+def table_values(ctx: PadicContext, m: int, terms: dict, xs: list):
+    """sum_j x^j T_j[x mod p^m] for each x in xs, T = {j: T_j}: for scalar
+    tables two flat int lists (res, prec), res[i] in [0, p^prec[i]) and
+    prec[i] the least prec of the entries read; else a list of ring sums."""
     pm, mod, pows = ctx.p ** m, ctx.modulus, ctx.pows
     items = sorted(terms.items())
     if all(isinstance(v, PadicInt) for _, tab in items for v in tab):

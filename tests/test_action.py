@@ -281,12 +281,15 @@ def test_eisenstein_measure_matches_padicint_lists():
 
 
 def test_eisenstein_measure_claims_only_known_digits():
-    # another lift of every coefficient of f, inside its stated precision,
-    # gives a series that agrees to the precision the first one claims
+    # another lift of every table entry, inside its stated precision, gives
+    # a series that agrees, constant term included, to the precision the
+    # first one claims: polynomials with low-precision coefficients and
+    # zeros, step tables, their products, and characters (ring-valued) of
+    # roots of unity known to few digits
     from hypothesis import given, settings
     from hypothesis import strategies as st
-    from padicq import (EisensteinMeasure, LocallyConstant, PadicContext,
-                        PadicqError, Product)
+    from padicq import (Character, EisensteinMeasure, LocallyConstant,
+                        PadicContext, PadicqError, Product)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -294,27 +297,42 @@ def test_eisenstein_measure_claims_only_known_digits():
         ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
                            data.draw(st.integers(2, 6)), data.draw(st.integers(1, 30)))
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        ar = data.draw(st.integers(1, ctx.modulus - 1).filter(
+            lambda x: x % ctx.p != 0))
         coeffs = _draw_coeffs(data, ctx, data.draw(st.integers(1, 4)))
         level = data.draw(st.integers(0, 2))
         table = _draw_coeffs(data, ctx, ctx.p ** level)
+        # a root of unity of level m known to e = N - m digits: every
+        # zeta (1 + p^e y) is one too, since (1 + p^e y)^(p^m) = 1 mod p^N
+        m = data.draw(st.integers(1, 2))
+        zeta = CyclotomicElem.zeta_power(ctx, m, data.draw(st.integers(1, 50)))
+        e = ctx.N - m if ctx.N > m and data.draw(st.booleans()) else ctx.N
+        y = CyclotomicElem(ctx, m, [PadicInt(ctx, rng.randrange(ctx.modulus))
+                                    for _ in zeta.res])
+        zetas = (CyclotomicElem(ctx, m, [PadicInt(ctx, r, e) for r in zeta.res]),
+                 zeta * (1 + ctx.pows[e] * y))
 
         def lift(c):
             return PadicInt(ctx, c.residue
                             + rng.randrange(ctx.modulus) * ctx.pows[c.prec])
 
-        shape = data.draw(st.integers(0, 2))
-
-        def build(cs, tab):
+        def build(cs, tab, z):
             poly, step = Polynomial(ctx, cs), LocallyConstant(ctx, level, tab)
-            return [poly, step, Product(poly, step)][shape]
+            return [poly, step, Product(poly, step), Character(z),
+                    Product(Product(poly, step), Character(z))]
 
-        mu = EisensteinMeasure(ctx, PadicInt(ctx, 2))
-        try:
-            got = mu(build(coeffs, table))
-        except PadicqError:
-            return
-        other = mu(build([lift(c) for c in coeffs], [lift(v) for v in table]))
-        assert all((x - y) % ctx.pows[e] == 0
-                   for x, y, e in zip(got.res, other.res, got.prec))
+        mu = EisensteinMeasure(ctx, PadicInt(ctx, ar))
+        fs = build(coeffs, table, zetas[0])
+        gs = build([lift(c) for c in coeffs], [lift(v) for v in table], zetas[1])
+        for f, g in zip(fs, gs):
+            try:
+                got = mu(f)
+            except PadicqError:
+                continue
+            for x, y in zip(got.coeffs, mu(g).coeffs):
+                if isinstance(x, PadicInt):
+                    x, y = CyclotomicElem.from_scalar(x), CyclotomicElem.from_scalar(y)
+                assert all((u - v) % ctx.pows[e] == 0
+                           for u, v, e in zip(x.res, y.res, x.prec))
 
     inner()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -427,6 +428,22 @@ def test_kummer_dump(capsys):
                            "--what", "pairing")
     obj = json.loads(out)
     assert len(obj["table"]) == 9
+
+
+def test_kummer_dump_refuses_oversized_tables(capsys):
+    # p^(4k) entries: 5^12 and 3^16 are past the 10^7 cap, 3^12 is not
+    for p, k in (("5", "3"), ("3", "4")):
+        for what in ("cayley", "pairing"):
+            t0 = time.monotonic()
+            code, out, err = run_cli(capsys, "--p", p, "kummer-dump", "--k", k,
+                                     "--what", what)
+            assert time.monotonic() - t0 < 5.0
+            assert_config_error(code, out, err)
+            assert "table entries" in json.loads(err)["message"]
+    for what in ("cayley", "pairing"):
+        code, out, _ = run_cli(capsys, "--p", "3", "kummer-dump", "--k", "3",
+                               "--what", what)
+        assert code == 0 and len(json.loads(out)["table"]) == 3 ** 6
 
 
 def _child_env():

@@ -205,21 +205,44 @@ def _mahler_cutoff(p, N):
     return n
 
 
-def test_monomial_mahler_mod_matches_exact():
-    from padicq.measures import _monomial_mahler
+def test_point_weights_match_exact_mahler_pairing():
+    from padicq.measures import _point_weights
 
-    for j in list(range(31)) + [49, 50, 51, 60]:
-        # Delta^n n^j at 0 = sum_i (-1)^(n-i) C(n, i) i^j, exactly
-        exact = [sum((-1) ** (n - i) * comb(n, i) * i ** j
-                     for i in range(n + 1)) for n in range(j + 1)]
-        for p, N in ((2, 1), (3, 7), (5, 12), (7, 40)):
-            mod = p ** N
-            got = _monomial_mahler(j, p, N)
-            # the prefix is exact, and every coefficient past it is a
-            # multiple of n! and so of p^N
-            assert len(got) == min(j + 1, _mahler_cutoff(p, N))
-            assert got == [c % mod for c in exact[:len(got)]]
-            assert all(c % mod == 0 for c in exact[len(got):]), (j, p, N)
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        for N in (1, 7, 12, 40):
+            mod, n0 = p ** N, _mahler_cutoff(p, N)
+            # Delta^n z^j at 0 = sum_i (-1)^(n-i) C(n, i) i^j
+            signs = [[(-1) ** (n - i) * comb(n, i) for i in range(n + 1)]
+                     for n in range(n0)]
+            js = sorted(set(range(31)) | set(range(n0 - 2, n0 + 3)) | {99, 10 ** 5})
+            deltas = {j: [sum(s * pow(i, j, mod) for i, s in enumerate(row))
+                          for row in signs] for j in js}
+            for j in js:
+                if j < 100:
+                    # every Mahler coefficient past the cutoff is a multiple
+                    # of n! and so of p^N
+                    assert all(sum((-1) ** (n - i) * comb(n, i) * i ** j
+                                   for i in range(n + 1)) % mod == 0
+                               for n in range(n0, j + 1)), (p, N, j)
+            if p == 2:
+                # no odd-prime context: random kernels stand in for A_a
+                for _ in range(3):
+                    b = [rng.randrange(mod) for _ in range(n0)]
+                    w = _point_weights(b, mod)
+                    for j in js:
+                        got = sum(x * pow(i, j, mod) for i, x in enumerate(w))
+                        want = sum(x * y for x, y in zip(b, deltas[j]))
+                        assert (got - want) % mod == 0, (p, N, j)
+                continue
+            ctx = PadicContext(p, N, 4)
+            for a in (2, p + 1, mod - 1):
+                kl = KLConstantTerm(ctx, PadicInt(ctx, a))
+                b = kl.kernel.base(n0 - 1)
+                for j in js:
+                    got = kl.moment(j)
+                    want = sum(x * y for x, y in zip(b, deltas[j])) % mod
+                    assert (got.residue, got.prec) == (want, N), (p, N, a, j)
 
 
 def _full_pairing_moment(kl, j):
@@ -628,6 +651,12 @@ def test_eisenstein_rows_match_pointwise_loops():
         multiply(Polynomial(ctx, [1, 2]), indicator(ctx, 1, 3)),
         ZeroExtendedUnits(LocallyConstant(ctx, 1, [0, 1, 2, 3, low])),
         Scaled(indicator(ctx, 1, 2), PadicInt(ctx, 3)),
+        Scaled(multiply(monomial(ctx, 2), indicator(ctx, 2, 7)), PadicInt(ctx, 3)),
+        indicator(ctx, 3, 11),
+        LocallyConstant(ctx, 3, [PadicInt(ctx, 7 * c + 1, 1 + c % 6)
+                                 for c in range(125)]),
+        multiply(Polynomial(ctx, [2, low]),
+                 LocallyConstant(ctx, 3, [c % 4 for c in range(125)])),
         Character(CyclotomicElem.zeta(ctx, 1)),
         multiply(monomial(ctx, 1), Character(CyclotomicElem.zeta(ctx, 1))),
         Binomial(ctx, 3),

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from padicq import (DualNumber, NotPIntegral, NotUnit, PadicContext, PadicInt,
                     bernoulli, bernoulli_polynomial, binomial_padic,
                     reduce_rational)
+from padicq.padic import is_prime
 
 ints = st.integers(min_value=-10**9, max_value=10**9)
 
@@ -135,6 +136,26 @@ def test_bernoulli_against_independent_recurrence():
     for k in range(n + 1):
         if k != 1:
             assert bernoulli(k) == at[k]
+
+
+def test_bernoulli_matches_defining_recurrence():
+    # sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals
+    table = [Fraction(1)]
+    for m in range(1, 301):
+        table.append(-sum(comb(m + 1, j) * table[j] for j in range(m)) / (m + 1))
+    assert [bernoulli(k) for k in range(301)] == table
+
+
+def test_bernoulli_von_staudt_clausen():
+    # B_2n + sum of 1/q over the primes q with (q - 1) | 2n is an integer,
+    # so the denominator of B_2n is the product of those q; the sign of
+    # B_2n is (-1)^(n+1)
+    for k in (2000, 1998, 1002, 500, 256, 14, 2):
+        qs = [q for q in range(2, k + 2) if k % (q - 1) == 0 and is_prime(q)]
+        b = bernoulli(k)
+        assert (b + sum(Fraction(1, q) for q in qs)).denominator == 1, k
+        assert b.denominator == prod(qs), k
+        assert (b > 0) == (k % 4 == 2), k
 
 
 @pytest.mark.parametrize("p", [5, 7])
