@@ -27,19 +27,34 @@ def act(f: ContinuousFn, g: QExpansion) -> QExpansion:
     vals = values(f, range(g.qprec + 1))
     if isinstance(vals, tuple):
         return g.times_scalars(*vals)
+    if g.parts is None:  # ring values times scalars, coordinate by coordinate
+        return QExpansion(g.ctx, vals, g.qprec).times_scalars(g.res, g.prec)
     return QExpansion(g.ctx, [v * c for v, c in zip(vals, g.coeffs)], g.qprec)
 
 
 def act_character(zeta, g: QExpansion) -> QExpansion:
     """Twist by a root of unity: coefficient n becomes zeta^n * a_n.
 
-    zeta may also be a dual number; the exponents here are the literal
-    integer indices n, so no root-of-unity structure is needed in that case
-    (this is how the derivative of the action is read off).
+    On a scalar series the result is written one slice n = k mod p^m at a
+    time: each nonzero coordinate x of zeta^k puts x * a_n in that output
+    coordinate, known to the least precision of a_n and zeta^k.  A
+    ring-valued series is twisted one element product per coefficient.
+
+    zeta may also be a dual number a + eps b over the scalars; the
+    exponents are then the literal indices n, and coefficient n becomes
+    a^n a_n + eps n a^(n-1) b a_n (how the derivative of the action is read
+    off).
     """
+    ctx, n = g.ctx, g.qprec + 1
     if isinstance(zeta, DualNumber):
-        out = [zeta ** n * c for n, c in enumerate(g.coeffs)]
-        return QExpansion(g.ctx, out, g.qprec)
+        a, b = zeta.a, zeta.b
+        if not (isinstance(a, PadicInt) and isinstance(b, PadicInt)):
+            raise TypeError("dual twists need scalar parts a and b")
+        pw = [pow(a.residue, k, ctx.modulus) for k in range(n)]
+        return QExpansion.from_parts(ctx, None, (
+            g.times_scalars(pw, [ctx.N] + [a.prec] * (n - 1)),
+            g.times_scalars([k * x * b.residue for k, x in enumerate([0] + pw)],
+                            [ctx.N] + [min(a.prec, b.prec)] * (n - 1))))
     if not isinstance(zeta, CyclotomicElem):
         raise TypeError("zeta must be a cyclotomic element or a dual number")
     if zeta.level > M_MAX:
@@ -48,17 +63,24 @@ def act_character(zeta, g: QExpansion) -> QExpansion:
         )
     if not zeta.is_root_of_unity():
         raise NotRootOfUnity("argument is not a p-power root of unity")
-    pm = g.ctx.p ** zeta.level
-    powers = [CyclotomicElem.one(g.ctx, 0)]
-    for _ in range(min(pm, g.qprec + 1) - 1):
+    pm, pows = ctx.p ** zeta.level, ctx.pows
+    powers = [CyclotomicElem.one(ctx, zeta.level)]
+    for _ in range(min(pm, n) - 1):
         powers.append(powers[-1] * zeta)
-    if g.elems is not None:
-        out = [powers[n % pm] * c for n, c in enumerate(g.elems)]
-    else:
-        out = [None] * (g.qprec + 1)
-        for k, z in enumerate(powers):
-            out[k::pm] = z.scalar_multiples(g.res[k::pm], g.prec[k::pm])
-    return QExpansion(g.ctx, out, g.qprec)
+    if g.parts:
+        return QExpansion(ctx, [powers[i % pm] * c for i, c in enumerate(g.coeffs)],
+                          g.qprec)
+    top, low = g.prec, zeta.min_prec()
+    if low < ctx.N and pm > 1:  # zeta^k, k >= 1, knows low digits
+        top = [e if i % pm == 0 or e < low else low for i, e in enumerate(top)]
+    out = [[0] * n for _ in zeta.res]
+    for k, z in enumerate(powers):
+        ys, tk = g.res[k::pm], top[k::pm]
+        for j, x in enumerate(z.res):
+            if x:
+                out[j][k::pm] = [x * y % pows[e] for y, e in zip(ys, tk)]
+    return QExpansion.from_parts(ctx, zeta.level, [QExpansion.from_flat(ctx, r, top)
+                                                   for r in out])
 
 
 def psi(g: QExpansion):

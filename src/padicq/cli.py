@@ -210,8 +210,8 @@ def cmd_apply(cfg: RunConfig, args) -> int:
     f = fn_from_json(cfg.ctx, args.fn)
     v = eval_measure(mu, f)
     if isinstance(v, QExpansion):
-        if v.elems is not None:
-            v = QExpansion(cfg.ctx, [_as_scalar(c) for c in v.elems], v.qprec)
+        if v.parts:
+            v = QExpansion(cfg.ctx, [_as_scalar(c) for c in v.coeffs], v.qprec)
         emit(series_to_json(v))
     else:
         emit(value_to_json(v, cfg))

@@ -78,6 +78,9 @@ class CyclotomicElem:
 
     # -- constructors ------------------------------------------------------
 
+    # from_flat(ctx, level, res, prec): res[i] + O(p^prec[i]), unchecked, kept
+    from_flat = staticmethod(_make)
+
     @classmethod
     def from_scalar(cls, x: PadicInt) -> "CyclotomicElem":
         return _make(x.ctx, 0, [x.residue], [x.prec])
@@ -230,21 +233,6 @@ class CyclotomicElem:
         return _make(ctx, a.level, res, [prec] * n)
 
     __rmul__ = __mul__
-
-    def scalar_multiples(self, res: list, prec: list) -> list:
-        """[self * PadicInt(ctx, r, e) for r, e in zip(res, prec)], from
-        the nonzero coordinates of self, sharing equal precision lists."""
-        ctx, n, top = self.ctx, len(self.res), self.min_prec()
-        nonzero = [(i, x) for i, x in enumerate(self.res) if x]
-        shared, out, pows = {}, [], ctx.pows
-        for y, e in zip(res, prec):
-            e = e if e < top else top
-            r = [0] * n
-            for i, x in nonzero:
-                r[i] = x * y % pows[e]
-            out.append(_make(ctx, self.level, r,
-                             shared.get(e) or shared.setdefault(e, [e] * n)))
-        return out
 
     def __pow__(self, e: int):
         if e < 0:

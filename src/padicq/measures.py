@@ -390,8 +390,9 @@ class EisensteinMeasure(Measure):
     term is the regularized functional.  On z^(k-1) this reproduces
     (1 - a^k) 2G_k including the constant term.  f(d) - a f(a d) is read
     off the combined tables U_j[c] = T_j[c] - a^(j+1) T_j[a c mod p^m] of
-    f = sum_j z^j T_j (zpfun.table_values), and scalar weights are
-    divisor-summed as residues; binomials take f(d), f(a d) point by point.
+    f = sum_j z^j T_j (zpfun.table_values), and the weights are
+    divisor-summed as residues, one coordinate at a time for characters;
+    binomials take f(d), f(a d) point by point.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -419,10 +420,16 @@ class EisensteinMeasure(Measure):
                 (t[c] - t[ar * c % len(t)] * pow(ar, j + 1, ctx.modulus)) * 2
                 for c in range(len(t))] for j, t in terms.items()}, ds)
         if isinstance(w, tuple):
-            res, prec = divisor_sum(w, 0, zero)
-            res[0], prec[0] = const.residue, const.prec
-            return QExpansion.from_flat(ctx, res, prec)
-        return QExpansion(ctx, [const] + divisor_sum(w, 0, zero)[1:])
+            g = QExpansion.from_flat(ctx, [const.residue] + w[0][1:],
+                                     [const.prec] + w[1][1:])
+        else:  # ring-valued tables (characters): coordinate by coordinate
+            g = QExpansion(ctx, [const] + w[1:])
+        out = []
+        for c in g.parts or (g,):
+            res, prec = divisor_sum((c.res, c.prec), 0, zero)
+            res[0], prec[0] = c.res[0], c.prec[0]
+            out.append(QExpansion.from_flat(ctx, res, prec))
+        return QExpansion.from_parts(ctx, g.level, out)
 
     def amice(self, K: int) -> list:
         return [self(Binomial(self.ctx, k)) for k in range(K + 1)]

@@ -272,7 +272,11 @@ class DualNumber:
 
 # -- exact rational utilities ----------------------------------------------
 
-_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# (table B_0..B_K, column c = K // 2 of the tangent-number triangle after
+# each stage i = 1..c, entry 0 unused): a request past the table computes
+# only the new columns.  The tuple is replaced whole, so every thread reads
+# a table and a column that belong together.
+_bernoulli_state = ([Fraction(1), Fraction(-1, 2)], [0])
 
 
 def bernoulli(k: int) -> Fraction:
@@ -280,21 +284,32 @@ def bernoulli(k: int) -> Fraction:
 
     B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) from the tangent numbers T_n,
     in O(n^2) small integer products (Brent and Harvey, arXiv:1108.0286).
-    The append-only table grows by one slice assignment: a correct prefix
-    even when threads extend it at once."""
+    Column j of their triangle starts at (j-1)! and stage i = 2..j sets it
+    to (j-i) (column j-1) + (j-i+2) (column j); it holds T_j from stage j on.
+    """
+    global _bernoulli_state
     if k < 0:
         raise ValueError("k must be >= 0")
-    table, n = _bernoulli_cache, k // 2
-    m0 = len(table)
-    if k < m0:
+    table, prev = _bernoulli_state
+    if k < len(table):
         return table[k]
-    t = [0] + [factorial(i - 1) for i in range(1, n + 1)]
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
-    table[m0:] = new = [Fraction(0) if m % 2 else Fraction(
-        -(-1) ** (m // 2) * m * t[m // 2], 4 ** m - 2 ** m) for m in range(m0, k + 1)]
-    return new[-1]
+    c, n, col = len(prev) - 1, k // 2, prev
+    t = [0] * (c + 1) + [factorial(j - 1) for j in range(c + 1, n + 1)]
+    if n > c:
+        col = [0, t[n]]
+        for i in range(2, n + 1):
+            if c:  # column c at stage i, from the stored column
+                t[c] = prev[min(i, c)]
+            for j in range(max(i, c + 1), n + 1):
+                t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+            col.append(t[n])
+    table = table + [Fraction(0) if m % 2 else Fraction(
+        -(-1) ** (m // 2) * m * t[m // 2], 4 ** m - 2 ** m)
+        for m in range(len(table), k + 1)]
+    # a longer state another thread stored meanwhile is kept
+    if len(table) > len(_bernoulli_state[0]):
+        _bernoulli_state = (table, col)
+    return table[k]
 
 
 def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:

@@ -10,7 +10,11 @@ precision.
 A series with scalar coefficients is stored flat: ``res[n]`` is the residue
 of a_n reduced into [0, p^prec[n]) and ``prec[n]`` its known digits, the
 pair (res, prec) in which ``zpfun.values`` and ``divisor_sum`` also return
-scalars.  Ring-valued coefficients (characters, dual numbers) stay elements.
+scalars.  A ring-valued series is a tuple of such flat series: one per
+power-basis coordinate of Z[zeta_{p^L}]/p^N (lower-level coefficients are
+lifted as ``CyclotomicElem.lift_to`` lifts them), or the two parts a, b of
+the dual numbers a + eps b.  Sums, U_p and V_p run the scalar code on each
+coordinate.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from itertools import repeat
 from math import isqrt
 from operator import add
 
+from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import ConfigError, json_int_field, json_int_list
-from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
-    padic_valuation, reduce_rational
+from .padic import DualNumber, PadicContext, PadicInt, bernoulli, \
+    bernoulli_polynomial, padic_valuation, reduce_rational
 from .zpfun import ContinuousFn, LocallyConstant, as_table, lc_level, values
 
 
@@ -33,36 +38,65 @@ def _same_ring(ctx: PadicContext, other: PadicContext) -> None:
 
 
 class QExpansion:
-    """sum_{n<=qprec} a_n q^n, flat ``res``/``prec`` or ring ``elems``.
+    """sum_{n<=qprec} a_n q^n over Z/p^N, Z[zeta_{p^L}]/p^N or dual numbers.
 
-    ``coeffs`` is a fresh list on each read (new ``PadicInt``s when flat);
-    no list is mutated once a series is built, so results may share them.
+    ``level`` names the ring: 0 for scalars, stored flat in ``res`` and
+    ``prec``; L >= 1 for cyclotomic coefficients, whose phi(p^L) coordinate
+    series are ``parts``; None for dual numbers, ``parts = (a, b)``.
+    ``coeffs`` is a fresh list of ring elements on each read; no list is
+    mutated once a series is built, so results may share them.
     """
 
-    __slots__ = ("ctx", "qprec", "res", "prec", "elems")
+    __slots__ = ("ctx", "qprec", "level", "res", "prec", "parts")
 
     def __init__(self, ctx: PadicContext, coeffs, qprec: int | None = None):
         qprec = ctx.M if qprec is None else min(qprec, ctx.M)
         coeffs = list(coeffs)[: qprec + 1]
         coeffs += [0] * (qprec + 1 - len(coeffs))
-        ring = [c for c in coeffs if not isinstance(c, int)]
-        for c in ring:
-            _same_ring(ctx, getattr(c, "ctx", ctx))
-        self.ctx, self.qprec, self.res, self.prec, self.elems = \
-            ctx, qprec, None, None, None
-        if all(isinstance(c, PadicInt) for c in ring):
-            self.res = [c % ctx.modulus if isinstance(c, int) else c.residue
-                        for c in coeffs]
-            self.prec = [ctx.N if isinstance(c, int) else c.prec for c in coeffs]
-        else:
-            self.elems = [PadicInt(ctx, c) if isinstance(c, int) else c
-                          for c in coeffs]
+        for c in coeffs:
+            if not isinstance(c, int):
+                _same_ring(ctx, getattr(c, "ctx", ctx))
+        self.ctx, self.qprec, self.level, self.parts = ctx, qprec, 0, None
+        self.res = self.prec = None
+        if any(isinstance(c, DualNumber) for c in coeffs):  # c is c + eps 0
+            self.level, self.parts = None, (
+                QExpansion(ctx, [getattr(c, "a", c) for c in coeffs], qprec),
+                QExpansion(ctx, [getattr(c, "b", 0) for c in coeffs], qprec))
+            return
+        level = max((c.level for c in coeffs if isinstance(c, CyclotomicElem)),
+                    default=0)
+        if level:  # every coefficient lifted to the highest level
+            one = CyclotomicElem.one(ctx, level)
+            els = [c.lift_to(level) if isinstance(c, CyclotomicElem) else one * c
+                   for c in coeffs]
+            self.level, self.parts = level, tuple(QExpansion.from_flat(
+                ctx, list(r), list(e)) for r, e in zip(zip(*(x.res for x in els)),
+                                                       zip(*(x.prec for x in els))))
+            return
+        coeffs = [c.constant_part() if isinstance(c, CyclotomicElem) else c
+                  for c in coeffs]
+        self.res = [c % ctx.modulus if isinstance(c, int) else c.residue
+                    for c in coeffs]
+        self.prec = [ctx.N if isinstance(c, int) else c.prec for c in coeffs]
 
     @classmethod
     def from_flat(cls, ctx: PadicContext, res: list, prec: list) -> "QExpansion":
         """a_n = res[n] + O(p^prec[n]), unchecked and kept (see the module)."""
         g = object.__new__(cls)
-        g.ctx, g.qprec, g.res, g.prec, g.elems = ctx, len(res) - 1, res, prec, None
+        g.ctx, g.qprec, g.level, g.res, g.prec, g.parts = \
+            ctx, len(res) - 1, 0, res, prec, None
+        return g
+
+    @classmethod
+    def from_parts(cls, ctx: PadicContext, level, parts) -> "QExpansion":
+        """The level-L series with coordinate series ``parts`` (L >= 1), the
+        dual series a + eps b for level None, or parts[0] itself at level 0;
+        unchecked and kept."""
+        if level == 0:
+            return parts[0]
+        g = object.__new__(cls)
+        g.ctx, g.qprec, g.level, g.res, g.prec, g.parts = \
+            ctx, parts[0].qprec, level, None, None, tuple(parts)
         return g
 
     @classmethod
@@ -71,24 +105,35 @@ class QExpansion:
 
     @property
     def coeffs(self) -> list:
-        return list(self.elems) if self.elems is not None else \
-            [PadicInt(self.ctx, r, e) for r, e in zip(self.res, self.prec)]
+        ctx, parts = self.ctx, self.parts
+        if parts is None:
+            return [PadicInt(ctx, r, e) for r, e in zip(self.res, self.prec)]
+        if self.level is None:
+            return list(map(DualNumber, *(c.coeffs for c in parts)))
+        shared = {}  # coefficients with equal precisions share one list
+        return [CyclotomicElem.from_flat(
+            ctx, self.level, list(r), shared.get(e) or shared.setdefault(e, list(e)))
+            for r, e in zip(zip(*(c.res for c in parts)),
+                            zip(*(c.prec for c in parts)))]
 
     def coefficient(self, n: int):
         if n > self.qprec:
             raise IndexError(f"coefficient {n} beyond q-precision {self.qprec}")
-        return self.elems[n] if self.elems is not None \
-            else PadicInt(self.ctx, self.res[n], self.prec[n])
+        if self.parts is None:
+            return PadicInt(self.ctx, self.res[n], self.prec[n])
+        xs = [c.coefficient(n) for c in self.parts]
+        return DualNumber(*xs) if self.level is None \
+            else CyclotomicElem(self.ctx, self.level, xs)
 
     def _combine(self, other, sign: int):
         if not isinstance(other, QExpansion):
             return NotImplemented
         ctx = self.ctx
         _same_ring(ctx, other.ctx)
-        if self.elems is not None or other.elems is not None:
-            return QExpansion(ctx, [x + y if sign > 0 else x - y for x, y
-                                    in zip(self.coeffs, other.coeffs)],
-                              min(self.qprec, other.qprec))
+        if self.parts or other.parts:
+            level, xs, ys = _common(self, other)
+            return QExpansion.from_parts(ctx, level, [x._combine(y, sign)
+                                                      for x, y in zip(xs, ys)])
         pows = ctx.pows
         prec = [e if e < f else f for e, f in zip(self.prec, other.prec)]
         return QExpansion.from_flat(ctx, [(x + sign * y) % pows[e] for x, y, e
@@ -105,15 +150,23 @@ class QExpansion:
         return QExpansion.zero(self.ctx, self.qprec) - self
 
     def times_scalars(self, res, prec) -> "QExpansion":
-        """Coefficient n times the scalar res[n] + O(p^prec[n]), n <= qprec."""
+        """Coefficient n times the scalar res[n] + O(p^prec[n]), n <= qprec.
+
+        A ring coefficient times a scalar knows as many digits as its least
+        known coordinate, as in ``CyclotomicElem * PadicInt``; the eps part
+        of a dual coefficient is also capped by its a part.
+        """
         ctx = self.ctx
-        if self.elems is not None:
-            return QExpansion(ctx, [PadicInt(ctx, r, e) * c for r, e, c
-                                    in zip(res, prec, self.elems)], self.qprec)
+        if self.level is None:
+            a, b = self.parts
+            capped = [e if e < f else f for e, f in zip(prec, _least_prec(a))]
+            return QExpansion.from_parts(ctx, None, (a.times_scalars(res, prec),
+                                                     b.times_scalars(res, capped)))
         pows = ctx.pows
-        prec = [e if e < f else f for e, f in zip(prec, self.prec)]
-        return QExpansion.from_flat(ctx, [x * y % pows[e] for x, y, e
-                                          in zip(res, self.res, prec)], prec)
+        prec = [e if e < f else f for e, f in zip(prec, _least_prec(self))]
+        return QExpansion.from_parts(ctx, self.level, [QExpansion.from_flat(
+            ctx, [x * y % pows[e] for x, y, e in zip(res, c.res, prec)], prec)
+            for c in self.parts or (self,)])
 
     def scale(self, c) -> "QExpansion":
         """Multiply every coefficient by the scalar c."""
@@ -136,7 +189,7 @@ class QExpansion:
             return self.scale(other)
         ctx = self.ctx
         _same_ring(ctx, other.ctx)
-        if self.elems is not None or other.elems is not None:
+        if self.parts or other.parts:
             raise TypeError("products need scalar coefficients")
         n, N = min(self.qprec, other.qprec) + 1, ctx.N
         pa, pb = self.prec[:n], other.prec[:n]
@@ -161,15 +214,49 @@ class QExpansion:
         """Equal at the smaller precision of each pair of coefficients."""
         if not isinstance(other, QExpansion):
             return NotImplemented
-        diff = self - other
-        return all(c == 0 for c in diff.elems) if diff.res is None \
-            else not any(diff.res)
+        return not any(any(c.res) for c in _flat(self - other))
 
     __hash__ = None
 
     def __repr__(self):
         head = ", ".join(repr(self.coefficient(n)) for n in range(self.qprec + 1)[:4])
         return f"QExpansion([{head}, ...], qprec={self.qprec})"
+
+
+def _flat(g: QExpansion) -> list:
+    """The scalar series g is made of: g itself, or its coordinates'."""
+    return [g] if g.parts is None else [x for c in g.parts for x in _flat(c)]
+
+
+def _least_prec(g: QExpansion) -> list:
+    """Per coefficient, the least precision over every coordinate of g."""
+    precs = [c.prec for c in _flat(g)]
+    return precs[0] if all(e is precs[0] for e in precs) \
+        else list(map(min, *precs))
+
+
+def _coords(g: QExpansion, level: int) -> list:
+    """The phi(p^level) coordinate series of g at ``level`` >= g.level, each
+    coefficient lifted with ``CyclotomicElem.lift_to``: every coordinate of
+    a lifted coefficient knows its least known digits."""
+    parts = g.parts or (g,)
+    if g.level == level:
+        return parts
+    ctx, pows, top = g.ctx, g.ctx.pows, _least_prec(g)
+    out = [QExpansion.from_flat(ctx, [0] * len(top), top)] * phi_pm(ctx.p, level)
+    out[::ctx.p ** (level - g.level)] = [QExpansion.from_flat(
+        ctx, [r % pows[e] for r, e in zip(c.res, top)], top) for c in parts]
+    return out
+
+
+def _common(g: QExpansion, h: QExpansion) -> tuple:
+    """The ring holding both g and h, and the coordinates of each there; a
+    series s that is not dual is s + eps 0 among dual ones."""
+    if g.level is not None and h.level is not None:
+        level = max(g.level, h.level)
+        return level, _coords(g, level), _coords(h, level)
+    return None, *[x.parts if x.level is None else
+                   (x, QExpansion.zero(x.ctx, x.qprec)) for x in (g, h)]
 
 
 def _convolve(xs: list[int], ys: list[int], bits: int) -> list[int]:
@@ -199,18 +286,16 @@ def theta(g: QExpansion) -> QExpansion:
 def u_p(g: QExpansion) -> QExpansion:
     """Coefficient n of the result is a_{pn}; q-precision drops to floor(M/p)."""
     p = g.ctx.p
-    if g.elems is not None:
-        return QExpansion(g.ctx, g.elems[::p], g.qprec // p)
+    if g.parts:
+        return QExpansion.from_parts(g.ctx, g.level, [u_p(c) for c in g.parts])
     return QExpansion.from_flat(g.ctx, g.res[::p], g.prec[::p])
 
 
 def v_p(g: QExpansion) -> QExpansion:
     """Coefficient pn of the result is a_n, all other coefficients 0."""
     p, n, k = g.ctx.p, g.qprec + 1, g.qprec // g.ctx.p + 1
-    if g.elems is not None:
-        out = [PadicInt(g.ctx, 0)] * n
-        out[::p] = g.elems[:k]
-        return QExpansion(g.ctx, out, g.qprec)
+    if g.parts:
+        return QExpansion.from_parts(g.ctx, g.level, [v_p(c) for c in g.parts])
     res, prec = [0] * n, [g.ctx.N] * n
     res[::p], prec[::p] = g.res[:k], g.prec[:k]
     return QExpansion.from_flat(g.ctx, res, prec)
@@ -364,7 +449,7 @@ def _lvalue_weight(k: int, F: int, c: int) -> Fraction:
 
 def series_to_json(g: QExpansion) -> dict:
     """Stable JSON form; every residue string is paired with its precision."""
-    if g.elems is not None:
+    if g.parts:
         raise TypeError("only scalar series serialize to JSON")
     return {
         "schema": 1,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padicq import (CyclotomicElem, NotRootOfUnity, PadicInt, Polynomial,
+from padicq import (CyclotomicElem, DualNumber, NotRootOfUnity, PadicInt, Polynomial,
                     QExpansion, Scaled, act, act_character, amice_transform,
                     constant_fn, derivative_check, indicator, monomial,
                     multiply, psi, theta, u_p, v_p)
@@ -178,6 +178,38 @@ def _cyclo_shape(c):
     return ("cyclo", c.level, [(x.residue, x.prec) for x in c.coeffs])
 
 
+# ref_act_character is act_character as it stood when a ring-valued series
+# kept one element per coefficient, each at its own level; a series now
+# keeps one flat series per coordinate at a single level, so the two are
+# compared after lifting every element to that level.
+
+def ref_act_character(zeta, coeffs):
+    if isinstance(zeta, DualNumber):
+        return [zeta ** n * c for n, c in enumerate(coeffs)]
+    pm = zeta.ctx.p ** zeta.level
+    powers = [CyclotomicElem.one(zeta.ctx, 0)]
+    for _ in range(min(pm, len(coeffs)) - 1):
+        powers.append(powers[-1] * zeta)
+    return [powers[n % pm] * c for n, c in enumerate(coeffs)]
+
+
+def _shape(g):
+    """(level, coordinate residues, coordinate precisions) of a series."""
+    parts = g.parts or (g,)
+    return g.level, [c.res for c in parts], [c.prec for c in parts]
+
+
+def _lifted_shape(elems, level=None):
+    """The same triple for a list of ring elements lifted to ``level``,
+    by default the highest level among them."""
+    if level is None:
+        level = max(getattr(c, "level", 0) for c in elems)
+    els = [(c if isinstance(c, CyclotomicElem) else CyclotomicElem.from_scalar(c))
+           .lift_to(level) for c in elems]
+    return (level, [[x.res[i] for x in els] for i in range(len(els[0].res))],
+            [[x.prec[i] for x in els] for i in range(len(els[0].res))])
+
+
 def _draw_coeffs(data, ctx, n):
     from hypothesis import strategies as st
 
@@ -227,22 +259,17 @@ def test_act_and_twists_match_padicint_lists():
         zeta = CyclotomicElem.zeta_power(ctx, level, data.draw(st.integers(0, 50)))
         if level and data.draw(st.booleans()):
             zeta = zeta * (1 + ctx.pows[ctx.N - 1] * CyclotomicElem.zeta(ctx, level))
-        pm = ctx.p ** zeta.level
-        powers = [CyclotomicElem.one(ctx, 0)]
-        for _ in range(pm - 1):
-            powers.append(powers[-1] * zeta)
         try:
             twisted = act_character(zeta, g)
         except NotRootOfUnity:
             assert not zeta.is_root_of_unity()
             return
-        want = [powers[n % pm] * c for n, c in enumerate(coeffs)]
-        assert [_cyclo_shape(c) for c in twisted.coeffs] == \
-            [_cyclo_shape(c) for c in want]
-        # a ring-valued series twists element by element
+        want = ref_act_character(zeta, coeffs)
+        assert _shape(twisted) == _lifted_shape(want, zeta.level)
+        # a ring-valued series twists like its elements
         again = act_character(zeta, twisted)
-        assert [_cyclo_shape(c) for c in again.coeffs] == \
-            [_cyclo_shape(powers[n % pm] * c) for n, c in enumerate(want)]
+        assert _shape(again) == \
+            _lifted_shape(ref_act_character(zeta, want), zeta.level)
 
     inner()
 
@@ -336,3 +363,158 @@ def test_eisenstein_measure_claims_only_known_digits():
                            for u, v, e in zip(x.res, y.res, x.prec))
 
     inner()
+
+
+def _draw_zeta(data, ctx, level):
+    """A p^level-th root of unity: a power of zeta, that power times
+    1 + p^(N-1) zeta (not a signed monomial), or one known to N - 1 digits."""
+    from hypothesis import strategies as st
+
+    zeta = CyclotomicElem.zeta_power(ctx, level, data.draw(st.integers(0, 200)))
+    kind = data.draw(st.integers(0, 2)) if level else 0
+    if kind == 1:
+        zeta = zeta * (1 + ctx.pows[ctx.N - 1] * CyclotomicElem.zeta(ctx, level))
+    elif kind == 2:
+        zeta = CyclotomicElem(ctx, level, [PadicInt(ctx, r, ctx.N - 1)
+                                           for r in zeta.res])
+    return zeta
+
+
+def test_ring_series_match_element_lists():
+    # twists of twisted series at every pair of levels (a level-1 twist of
+    # a level-2 series among them), U_p, V_p, sums, differences and equality
+    # on ring series, each against the element-list arithmetic after lifting
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from padicq import PadicContext
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def inner(data):
+        ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
+                           data.draw(st.integers(2, 6)), data.draw(st.integers(1, 40)))
+        qp = data.draw(st.integers(0, ctx.M))
+        coeffs = _draw_coeffs(data, ctx, qp + 1)
+        g = QExpansion(ctx, coeffs, qp)
+        z1, z2 = (_draw_zeta(data, ctx, data.draw(st.integers(0, 2))) for _ in "12")
+        t1, t2 = act_character(z1, g), act_character(z2, g)
+        r1, r2 = ref_act_character(z1, coeffs), ref_act_character(z2, coeffs)
+        top = max(z1.level, z2.level)
+        assert _shape(act_character(z2, t1)) == \
+            _lifted_shape(ref_act_character(z2, r1), top)
+        p, zero = ctx.p, PadicInt(ctx, 0)
+        assert _shape(u_p(t1)) == _lifted_shape(r1[::p], z1.level)
+        vp = [zero] * (qp + 1)
+        vp[::p] = r1[: qp // p + 1]
+        assert _shape(v_p(t1)) == _lifted_shape(vp, z1.level)
+        for x, y, rx, ry in ((t1, t2, r1, r2), (t1, g, r1, coeffs),
+                             (g, t2, coeffs, r2)):
+            level = max(x.level, y.level)
+            assert _shape(x + y) == \
+                _lifted_shape([a + b for a, b in zip(rx, ry)], level)
+            assert _shape(x - y) == \
+                _lifted_shape([a - b for a, b in zip(rx, ry)], level)
+            assert (x == y) == all(a == b for a, b in zip(rx, ry))
+        assert _shape(-t1) == _lifted_shape([-a for a in r1], z1.level)
+        assert t1 == t1 + g.scale(ctx.modulus)
+        # the action of the character n -> z2^n on scalar and ring series
+        chi = [Character(z2).evaluate(PadicInt(ctx, i)) for i in range(qp + 1)]
+        assert _shape(act(Character(z2), g)) == \
+            _lifted_shape([v * c for v, c in zip(chi, coeffs)])
+        assert _shape(act(Character(z2), t1)) == _lifted_shape(
+            [v * c for v, c in zip(chi, r1)], max(z1.level, *(v.level for v in chi)))
+
+    inner()
+
+
+def test_derivative_check_is_series_and_theta():
+    # the two flat series of the dual twist are g and theta(g), residue and
+    # precision, with coefficients known to fewer than N digits among them;
+    # the element-list dual twist agrees
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from padicq import PadicContext
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def inner(data):
+        ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
+                           data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40)))
+        qp = data.draw(st.integers(0, ctx.M))
+        coeffs = _draw_coeffs(data, ctx, qp + 1)
+        g = QExpansion(ctx, coeffs, qp)
+        a, b = derivative_check(g).parts
+        tg = theta(g)
+        assert (a.res, a.prec) == (g.res, g.prec)
+        assert (b.res, b.prec) == (tg.res, tg.prec)
+        one = PadicInt.one(ctx)
+        want = ref_act_character(DualNumber(one, one), coeffs)
+        assert [(x.residue, x.prec) for x in a.coeffs] == \
+            [(d.a.residue, d.a.prec) for d in want]
+        assert [(x.residue, x.prec) for x in b.coeffs] == \
+            [(d.b.residue, d.b.prec) for d in want]
+
+    inner()
+
+
+def test_verify_action_flags_a_corrupted_theta(ctx5, monkeypatch):
+    # negative control: a theta with one wrong coefficient must fail the
+    # derivative check of the action suite
+    import padicq.verify as verify
+
+    assert verify.suite_action(ctx5).passed
+    true_theta = verify.theta
+
+    def corrupted(g):
+        t = true_theta(g)
+        res = list(t.res)
+        res[3] = (res[3] + 1) % ctx5.pows[t.prec[3]]
+        return QExpansion.from_flat(ctx5, res, t.prec)
+
+    monkeypatch.setattr(verify, "theta", corrupted)
+    got = verify.suite_action(ctx5)
+    assert not got.passed
+    assert any("derivative" in msg for msg in got.failures)
+
+
+def _oracles():
+    """bench/oracles.py, loaded from its path: exact integer references that
+    never import padicq."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("padicq_bench_oracles", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("p,levels", [(3, range(4)), (5, range(4)), (7, range(3))])
+def test_act_character_against_exact_oracle(p, levels):
+    # zeta_{p^m}^e twists a_n to zeta^(e n) a_n: every coordinate agrees
+    # with the exact oracle to the precision of a_n, and claims no less
+    from padicq import PadicContext
+
+    oracles = _oracles()
+    rng = random.Random(p)
+    ctx = PadicContext(p, 6, 40)
+    exact = oracles.Exact(p, ctx.N)
+    for m in levels:
+        for e in (1, p - 1, rng.randrange(p ** m + 1)):
+            coeffs = [PadicInt(ctx, rng.randrange(ctx.modulus),
+                               rng.choice((ctx.N, ctx.N, 3, 1, 0)))
+                      for _ in range(ctx.M + 1)]
+            g = act_character(CyclotomicElem.zeta_power(ctx, m, e),
+                              QExpansion(ctx, coeffs))
+            parts, ns = g.parts or (g,), range(ctx.M + 1)
+            got = {"kind": "cyclo_series" if m else "series", "M": ctx.M,
+                   "coeffs": [[str(c.res[n]) for c in parts] for n in ns],
+                   "prec": [[c.prec[n] for c in parts] for n in ns]}
+            rows = [exact.zeta_power(m, e * n) if m else [1] for n in ns]
+            want = {"kind": got["kind"], "M": ctx.M,
+                    "coeffs": [[str(x * a.residue % ctx.modulus) for x in row]
+                               for row, a in zip(rows, coeffs)],
+                    "prec": [[a.prec] * len(row) for row, a in zip(rows, coeffs)]}
+            assert g.level == m and len(parts) == len(rows[0])
+            assert oracles.agree(want, got, p), (m, e)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
@@ -289,3 +289,66 @@ def test_claimed_digits_do_not_depend_on_unknown_ones(p, N, x, y, px, py, seed):
         assert agree(a ** -2, a2 ** -2)
     if a.prec >= 1 and a.residue % p == 0:
         assert agree(a.divide_by_p(), a2.divide_by_p())
+
+
+def test_bernoulli_table_does_not_depend_on_request_order(monkeypatch):
+    # the table kept between calls (Bernoulli numbers and the last column
+    # of the tangent-number triangle) is the same whether it grew one k at
+    # a time, from the top down or in one call, and equal to the closed
+    # form built from scratch
+    import padicq.padic as padic
+
+    K, n = 600, 300
+    T = [0] + [factorial(j - 1) for j in range(1, n + 1)]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            T[j] = (j - i) * T[j - 1] + (j - i + 2) * T[j]
+    want = [Fraction(1), Fraction(-1, 2)] + [
+        Fraction(0) if m % 2 else
+        Fraction((-1) ** (m // 2 - 1) * m * T[m // 2], 4 ** m - 2 ** m)
+        for m in range(2, K + 1)]
+    states = []
+    for ks in (range(K + 1), range(K, -1, -1), [K], [7, 40, 39, 41, 300, K]):
+        monkeypatch.setattr(padic, "_bernoulli_state",
+                            ([Fraction(1), Fraction(-1, 2)], [0]))
+        for k in ks:
+            assert padic.bernoulli(k) == want[k], k
+        states.append(padic._bernoulli_state)
+    assert all(state == (want, states[0][1]) for state in states)
+    assert len(states[0][1]) == n + 1
+
+
+def test_bernoulli_state_stays_consistent_under_threads(monkeypatch):
+    # threads extending the table at once, with frequent switches, may
+    # each build their own extension; whichever state is kept pairs a
+    # table with its own column, so later requests still get exact values
+    import sys
+    import threading
+
+    import padicq.padic as padic
+
+    want = {k: bernoulli(k) for k in range(0, 161)}
+    monkeypatch.setattr(padic, "_bernoulli_state",
+                        ([Fraction(1), Fraction(-1, 2)], [0]))
+    errors = []
+
+    def worker(ks):
+        for k in ks:
+            if padic.bernoulli(k) != want[k]:
+                errors.append(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(range(s, 161, 3),))
+                   for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors
+    table, col = padic._bernoulli_state
+    assert len(col) - 1 == (len(table) - 1) // 2
+    assert all(padic.bernoulli(k) == want[k] for k in range(161))
