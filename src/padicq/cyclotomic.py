@@ -209,6 +209,9 @@ class CyclotomicElem:
                      self.prec)
 
     def __mul__(self, other):
+        """Ring product, known to the least precision of both factors; only
+        nonzero coordinates are paired, so zeta^k (one or p - 1 of them),
+        zeta - 1 and character values cost a few rows, not phi(p^m)^2."""
         ctx = self.ctx
         if isinstance(other, (int, PadicInt)):
             # a scalar scales each coefficient; the precision is that of
@@ -222,12 +225,12 @@ class CyclotomicElem:
         if a is None:
             return NotImplemented
         prec = min(a.min_prec(), b.min_prec())
-        ra, rb = a.res, b.res
-        n = len(ra)
+        n = len(a.res)
         raw = [0] * (2 * n - 1)
-        for i, x in enumerate(ra):
+        nzb = [(j, y) for j, y in enumerate(b.res) if y]
+        for i, x in enumerate(a.res):
             if x:
-                for j, y in enumerate(rb):
+                for j, y in nzb:
                     raw[i + j] += x * y
         res = _reduce_raw(raw, ctx.p, a.level, ctx.pows[prec])
         return _make(ctx, a.level, res, [prec] * n)

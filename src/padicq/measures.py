@@ -408,7 +408,7 @@ class EisensteinMeasure(Measure):
         # any table of a character is built; kl shares f's other tables
         lc = None if isinstance(f, (Binomial, Character)) else poly_lc_terms(f)
         const = self.kl.value(f, lc)
-        zero, ds = PadicInt(ctx, 0), list(range(ctx.M + 1))
+        zero, ds = PadicInt(ctx, 0), range(ctx.M + 1)
         try:
             m, terms = lc or poly_lc_terms(f)
         except UnsupportedShape:  # binomials: two scalar rows

@@ -154,7 +154,8 @@ class QExpansion:
 
         A ring coefficient times a scalar knows as many digits as its least
         known coordinate, as in ``CyclotomicElem * PadicInt``; the eps part
-        of a dual coefficient is also capped by its a part.
+        of a dual coefficient is also capped by its a part.  When every
+        operand digit is known the products are reduced mod p^N directly.
         """
         ctx = self.ctx
         if self.level is None:
@@ -162,10 +163,14 @@ class QExpansion:
             capped = [e if e < f else f for e, f in zip(prec, _least_prec(a))]
             return QExpansion.from_parts(ctx, None, (a.times_scalars(res, prec),
                                                      b.times_scalars(res, capped)))
-        pows = ctx.pows
-        prec = [e if e < f else f for e, f in zip(prec, _least_prec(self))]
+        least = _least_prec(self)
+        if min(prec) == ctx.N == min(least):
+            mods = repeat(ctx.modulus)
+        else:
+            least = [e if e < f else f for e, f in zip(prec, least)]
+            mods = [ctx.pows[e] for e in least]
         return QExpansion.from_parts(ctx, self.level, [QExpansion.from_flat(
-            ctx, [x * y % pows[e] for x, y, e in zip(res, c.res, prec)], prec)
+            ctx, [x * y % m for x, y, m in zip(res, c.res, mods)], least)
             for c in self.parts or (self,)])
 
     def scale(self, c) -> "QExpansion":
@@ -309,16 +314,20 @@ def divisor_sum(w, e: int, zero=0):
     The weights are ints, ring elements or flat scalars (res, prec); every
     out[n] starts at ``zero``, and a zero weight known to fewer digits still
     caps its sums.  Flat weights over a PadicInt zero are summed mod p^N and
-    come back flat, out[n] known to the least prec of zero and the w[d], d | n.
+    come back flat, out[n] known to the least prec of zero and the w[d], d | n;
+    when no w[d] (d >= 1) is known to fewer digits than zero, every out[n]
+    is reduced to zero's precision at once, and a weight 0 skips its d^e.
     """
     if isinstance(w, tuple):
         (res, wprec), mod, pows = w, zero.ctx.modulus, zero.ctx.pows
-        sums = divisor_sum([r * pow(d, e, mod) % mod for d, r in enumerate(res)]
-                           if e else res, 0)
-        prec = [zero.prec] * len(res)
+        sums = divisor_sum([r * pow(d, e, mod) % mod if r else 0
+                            for d, r in enumerate(res)] if e else res, 0)
+        top, prec = zero.prec, [zero.prec] * len(res)
+        if min(wprec[1:], default=top) >= top:
+            return [(zero.residue + s) % pows[top] for s in sums], prec
         # only weights below the zero's precision lower any out[n]
         for d, v in enumerate(wprec):
-            if d and v < zero.prec:
+            if d and v < top:
                 prec[d::d] = [min(pr, v) for pr in prec[d::d]]
         return [(zero.residue + s) % pows[pr]
                 for s, pr in zip(sums, prec)], prec
@@ -337,8 +346,24 @@ def divisor_sum(w, e: int, zero=0):
 
 @lru_cache(maxsize=None)
 def sigma_table(e: int, M: int) -> tuple:
-    """sigma_e(n) = sum of e-th powers of divisors, exactly, for n <= M."""
-    return tuple(divisor_sum([0] + [1] * M, e))
+    """sigma_e(n) = sum of e-th powers of divisors, exactly, for n <= M.
+
+    sigma_e is multiplicative: with q the power of the least prime factor
+    p of n, sigma_e(n) = sigma_e(q) sigma_e(n / q), and sigma_e(q) =
+    sigma_e(q / p) + q^e, so each prime power costs one exact power.
+    """
+    # least prime factors: i runs down, so each composite n keeps the least
+    # i with i^2 <= n that divides it, a prime
+    spf = list(range(M + 1))
+    for i in range(isqrt(M), 1, -1):
+        spf[i * i::i] = [i] * ((M - i * i) // i + 1)
+    sig, part = [0, 1] + [0] * (M - 1), [0, 1] + [0] * (M - 1)
+    for n in range(2, M + 1):
+        p = spf[n]
+        m = n // p
+        q = part[n] = part[m] * p if spf[m] == p else p
+        sig[n] = sig[m] + n ** e if q == n else sig[q] * sig[n // q]
+    return tuple(sig[:M + 1])
 
 
 def double_divisor_series(ctx: PadicContext, k: int, r: int) -> QExpansion:

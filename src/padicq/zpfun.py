@@ -17,10 +17,13 @@ never guesses a modulus of continuity.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
+
 from .cyclotomic import CyclotomicElem, cyclo_pow
-from .errors import (ConfigError, NotUnit, PrecisionExhausted, UnsupportedShape,
-                     json_field, json_int_field, json_int_list, json_list,
-                     json_object)
+from .errors import (ConfigError, NotUnit, PadicqError, PrecisionExhausted,
+                     UnsupportedShape, json_field, json_int_field,
+                     json_int_list, json_list, json_object)
 from .padic import PadicContext, PadicInt, binomial_padic
 
 
@@ -281,10 +284,7 @@ def as_table(f: ContinuousFn, level: int) -> list:
 
 
 def _lift_table(table: list, ctx: PadicContext, frm: int, to: int) -> list:
-    if frm == to:
-        return table
-    n_from = ctx.p ** frm
-    return [table[c % n_from] for c in range(ctx.p ** to)]
+    return table if frm == to else _row(table, range(ctx.p ** to))
 
 
 def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
@@ -370,15 +370,17 @@ def values(f: ContinuousFn, xs):
 
     The poly_lc_terms tables are built once and read by ``table_values``;
     residues, precisions and raised exception types equal those of
-    evaluate.  Functions without tables are evaluated point by point.
+    evaluate.  Functions without tables, or whose tables fail to build
+    (evaluate skips a bad root of unity on p Z_p when it is zero-extended),
+    are evaluated point by point.
     """
-    xs = list(xs)
+    xs = xs if isinstance(xs, range) else list(xs)
     if not xs:
         return []
     ctx = f.ctx
     try:
         m, terms = poly_lc_terms(f)
-    except UnsupportedShape:
+    except PadicqError:
         out = [f.evaluate(PadicInt(ctx, x)) for x in xs]
         if all(isinstance(v, PadicInt) for v in out):
             return [v.residue for v in out], [v.prec for v in out]
@@ -386,19 +388,36 @@ def values(f: ContinuousFn, xs):
     return table_values(ctx, m, terms, xs)
 
 
-def table_values(ctx: PadicContext, m: int, terms: dict, xs: list):
+def _row(t: list, xs) -> list:
+    """t[x mod len(t)] for each x in xs; xs = range(n) repeats t."""
+    n, pm = len(xs), len(t)
+    if isinstance(xs, range) and xs.start == 0 and xs.step == 1:
+        return (t * -(-n // pm))[:n]
+    return [t[x % pm] for x in xs]
+
+
+def table_values(ctx: PadicContext, m: int, terms: dict, xs):
     """sum_j x^j T_j[x mod p^m] for each x in xs, T = {j: T_j}: for scalar
     tables two flat int lists (res, prec), res[i] in [0, p^prec[i]) and
-    prec[i] the least prec of the entries read; else a list of ring sums."""
+    prec[i] the least prec of the entries read; else a list of ring sums.
+
+    Scalar rows are read cheaply where the input allows: xs = range(n)
+    repeats one period of p^m entries, tables known to all N digits are
+    reduced mod p^N at once, and a lone constant term T_0 is already reduced.
+    """
     pm, mod, pows = ctx.p ** m, ctx.modulus, ctx.pows
     items = sorted(terms.items())
     if all(isinstance(v, PadicInt) for _, tab in items for v in tab):
         top = [min(tab[c].prec for _, tab in items) for c in range(pm)]
-        sums, prec = [0] * len(xs), [top[x % pm] for x in xs]
+        prec, sums = _row(top, xs), None
         for j, tab in items:
-            r = [v.residue for v in tab]
-            sums = [s + pow(x, j, mod) * r[x % pm] for s, x in zip(sums, xs)]
-        return [s % pows[e] for s, e in zip(sums, prec)], prec
+            r = _row([v.residue for v in tab], xs)
+            r = [pow(x, j, mod) * y for x, y in zip(xs, r)] if j else r
+            sums = r if sums is None else list(map(add, sums, r))
+        if len(items) > 1 or items[0][0]:
+            mods = repeat(mod) if min(top) == ctx.N else map(pows.__getitem__, prec)
+            sums = [s % e for s, e in zip(sums, mods)]
+        return sums, prec
     out = []
     for x in xs:
         c, acc = x % pm, None

@@ -210,7 +210,9 @@ def _lifted_shape(elems, level=None):
             [[x.prec[i] for x in els] for i in range(len(els[0].res))])
 
 
-def _draw_coeffs(data, ctx, n):
+def _draw_coeffs(data, ctx, n, kinds=("mixed",)):
+    """n scalars of a kind drawn from ``kinds``: mixed precisions, all known
+    to N digits ("full"), or all but one, which is a digit short ("short")."""
     from hypothesis import strategies as st
 
     N = ctx.N
@@ -218,8 +220,15 @@ def _draw_coeffs(data, ctx, n):
     coeff = st.one_of(st.just((0, N)), st.tuples(st.just(0), st.integers(0, N - 1)),
                       st.tuples(residue, st.integers(0, N - 1)),
                       st.tuples(residue, st.just(N)))
-    return [PadicInt(ctx, r, e)
-            for r, e in data.draw(st.lists(coeff, min_size=n, max_size=n))]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "mixed":
+        pairs = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    else:
+        pairs = [(r, N) for r in data.draw(st.lists(residue, min_size=n, max_size=n))]
+    if kind == "short":
+        i = data.draw(st.integers(0, n - 1))
+        pairs[i] = (pairs[i][0], N - 1)
+    return [PadicInt(ctx, r, e) for r, e in pairs]
 
 
 def _draw_fn(data, ctx):
@@ -270,6 +279,10 @@ def test_act_and_twists_match_padicint_lists():
         again = act_character(zeta, twisted)
         assert _shape(again) == \
             _lifted_shape(ref_act_character(zeta, want), zeta.level)
+        # coefficients known to N digits, or all but one
+        known = _draw_coeffs(data, ctx, qp + 1, ("full", "short"))
+        assert _shape(act_character(zeta, QExpansion(ctx, known, qp))) == \
+            _lifted_shape(ref_act_character(zeta, known), zeta.level)
 
     inner()
 

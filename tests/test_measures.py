@@ -287,14 +287,19 @@ def _bernoulli_from_tangent_numbers(k):
 def test_high_weight_moments_against_exact_rationals():
     assert all(_bernoulli_from_tangent_numbers(k) == bernoulli(k)
                for k in range(2, 41, 2))
-    # 4 = p - 1 divides 500 and 1000: B_k has 5 in its denominator there
-    ctx = PadicContext(5, 40, 4)
-    for k in (500, 1000, 1002):
-        bk = _bernoulli_from_tangent_numbers(k)
-        for a in (2, 3, 5 ** 40 - 1):
-            got = KLConstantTerm(ctx, PadicInt(ctx, a)).moment(k - 1)
-            want = reduce_rational(Fraction(1 - a ** k) * -bk / k, ctx)
-            assert (got.residue, got.prec) == (want.residue, 40), (k, a)
+    # p - 1 divides k at p = 5 for k = 500, 1000 and at p = 7 for k = 1002:
+    # B_k has p in its denominator there
+    bks = {k: _bernoulli_from_tangent_numbers(k) for k in (500, 1000, 1002)}
+    for p in (5, 7):
+        ctx = PadicContext(p, 40, 4)
+        for k, bk in bks.items():
+            for a in (2, 3, p ** 40 - 1):
+                want = reduce_rational(Fraction(1 - a ** k) * -bk / k, ctx)
+                got = KLConstantTerm(ctx, PadicInt(ctx, a)).moment(k - 1)
+                assert (got.residue, got.prec) == (want.residue, 40), (p, k, a)
+                # the public path, z^(k-1) through kl_constant, agrees
+                got = kl_constant(PadicInt(ctx, a), monomial(ctx, k - 1))
+                assert (got.residue, got.prec) == (want.residue, 40), (p, k, a)
 
 
 def test_kummer_congruence_at_weight_1e5():

@@ -201,6 +201,20 @@ def test_sigma_table_against_brute_force():
         tab = sigma_table(e, 40)
         for n in range(1, 41):
             assert tab[n] == brute_sigma(e, n)
+    # the sieve up to M = 3000, past the prime squares up to 53^2 and the
+    # prime powers 2^11 and 3^7, against d^e added to each multiple of d
+    for e in (0, 1, 2, 13, 25):
+        powers = [d ** e for d in range(3001)]
+        want = [0] * 3001
+        for d in range(1, 3001):
+            for n in range(d, 3001, d):
+                want[n] += powers[d]
+        for M in (0, 1, 2, 3000):
+            assert sigma_table(e, M) == tuple(want[:M + 1]), (e, M)
+    # an lru_cache: bench/tracer.py reads its hit ratio
+    hits = sigma_table.cache_info().hits
+    assert sigma_table(25, 3000) is sigma_table(25, 3000)
+    assert sigma_table.cache_info().hits == hits + 2
 
 
 def test_divisor_sum_scalar_types(ctx5):
@@ -399,7 +413,8 @@ class RefSeries:
 
 
 def _pairs(g):
-    return g.qprec, [(c.residue, c.prec) for c in g.coeffs]
+    # the stored lists themselves: each residue must be reduced to its prec
+    return g.qprec, list(zip(g.res, g.prec))
 
 
 def _outcome(thunk):
@@ -412,9 +427,16 @@ def _outcome(thunk):
     return ("ok", out)
 
 
-def _draw_series(data, ctx):
-    """A series with exact zeros, low-precision zeros, low-precision values
-    and full values, at a drawn q-precision."""
+# operands known to all N digits, or to all but one digit in one place:
+# the scalar kernels' fast path and the general branch next to it
+KNOWN = ("full", "short")
+
+
+def _draw_series(data, ctx, kinds=("mixed",)):
+    """A series at a drawn q-precision, of a kind drawn from ``kinds``:
+    exact zeros, low-precision zeros, low-precision values and full values
+    ("mixed"); every coefficient known to all N digits ("full"); or all of
+    them but one, which is a digit short ("short")."""
     from hypothesis import strategies as st
 
     N = ctx.N
@@ -423,7 +445,15 @@ def _draw_series(data, ctx):
                       st.tuples(residue, st.integers(0, N - 1)),
                       st.tuples(residue, st.just(N)))
     qp = data.draw(st.integers(0, ctx.M))
-    pairs = data.draw(st.lists(coeff, min_size=qp + 1, max_size=qp + 1))
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "mixed":
+        pairs = data.draw(st.lists(coeff, min_size=qp + 1, max_size=qp + 1))
+    else:
+        pairs = [(r, N) for r in data.draw(st.lists(residue, min_size=qp + 1,
+                                                    max_size=qp + 1))]
+    if kind == "short":
+        i = data.draw(st.integers(0, qp))
+        pairs[i] = (pairs[i][0], N - 1)
     coeffs = [PadicInt(ctx, r, e) for r, e in pairs]
     return QExpansion(ctx, coeffs, qp), RefSeries(ctx, coeffs, qp)
 
@@ -443,9 +473,13 @@ def test_flat_series_match_padicint_lists():
     @given(st.data())
     def inner(data):
         ctx = _ctx(data)
-        (f, rf), (g, rg) = _draw_series(data, ctx), _draw_series(data, ctx)
+        for kinds in (("mixed",), KNOWN):
+            check(ctx, data, kinds)
+
+    def check(ctx, data, kinds):
+        (f, rf), (g, rg) = _draw_series(data, ctx, kinds), _draw_series(data, ctx, kinds)
         c = PadicInt(ctx, data.draw(st.integers(0, ctx.modulus)),
-                     data.draw(st.integers(0, ctx.N)))
+                     data.draw(st.just(ctx.N) | st.integers(0, ctx.N)))
         k = data.draw(st.integers(-ctx.modulus, ctx.modulus))
         checks = [
             (lambda: f + g, lambda: rf.zip(rg, lambda a, b: a + b)),
@@ -488,9 +522,15 @@ def test_flat_divisor_sums_match_padicint_lists():
     @given(st.data())
     def inner(data):
         ctx = _ctx(data)
-        g, rg = _draw_series(data, ctx)
+        for kinds in (("mixed",), KNOWN):
+            check(ctx, data, kinds)
+
+    def check(ctx, data, kinds):
+        g, rg = _draw_series(data, ctx, kinds)
         e = data.draw(st.integers(0, 6))
-        zero = PadicInt(ctx, 0, data.draw(st.integers(0, ctx.N)))
+        # over known weights a zero known to N digits takes the fast path
+        # unless some w[d], d >= 1, is short
+        zero = PadicInt(ctx, 0, data.draw(st.just(ctx.N) | st.integers(0, ctx.N)))
         res, prec = divisor_sum((g.res, g.prec), e, zero)
         want = _ref_divisor_sum(rg.coeffs, e, zero)
         assert list(zip(res, prec)) == [(c.residue, c.prec) for c in want]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicq import (Binomial, Character, CyclotomicElem, LocallyConstant,
-                    MahlerSeries, NotUnit, PadicContext, PadicInt,
+                    MahlerSeries, NotRootOfUnity, NotUnit, PadicContext, PadicInt,
                     PadicqError, Polynomial, PrecisionExhausted, Product,
                     QExpansion, Scaled, TwoVarFn, UnsupportedShape,
                     ZeroExtendedUnits, act, eisenstein_eval, evaluate,
@@ -245,6 +245,16 @@ def _scalars(draw, ctx):
 
 
 @st.composite
+def _known_scalars(draw, ctx, n):
+    """n scalars known to all N digits, or all of them but one, which is a
+    digit short: the fast path of the table reads and the general branch."""
+    res = draw(st.lists(st.sampled_from([0, 1]) | st.integers(0, ctx.modulus - 1),
+                        min_size=n, max_size=n))
+    short = draw(st.sampled_from([None, *range(n)]))
+    return [PadicInt(ctx, r, ctx.N - (i == short)) for i, r in enumerate(res)]
+
+
+@st.composite
 def _table_entries(draw, ctx):
     if draw(st.integers(0, 4)) == 0:
         # a cyclotomic entry, its coefficients known to differing precisions
@@ -256,20 +266,25 @@ def _table_entries(draw, ctx):
 
 
 @st.composite
-def _functions(draw, ctx, depth=2):
+def _functions(draw, ctx, depth=2, known=False):
+    """A drawn function; ``known`` draws polynomial coefficients and table
+    entries with _known_scalars."""
     p = ctx.p
     kinds = ["polynomial", "table", "character", "binomial", "mahler"]
     if depth:
         kinds += ["product", "scaled", "zero_extended"]
     kind = draw(st.sampled_from(kinds))
     if kind == "polynomial":
+        if known:
+            return Polynomial(ctx, draw(_known_scalars(ctx, draw(st.integers(1, 4)))))
         return Polynomial(ctx, draw(st.lists(_scalars(ctx), min_size=1,
                                              max_size=4)))
     if kind == "table":
         level = draw(st.integers(0, 3 if p < 7 else 2))
         n = p ** level
-        return LocallyConstant(ctx, level, draw(st.lists(
-            _table_entries(ctx), min_size=n, max_size=n)))
+        return LocallyConstant(ctx, level, draw(
+            _known_scalars(ctx, n) if known else
+            st.lists(_table_entries(ctx), min_size=n, max_size=n)))
     if kind == "character":
         level = draw(st.integers(1, 2 if p < 7 else 1))
         power = draw(st.integers(0, p ** level - 1))
@@ -285,9 +300,9 @@ def _functions(draw, ctx, depth=2):
     if kind == "mahler":
         return MahlerSeries(ctx, draw(st.lists(_scalars(ctx), max_size=3)),
                             draw(st.integers(0, ctx.N)))
-    inner = draw(_functions(ctx, depth - 1))
+    inner = draw(_functions(ctx, depth - 1, known))
     if kind == "product":
-        return Product(inner, draw(_functions(ctx, depth - 1)))
+        return Product(inner, draw(_functions(ctx, depth - 1, known)))
     if kind == "scaled":
         return Scaled(inner, draw(_scalars(ctx)))
     return ZeroExtendedUnits(inner)
@@ -306,8 +321,8 @@ def _outcome(thunk):
         out = thunk()
     except PadicqError as exc:
         return ("raises", type(exc))
-    if isinstance(out, QExpansion):
-        out = out.coeffs
+    if isinstance(out, QExpansion):  # a scalar series as its stored lists
+        out = out.coeffs if out.parts else (out.res, out.prec)
     if isinstance(out, tuple):
         return ("ok", [("scalar", r, e) for r, e in zip(*out)])
     return ("ok", [_shape(v) for v in out])
@@ -332,24 +347,30 @@ def _old_act(f, g):
 @given(st.data())
 def test_values_match_evaluate(data):
     ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
-    f = data.draw(_functions(ctx))
-    xs = data.draw(st.lists(st.integers(0, 2 * ctx.modulus), min_size=1,
-                            max_size=12))
-    want = _outcome(lambda: [f.evaluate(PadicInt(ctx, x)) for x in xs])
-    assert _outcome(lambda: values(f, xs)) == want
+    for known in (False, True):
+        f = data.draw(_functions(ctx, known=known))
+        # a range from 0 is read as repeated periods of the tables, other
+        # xs entry by entry
+        xs = data.draw(st.lists(st.integers(0, 2 * ctx.modulus), min_size=1,
+                                max_size=12) | st.builds(range, st.sampled_from(
+                                    [0, 0, 1, ctx.p]), st.integers(1, 60)))
+        want = _outcome(lambda: [f.evaluate(PadicInt(ctx, x)) for x in xs])
+        assert _outcome(lambda: values(f, xs)) == want
 
 
 @settings(max_examples=60)
 @given(st.data())
 def test_act_and_mahler_match_pointwise_loops(data):
     ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
-    f = data.draw(_functions(ctx))
-    g = QExpansion(ctx, data.draw(st.lists(_scalars(ctx), min_size=1,
-                                           max_size=ctx.M + 1)))
-    assert _outcome(lambda: act(f, g)) == _outcome(lambda: _old_act(f, g))
-    K = data.draw(st.integers(0, 12))
-    assert _outcome(lambda: mahler_coeffs(f, K)) == \
-        _outcome(lambda: _old_mahler(f, K))
+    for known in (False, True):
+        f = data.draw(_functions(ctx, known=known))
+        n = data.draw(st.integers(1, ctx.M + 1))
+        g = QExpansion(ctx, data.draw(_known_scalars(ctx, n) if known else st.lists(
+            _scalars(ctx), min_size=n, max_size=n)))
+        assert _outcome(lambda: act(f, g)) == _outcome(lambda: _old_act(f, g))
+        K = data.draw(st.integers(0, 12))
+        assert _outcome(lambda: mahler_coeffs(f, K)) == \
+            _outcome(lambda: _old_mahler(f, K))
 
 
 def _other_lift(c: PadicInt, rng) -> PadicInt:
@@ -398,6 +419,16 @@ def test_values_of_no_arguments_builds_no_table(ctx5, monkeypatch):
     f = Character(CyclotomicElem.zeta(ctx5, 2))
     assert values(f, []) == [] and mahler_coeffs(f, -1) == []
     assert calls == []
+
+
+def test_values_skip_a_bad_root_where_evaluate_does(ctx5):
+    # zeta + 5 is no root of unity, but the zero extension never evaluates
+    # it on 5 Z_5: the values there are 0, and a unit argument raises
+    f = ZeroExtendedUnits(Character(CyclotomicElem.zeta(ctx5, 1) + 5))
+    assert values(f, [0, 5]) == ([0, 0], [12, 12])
+    assert values(f, range(1)) == ([0], [12])
+    with pytest.raises(NotRootOfUnity):
+        values(f, [0, 1])
 
 
 def test_values_return_scaled_table_entries_unchanged(ctx5):
