@@ -142,9 +142,8 @@ def cmd_eisenstein(cfg: RunConfig, args) -> int:
 
 def cmd_moment(cfg: RunConfig, args) -> int:
     _check_k(args)
-    from .measures import kl_constant
-    from .zpfun import monomial
-    v = kl_constant(cfg.a, monomial(cfg.ctx, args.k - 1))
+    from .measures import kl_constant_functional
+    v = kl_constant_functional(cfg.ctx, cfg.a).moment(args.k - 1)
     emit(value_to_json(v, cfg))
     return EXIT_OK
 

@@ -38,7 +38,7 @@ from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
                      check_a_range, json_int, json_int_field, json_int_list,
                      json_list, json_object)
 from .padic import PadicContext, PadicInt, padic_valuation
-from .qseries import QExpansion, divisor_sum
+from .qseries import QExpansion, divisor_sum, sigma_table
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
                     Polynomial, TwoVarFn, ZeroExtendedUnits, as_table,
                     indicator, lc_level, mahler_coeffs, monomial, multiply,
@@ -388,11 +388,15 @@ class EisensteinMeasure(Measure):
 
     Coefficient n of mu(f) is 2 sum_{d|n} (f(d) - a f(a d)); the constant
     term is the regularized functional.  On z^(k-1) this reproduces
-    (1 - a^k) 2G_k including the constant term.  f(d) - a f(a d) is read
-    off the combined tables U_j[c] = T_j[c] - a^(j+1) T_j[a c mod p^m] of
-    f = sum_j z^j T_j (zpfun.table_values), and the weights are
-    divisor-summed as residues, one coordinate at a time for characters;
-    binomials take f(d), f(a d) point by point.
+    (1 - a^k) 2G_k including the constant term.  A polynomial f = sum_j
+    c_j z^j (level 0: also products and full-precision scalings of them)
+    has coefficient n = sum_j U_j sigma_j(n) with U_j = 2 c_j (1 - a^(j+1)),
+    read off the sigma tables mod p^N and known to the least prec c_j.
+    Step functions and characters read f(d) - a f(a d) off the combined
+    tables U_j[c] = T_j[c] - a^(j+1) T_j[a c mod p^m] of f = sum_j z^j T_j
+    (zpfun.table_values), and the weights are divisor-summed as residues,
+    one coordinate at a time for characters; binomials take f(d), f(a d)
+    point by point.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -408,6 +412,9 @@ class EisensteinMeasure(Measure):
         # any table of a character is built; kl shares f's other tables
         lc = None if isinstance(f, (Binomial, Character)) else poly_lc_terms(f)
         const = self.kl.value(f, lc)
+        if lc and lc[0] == 0 and all(isinstance(t[0], PadicInt)
+                                     for t in lc[1].values()):
+            return self._polynomial(lc[1], const)
         zero, ds = PadicInt(ctx, 0), range(ctx.M + 1)
         try:
             m, terms = lc or poly_lc_terms(f)
@@ -430,6 +437,23 @@ class EisensteinMeasure(Measure):
             res[0], prec[0] = c.res[0], c.prec[0]
             out.append(QExpansion.from_flat(ctx, res, prec))
         return QExpansion.from_parts(ctx, g.level, out)
+
+    def _polynomial(self, terms: dict, const: PadicInt) -> QExpansion:
+        """mu(sum_j c_j z^j) for terms {j: [c_j]}: coefficient n >= 1 is
+        sum_j U_j sigma_j(n) mod p^top, top the least prec c_j, as the
+        divisor sum of the combined weights would give it."""
+        ctx, ar, mod = self.ctx, self.a.residue, self.ctx.modulus
+        top, res = min(t[0].prec for t in terms.values()), None
+        for j, (c,) in terms.items():
+            u = 2 * c.residue * (1 - pow(ar, j + 1, mod)) % mod
+            if u:  # summed unreduced, then reduced once
+                tab = sigma_table(j, ctx.M, mod)
+                res = [u * s for s in tab] if res is None else \
+                    [x + u * s for x, s in zip(res, tab)]
+        low = ctx.pows[top]
+        res = [x % low for x in res] if res else [0] * (ctx.M + 1)
+        res[0] = const.residue
+        return QExpansion.from_flat(ctx, res, [const.prec] + [top] * ctx.M)
 
     def amice(self, K: int) -> list:
         return [self(Binomial(self.ctx, k)) for k in range(K + 1)]

@@ -344,37 +344,49 @@ def divisor_sum(w, e: int, zero=0):
     return out
 
 
-@lru_cache(maxsize=None)
-def sigma_table(e: int, M: int) -> tuple:
-    """sigma_e(n) = sum of e-th powers of divisors, exactly, for n <= M.
+# sigma tables most recently used, keyed by (e, M, mod): a process sweeping
+# many weights keeps only the last SIGMA_CACHE_SIZE of them
+SIGMA_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=SIGMA_CACHE_SIZE)
+def sigma_table(e: int, M: int, mod: int) -> tuple:
+    """sigma_e(n) = sum of e-th powers of divisors, reduced mod ``mod``, for
+    n <= M; every entry is < mod, and a mod above every sigma_e(n) (say
+    (M + 1)^(e + 1)) gives the exact integers.
 
     sigma_e is multiplicative: with q the power of the least prime factor
     p of n, sigma_e(n) = sigma_e(q) sigma_e(n / q), and sigma_e(q) =
-    sigma_e(q / p) + q^e, so each prime power costs one exact power.
+    sigma_e(q / p) + q^e, so each prime power costs one modular power and
+    every other n one product of residues.
     """
     # least prime factors: i runs down, so each composite n keeps the least
     # i with i^2 <= n that divides it, a prime
     spf = list(range(M + 1))
     for i in range(isqrt(M), 1, -1):
         spf[i * i::i] = [i] * ((M - i * i) // i + 1)
-    sig, part = [0, 1] + [0] * (M - 1), [0, 1] + [0] * (M - 1)
+    sig, part = [0, 1 % mod] + [0] * (M - 1), [0, 1] + [0] * (M - 1)
     for n in range(2, M + 1):
         p = spf[n]
         m = n // p
         q = part[n] = part[m] * p if spf[m] == p else p
-        sig[n] = sig[m] + n ** e if q == n else sig[q] * sig[n // q]
+        sig[n] = (sig[m] + pow(n, e, mod)) % mod if q == n \
+            else sig[q] * sig[n // q] % mod
     return tuple(sig[:M + 1])
 
 
 def double_divisor_series(ctx: PadicContext, k: int, r: int) -> QExpansion:
-    """2 sum_n q^n sum_{d d' = n} d^k d'^r, constant term 0 (exact integers).
+    """2 sum_n q^n sum_{d d' = n} d^k d'^r, constant term 0, mod p^N.
 
     The inner sum is symmetric in k and r and equals n^r sigma_(k-r)(n)
-    for k >= r.
+    for k >= r, read off the sigma table mod p^N.
     """
     lo, hi = sorted((k, r))
-    return QExpansion(ctx, [2 * n ** lo * s
-                            for n, s in enumerate(sigma_table(hi - lo, ctx.M))])
+    mod = ctx.modulus
+    return QExpansion.from_flat(
+        ctx, [2 * pow(n, lo, mod) * s % mod
+              for n, s in enumerate(sigma_table(hi - lo, ctx.M, mod))],
+        [ctx.N] * (ctx.M + 1))
 
 
 # -- Eisenstein series ----------------------------------------------------------
@@ -398,8 +410,8 @@ def eisenstein_2G_scaled(ctx: PadicContext, k: int, factor) -> QExpansion:
 
     The constant term is reduced from the exact rational factor * (-B_k/k),
     so an integer factor divisible by p can cancel the pole at (p-1) | k.
-    The other coefficients are 2 factor sigma_(k-1)(n), built from integers:
-    a rational factor is first reduced to its residue mod p^N.
+    The other coefficients are 2 factor sigma_(k-1)(n) mod p^N, from the
+    sigma table mod p^N: a rational factor is first reduced to its residue.
     """
     if k < 2:
         raise ValueError("2G_k requires k >= 2")
@@ -411,7 +423,7 @@ def eisenstein_2G_scaled(ctx: PadicContext, k: int, factor) -> QExpansion:
     mod = ctx.modulus
     return QExpansion.from_flat(
         ctx, [const.residue] + [2 * factor * s % mod
-                                for s in sigma_table(k - 1, ctx.M)[1:]],
+                                for s in sigma_table(k - 1, ctx.M, mod)[1:]],
         [const.prec] + [ctx.N] * ctx.M)
 
 

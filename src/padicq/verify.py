@@ -19,8 +19,7 @@ from .measures import (AmiceMeasure, DiracMeasure, amice_transform,
                        convolution_nu, eisenstein_eval, eval_at_character,
                        kl_constant)
 from .padic import PadicContext, PadicInt, bernoulli, reduce_rational
-from .qseries import (QExpansion, eisenstein_2G_scaled, sigma_table, theta,
-                      u_p, v_p)
+from .qseries import QExpansion, divisor_sum, theta, u_p, v_p
 from .zpfun import (Character, Polynomial, Scaled, TwoVarFn, indicator,
                     mahler_coeffs, monomial, multiply)
 
@@ -47,11 +46,16 @@ def reference_nu(ctx: PadicContext, a: PadicInt, s: int, t: int) -> QExpansion:
 
     Here 2G_(s+1) means -B_(s+1)/(s+1) + 2 sum_n sigma_s(n) q^n for every
     s >= 0, not the convention of eisenstein_2G that is zero at odd weight.
+    The sigma_s(n) come from the generic flat divisor_sum (d^s mod p^N
+    added to each multiple of d), not from the sigma_table sieve that the
+    Eisenstein measure reads, so the two routes check each other.
     """
-    factor = 1 - a.residue ** (s + 1)
+    factor, n = 1 - a.residue ** (s + 1), ctx.M + 1
     const = reduce_rational(factor * (-bernoulli(s + 1)) / (s + 1), ctx)
-    g = QExpansion(ctx, [const] + [2 * factor * sig
-                                   for sig in sigma_table(s, ctx.M)[1:]])
+    res, prec = divisor_sum(([2 * factor % ctx.modulus] * n, [ctx.N] * n), s,
+                            PadicInt(ctx, 0))
+    res[0], prec[0] = const.residue, const.prec
+    g = QExpansion.from_flat(ctx, res, prec)
     for _ in range(t):
         g = theta(g)
     return g
@@ -65,8 +69,10 @@ def suite_moments(ctx: PadicContext, a: PadicInt) -> SuiteResult:
             Fraction(1 - a.residue ** k) * (-bernoulli(k)) / k, ctx)
         res.check(got == want and got.prec >= ctx.N - 1,
                   f"kl moment k={k}: {got!r} != {want!r}")
+        # (1 - a^k) 2G_k by divisor sums, independent of the sigma tables
+        # the measure reads
         lhs = eisenstein_eval(a, monomial(ctx, k - 1))
-        rhs = eisenstein_2G_scaled(ctx, k, 1 - a.residue ** k)
+        rhs = reference_nu(ctx, a, k - 1, 0)
         res.check(lhs == rhs, f"moment identity fails at k={k}")
     return res
 

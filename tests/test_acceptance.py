@@ -99,7 +99,7 @@ def test_criterion_05_phi_identity(ctx):
     ok = True
     for k in range(1, 9):
         for r in range(1, k + 1):
-            sig = sigma_table(k - r, M)
+            sig = sigma_table(k - r, M, (M + 1) ** (k - r + 1))  # exact
             for n in range(1, M + 1):
                 lhs = n ** r * 2 * sig[n]
                 rhs = 2 * sum(d ** k * (n // d) ** r

@@ -75,6 +75,32 @@ def test_moment_value(capsys):
     assert obj["prec"] == 12
 
 
+def test_moment_reads_the_kl_moment_directly(capsys, monkeypatch):
+    # the same bytes as kl_constant on the monomial z^(k-1), which is
+    # never built
+    import padicq.zpfun as zpfun
+    from padicq import PadicInt, kl_constant, monomial
+
+    cases = [(5, 12, 2, k) for k in (1, 2, 3, 8, 200)] + \
+        [(3, 20, 5, 1000), (7, 6, 10, 13)]
+    want = []
+    for p, N, a, k in cases:
+        ctx = PadicContext(p, N, 60)
+        v = kl_constant(PadicInt(ctx, a), monomial(ctx, k - 1))
+        want.append(json.dumps({"schema": 1, "kind": "value", "p": p, "N": N,
+                                "residue": str(v.residue), "prec": v.prec},
+                               sort_keys=True, separators=(",", ":")) + "\n")
+
+    def refuse(ctx, degree):
+        raise AssertionError("moment built a monomial")
+
+    monkeypatch.setattr(zpfun, "monomial", refuse)
+    for (p, N, a, k), line in zip(cases, want):
+        code, out, _ = run_cli(capsys, "--p", str(p), "--N", str(N),
+                               "--a", str(a), "moment", "--k", str(k))
+        assert code == 0 and out == line, (p, N, a, k)
+
+
 def test_nu_agreement(capsys):
     code, out, _ = run_cli(capsys, "--p", "5", "--M", "20", "nu",
                            "--s", "1", "--t", "1")

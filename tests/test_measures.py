@@ -756,10 +756,88 @@ def test_reference_nu_matches_rational_reduction(p):
             factor = Fraction(1 - ar ** (s + 1))
             want = [reduce_rational(factor * -bernoulli(s + 1) / (s + 1), ctx)]
             want += [reduce_rational(2 * factor * sig, ctx)
-                     for sig in sigma_table(s, ctx.M)[1:]]
+                     for sig in sigma_table(s, ctx.M,
+                                            (ctx.M + 1) ** (s + 1))[1:]]
             got = reference_nu(ctx, a, s, 0).coeffs
             assert [(c.residue, c.prec) for c in got] == \
                 [(c.residue, c.prec) for c in want], (ar, s)
+
+
+def _sigma_and_generic_routes(a, f):
+    """Coefficients n >= 1 of the Eisenstein measure on f (a polynomial,
+    read off sigma tables) and on f times the level-1 all-ones table (the
+    generic table_values + divisor_sum route), as (residue, prec) lists, or
+    the type of the exception each raised.  The generic route's constant
+    term is a level-1 character sum, stubbed out here: the sigma route's
+    is compared with kl_constant instead."""
+    from types import SimpleNamespace
+
+    from padicq.zpfun import Product
+
+    ctx = f.ctx
+    generic = EisensteinMeasure(ctx, a)
+    generic.kl = SimpleNamespace(value=lambda g, lc=None: PadicInt(ctx, 0))
+    out = []
+    for mu, g in ((EisensteinMeasure(ctx, a), f),
+                  (generic, Product(f, LocallyConstant(ctx, 1, [1] * ctx.p)))):
+        try:
+            s = mu(g)
+        except Exception as exc:
+            out.append(type(exc))
+            continue
+        if mu is not generic:
+            const = kl_constant(a, f)
+            assert (s.res[0], s.prec[0]) == (const.residue, const.prec)
+        out.append(list(zip(s.res[1:], s.prec[1:])))
+    return out
+
+
+def test_sigma_route_matches_generic_route():
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    from padicq.zpfun import Product
+
+    # polynomials with coefficients known to N, few or no digits (zeros
+    # among them), products of two, and argument scalings by a unit known
+    # to N or fewer digits (refused by both routes)
+    @given(st.sampled_from((3, 5, 7)), st.integers(1, 12), st.integers(1, 200),
+           st.data())
+    def inner(p, N, M, data):
+        ctx = PadicContext(p, N, M)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        unit = st.integers(1, ctx.modulus - 1).filter(lambda x: x % p != 0)
+        low = data.draw(st.integers(0, N - 1))
+
+        def poly(top):
+            return Polynomial(ctx, [
+                PadicInt(ctx, rng.choice((0, rng.randrange(ctx.modulus))),
+                         rng.choice((N, N, low)))
+                for _ in range(data.draw(st.integers(1, top + 1)))])
+
+        shape = data.draw(st.sampled_from(("poly", "product", "scaled")))
+        if shape == "poly":
+            f = poly(40)
+        elif shape == "product":
+            f = Product(poly(20), poly(20))
+        else:
+            f = Scaled(poly(40), PadicInt(ctx, data.draw(unit),
+                                          data.draw(st.sampled_from((N, low)))))
+        sigma, generic = _sigma_and_generic_routes(
+            PadicInt(ctx, data.draw(unit)), f)
+        assert sigma == generic
+
+    inner()
+    ctx = PadicContext(5, 12, 3000)
+    sigma, generic = _sigma_and_generic_routes(PadicInt(ctx, 2),
+                                               monomial(ctx, 3000))
+    assert isinstance(sigma, list) and sigma == generic
+    # a level-0 table of ring elements (a level-0 character) keeps the
+    # generic route
+    ctx = PadicContext(5, 6, 10)
+    a, f = PadicInt(ctx, 2), monomial(ctx, 2)
+    chi = Character(CyclotomicElem.one(ctx, 0))
+    assert eisenstein_eval(a, Product(f, chi)) == eisenstein_eval(a, f)
 
 
 def test_convolution_t0_is_plain_eisenstein(ctx5):

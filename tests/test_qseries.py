@@ -197,8 +197,9 @@ def test_phi_identity(ctx5):
 
 
 def test_sigma_table_against_brute_force():
+    # a modulus above every sigma_e(n), n <= M, gives the exact integers
     for e in range(0, 6):
-        tab = sigma_table(e, 40)
+        tab = sigma_table(e, 40, 41 ** (e + 1))
         for n in range(1, 41):
             assert tab[n] == brute_sigma(e, n)
     # the sieve up to M = 3000, past the prime squares up to 53^2 and the
@@ -210,11 +211,39 @@ def test_sigma_table_against_brute_force():
             for n in range(d, 3001, d):
                 want[n] += powers[d]
         for M in (0, 1, 2, 3000):
-            assert sigma_table(e, M) == tuple(want[:M + 1]), (e, M)
+            assert sigma_table(e, M, 3001 ** (e + 1)) == tuple(want[:M + 1]), \
+                (e, M)
     # an lru_cache: bench/tracer.py reads its hit ratio
     hits = sigma_table.cache_info().hits
-    assert sigma_table(25, 3000) is sigma_table(25, 3000)
+    big = 3001 ** 26
+    assert sigma_table(25, 3000, big) is sigma_table(25, 3000, big)
     assert sigma_table.cache_info().hits == hits + 2
+
+
+def test_sigma_table_mod_pN_matches_brute_force():
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    # every entry is sigma_e(n) mod p^N, reduced below the modulus
+    @given(st.sampled_from((3, 5, 7)), st.integers(1, 12),
+           st.integers(0, 60), st.integers(0, 200))
+    def inner(p, N, e, M):
+        mod = p ** N
+        tab = sigma_table(e, M, mod)
+        assert len(tab) == M + 1 and tab[0] == 0
+        for n in range(1, M + 1):
+            assert tab[n] == brute_sigma(e, n) % mod, (n, e, mod)
+
+    inner()
+
+
+def test_sigma_cache_is_bounded():
+    from padicq.qseries import SIGMA_CACHE_SIZE
+
+    for e in range(1000, 1100):
+        sigma_table(e, 3000, 5 ** 12)
+        assert sigma_table.cache_info().currsize <= SIGMA_CACHE_SIZE
+    assert sigma_table.cache_info().maxsize == SIGMA_CACHE_SIZE
 
 
 def test_divisor_sum_scalar_types(ctx5):
