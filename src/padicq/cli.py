@@ -125,6 +125,19 @@ def _check_k(args) -> None:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
 
 
+# p^(4k) element pairs: kummer-dump prints one table entry per pair and the
+# kummer suite checks each pair; p = 7, k = 2 is 5.8e6 (a 44 MB table)
+KUMMER_PAIRS_CAP = 10 ** 7
+
+
+def _check_kummer_size(cfg: RunConfig, args, command: str, what: str) -> None:
+    """Refuse a torsion level with more than 10^7 element pairs; every
+    p >= 3 is over at k = 4, so no large power is ever computed."""
+    if args.k >= 4 or cfg.p ** (4 * args.k) > KUMMER_PAIRS_CAP:
+        raise ConfigError(f"{command} --k {args.k} at p={cfg.p} needs "
+                          f"p^(4k) = {cfg.p}^{4 * args.k} {what}, over 10^7")
+
+
 def cmd_eisenstein(cfg: RunConfig, args) -> int:
     from .qseries import eisenstein_2G, eisenstein_2G_twisted, series_to_json
     from .zpfun import fn_from_json, lc_level
@@ -219,6 +232,9 @@ def cmd_apply(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     _check_k(args)
+    if args.suite in ("kummer", "all"):
+        _check_kummer_size(cfg, args, f"verify {args.suite}",
+                           "element pairs to check")
     from .verify import run_suites
     start = time.monotonic()
     results = run_suites(args.suite, cfg.ctx, cfg.a, k=args.k)
@@ -236,10 +252,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_kummer_dump(cfg: RunConfig, args) -> int:
     _check_k(args)
     ctx = cfg.ctx
+    _check_kummer_size(cfg, args, "kummer-dump", "table entries")
     pk = ctx.p ** args.k
-    if pk ** 4 > 10 ** 7:  # p = 7, k = 2 prints 5.8e6 entries, 44 MB
-        raise ConfigError(f"kummer-dump --k {args.k} at p={ctx.p} needs p^(4k) = "
-                          f"{pk ** 4} table entries, over 10^7")
     from .kummer import KummerBase, kummer_mul
     base = KummerBase.standard(ctx, args.k)
     if args.what == "cayley":
@@ -306,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     # no choices, which would import verify: run_suites names the suites
     p_ver.add_argument("suite", help="an invariant suite's name, or all")
     p_ver.add_argument("--k", type=int, default=1,
-                       help="torsion level for the kummer suite")
+                       help="torsion level for the kummer suite, which "
+                            "checks p^(4k) <= 10^7 element pairs")
 
     p_kd = sub.add_parser("kummer-dump", help="dump Cayley or pairing tables")
     p_kd.add_argument("--k", type=int, default=1)

@@ -7,6 +7,14 @@ by q and the overflow is absorbed into the exponent bookkeeping.  Elements
 are stored as the discrete index pairs; their realizations, the
 Laurent-cyclotomic monomials zeta^j * q^(e/p^D), exist to verify every
 closed form against honest ring arithmetic.
+
+The checks split each identity in two.  Closed-form index arithmetic (the
+group law's indices, (I1) its zeta-linearity, (I2) the pairing's index) is
+checked on all p^(4k) pairs as plain integers; ring realizations only on a
+generating set: (R1) x(a, j) = zeta^j x(a, 0) once per element, (R2) the
+carrying product on the p^(2k) pairs of elements (a, 0), (R3) zeta^(p^k) = 1
+and (R4) the pairing on the elements (a, 0).  The Laurent ring is
+commutative, so the realized identities then hold on every pair.
 """
 
 from __future__ import annotations
@@ -73,7 +81,9 @@ class KummerBase:
         self.K = K
         self.param_root = param_root
         self._realized: dict = {}
+        self._powers: dict = {}
         self._parameter: LaurentElem | None = None
+        self._inverse: KummerBase | None = None
 
     @classmethod
     def standard(cls, ctx: PadicContext, k: int, K: int | None = None):
@@ -102,13 +112,23 @@ class KummerBase:
         return CyclotomicElem.zeta_power(self.ctx, self.k, j)
 
     def realize(self, e: "KummerElement") -> LaurentElem:
+        """zeta^j * param_root^a, each power of param_root computed once."""
         key = (e.a, e.j)
         if key not in self._realized:
-            coeff = self.zeta(e.j)
-            self._realized[key] = \
-                LaurentElem(self.ctx, self.K, 0, coeff) * \
-                self.param_root ** e.a
+            if e.a not in self._powers:
+                self._powers[e.a] = self.param_root ** e.a
+            self._realized[key] = LaurentElem(
+                self.ctx, self.K, 0, self.zeta(e.j)) * self._powers[e.a]
         return self._realized[key]
+
+    def _inverts(self, other: "KummerBase") -> bool:
+        """param_root * other.param_root == 1; the last hit is remembered."""
+        if self._inverse is not other:
+            if not (self.param_root * other.param_root
+                    == LaurentElem.one(self.ctx, self.K)):
+                return False
+            self._inverse = other
+        return True
 
     def compatible(self, other: "KummerBase") -> bool:
         return self is other or (
@@ -180,19 +200,6 @@ def verify_mul_realization(e1: KummerElement, e2: KummerElement,
     return lhs == rhs
 
 
-def kummer_smul(n: int, e: KummerElement,
-                mul=kummer_mul) -> KummerElement:
-    """n-fold group power of e."""
-    acc = KummerElement(e.base, 0, 0)
-    base = e
-    while n:
-        if n & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        n >>= 1
-    return acc
-
-
 def kummer_pair(e: KummerElement, e_inv: KummerElement) -> int:
     """Pairing of p^k-torsion over mutually inverse parameters.
 
@@ -202,7 +209,7 @@ def kummer_pair(e: KummerElement, e_inv: KummerElement) -> int:
     b1, b2 = e.base, e_inv.base
     if not (b1.ctx == b2.ctx and b1.k == b2.k and b1.K == b2.K):
         raise BaseMismatch("pairing requires matching p, k, N and depth")
-    if not (b1.param_root * b2.param_root == LaurentElem.one(b1.ctx, b1.K)):
+    if not b1._inverts(b2):
         raise BaseMismatch("pairing requires mutually inverse parameters")
     pk = b1.ctx.p ** b1.k
     return (e.j * e_inv.a + e_inv.j * e.a) % pk
@@ -267,79 +274,85 @@ class CheckReport:
 
 
 def check_group_axioms(ctx: PadicContext, k: int) -> CheckReport:
-    """Brute-force group axioms and structure (Z/p^k)^2 on the full table."""
+    """The group law is index addition in (Z/p^k)^2, on every pair.
+
+    kummer_mul(e1, e2) must have the indices ((a1 + a2) mod p^k,
+    (j1 + j2) mod p^k).  That closed form is the group (Z/p^k)^2, so it
+    implies identity, inverses, commutativity, associativity, the orders,
+    the p^i-torsion counts p^(2i), and the projection to a as a
+    homomorphism whose kernel is the root-of-unity subgroup.
+    """
     rep = CheckReport("group-axioms", True)
-    base = KummerBase.standard(ctx, k)
-    els = base.elements()
+    els = KummerBase.standard(ctx, k).elements()
     pk = ctx.p ** k
-    idx = {(e.a, e.j): e for e in els}
-    ident = idx[(0, 0)]
-    for e in els:
-        rep.checks += 1
-        if not (kummer_mul(ident, e) == e and kummer_mul(e, ident) == e):
-            rep.fail(f"identity fails at {e}")
-    # commutativity and associativity on all triples
-    table = {}
     for e1 in els:
+        rep.checks += len(els)
         for e2 in els:
-            table[(e1.a, e1.j, e2.a, e2.j)] = kummer_mul(e1, e2)
-    for e1 in els:
-        for e2 in els:
-            rep.checks += 1
-            if not table[(e1.a, e1.j, e2.a, e2.j)] == table[(e2.a, e2.j, e1.a, e1.j)]:
-                rep.fail(f"commutativity fails at {e1}, {e2}")
-    for e1 in els:
-        for e2 in els:
-            l12 = table[(e1.a, e1.j, e2.a, e2.j)]
-            for e3 in els:
-                rep.checks += 1
-                lhs = table[(l12.a, l12.j, e3.a, e3.j)]
-                r23 = table[(e2.a, e2.j, e3.a, e3.j)]
-                rhs = table[(e1.a, e1.j, r23.a, r23.j)]
-                if not lhs == rhs:
-                    rep.fail(f"associativity fails at {e1}, {e2}, {e3}")
-                    break
-    # inverses and orders
-    for e in els:
-        rep.checks += 1
-        if not any(kummer_mul(e, f) == ident for f in els):
-            rep.fail(f"no inverse for {e}")
-        if not kummer_smul(pk, e) == ident:
-            rep.fail(f"order of {e} does not divide p^{k}")
-    # structure: the p^j-kill counts of (Z/p^k)^2
-    for j in range(k + 1):
-        count = sum(1 for e in els if kummer_smul(ctx.p ** j, e) == ident)
-        rep.checks += 1
-        if count != ctx.p ** (2 * j):
-            rep.fail(f"p^{j}-torsion has {count} elements, expected p^{2 * j}")
-    # extension structure: projection to a is a homomorphism with kernel mu
-    for e1 in els:
-        for e2 in els:
-            rep.checks += 1
-            if kummer_mul(e1, e2).a != (e1.a + e2.a) % pk:
-                rep.fail(f"projection not a homomorphism at {e1}, {e2}")
-    kernel = sorted((e.a, e.j) for e in els
-                    if e.a == 0)
-    rep.checks += 1
-    if kernel != [(0, j) for j in range(pk)]:
-        rep.fail("kernel of the projection is not the root-of-unity subgroup")
+            e3 = kummer_mul(e1, e2)
+            if e3.a != (e1.a + e2.a) % pk or e3.j != (e1.j + e2.j) % pk:
+                rep.fail(f"group law gives {e3} at {e1}, {e2}")
     return rep
 
 
+def _check_zeta_linear(rep: CheckReport, base: KummerBase) -> None:
+    """(R3) zeta^(p^k) = 1 and (R1) x(a, j) = zeta^j x(a, 0) per element."""
+    ctx = base.ctx
+    rep.checks += 1
+    if not base.zeta() ** (ctx.p ** base.k) == CyclotomicElem.one(ctx, 0):
+        rep.fail(f"zeta^(p^{base.k}) != 1")
+    for e in base.elements():
+        rep.checks += 1
+        head = base.realize(KummerElement(base, e.a, 0))
+        if not base.realize(e) == \
+                LaurentElem(ctx, base.K, 0, base.zeta(e.j)) * head:
+            rep.fail(f"realization of {e} is not zeta^j times that of j = 0")
+
+
+def _check_products(rep: CheckReport, base: KummerBase, mul,
+                    label: str = "") -> None:
+    """x(e1) x(e2) = x(mul(e1, e2)) q^carry on every pair, through (I1)
+    mul(e1, e2) = mul((a1, 0), (a2, 0)) + (0, j1 + j2) on every pair, (R1),
+    (R3) and (R2) the identity on every pair of elements (a, 0)."""
+    pk = base.ctx.p ** base.k
+    els = base.elements()
+    heads = els[::pk]  # the elements (a, 0), in order of a
+    prods = [[mul(h1, h2) for h2 in heads] for h1 in heads]
+    for e1 in els:
+        row = prods[e1.a]
+        rep.checks += len(els)
+        for e2 in els:
+            e3, h = mul(e1, e2), row[e2.a]
+            if e3.a != h.a or e3.j != (h.j + e1.j + e2.j) % pk:
+                rep.fail(f"{label}group law is not zeta-linear at {e1}, {e2}")
+    _check_zeta_linear(rep, base)
+    for h1 in heads:
+        for h2 in heads:
+            rep.checks += 1
+            if not verify_mul_realization(h1, h2, mul):
+                rep.fail(f"{label}realized group law fails at pair {h1}, {h2}")
+
+
 def check_realization(ctx: PadicContext, k: int) -> CheckReport:
-    """Closed form equals ring realization for all products and pairings."""
+    """Closed form equals ring realization for all products and pairings.
+
+    Products through _check_products; the pairing through (I2)
+    kummer_pair = (i b + j a) mod p^k on every pair, (R1) on both bases and
+    (R4) x(a, 0)^b x'(b, 0)^a = 1 for every a, b.
+    """
     rep = CheckReport("realization", True)
     base = KummerBase.standard(ctx, k)
     inv = KummerBase.inverted(ctx, k)
-    els = base.elements()
-    for e1 in els:
-        for e2 in els:
-            rep.checks += 1
-            if not verify_mul_realization(e1, e2):
-                rep.fail(f"product realization fails at {e1}, {e2}")
-    inv_els = inv.elements()
+    pk = ctx.p ** k
+    _check_products(rep, base, kummer_mul)
+    _check_zeta_linear(rep, inv)
+    els, inv_els = base.elements(), inv.elements()
     for e in els:
+        rep.checks += len(inv_els)
         for f in inv_els:
+            if kummer_pair(e, f) != (e.j * f.a + f.j * e.a) % pk:
+                rep.fail(f"pairing index fails at {e}, {f}")
+    for e in els[::pk]:
+        for f in inv_els[::pk]:
             rep.checks += 1
             if not verify_pair_realization(e, f):
                 rep.fail(f"pairing realization fails at {e}, {f}")
@@ -347,36 +360,34 @@ def check_realization(ctx: PadicContext, k: int) -> CheckReport:
 
 
 def check_pairing_perfect(ctx: PadicContext, k: int) -> CheckReport:
-    """The pairing matrix (i b + j a) has trivial kernels on both sides."""
+    """The pairing matrix (i b + j a) mod p^k has trivial kernels.
+
+    The form is symmetric under (a, i) <-> (b, j), so its left and right
+    kernels are one set: each nonzero (a, i) must pair nontrivially with
+    some (b, j).
+    """
     rep = CheckReport("pairing-perfect", True)
     pk = ctx.p ** k
     pairs = [(a, j) for a in range(pk) for j in range(pk)]
-    for a, i in pairs:
+    for a, i in pairs[1:]:
         rep.checks += 1
-        if (a, i) == (0, 0):
-            continue
         if all((i * b + j * a) % pk == 0 for b, j in pairs):
-            rep.fail(f"left kernel contains ({a}, {i})")
-    for b, j in pairs:
-        rep.checks += 1
-        if (b, j) == (0, 0):
-            continue
-        if all((i * b + j * a) % pk == 0 for a, i in pairs):
-            rep.fail(f"right kernel contains ({b}, {j})")
+            rep.fail(f"kernel contains ({a}, {i})")
     return rep
 
 
 def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
                             K: int | None = None,
                             corrupt_carry: bool = False) -> CheckReport:
-    """Exhaustive torsion-level check of the coordinate-multiplication action.
+    """Torsion-level check of the coordinate-multiplication action.
 
     Verifies that substituting q -> zeta^(-1) q maps the realized element
     table of the standard torsion group onto the table over the new
     parameter, that the group law stays sound under realization on both
-    sides, and that transporting back along the root system of zeta returns
-    the original table.  corrupt_carry swaps in a broken group law and must
-    produce a counterexample pair.
+    sides (every pair, through (I1) and the generators as in
+    check_realization), and that transporting back along the root system of
+    zeta returns the original table.  corrupt_carry swaps in a broken group
+    law and must produce a counterexample pair.
     """
     rep = CheckReport("serre-tate-action", True)
     K = 2 * k if K is None else K
@@ -405,25 +416,9 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
     if not twisted.parameter() == zinv * base.parameter():
         rep.fail("twisted parameter is not zeta^(-1) q")
 
-    els = base.elements()
     # (1) group law soundness under realization, both parameters
-    for e1 in els:
-        stop = False
-        for e2 in els:
-            rep.checks += 1
-            if not verify_mul_realization(e1, e2, mul=mul):
-                rep.fail(f"realized group law fails at pair {e1}, {e2}")
-                stop = True
-                break
-            t1 = KummerElement(twisted, e1.a, e1.j)
-            t2 = KummerElement(twisted, e2.a, e2.j)
-            rep.checks += 1
-            if not verify_mul_realization(t1, t2, mul=mul):
-                rep.fail(f"twisted realized group law fails at pair {e1}, {e2}")
-                stop = True
-                break
-        if stop:
-            break
+    _check_products(rep, base, mul)
+    _check_products(rep, twisted, mul, "twisted ")
 
     # (2) substitution q^(1/p^k) -> s q^(1/p^k) maps table to twisted table
     stride = ctx.p ** (K - k)
@@ -435,6 +430,7 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
             raise ValueError("element does not live over q^(1/p^k)")
         return LaurentElem(ctx, K, elem.e, elem.coeff * s_const ** n)
 
+    els = base.elements()
     for e in els:
         rep.checks += 1
         t = KummerElement(twisted, e.a, e.j)

@@ -490,26 +490,12 @@ def test_verify_action_flags_a_corrupted_theta(ctx5, monkeypatch):
     assert any("derivative" in msg for msg in got.failures)
 
 
-def _oracles():
-    """bench/oracles.py, loaded from its path: exact integer references that
-    never import padicq."""
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("padicq_bench_oracles", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 @pytest.mark.parametrize("p,levels", [(3, range(4)), (5, range(4)), (7, range(3))])
-def test_act_character_against_exact_oracle(p, levels):
+def test_act_character_against_exact_oracle(p, levels, oracles):
     # zeta_{p^m}^e twists a_n to zeta^(e n) a_n: every coordinate agrees
     # with the exact oracle to the precision of a_n, and claims no less
     from padicq import PadicContext
 
-    oracles = _oracles()
     rng = random.Random(p)
     ctx = PadicContext(p, 6, 40)
     exact = oracles.Exact(p, ctx.N)

@@ -472,6 +472,18 @@ def test_kummer_dump_refuses_oversized_tables(capsys):
         assert code == 0 and len(json.loads(out)["table"]) == 3 ** 6
 
 
+def test_verify_refuses_oversized_kummer_levels(capsys):
+    # the kummer suite checks p^(4k) element pairs, under kummer-dump's cap
+    for argv in (("--p", "5", "verify", "kummer", "--k", "3"),
+                 ("--p", "7", "verify", "all", "--k", "3")):
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - t0 < 1.0
+        assert_config_error(code, out, err)
+        assert json.loads(err)["message"].endswith("element pairs to check, "
+                                                   "over 10^7")
+
+
 def _child_env():
     # the child imports padicq from wherever this process found it
     src = os.path.dirname(os.path.dirname(padicq.__file__))

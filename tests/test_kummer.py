@@ -1,13 +1,13 @@
 import pytest
 
+import padicq.kummer as kummer
 from padicq import (BaseMismatch, CyclotomicElem, IncompatibleRoots,
                     KummerBase, KummerElement, LaurentElem, PadicContext,
                     constant_roots, kummer_iso, kummer_mul, kummer_pair,
                     serre_tate_action_check)
 from padicq.kummer import (check_group_axioms, check_pairing_perfect,
                            check_realization, kummer_mul_corrupted,
-                           kummer_smul, verify_mul_realization,
-                           verify_pair_realization)
+                           verify_mul_realization, verify_pair_realization)
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +38,11 @@ def test_laurent_monomial_arithmetic(kctx3):
 # serre_tate_action_check without and with the corrupted carry; `verify`
 # prints these counts
 CHECK_COUNTS = {
-    (3, 1): [(True, 912), (True, 162), (True, 18), (True, 181), (False, 86)],
-    (5, 1): [(True, 16928), (True, 1250), (True, 50), (True, 1301),
-             (False, 342)],
-    (3, 2): [(True, 544729), (True, 13122), (True, 162), (True, 13285),
-             (False, 1766)],
+    (3, 1): [(True, 81), (True, 200), (True, 8), (True, 219), (False, 219)],
+    (5, 1): [(True, 625), (True, 1352), (True, 24), (True, 1403),
+             (False, 1403)],
+    (3, 2): [(True, 6561), (True, 13448), (True, 80), (True, 13611),
+             (False, 13611)],
 }
 
 
@@ -56,6 +56,79 @@ def test_check_report_counts(p, k):
             serre_tate_action_check(ctx, zeta, k, corrupt_carry=True)]
     assert [(r.passed, r.checks) for r in reps] == CHECK_COUNTS[(p, k)]
     assert reps[-1].failures
+
+
+# -- the reduced checks against the brute force ------------------------------
+
+def _products_hold(base, mul):
+    """x(e1) x(e2) == x(mul(e1, e2)) q^carry on all p^(4k) pairs."""
+    els = base.elements()
+    return all(verify_mul_realization(e1, e2, mul) for e1 in els for e2 in els)
+
+
+def _brute_force(ctx, k, mul):
+    """Pass/fail of the group-axiom, realization and Serre-Tate checks
+    from the (Z/p^k)^2 table and all-pairs realizations."""
+    pk = ctx.p ** k
+    base = KummerBase.standard(ctx, k)
+    inv = KummerBase.inverted(ctx, k)
+    twisted = base.transformed(constant_roots(ctx, base.K, k, -1, k)[k])
+    els = base.elements()
+    table = all((e3.a, e3.j) == ((e1.a + e2.a) % pk, (e1.j + e2.j) % pk)
+                for e1 in els for e2 in els for e3 in [mul(e1, e2)])
+    products = _products_hold(base, mul)
+    pairing = products and all(verify_pair_realization(e, f)
+                               for e in els for f in inv.elements())
+    return [table, pairing, products and _products_hold(twisted, mul)]
+
+
+def _at_pair(law, pair, change):
+    """law, changed by change(e3) at the one pair ((a1, j1), (a2, j2))."""
+    def mutant(e1, e2):
+        e3 = law(e1, e2)
+        return change(e3) if ((e1.a, e1.j), (e2.a, e2.j)) == pair else e3
+    return mutant
+
+
+def _mutants():
+    mul, pair = kummer.kummer_mul, kummer.kummer_pair
+    return {
+        "kummer_mul": {},
+        "corrupted carry": {"kummer_mul": kummer_mul_corrupted},
+        # only (I1) sees this one: the realizations are checked at j = 0
+        "j off by one at one pair": {"kummer_mul": _at_pair(
+            mul, ((1, 1), (1, 1)),
+            lambda e: KummerElement(e.base, e.a, e.j + 1))},
+        "a off by one at one pair": {"kummer_mul": _at_pair(
+            mul, ((1, 0), (1, 0)),
+            lambda e: KummerElement(e.base, e.a + 1, e.j))},
+        "j1 + 2 j2": {"kummer_mul": lambda e1, e2: KummerElement(
+            e1.base, mul(e1, e2).a, e1.j + 2 * e2.j)},
+        "pairing without j a": {"kummer_pair": lambda e, f: (
+            pair(e, f) - f.j * e.a) % e.base.ctx.p ** e.base.k},
+    }
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2)])
+def test_reduced_checks_match_brute_force(p, k, monkeypatch):
+    # each law gives the same pass/fail on every check, reduced or brute
+    ctx = PadicContext(p, 8, 4)
+    zeta = CyclotomicElem.zeta(ctx, k)
+    brute = {}
+    for name, patch in _mutants().items():
+        with monkeypatch.context() as m:
+            for attr, fn in patch.items():
+                m.setattr(kummer, attr, fn)
+            brute[name] = _brute_force(ctx, k, kummer.kummer_mul)
+            real = check_realization(ctx, k)
+            got = [check_group_axioms(ctx, k).passed, real.passed,
+                   serre_tate_action_check(ctx, zeta, k).passed]
+        assert got == brute[name], name
+        assert all(got) == (not patch), name
+        if name == "j off by one at one pair":
+            assert all("zeta-linear" in msg for msg in real.failures)
+    neg = serre_tate_action_check(ctx, zeta, k, corrupt_carry=True)
+    assert neg.passed == brute["corrupted carry"][2] and neg.failures
 
 
 def test_carrying_examples(kctx3):
@@ -120,13 +193,6 @@ def test_corrupted_law_fails_realization(kctx3):
     e1, e2 = KummerElement(base, 1, 0), KummerElement(base, 2, 0)
     assert verify_mul_realization(e1, e2)
     assert not verify_mul_realization(e1, e2, mul=kummer_mul_corrupted)
-
-
-def test_smul_orders(kctx3):
-    base = KummerBase.standard(kctx3, 2)
-    ident = KummerElement(base, 0, 0)
-    for e in base.elements():
-        assert kummer_smul(9, e) == ident
 
 
 def test_iso_identity_roots(kctx3):
