@@ -420,15 +420,18 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
     _check_products(rep, base, mul)
     _check_products(rep, twisted, mul, "twisted ")
 
-    # (2) substitution q^(1/p^k) -> s q^(1/p^k) maps table to twisted table
+    # (2) substitution q^(1/p^k) -> s q^(1/p^k) maps table to twisted table;
+    # s^n is computed once per exponent n
     stride = ctx.p ** (K - k)
-    s_const = roots_bwd[k].coeff
+    s_const, s_pows = roots_bwd[k].coeff, {}
 
     def substitute(elem: LaurentElem) -> LaurentElem:
         n, r = divmod(elem.e, stride)
         if r:
             raise ValueError("element does not live over q^(1/p^k)")
-        return LaurentElem(ctx, K, elem.e, elem.coeff * s_const ** n)
+        if n not in s_pows:
+            s_pows[n] = s_const ** n
+        return LaurentElem(ctx, K, elem.e, elem.coeff * s_pows[n])
 
     els = base.elements()
     for e in els:
@@ -438,13 +441,14 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
             rep.fail(f"substitution does not map the table at {e}")
             break
 
-    # (3) transporting back along the roots of zeta recovers the original
+    # (3) transporting back along the roots of zeta recovers the original;
+    # kummer_iso maps every element onto one base: validate and build it once
+    back_base = kummer_iso(roots_fwd, KummerElement(twisted, 0, 0)).base
+    same_root = back_base.param_root == base.param_root
     for e in els:
         rep.checks += 1
-        t = KummerElement(twisted, e.a, e.j)
-        back = kummer_iso(roots_fwd, t)
-        if not (back.base.param_root == base.param_root
-                and back.base.realize(back) == base.realize(e)):
+        back = KummerElement(back_base, e.a, e.j)
+        if not (same_root and back_base.realize(back) == base.realize(e)):
             rep.fail(f"iso composition does not return the table at {e}")
             break
     return rep

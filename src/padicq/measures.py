@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from math import comb
+from operator import mul
 
 from .action import M_MAX, act, act_character
 from .cyclotomic import CyclotomicElem, phi_pm
@@ -38,7 +39,8 @@ from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
                      check_a_range, json_int, json_int_field, json_int_list,
                      json_list, json_object)
 from .padic import PadicContext, PadicInt, padic_valuation
-from .qseries import QExpansion, divisor_sum, sigma_table
+from .qseries import (SIGMA_CACHE_SIZE, QExpansion, _least_prime_factors,
+                      divisor_sum, sigma_table)
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
                     Polynomial, TwoVarFn, ZeroExtendedUnits, as_table,
                     indicator, lc_level, mahler_coeffs, monomial, multiply,
@@ -107,22 +109,35 @@ class RegularizedKernel:
 
 
 def _point_weights(b: list[int], mod: int) -> list[int]:
-    """w with sum_i w_i f(i) = sum_n b_n Delta^n f(0) mod ``mod`` for all f:
-    the coefficients of sum_n b_n (X - 1)^n, by Horner in X - 1."""
-    w: list[int] = []
+    """w with sum_i w_i f(i) = sum_n b_n Delta^n f(0) mod ``mod`` for all f,
+    for 0 <= b_n < mod: the coefficients of sum_n b_n (X - 1)^n.
+
+    They are evaluated at X = 2^s by one big-integer Horner, V <- (V << s)
+    - V + b_n, and read back as signed base-2^s digits w_i.  As |w_i| <
+    mod 2^len(b), a slot of s >= bitlen(mod) + len(b) + 2 bits (a whole
+    number of bytes) holds w_i + 2^(s-1) with no carry into the next, so
+    one to_bytes of V plus that bias in every slot splits them apart.
+    """
+    nb = (mod.bit_length() + len(b) + 9) // 8
+    s, v = 8 * nb, 0
     for c in reversed(b):
-        w = [x - y for x, y in zip([c] + w, w + [0])]
-    return [x % mod for x in w]
+        v = (v << s) - v + c
+    v += int.from_bytes((bytes(nb - 1) + b"\x80") * len(b), "little")
+    raw, half = v.to_bytes(nb * len(b), "little"), 1 << (s - 1)
+    return [(int.from_bytes(raw[i:i + nb], "little") - half) % mod
+            for i in range(0, len(raw), nb)]
 
 
 class KLConstantTerm:
     """The constant-term functional of the Eisenstein measure.
 
     Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N.  Each
-    is one dot product with point weights built once per functional, so
-    its cost does not grow with k.  Values on level-m step functions are
-    exact to N - m digits and cost one Horner per level l <= m (phi(p^l)
-    ring products) plus integer traces.  Step functions and characters
+    is one dot product of the point weights w_i, i < n0, with the powers
+    i^(k-1) mod p^N.  The weights and the least prime factors of i < n0 are
+    built once per functional; i^(k-1) is completely multiplicative in i,
+    so only prime i take a modular power, and the cost barely grows with k.
+    Values on level-m step functions are exact to N - m digits and cost one
+    Horner per level l <= m (phi(p^l) ring products) plus integer traces.  Step functions and characters
     beyond the fixed cap action.M_MAX raise PrecisionExhausted.
     """
 
@@ -131,23 +146,27 @@ class KLConstantTerm:
         self.a = a
         self.kernel = RegularizedKernel(ctx, a)
         self._weights: list[int] = []
+        self._factors: list[int] = []
         self._indicator_cache: dict = {}
 
     # -- core values --------------------------------------------------------
 
     def moment(self, j: int) -> PadicInt:
         """kappa(z^j) = sum_{n<n0} b_n Delta^n(z^j)(0) = sum_{i<n0} w_i i^j
-        mod p^N, b_n the kernel coefficients (see the module docstring)."""
-        ctx, w = self.ctx, self._weights
-        if not w:
+        mod p^N, b_n the kernel coefficients (see the module docstring);
+        i^j = q^j (i/q)^j for the least prime factor q of a composite i."""
+        ctx, mod = self.ctx, self.ctx.modulus
+        if not self._weights:
             n0, v = 0, 0
             while v < ctx.N:
                 n0 += 1
                 v += padic_valuation(n0, ctx.p)
-            w = self._weights = _point_weights(self.kernel.base(n0 - 1),
-                                               ctx.modulus)
-        return PadicInt(ctx, sum(x * pow(i, j, ctx.modulus)
-                                 for i, x in enumerate(w)))
+            self._weights = _point_weights(self.kernel.base(n0 - 1), mod)
+            self._factors = _least_prime_factors(n0 - 1)
+        row: list[int] = []
+        for i, q in enumerate(self._factors):
+            row.append(pow(i, j, mod) if q == i else row[q] * row[i // q] % mod)
+        return PadicInt(ctx, sum(map(mul, self._weights, row)))
 
     def value_character(self, zeta: CyclotomicElem, j: int = 0):
         """kappa(z^j chi_zeta) = (twisted series)(zeta - 1), full precision."""
@@ -391,12 +410,14 @@ class EisensteinMeasure(Measure):
     (1 - a^k) 2G_k including the constant term.  A polynomial f = sum_j
     c_j z^j (level 0: also products and full-precision scalings of them)
     has coefficient n = sum_j U_j sigma_j(n) with U_j = 2 c_j (1 - a^(j+1)),
-    read off the sigma tables mod p^N and known to the least prec c_j.
-    Step functions and characters read f(d) - a f(a d) off the combined
-    tables U_j[c] = T_j[c] - a^(j+1) T_j[a c mod p^m] of f = sum_j z^j T_j
-    (zpfun.table_values), and the weights are divisor-summed as residues,
-    one coordinate at a time for characters; binomials take f(d), f(a d)
-    point by point.
+    read off the sigma tables mod p^N and known to the least prec c_j, when
+    it has at most SIGMA_CACHE_SIZE terms (more would cycle the sigma cache
+    on every call; they take the table route below, with the same residues
+    and precisions).  Step functions and characters read f(d) - a f(a d) off
+    the combined tables U_j[c] = T_j[c] - a^(j+1) T_j[a c mod p^m] of
+    f = sum_j z^j T_j (zpfun.table_values), and the weights are
+    divisor-summed as residues, one coordinate at a time for characters;
+    binomials take f(d), f(a d) point by point.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -412,8 +433,8 @@ class EisensteinMeasure(Measure):
         # any table of a character is built; kl shares f's other tables
         lc = None if isinstance(f, (Binomial, Character)) else poly_lc_terms(f)
         const = self.kl.value(f, lc)
-        if lc and lc[0] == 0 and all(isinstance(t[0], PadicInt)
-                                     for t in lc[1].values()):
+        if lc and lc[0] == 0 and len(lc[1]) <= SIGMA_CACHE_SIZE and all(
+                isinstance(t[0], PadicInt) for t in lc[1].values()):
             return self._polynomial(lc[1], const)
         zero, ds = PadicInt(ctx, 0), range(ctx.M + 1)
         try:

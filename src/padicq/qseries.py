@@ -312,11 +312,12 @@ def divisor_sum(w, e: int, zero=0):
     """out[n] = sum_{d | n} d^e w[d] for 1 <= n < len(w); w[0] is ignored.
 
     The weights are ints, ring elements or flat scalars (res, prec); every
-    out[n] starts at ``zero``, and a zero weight known to fewer digits still
-    caps its sums.  Flat weights over a PadicInt zero are summed mod p^N and
-    come back flat, out[n] known to the least prec of zero and the w[d], d | n;
-    when no w[d] (d >= 1) is known to fewer digits than zero, every out[n]
-    is reduced to zero's precision at once, and a weight 0 skips its d^e.
+    out[n] starts at ``zero``.  An int weight 0 is skipped, but a zero weight
+    known to fewer digits still caps its sums.  Flat weights over a PadicInt
+    zero are summed mod p^N and come back flat, out[n] known to the least
+    prec of zero and the w[d], d | n; when no w[d] (d >= 1) is known to fewer
+    digits than zero, every out[n] is reduced to zero's precision at once,
+    and a weight 0 skips its d^e.
     """
     if isinstance(w, tuple):
         (res, wprec), mod, pows = w, zero.ctx.modulus, zero.ctx.pows
@@ -337,11 +338,21 @@ def divisor_sum(w, e: int, zero=0):
     out = [zero] * (M + 1)
     # each d <= s with all of its multiples, then d > s by cofactor j < M / s
     for d in range(1, s + 1):
-        out[d::d] = map(add, out[d::d], repeat(w[d]))
+        if type(w[d]) is not int or w[d]:
+            out[d::d] = map(add, out[d::d], repeat(w[d]))
     tail = w[s + 1:]
     for j in range(1, M // (s + 1) + 1):
         out[j * (s + 1)::j] = map(add, out[j * (s + 1)::j], tail)
     return out
+
+
+def _least_prime_factors(M: int) -> list[int]:
+    """spf[n] = the least prime factor of n <= M (n itself for primes and
+    n < 2): i runs down, so each composite keeps the least i, a prime."""
+    spf = list(range(M + 1))
+    for i in range(isqrt(M), 1, -1):
+        spf[i * i::i] = [i] * ((M - i * i) // i + 1)
+    return spf
 
 
 # sigma tables most recently used, keyed by (e, M, mod): a process sweeping
@@ -360,11 +371,7 @@ def sigma_table(e: int, M: int, mod: int) -> tuple:
     sigma_e(q / p) + q^e, so each prime power costs one modular power and
     every other n one product of residues.
     """
-    # least prime factors: i runs down, so each composite n keeps the least
-    # i with i^2 <= n that divides it, a prime
-    spf = list(range(M + 1))
-    for i in range(isqrt(M), 1, -1):
-        spf[i * i::i] = [i] * ((M - i * i) // i + 1)
+    spf = _least_prime_factors(M)
     sig, part = [0, 1 % mod] + [0] * (M - 1), [0, 1] + [0] * (M - 1)
     for n in range(2, M + 1):
         p = spf[n]

@@ -17,8 +17,7 @@ never guesses a modulus of continuity.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add
+from itertools import accumulate, repeat
 
 from .cyclotomic import CyclotomicElem, cyclo_pow
 from .errors import (ConfigError, NotUnit, PadicqError, PrecisionExhausted,
@@ -208,22 +207,27 @@ def mahler_coeffs(f: ContinuousFn, K: int) -> list:
 
     These satisfy f(n) = sum_k c_k C(n, k) for every integer 0 <= n <= K.
     Scalar values are differenced as residues mod p^N; c_k is known to the
-    least precision among f(0), ..., f(k).
+    least precision among f(0), ..., f(k).  When f has level m (lc_level)
+    and p^m <= K, every Delta^k f has period p^m, so only f(0), ...,
+    f(p^m - 1) are read and differenced cyclically, in K p^m steps rather
+    than K^2 / 2; from k = p^m - 1 on, c_k is known to the least precision
+    over the period.
     """
-    vals = values(f, range(K + 1))
+    ctx, m = f.ctx, lc_level(f)
+    # wrap = 1: one period, differenced cyclically; 0: all K + 1 values
+    wrap = int(m is not None and ctx.p ** m <= K)
+    vals = values(f, range(ctx.p ** m if wrap else K + 1))
+    out = []
     if not isinstance(vals, tuple):
-        out = []
         for _ in range(K + 1):
             out.append(vals[0])
-            vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
+            vals = [y - x for x, y in zip(vals, vals[1:] + vals[:wrap])]
         return out
-    ctx, mod = f.ctx, f.ctx.modulus
-    res, precs = vals
-    out, prec = [], ctx.N
-    for e in precs:
-        prec = min(prec, e)
-        out.append(PadicInt(ctx, res[0], prec))
-        res = [(y - x) % mod for x, y in zip(res, res[1:])]
+    mod, (res, precs) = ctx.modulus, vals
+    precs = list(accumulate(precs, min))
+    for e in precs + precs[-1:] * (K + 1 - len(precs)):
+        out.append(PadicInt(ctx, res[0], e))
+        res = [(y - x) % mod for x, y in zip(res, res[1:] + res[:wrap])]
     return out
 
 
@@ -402,19 +406,25 @@ def table_values(ctx: PadicContext, m: int, terms: dict, xs):
     prec[i] the least prec of the entries read; else a list of ring sums.
 
     Scalar rows are read cheaply where the input allows: xs = range(n)
-    repeats one period of p^m entries, tables known to all N digits are
-    reduced mod p^N at once, and a lone constant term T_0 is already reduced.
+    repeats one period of p^m entries, the degrees are combined by Horner's
+    rule in x (a modular power only across a gap between degrees), tables
+    known to all N digits are reduced mod p^N at once, and a lone constant
+    term T_0 is already reduced.
     """
     pm, mod, pows = ctx.p ** m, ctx.modulus, ctx.pows
     items = sorted(terms.items())
     if all(isinstance(v, PadicInt) for _, tab in items for v in tab):
         top = [min(tab[c].prec for _, tab in items) for c in range(pm)]
-        prec, sums = _row(top, xs), None
-        for j, tab in items:
+        prec, sums, low = _row(top, xs), None, 0
+        for j, tab in reversed(items):
             r = _row([v.residue for v in tab], xs)
-            r = [pow(x, j, mod) * y for x, y in zip(xs, r)] if j else r
-            sums = r if sums is None else list(map(add, sums, r))
-        if len(items) > 1 or items[0][0]:
+            if sums is not None:  # sums <- sums x^(low - j) + T_j
+                xg = xs if low - j == 1 else [pow(x, low - j, mod) for x in xs]
+                r = [(s * x + y) % mod for s, x, y in zip(sums, xg, r)]
+            sums, low = r, j
+        if low:
+            sums = [pow(x, low, mod) * s for x, s in zip(xs, sums)]
+        if len(items) > 1 or low:
             mods = repeat(mod) if min(top) == ctx.N else map(pows.__getitem__, prec)
             sums = [s % e for s, e in zip(sums, mods)]
         return sums, prec

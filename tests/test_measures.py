@@ -245,6 +245,35 @@ def test_point_weights_match_exact_mahler_pairing():
                     assert (got.residue, got.prec) == (want, N), (p, N, a, j)
 
 
+def _list_point_weights(b, mod):
+    """The coefficients of sum_n b_n (X - 1)^n, by Horner in X - 1 on a
+    list of integers."""
+    w = []
+    for c in reversed(b):
+        w = [x - y for x, y in zip([c] + w, w + [0])]
+    return [x % mod for x in w]
+
+
+def test_point_weights_and_moments_match_list_horner_and_pow_rows():
+    from padicq.measures import _point_weights
+
+    rng = random.Random(20)
+    for p in (3, 5, 7):
+        for N in (1, 12, 40):
+            ctx, mod, n0 = PadicContext(p, N, 4), p ** N, _mahler_cutoff(p, N)
+            # random kernels and the largest digits, |w_i| near mod 2^len(b)
+            for L in (0, 1, 2, n0):
+                for b in ([rng.randrange(mod) for _ in range(L)], [mod - 1] * L):
+                    assert _point_weights(b, mod) == _list_point_weights(b, mod)
+            for a in (2, mod - 1):
+                kl = KLConstantTerm(ctx, PadicInt(ctx, a))
+                w = _list_point_weights(kl.kernel.base(n0 - 1), mod)
+                for j in (0, 1, 2, n0 - 1, n0, 999, 10 ** 5 + 1):
+                    got = kl.moment(j)
+                    want = sum(x * pow(i, j, mod) for i, x in enumerate(w)) % mod
+                    assert (got.residue, got.prec) == (want, N), (p, N, a, j)
+
+
 def _full_pairing_moment(kl, j):
     """kappa(z^j) paired against all j + 1 Mahler coefficients of z^j."""
     mod = kl.ctx.modulus
@@ -686,6 +715,27 @@ def test_eisenstein_rows_match_pointwise_loops():
             got = eisenstein_2G_twisted(ctx, k, f)
             assert _shapes(got)[1:] == \
                 [(c.residue, c.prec) for c in (2 * c for c in out[1:])]
+
+
+def test_long_polynomials_bypass_the_sigma_cache(monkeypatch):
+    # more nonzero degrees than the sigma cache holds would evict every
+    # table on every call; such polynomials take the combined-table route
+    from padicq.qseries import SIGMA_CACHE_SIZE
+
+    ctx = PadicContext(5, 6, 60)
+    f = Polynomial(ctx, [1] * 41)
+    assert len(f.coeffs) > SIGMA_CACHE_SIZE
+    a = PadicInt(ctx, 2)
+    w = [None] + [f.evaluate(PadicInt(ctx, d)) - a * f.evaluate(a * d)
+                  for d in range(1, ctx.M + 1)]
+    out = _pointwise_divisor_sum(w, 0, PadicInt(ctx, 0))
+    want = [(c.residue, c.prec)
+            for c in [kl_constant(a, f)] + [2 * c for c in out[1:]]]
+    calls = []
+    monkeypatch.setattr("padicq.measures.sigma_table",
+                        lambda *args: calls.append(args))
+    g = eisenstein_eval(a, f)
+    assert list(zip(g.res, g.prec)) == want and calls == []
 
 
 def test_kl_cache_is_bounded_lru():

@@ -570,6 +570,25 @@ def test_flat_divisor_sums_match_padicint_lists():
     inner()
 
 
+def test_sparse_int_weights_and_low_precision_zero(ctx5):
+    # int zeros add nothing and are skipped, below isqrt(M) and above it; a
+    # PadicInt zero known to 2 digits (d = 3) still caps every multiple
+    rng = random.Random(19)
+    M = 200
+    w = [0] * (M + 1)
+    for d in rng.sample(range(1, M + 1), 12) + [2, 13]:
+        w[d] = rng.randrange(1, ctx5.modulus)
+    zero = PadicInt(ctx5, 0)
+    for e in (0, 3):
+        assert divisor_sum(w, e) == _ref_divisor_sum(w, e, 0)
+        ring = [PadicInt(ctx5, 0, 2) if d == 3 else x for d, x in enumerate(w)]
+        got = divisor_sum(ring, e, zero)
+        assert [(c.residue, c.prec) for c in got] == \
+            [(c.residue, c.prec) for c in _ref_divisor_sum(ring, e, zero)]
+        assert [c.prec for c in got[1:]] == \
+            [2 if n % 3 == 0 else 12 for n in range(1, M + 1)]
+
+
 def _other_lift(c: PadicInt, rng) -> PadicInt:
     ctx = c.ctx
     return PadicInt(ctx, c.residue + rng.randrange(ctx.modulus) * ctx.pows[c.prec])

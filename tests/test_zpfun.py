@@ -373,6 +373,50 @@ def test_act_and_mahler_match_pointwise_loops(data):
             _outcome(lambda: _old_mahler(f, K))
 
 
+@st.composite
+def _step_functions(draw, ctx):
+    """A function of known level m: indicators, step tables with
+    low-precision entries and zeros, their zero extensions, full-precision
+    unit scalings, products of two steps, and characters (ring values)."""
+    p = ctx.p
+
+    def step():
+        level = draw(st.integers(0, 3 if p == 3 else 2))
+        n = p ** level
+        return LocallyConstant(ctx, level, draw(
+            st.lists(_scalars(ctx), min_size=n, max_size=n)))
+
+    table = step()
+    level, n = table.level, len(table.table)
+    kind = draw(st.sampled_from(["indicator", "table", "zero_extended",
+                                 "scaled", "product", "character"]))
+    if kind == "indicator":
+        return indicator(ctx, level, draw(st.integers(0, n - 1)))
+    if kind == "table":
+        return table
+    if kind == "zero_extended":
+        return ZeroExtendedUnits(table)
+    if kind == "scaled":
+        unit = draw(st.integers(1, ctx.modulus - 1).filter(lambda u: u % p))
+        return Scaled(table, PadicInt(ctx, unit))
+    if kind == "product":
+        return Product(table, step())
+    zeta = CyclotomicElem.zeta_power(ctx, 1, draw(st.integers(0, p - 1)))
+    return Product(table, Character(zeta))
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_periodic_mahler_matches_full_differences(data):
+    # a level-m function differenced over one period, cyclically, against
+    # all K + 1 values differenced K^2 / 2 times, around and past K = p^m
+    ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
+    f = data.draw(_step_functions(ctx))
+    K = data.draw(st.integers(0, 3 * ctx.p ** lc_level(f)))
+    assert _outcome(lambda: mahler_coeffs(f, K)) == \
+        _outcome(lambda: _old_mahler(f, K))
+
+
 def _other_lift(c: PadicInt, rng) -> PadicInt:
     """c's residue moved by a random multiple of p^prec, at full precision:
     an integer that the digits c claims cannot tell from c."""
