@@ -11,7 +11,9 @@ binomials C(z, k) with k > 0) are evaluated coefficient by coefficient.
 
 from __future__ import annotations
 
-from .cyclotomic import CyclotomicElem
+from itertools import compress
+
+from .cyclotomic import CyclotomicElem, zeta_powers
 from .errors import NotRootOfUnity
 from .padic import DualNumber, PadicInt
 from .qseries import QExpansion
@@ -35,9 +37,12 @@ def act(f: ContinuousFn, g: QExpansion) -> QExpansion:
 def act_character(zeta, g: QExpansion) -> QExpansion:
     """Twist by a root of unity: coefficient n becomes zeta^n * a_n.
 
-    On a scalar series the result is written one slice n = k mod p^m at a
+    The powers zeta^k come from one table (``cyclotomic.zeta_powers``).  On
+    a scalar series the result is written one slice n = k mod p^m at a
     time: each nonzero coordinate x of zeta^k puts x * a_n in that output
-    coordinate, known to the least precision of a_n and zeta^k.  A
+    coordinate, known to the least precision of a_n and zeta^k.  When every
+    digit of both is known, x = 1 moves the slice as it is and x = -1
+    negates it, so a standard power T^u costs no products at all.  A
     ring-valued series is twisted one element product per coefficient.
 
     zeta may also be a dual number a + eps b over the scalars; the
@@ -61,23 +66,26 @@ def act_character(zeta, g: QExpansion) -> QExpansion:
         raise NotRootOfUnity(
             f"level {zeta.level} exceeds the available cyclotomic level {M_MAX}"
         )
-    if not zeta.is_root_of_unity():
-        raise NotRootOfUnity("argument is not a p-power root of unity")
-    pm, pows = ctx.p ** zeta.level, ctx.pows
-    powers = [CyclotomicElem.one(ctx, zeta.level)]
-    for _ in range(min(pm, n) - 1):
-        powers.append(powers[-1] * zeta)
-    if g.parts:
+    pm, pows, mod = ctx.p ** zeta.level, ctx.pows, ctx.modulus
+    powers = zeta_powers(zeta, min(pm, n))
+    if g.parts:  # zeta^0 at zeta's level: the twist has it even when n = 1
+        powers[0] = CyclotomicElem.one(ctx, zeta.level)
         return QExpansion(ctx, [powers[i % pm] * c for i, c in enumerate(g.coeffs)],
                           g.qprec)
     top, low = g.prec, zeta.min_prec()
     if low < ctx.N and pm > 1:  # zeta^k, k >= 1, knows low digits
         top = [e if i % pm == 0 or e < low else low for i, e in enumerate(top)]
+    full = min(top) == ctx.N
     out = [[0] * n for _ in zeta.res]
     for k, z in enumerate(powers):
         ys, tk = g.res[k::pm], top[k::pm]
-        for j, x in enumerate(z.res):
-            if x:
+        for j in compress(range(len(z.res)), z.res):
+            x = z.res[j]
+            if full and x == 1:
+                out[j][k::pm] = ys
+            elif full and x == mod - 1:
+                out[j][k::pm] = [-y % mod for y in ys]
+            else:
                 out[j][k::pm] = [x * y % pows[e] for y, e in zip(ys, tk)]
     return QExpansion.from_parts(ctx, zeta.level, [QExpansion.from_flat(ctx, r, top)
                                                    for r in out])

@@ -12,10 +12,15 @@ precision rules are those of ``PadicInt`` applied coordinate by coordinate:
 sums and differences keep min(prec) per coordinate, and a ring product
 knows min over all coordinates of both factors.  The lists are never
 mutated once an element is built, so results may share them.
+
+Powers of a root of unity come in two forms: ``cyclo_pow`` is one checked
+power at a p-adic exponent, and ``zeta_powers`` is the whole table
+zeta^0, zeta^1, ... after a single root check.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import comb
 
 from .errors import NotRootOfUnity, NotUnit, PrecisionExhausted
@@ -102,14 +107,18 @@ class CyclotomicElem:
 
     @classmethod
     def zeta_power(cls, ctx: PadicContext, level: int, j: int) -> "CyclotomicElem":
-        """zeta^j at the given level, j taken modulo p^level."""
+        """zeta^j at the given level, j taken modulo p^level: the unit vector
+        e_j for j < phi, else -sum_{i<p-1} e_(j - phi + i p^(level-1)),
+        since T^phi = -sum_{i<p-1} T^(i p^(level-1))."""
         if level == 0:
             return cls.one(ctx, 0)
-        j %= ctx.p ** level
-        raw = [0] * (j + 1)
-        raw[j] = 1
-        res = _reduce_raw(raw, ctx.p, level, ctx.modulus)
-        return _make(ctx, level, res, [ctx.N] * len(res))
+        p, phi = ctx.p, phi_pm(ctx.p, level)
+        j, res = j % p ** level, [0] * phi
+        if j < phi:
+            res[j] = 1
+        else:
+            res[j - phi::phi // (p - 1)] = [ctx.modulus - 1] * (p - 1)
+        return _make(ctx, level, res, [ctx.N] * phi)
 
     # -- structure ---------------------------------------------------------
 
@@ -325,3 +334,35 @@ def cyclo_pow(x: CyclotomicElem, e: PadicInt) -> CyclotomicElem:
             f"exponent known mod p^{e.prec} but level-{m} root needs p^{m}"
         )
     return x ** (e.residue % (x.ctx.p ** m))
+
+
+def zeta_powers(zeta: CyclotomicElem, count: int) -> list[CyclotomicElem]:
+    """[zeta^0, ..., zeta^(count - 1)] for a p^m-th root of unity zeta and
+    count <= p^m; zeta^0 is the scalar one, as ``cyclo_pow`` gives it.
+
+    A zeta known to N digits with the coordinates of a standard power T^u
+    (``CyclotomicElem.zeta_power``: e_u, or p - 1 coordinates -1 spaced
+    p^(m-1) apart from u - phi) is a root of unity by its form, and
+    zeta^k = T^(u k mod p^m) is read off the same closed form.  Any other
+    zeta is checked once (zeta^(p^m) = 1, else NotRootOfUnity) and powered
+    by successive sparse products, each known to zeta's least precision.
+    """
+    ctx, m, res = zeta.ctx, zeta.level, zeta.res
+    p, phi = ctx.p, len(res)
+    q, neg = phi // (p - 1), [ctx.modulus - 1] * (p - 1)
+    nz = list(compress(range(phi), res)) if zeta.min_prec() == ctx.N else []
+    if len(nz) == 1 and res[nz[0]] == 1:
+        u = nz[0]
+    elif m and len(nz) == p - 1 and nz[0] < q and res[nz[0]::q] == neg:
+        u = phi + nz[0]
+    else:
+        u = None
+    powers = [CyclotomicElem.one(ctx, 0)]
+    if u is not None:
+        return powers + [CyclotomicElem.zeta_power(ctx, m, u * k)
+                         for k in range(1, count)]
+    if not zeta.is_root_of_unity():
+        raise NotRootOfUnity(f"{zeta!r}^(p^{m}) != 1")
+    for _ in range(count - 1):
+        powers.append(powers[-1] * zeta)
+    return powers

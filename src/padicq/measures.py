@@ -137,8 +137,9 @@ class KLConstantTerm:
     built once per functional; i^(k-1) is completely multiplicative in i,
     so only prime i take a modular power, and the cost barely grows with k.
     Values on level-m step functions are exact to N - m digits and cost one
-    Horner per level l <= m (phi(p^l) ring products) plus integer traces.  Step functions and characters
-    beyond the fixed cap action.M_MAX raise PrecisionExhausted.
+    Horner per level l <= m (phi(p^l) ring products) plus integer traces.
+    Step functions and characters beyond the fixed cap action.M_MAX raise
+    PrecisionExhausted.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -464,15 +465,17 @@ class EisensteinMeasure(Measure):
         sum_j U_j sigma_j(n) mod p^top, top the least prec c_j, as the
         divisor sum of the combined weights would give it."""
         ctx, ar, mod = self.ctx, self.a.residue, self.ctx.modulus
-        top, res = min(t[0].prec for t in terms.values()), None
+        top, rows = min(t[0].prec for t in terms.values()), []
         for j, (c,) in terms.items():
             u = 2 * c.residue * (1 - pow(ar, j + 1, mod)) % mod
-            if u:  # summed unreduced, then reduced once
-                tab = sigma_table(j, ctx.M, mod)
-                res = [u * s for s in tab] if res is None else \
-                    [x + u * s for x, s in zip(res, tab)]
-        low = ctx.pows[top]
-        res = [x % low for x in res] if res else [0] * (ctx.M + 1)
+            if u:
+                rows.append((u, sigma_table(j, ctx.M, mod)))
+        # summed unreduced; the last degree joins in the one reducing pass
+        low, res = ctx.pows[top], [0] * (ctx.M + 1)
+        for u, tab in rows[:-1]:
+            res = [x + u * s for x, s in zip(res, tab)]
+        u, tab = rows[-1] if rows else (0, res)
+        res = [(x + u * s) % low for x, s in zip(res, tab)]
         res[0] = const.residue
         return QExpansion.from_flat(ctx, res, [const.prec] + [top] * ctx.M)
 
@@ -529,6 +532,12 @@ def _scalar_or_series_zero(ctx, sample):
 
 
 def _dot(ctx, cks, bs):
+    """sum_k b_k c_k.  Scalar terms are one integer dot product, known to
+    the least precision among them, as the sum of PadicInt products is."""
+    pairs = list(zip(cks, bs))
+    if all(isinstance(ck, PadicInt) and isinstance(b, PadicInt) for ck, b in pairs):
+        return PadicInt(ctx, sum(ck.residue * b.residue for ck, b in pairs),
+                        min((min(ck.prec, b.prec) for ck, b in pairs), default=ctx.N))
     acc = None
     for ck, b in zip(cks, bs):
         term = b * ck

@@ -29,7 +29,8 @@ from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import ConfigError, json_int_field, json_int_list
 from .padic import DualNumber, PadicContext, PadicInt, bernoulli, \
     bernoulli_polynomial, padic_valuation, reduce_rational
-from .zpfun import ContinuousFn, LocallyConstant, as_table, lc_level, values
+from .zpfun import ContinuousFn, LocallyConstant, as_table, lc_level, \
+    ring_valued, values
 
 
 def _same_ring(ctx: PadicContext, other: PadicContext) -> None:
@@ -476,6 +477,8 @@ def _period_table(f: ContinuousFn) -> tuple[int, list]:
     m = lc_level(f)
     if m is None:
         raise ValueError("f must be locally constant")
+    if ring_valued(f):  # refused before its p^m ring elements are built
+        raise TypeError("L-values need scalar (non-cyclotomic) twists")
     table = f.table if isinstance(f, LocallyConstant) and f.level == m \
         else as_table(f, m)
     if not all(isinstance(v, PadicInt) for v in table):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import accumulate, repeat
 
-from .cyclotomic import CyclotomicElem, cyclo_pow
+from .cyclotomic import CyclotomicElem, cyclo_pow, zeta_powers
 from .errors import (ConfigError, NotUnit, PadicqError, PrecisionExhausted,
                      UnsupportedShape, json_field, json_int_field,
                      json_int_list, json_list, json_object)
@@ -277,13 +277,27 @@ def lc_level(f: ContinuousFn) -> int | None:
     return None
 
 
+def ring_valued(f: ContinuousFn) -> bool:
+    """Whether f has a character of level >= 1 as a factor, scaled or
+    zero-extended, so that its values are ring elements; follows the
+    recursion of lc_level."""
+    if isinstance(f, Character):
+        return f.level > 0
+    if isinstance(f, Product):
+        return ring_valued(f.f) or ring_valued(f.g)
+    return isinstance(f, (Scaled, ZeroExtendedUnits)) and ring_valued(f.inner)
+
+
 def as_table(f: ContinuousFn, level: int) -> list:
     """Value table of f on residues mod p^level.
 
     Faithful only when f is locally constant of level <= level; it is the
-    caller's job to check lc_level first.
+    caller's job to check lc_level first.  A character's table is its
+    power table (``poly_lc_terms``), repeated.
     """
     n = f.ctx.p ** level
+    if isinstance(f, Character):
+        return _row(poly_lc_terms(f)[1][0], range(n))
     return [f.evaluate(PadicInt(f.ctx, c)) for c in range(n)]
 
 
@@ -311,13 +325,11 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
         raise UnsupportedShape("binomial functions have no p-integral "
                                "polynomial presentation")
     if isinstance(f, Character):
-        # one evaluation checks zeta (a root of unity, a level within N);
-        # then zeta^c = zeta^(c-1) zeta costs one ring product per entry,
-        # not a checked power
-        tab = [f.evaluate(PadicInt(ctx, 0))]
-        for _ in range(ctx.p ** f.level - 1):
-            tab.append(tab[-1] * f.zeta)
-        return f.level, {0: tab}
+        # a level above N, which no argument's digits resolve, is refused
+        # by evaluate before the p^m-entry table, as each point refuses it
+        if ctx.N < f.level:
+            f.evaluate(PadicInt(ctx, 0))
+        return f.level, {0: zeta_powers(f.zeta, ctx.p ** f.level)}
     if isinstance(f, LocallyConstant):
         return f.level, {0: as_table(f, f.level)}
     if isinstance(f, Product):
@@ -393,9 +405,10 @@ def values(f: ContinuousFn, xs):
 
 
 def _row(t: list, xs) -> list:
-    """t[x mod len(t)] for each x in xs; xs = range(n) repeats t."""
+    """t[x mod len(t)] for each x in xs; xs = range(n), or a one-entry t,
+    repeats t."""
     n, pm = len(xs), len(t)
-    if isinstance(xs, range) and xs.start == 0 and xs.step == 1:
+    if pm == 1 or isinstance(xs, range) and xs.start == 0 and xs.step == 1:
         return (t * -(-n // pm))[:n]
     return [t[x % pm] for x in xs]
 
@@ -409,12 +422,23 @@ def table_values(ctx: PadicContext, m: int, terms: dict, xs):
     repeats one period of p^m entries, the degrees are combined by Horner's
     rule in x (a modular power only across a gap between degrees), tables
     known to all N digits are reduced mod p^N at once, and a lone constant
-    term T_0 is already reduced.
+    term T_0 is already reduced.  Level-0 tables are constants c_j, so a
+    polynomial is Horner over constant rows, and a monomial c z^j is one
+    power row (xs itself for j = 1 when xs is a range inside [0, p^N)),
+    scaled only when c != 1 and reduced once, to c's precision.
     """
     pm, mod, pows = ctx.p ** m, ctx.modulus, ctx.pows
     items = sorted(terms.items())
     if all(isinstance(v, PadicInt) for _, tab in items for v in tab):
         top = [min(tab[c].prec for _, tab in items) for c in range(pm)]
+        if pm == 1 and len(items) == 1 and items[0][0]:  # c z^j, j >= 1
+            (j, (c,)), = items
+            xg = xs if j == 1 and isinstance(xs, range) and xs.step > 0 \
+                and xs.start >= 0 and xs.stop <= mod else [pow(x, j, mod) for x in xs]
+            q, prec = pows[c.prec], [c.prec] * len(xs)
+            if c.residue != 1:
+                return [c.residue * x % q for x in xg], prec
+            return list(xg) if q == mod else [x % q for x in xg], prec
         prec, sums, low = _row(top, xs), None, 0
         for j, tab in reversed(items):
             r = _row([v.residue for v in tab], xs)

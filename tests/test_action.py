@@ -287,6 +287,31 @@ def test_act_and_twists_match_padicint_lists():
     inner()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_act_character_matches_element_lists_for_every_level2_power(p):
+    # every standard power T^u at level 2, on series known to all N digits
+    # (the slice moves, negations and products) and to mixed precisions,
+    # and on level-1 ring series, one coefficient long among them
+    from padicq import PadicContext
+
+    ctx = PadicContext(p, 5, 60)
+    rng = random.Random(p)
+    full = [PadicInt(ctx, rng.randrange(ctx.modulus)) for _ in range(ctx.M + 1)]
+    mixed = [PadicInt(ctx, rng.randrange(ctx.modulus), rng.randrange(ctx.N + 1))
+             for _ in range(ctx.M + 1)]
+    z1 = CyclotomicElem.zeta_power(ctx, 1, 1)
+    for u in range(p ** 2):
+        zeta = CyclotomicElem.zeta_power(ctx, 2, u)
+        for coeffs in (full, mixed, full[:7], full[:1]):
+            g = QExpansion(ctx, coeffs, len(coeffs) - 1)
+            assert _shape(act_character(zeta, g)) == \
+                _lifted_shape(ref_act_character(zeta, coeffs), 2)
+            if len(coeffs) < 10:
+                ring = ref_act_character(z1, coeffs)
+                assert _shape(act_character(zeta, act_character(z1, g))) == \
+                    _lifted_shape(ref_act_character(zeta, ring), 2)
+
+
 def test_eisenstein_measure_matches_padicint_lists():
     from hypothesis import given, settings
     from hypothesis import strategies as st

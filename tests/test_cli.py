@@ -66,6 +66,40 @@ def test_eisenstein_twist(capsys):
     assert obj["coeffs"][3] == "0"
 
 
+def test_character_twists_are_refused_before_any_table(capsys):
+    # a character of level >= 1, bare, in a product, scaled or zero-extended,
+    # is refused from its descriptor; building its p^m ring elements first
+    # took seconds at level 4 and did not finish at level 5.  A level-0
+    # character is not refused there, and its one-entry table (a level-0
+    # ring element) exits 4 with the same message
+    char = '{"kind":"character","level":%d,"power":%d}'
+    ind = '{"kind":"indicator","level":1,"class":0}'
+    twists = [char % (5, 1), char % (6, 3), char % (0, 1),
+              '{"kind":"product","factors":[%s,%s]}' % (ind, char % (5, 2)),
+              '{"kind":"scaled","unit":2,"inner":%s}' % (char % (5, 1)),
+              '{"kind":"zero_extended_units","inner":%s}' % (char % (5, 1))]
+    for twist in twists:
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "eisenstein", "--k", "4", "--twist", twist)
+        assert time.monotonic() - start < 1.0, twist
+        assert code == 4 and out == ""
+        assert json.loads(err) == {
+            "code": 4, "message": "L-values need scalar (non-cyclotomic) twists"}
+
+
+def test_character_above_N_is_refused_before_its_table(capsys):
+    # a level-5 character at N = 2 has no argument whose digits fix it;
+    # it is refused as one point refuses it, before its 5^5 powers
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "--N", "2", "apply", "--measure",
+                             '{"kind":"amice","coeffs":[1]}', "--fn",
+                             '{"kind":"character","level":5}')
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "code": 2, "message": "exponent known mod p^2 but level-5 root needs p^5"}
+
+
 def test_moment_value(capsys):
     code, out, _ = run_cli(capsys, "--p", "5", "moment", "--k", "2")
     assert code == 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from padicq import (CyclotomicElem, NotRootOfUnity, NotUnit, PadicContext,
                     PadicInt, PrecisionExhausted, cyclo_pow, phi_pm)
-from padicq.cyclotomic import _reduce_raw
+from padicq.cyclotomic import _reduce_raw, zeta_powers
 
 
 def elem(ctx, level, ints):
@@ -172,6 +172,74 @@ def test_cyclo_pow_needs_precision():
     z = CyclotomicElem.zeta(ctx, 2)
     with pytest.raises(PrecisionExhausted):
         cyclo_pow(z, PadicInt(ctx, 7, 1))
+
+
+# -- power tables ---------------------------------------------------------------
+
+def _successive(zeta, count):
+    """zeta^0 (the scalar one, as zeta ** 0), then one ring product each."""
+    out = [CyclotomicElem.one(zeta.ctx, 0)]
+    for _ in range(count - 1):
+        out.append(out[-1] * zeta)
+    return out
+
+
+def _flat(elems):
+    return [(x.level, x.res, x.prec) for x in elems]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_zeta_powers_of_standard_roots_match_successive_products(p, level):
+    # every standard power T^u, u < p^m: residues, precisions and levels of
+    # the closed-form table equal those of successive ring products.  At
+    # p = 7, level 3 (343 tables of 343 products) the products of T itself
+    # are permuted, (T^u)^k = T^(u k), and a sample of u is powered directly.
+    ctx = PadicContext(p, 6, 4)
+    pm, phi = p ** level, phi_pm(p, level)
+    std = _successive(CyclotomicElem.zeta(ctx, level), pm)
+    direct = range(pm) if pm < 343 else \
+        {0, 1, 2, p, p * p, phi - 1, phi, phi + 1, pm - 1}
+    for u in range(pm):
+        zeta = CyclotomicElem.zeta_power(ctx, level, u)
+        got = _flat(zeta_powers(zeta, pm))
+        assert got[0] == (0, [1], [ctx.N])
+        assert got[1:] == _flat([std[u * k % pm] if u * k % pm else
+                                 CyclotomicElem.one(ctx, level)
+                                 for k in range(1, pm)])
+        if u in direct:
+            assert got == _flat(_successive(zeta, pm))
+
+
+def test_zeta_powers_of_other_roots_match_successive_products():
+    # roots known to N - 1 digits and roots that are not signed monomials
+    # (T^u (1 + p^(N-1) T), a root of unity mod p^N) take the products;
+    # tables up to one period long equal the checked powers
+    rng = random.Random(71)
+    for p in (3, 5, 7):
+        ctx = PadicContext(p, 6, 4)
+        for level in (1, 2):
+            pm = p ** level
+            for u in rng.sample(range(pm), 3):
+                zeta = CyclotomicElem.zeta_power(ctx, level, u)
+                short = CyclotomicElem.from_flat(ctx, level, zeta.res,
+                                                 [ctx.N - 1] * len(zeta.res))
+                bent = zeta * (1 + ctx.pows[ctx.N - 1] * CyclotomicElem.zeta(ctx, level))
+                for z in (short, bent):
+                    assert _flat(zeta_powers(z, pm)) == _flat(_successive(z, pm))
+                for z in (zeta, short, bent):
+                    for count in (1, pm - 1, pm):
+                        assert _flat(zeta_powers(z, count)) == _flat(
+                            cyclo_pow(z, PadicInt(ctx, k)) for k in range(count))
+
+
+def test_zeta_powers_rejects_non_roots():
+    ctx = PadicContext(5, 6, 4)
+    z = CyclotomicElem.zeta(ctx, 1)
+    for x in (z + 1, 2 * z, (1 + ctx.p) * z, CyclotomicElem.zero(ctx, 2),
+              CyclotomicElem.from_scalar(PadicInt(ctx, 2))):
+        with pytest.raises(NotRootOfUnity):
+            zeta_powers(x, 5)
 
 
 def test_augmentation_and_constant():

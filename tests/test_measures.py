@@ -85,6 +85,44 @@ def test_character_duality_dirac_and_random(ctx5):
         assert eval_measure(mu, Character(z)) == eval_at_character(mu, z)
 
 
+def test_scalar_pairings_match_padicint_sums(ctx5):
+    # sum_k c_k b_k as one integer dot product: residue and precision of
+    # the sum of PadicInt products, over coefficients and Mahler
+    # coefficients known to mixed precisions, and the empty measure; ring
+    # values keep the element sum.  A LinearMeasure pairs the same way.
+    from padicq import LinearMeasure
+    from padicq.zpfun import mahler_coeffs
+
+    def padicint_sum(cks, bs):  # the sum of products, term by term
+        acc = None
+        for ck, b in zip(cks, bs):
+            acc = b * ck if acc is None else acc + b * ck
+        return PadicInt(ctx5, 0) if acc is None else acc
+
+    rng = random.Random(83)
+    z = CyclotomicElem.zeta(ctx5, 1)
+    fns = [indicator(ctx5, 2, 7), monomial(ctx5, 3),
+           Polynomial(ctx5, [PadicInt(ctx5, 3, 4), 1]),
+           LocallyConstant(ctx5, 1, [PadicInt(ctx5, 2, 5), 0, 1, 4, 3]),
+           Character(z), Binomial(ctx5, 2)]
+    for size in (0, 1, 7, 40):
+        for prec in (ctx5.N, 6):
+            bs = [PadicInt(ctx5, rng.randrange(ctx5.modulus),
+                           rng.choice([ctx5.N, prec])) for _ in range(size)]
+            mu = AmiceMeasure(ctx5, bs)
+            lin = LinearMeasure(ctx5, [(b, AmiceMeasure(ctx5, [1] * (k + 1)))
+                                       for k, b in enumerate(bs)])
+            for f in fns:
+                cks = mahler_coeffs(f, size - 1)
+                parts = [padicint_sum(cks, [PadicInt(ctx5, 1)] * (k + 1))
+                         for k in range(size)]
+                for got, want in ((mu(f), padicint_sum(cks, bs)),
+                                  (lin(f), padicint_sum(bs, parts))):
+                    assert type(got) is type(want) and got == want
+                    if isinstance(want, PadicInt):
+                        assert (got.residue, got.prec) == (want.residue, want.prec)
+
+
 def test_basic_congruence_property(ctx5):
     # f = g mod p^n pointwise implies mu(f) = mu(g) mod p^n
     n = 3

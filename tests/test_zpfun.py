@@ -270,7 +270,7 @@ def _functions(draw, ctx, depth=2, known=False):
     """A drawn function; ``known`` draws polynomial coefficients and table
     entries with _known_scalars."""
     p = ctx.p
-    kinds = ["polynomial", "table", "character", "binomial", "mahler"]
+    kinds = ["polynomial", "monomial", "table", "character", "binomial", "mahler"]
     if depth:
         kinds += ["product", "scaled", "zero_extended"]
     kind = draw(st.sampled_from(kinds))
@@ -279,6 +279,10 @@ def _functions(draw, ctx, depth=2, known=False):
             return Polynomial(ctx, draw(_known_scalars(ctx, draw(st.integers(1, 4)))))
         return Polynomial(ctx, draw(st.lists(_scalars(ctx), min_size=1,
                                              max_size=4)))
+    if kind == "monomial":  # c z^j: one power row, c of any precision
+        c = draw(st.just(PadicInt(ctx, 1)) | (_known_scalars(ctx, 1).map(
+            lambda cs: cs[0]) if known else _scalars(ctx)))
+        return Polynomial(ctx, [0] * draw(st.sampled_from([0, 1, 2, 5])) + [c])
     if kind == "table":
         level = draw(st.integers(0, 3 if p < 7 else 2))
         n = p ** level
@@ -350,12 +354,36 @@ def test_values_match_evaluate(data):
     for known in (False, True):
         f = data.draw(_functions(ctx, known=known))
         # a range from 0 is read as repeated periods of the tables, other
-        # xs entry by entry
-        xs = data.draw(st.lists(st.integers(0, 2 * ctx.modulus), min_size=1,
-                                max_size=12) | st.builds(range, st.sampled_from(
-                                    [0, 0, 1, ctx.p]), st.integers(1, 60)))
+        # xs entry by entry; a range inside [0, p^N) is its own power row
+        # x^1, lists (negative entries and entries past p^N among them) and
+        # ranges that cross p^N are reduced first
+        mod = ctx.modulus
+        xs = data.draw(st.lists(st.integers(-2 * mod, 2 * mod), min_size=1,
+                                max_size=12) | st.builds(
+                                    lambda a, n: range(a, a + n), st.sampled_from(
+                                        [0, 0, 1, ctx.p, mod - 7]) | st.integers(1, 2 * mod),
+                                    st.integers(1, 60)))
         want = _outcome(lambda: [f.evaluate(PadicInt(ctx, x)) for x in xs])
         assert _outcome(lambda: values(f, xs)) == want
+
+
+def test_monomial_power_rows_match_evaluate():
+    # every branch of the one-row path for c z^j: c = 1 or not, known to N
+    # digits or fewer, xs a range inside [0, p^N) (read as x itself), from
+    # 0 or not, with a step, from below 0 or crossing p^N, or a list with
+    # negative entries and entries past p^N
+    for ctx in TABLE_CTXS.values():
+        mod = ctx.modulus
+        rows = [range(0, 30), range(5, 40), range(0, 40, 3), range(-5, 10),
+                range(mod - 5, mod + 5),
+                [-mod - 2, -1, 0, 3, mod, mod + 4, 3 * mod - 1]]
+        for c in (PadicInt(ctx, 1), PadicInt(ctx, 1, 3), PadicInt(ctx, 7),
+                  PadicInt(ctx, mod - 1, 2), PadicInt(ctx, 0, 4), PadicInt(ctx, 0)):
+            for j in (0, 1, 2, 5):
+                f = Polynomial(ctx, [0] * j + [c])
+                for xs in rows:
+                    assert _outcome(lambda: values(f, xs)) == \
+                        _outcome(lambda: [f.evaluate(PadicInt(ctx, x)) for x in xs])
 
 
 @settings(max_examples=60)
