@@ -197,17 +197,11 @@ def _parse_character(cfg: RunConfig, text: str):
 
 
 def cmd_lvalue(cfg: RunConfig, args) -> int:
-    from .measures import nu_character_series, two_variable_L
+    from .measures import lvalue
     from .qseries import series_to_json
-    from .zpfun import lc_level
     chi1 = _parse_character(cfg, args.chi1)
     chi2 = _parse_character(cfg, args.chi2)
-    value = two_variable_L(chi1, chi2, cfg.a)
-    series = nu_character_series(chi1, chi2, cfg.a)
-    ar = cfg.a.residue % (cfg.p ** max(lc_level(chi1), lc_level(chi2), 1))
-    factor = PadicInt(cfg.ctx, 1) - \
-        chi1.evaluate(PadicInt(cfg.ctx, ar)) * cfg.a * \
-        chi2.evaluate(PadicInt(cfg.ctx, ar)).inverse()
+    value, factor, series = lvalue(chi1, chi2, cfg.a)
     emit({"schema": 1, "kind": "lvalue", "value": value_to_json(value, cfg),
           "euler_factor": value_to_json(factor, cfg),
           "nu_series": series_to_json(series)})

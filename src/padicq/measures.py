@@ -186,17 +186,20 @@ class KLConstantTerm:
         the j-th twisted series F and one primitive p^l-th root zeta_l per
         level l <= m: the other roots of level l are its Galois conjugates.
         So F is evaluated once per level, and each trace is read off the
-        power-basis coordinates of that value with integers.
+        power-basis coordinates of that value with integers.  F is twisted
+        once, to T-degree N phi(p^m): coefficient n of a twist depends only
+        on coefficients n..n + j of A_a, so each level reads a prefix.
         """
         key = (j, m)
         if key in self._indicator_cache:
             return self._indicator_cache[key]
         ctx, p = self.ctx, self.ctx.p
-        sums = [self.kernel.twisted(j, 0)[0]] * p ** m
+        F = self.kernel.twisted(j, ctx.N * phi_pm(p, m))
+        sums = [F[0]] * p ** m
         prec = ctx.N
         for lvl in range(1, m + 1):
             K = ctx.N * phi_pm(p, lvl)
-            rem = _mod_psi(self.kernel.twisted(j, K), p, lvl, ctx.modulus)
+            rem = _mod_psi(F[:K + 1], p, lvl, ctx.modulus)
             e = _horner_cyclo(ctx, rem, CyclotomicElem.zeta(ctx, lvl))
             prec = min(prec, e.min_prec())
             # Tr_l(zeta^k) is p^l - q if p^l | k, -q if v_p(k) = l - 1 and 0
@@ -219,7 +222,7 @@ class KLConstantTerm:
         ctx = self.ctx
         if isinstance(f, Binomial):
             return PadicInt(ctx, self.kernel.base(f.k)[f.k])
-        if isinstance(f, Character):
+        if isinstance(f, Character) and f.level:
             _check_level(f.level)
             return self.value_character(f.zeta)
         m, terms = lc or poly_lc_terms(f)
@@ -432,7 +435,8 @@ class EisensteinMeasure(Measure):
         ctx, ar = self.ctx, self.a.residue
         # the constant term first: it refuses levels past the cap before
         # any table of a character is built; kl shares f's other tables
-        lc = None if isinstance(f, (Binomial, Character)) else poly_lc_terms(f)
+        lc = None if isinstance(f, Binomial) or \
+            isinstance(f, Character) and f.level else poly_lc_terms(f)
         const = self.kl.value(f, lc)
         if lc and lc[0] == 0 and len(lc[1]) <= SIGMA_CACHE_SIZE and all(
                 isinstance(t[0], PadicInt) for t in lc[1].values()):
@@ -625,7 +629,7 @@ def pushforward_halving(F: TwoVarFn) -> TwoVarFn:
             ) from exc
         if m == 0:
             for t, tab in terms.items():
-                xpart = multiply(f, Polynomial(ctx, [0] * t + [tab[0]]))
+                xpart = multiply(f, Polynomial(ctx, {t: tab[0]}))
                 out.append((xpart, monomial(ctx, t)))
         else:
             pm = ctx.p ** m
@@ -669,20 +673,16 @@ def measure_from_json(ctx: PadicContext, obj,
 
 # -- two-variable L-values -----------------------------------------------------
 
-def _character_table(chi: ContinuousFn, m: int) -> list:
+def validate_character(chi: ContinuousFn, m: int) -> list:
+    """Check multiplicativity of a unit-character table; returns the table."""
+    ctx = chi.ctx
+    pm = ctx.p ** m
     lvl = lc_level(chi)
     if lvl is None:
         raise ValueError("characters must be locally constant data")
     if lvl > m:
         raise ValueError("character level exceeds requested level")
-    return as_table(chi, m)
-
-
-def validate_character(chi: ContinuousFn, m: int) -> list:
-    """Check multiplicativity of a unit-character table; returns the table."""
-    ctx = chi.ctx
-    pm = ctx.p ** m
-    tab = _character_table(chi, m)
+    tab = as_table(chi, m)
     units = [u for u in range(pm) if u % ctx.p != 0]
     one = tab[1 % pm]
     if not (one == PadicInt(ctx, 1)):
@@ -695,21 +695,6 @@ def validate_character(chi: ContinuousFn, m: int) -> list:
     return tab
 
 
-def _character_pair(chi1: ContinuousFn, chi2: ContinuousFn):
-    """The common level m >= 1 of a character pair, both validated tables
-    at that level, and the table of chi1/chi2 zero-extended off the units."""
-    ctx = chi1.ctx
-    m = max(lc_level(chi1) or 0, lc_level(chi2) or 0, 1)
-    tab1 = validate_character(chi1, m)
-    tab2 = validate_character(chi2, m)
-    quotient = [
-        tab1[c] * tab2[c].inverse() if c % ctx.p != 0
-        else PadicInt(ctx, 0)
-        for c in range(ctx.p ** m)
-    ]
-    return m, tab1, tab2, quotient
-
-
 def two_variable_L(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt):
     """The two-variable L-value pinned by the defining identity.
 
@@ -719,27 +704,38 @@ def two_variable_L(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt):
     functional on the zero-extended quotient character, divided by the
     Euler-type factor 1 - chi1(a) a / chi2(a).
     """
-    ctx = chi1.ctx
-    m, tab1, tab2, quotient = _character_pair(chi1, chi2)
-    if not a.is_unit():
-        raise NotUnit("a must be a unit")
-    ar = a.residue % ctx.p ** m
-    factor = PadicInt(ctx, 1) - tab1[ar] * a * tab2[ar].inverse()
-    if not factor.is_unit():
-        raise EulerFactorNotInvertible(
-            "1 - chi1(a) a / chi2(a) is congruent to 0 mod p")
-    fn = ZeroExtendedUnits(LocallyConstant(ctx, m, quotient))
-    kl_side = kl_constant(a, fn)
-    return kl_side * factor.inverse()
+    return lvalue(chi1, chi2, a, series=False)[0]
 
 
 def nu_character_series(chi1: ContinuousFn, chi2: ContinuousFn,
                         a: PadicInt) -> QExpansion:
     """The full convolution value on the zero-extended character pair."""
+    return lvalue(chi1, chi2, a, value=False)[2]
+
+
+def lvalue(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt,
+           value: bool = True, series: bool = True) -> tuple:
+    """(two_variable_L, its Euler factor, nu_character_series), None where
+    not asked for, from one validated table of each character at their
+    common level m >= 1 and the table of chi1/chi2 zero-extended off the
+    units."""
     ctx = chi1.ctx
-    m, _, tab2, quotient = _character_pair(chi1, chi2)
-    F = TwoVarFn.tensor(
-        ZeroExtendedUnits(LocallyConstant(ctx, m, quotient)),
-        ZeroExtendedUnits(LocallyConstant(ctx, m, tab2)),
-    )
-    return convolution_nu(a, F)
+    m = max(lc_level(chi1) or 0, lc_level(chi2) or 0, 1)
+    tab1, tab2 = validate_character(chi1, m), validate_character(chi2, m)
+    fn = ZeroExtendedUnits(LocallyConstant(ctx, m, [
+        tab1[c] * tab2[c].inverse() if c % ctx.p != 0 else PadicInt(ctx, 0)
+        for c in range(ctx.p ** m)]))
+    L = factor = nu = None
+    if value:
+        if not a.is_unit():
+            raise NotUnit("a must be a unit")
+        ar = a.residue % ctx.p ** m
+        factor = PadicInt(ctx, 1) - tab1[ar] * a * tab2[ar].inverse()
+        if not factor.is_unit():
+            raise EulerFactorNotInvertible(
+                "1 - chi1(a) a / chi2(a) is congruent to 0 mod p")
+        L = kl_constant(a, fn) * factor.inverse()
+    if series:
+        nu = convolution_nu(a, TwoVarFn.tensor(
+            fn, ZeroExtendedUnits(LocallyConstant(ctx, m, tab2))))
+    return L, factor, nu

@@ -1,10 +1,13 @@
 """Exact representations of continuous functions on Z_p.
 
-Every variant evaluates exactly at p-adic integer arguments; locally
-constant functions (step functions, p-power characters and their products
-with polynomials) additionally decompose into a canonical
-"sum of z^j times step function" form, f(z) = sum_j z^j T_j[z mod p^m],
-which is what measure evaluation consumes.  The same tables evaluate f at
+Every variant evaluates exactly at p-adic integer arguments.  A polynomial
+is its nonzero terms {j: c_j}: a coefficient is dropped only when it is 0
+to all N digits, a value is known to the least precision over the stored
+terms, and z^j or a product of polynomials costs its number of terms, not
+its degree.  Locally constant functions (step functions, p-power
+characters and their products with polynomials) additionally decompose
+into a canonical "sum of z^j times step function" form, f(z) = sum_j z^j
+T_j[z mod p^m], which is what measure evaluation consumes.  The same tables evaluate f at
 many integers at once (``values``): they are built once, with p^m entries,
 and each value is then a sum of x^j T_j[x mod p^m] on plain integers, with
 exactly the residue and precision ``evaluate`` gives.
@@ -36,30 +39,37 @@ class ContinuousFn:
 
 
 class Polynomial(ContinuousFn):
-    """f(z) = sum_j coeffs[j] * z^j with p-adic integer coefficients."""
+    """f(z) = sum_j terms[j] z^j, stored as its nonzero terms {j: PadicInt}.
+
+    ``coeffs`` is a coefficient list or a {degree: coefficient} dict.  A
+    coefficient is dropped only when it is 0 to all N digits: a zero known
+    to fewer digits stays, since every value of f is known to the least
+    precision over the stored terms and the argument.  The zero polynomial
+    has no terms.
+    """
 
     def __init__(self, ctx: PadicContext, coeffs):
         self.ctx = ctx
-        self.coeffs = [c if isinstance(c, PadicInt) else PadicInt(ctx, c)
-                       for c in coeffs]
-        if not self.coeffs:
-            self.coeffs = [PadicInt(ctx, 0)]
+        self.terms = {}
+        for j, c in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
+            c = c if isinstance(c, PadicInt) else PadicInt(ctx, c)
+            if not c.is_exact_zero():
+                self.terms[j] = c
 
     def evaluate(self, x: PadicInt):
-        acc = PadicInt(self.ctx, 0, x.prec)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        prec = min([x.prec, *(c.prec for c in self.terms.values())])
+        q = self.ctx.pows[prec]
+        return PadicInt(self.ctx, sum(c.residue * pow(x.residue, j, q)
+                                      for j, c in self.terms.items()), prec)
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(self.terms, default=0)
 
 
 def monomial(ctx: PadicContext, degree: int) -> Polynomial:
     if degree < 0:
         raise ValueError(f"monomial degree must be >= 0, got {degree}")
-    coeffs = [0] * degree + [1]
-    return Polynomial(ctx, coeffs)
+    return Polynomial(ctx, {degree: 1})
 
 
 def constant_fn(ctx: PadicContext, value) -> Polynomial:
@@ -84,7 +94,8 @@ class Binomial(ContinuousFn):
 
 
 class Character(ContinuousFn):
-    """f(z) = zeta^z for a p-power root of unity zeta."""
+    """f(z) = zeta^z for a p-power root of unity zeta; at level 0 (zeta = 1)
+    the scalar constant 1."""
 
     def __init__(self, zeta: CyclotomicElem):
         self.ctx = zeta.ctx
@@ -92,7 +103,8 @@ class Character(ContinuousFn):
         self.level = zeta.level
 
     def evaluate(self, x: PadicInt):
-        return cyclo_pow(self.zeta, x)
+        v = cyclo_pow(self.zeta, x)
+        return v if self.level else v.constant_part()
 
 
 class LocallyConstant(ContinuousFn):
@@ -232,15 +244,22 @@ def mahler_coeffs(f: ContinuousFn, K: int) -> list:
 
 
 def multiply(f: ContinuousFn, g: ContinuousFn) -> ContinuousFn:
-    """Pointwise product, with polynomial*polynomial collapsed eagerly."""
+    """Pointwise product, with polynomial*polynomial collapsed eagerly over
+    the stored terms (``_terms``)."""
     if isinstance(f, Polynomial) and isinstance(g, Polynomial):
-        ctx = f.ctx
-        out = [PadicInt(ctx, 0) for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
-        for i, a in enumerate(f.coeffs):
-            for j, b in enumerate(g.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(ctx, out)
+        out: dict = {}
+        for i, a in _terms(f).items():
+            for j, b in _terms(g).items():
+                out[i + j] = out[i + j] + a * b if i + j in out else a * b
+        return Polynomial(f.ctx, out)
     return Product(f, g)
+
+
+def _terms(f: Polynomial) -> dict:
+    """f's terms, or one exact zero for the zero polynomial: a product with
+    it still sees the other factor, as 0 (c + O(p^e)) is a zero known to e
+    digits."""
+    return f.terms or {0: PadicInt(f.ctx, 0)}
 
 
 def scale_argument(f: ContinuousFn, u: PadicInt) -> ContinuousFn:
@@ -314,11 +333,7 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
     """
     ctx = f.ctx
     if isinstance(f, Polynomial):
-        # a zero known to fewer than N digits stays: it caps the value's
-        # precision as it does in Horner's rule; the zero polynomial keeps
-        # one term, so that a product with it still sees the other factor
-        return 0, {j: [c] for j, c in enumerate(f.coeffs)
-                   if not c.is_exact_zero()} or {0: [PadicInt(ctx, 0)]}
+        return 0, {j: [c] for j, c in _terms(f).items()}
     if isinstance(f, Binomial):
         if f.k == 0:
             return 0, {0: [PadicInt(ctx, 1)]}
@@ -329,7 +344,8 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
         # by evaluate before the p^m-entry table, as each point refuses it
         if ctx.N < f.level:
             f.evaluate(PadicInt(ctx, 0))
-        return f.level, {0: zeta_powers(f.zeta, ctx.p ** f.level)}
+        powers = zeta_powers(f.zeta, ctx.p ** f.level)
+        return f.level, {0: powers if f.level else [powers[0].constant_part()]}
     if isinstance(f, LocallyConstant):
         return f.level, {0: as_table(f, f.level)}
     if isinstance(f, Product):
@@ -340,9 +356,9 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
         for j1, tab1 in t1.items():
             tab1 = _lift_table(tab1, ctx, m1, m)
             for j2, tab2 in t2.items():
-                tab2l = _lift_table(tab2, ctx, m2, m)
-                _accumulate(out, j1 + j2,
-                            [a * b for a, b in zip(tab1, tab2l)], ctx)
+                t = [a * b for a, b in zip(tab1, _lift_table(tab2, ctx, m2, m))]
+                j = j1 + j2
+                out[j] = [a + b for a, b in zip(out[j], t)] if j in out else t
         return m, out
     if isinstance(f, Scaled):
         u = f.mult
@@ -363,22 +379,11 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
         return m, out
     if isinstance(f, ZeroExtendedUnits):
         m_in, terms = poly_lc_terms(f.inner)
-        m = max(m_in, 1)
-        p = ctx.p
-        out = {}
-        for j, tab in terms.items():
-            tab = _lift_table(tab, ctx, m_in, m)
-            out[j] = [v if c % p != 0 else PadicInt(ctx, 0)
-                      for c, v in enumerate(tab)]
-        return m, out
+        m, zero = max(m_in, 1), PadicInt(ctx, 0)
+        return m, {j: [v if c % ctx.p else zero for c, v in
+                       enumerate(_lift_table(tab, ctx, m_in, m))]
+                   for j, tab in terms.items()}
     raise UnsupportedShape(f"cannot decompose {type(f).__name__}")
-
-
-def _accumulate(out: dict, j: int, table: list, ctx: PadicContext):
-    if j in out:
-        out[j] = [a + b for a, b in zip(out[j], table)]
-    else:
-        out[j] = table
 
 
 def values(f: ContinuousFn, xs):

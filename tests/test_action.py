@@ -456,11 +456,13 @@ def test_ring_series_match_element_lists():
         assert _shape(-t1) == _lifted_shape([-a for a in r1], z1.level)
         assert t1 == t1 + g.scale(ctx.modulus)
         # the action of the character n -> z2^n on scalar and ring series
+        # (at level 0 the scalar 1)
         chi = [Character(z2).evaluate(PadicInt(ctx, i)) for i in range(qp + 1)]
         assert _shape(act(Character(z2), g)) == \
             _lifted_shape([v * c for v, c in zip(chi, coeffs)])
         assert _shape(act(Character(z2), t1)) == _lifted_shape(
-            [v * c for v, c in zip(chi, r1)], max(z1.level, *(v.level for v in chi)))
+            [v * c for v, c in zip(chi, r1)],
+            max(z1.level, *(getattr(v, "level", 0) for v in chi)))
 
     inner()
 
@@ -542,3 +544,49 @@ def test_act_character_against_exact_oracle(p, levels, oracles):
                     "prec": [[a.prec] * len(row) for row, a in zip(rows, coeffs)]}
             assert g.level == m and len(parts) == len(rows[0])
             assert oracles.agree(want, got, p), (m, e)
+
+
+def test_non_torsion_action_integrates_theta(oracles):
+    # x = 1 + p t is no root of unity.  x^z = sum_k (x - 1)^k C(z, k), whose
+    # Mahler coefficients are 0 mod p^N from k = N on, acts by q -> x q:
+    # a_n -> x^n a_n = sum_{k<K} (log x)^k / k! theta^k(g)_n, and acting by
+    # x^z then y^z is acting by (x y)^z.  The program claims N - floor(log_p
+    # (N - 1)) digits: binomial_padic charges C(z, k) floor(log_p k) digits,
+    # though (x - 1)^k has valuation k
+    from fractions import Fraction
+
+    from padicq import MahlerSeries, PadicContext, series_to_json
+
+    rng = random.Random(15)
+    for p in (3, 5, 7):
+        N = rng.randint(6, 12)
+        ctx, K = PadicContext(p, N, 60), 2 * N  # v((log x)^k / k!) >= (k + 1) / 2
+        mod, claimed = ctx.modulus, N - max(e for e in range(N) if p ** e < N)
+        g = rand_series(ctx, rng)
+
+        def power(x):
+            return MahlerSeries(ctx, [pow(x - 1, k, mod) for k in range(N)], N)
+
+        def check(want_res, got):
+            want = oracles.series([r % mod for r in want_res], claimed, p, N)
+            assert oracles.agree(want, got, p)
+            assert oracles.agree(dict(want, prec=got["prec"]), got, p)
+
+        for t in (1, 2, p):
+            x, u = 1 + p * t, Fraction(p * t)
+            got = series_to_json(act(power(x), g))
+            check([pow(x, n, mod) * a for n, a in enumerate(g.res)], got)
+            log = sum((-1) ** (i + 1) * u ** i / i for i in range(1, 2 * N + 4))
+            cs, c = [], Fraction(1)
+            for k in range(K):  # (log x)^k / k!, p-integral
+                assert c.denominator % p
+                cs.append(c.numerator * pow(c.denominator, -1, mod))
+                c = c * log / (k + 1)
+            acc, tk = [0] * len(g.res), g
+            for ck in cs:
+                acc, tk = [s + ck * r for s, r in zip(acc, tk.res)], theta(tk)
+            check(acc, got)
+            y = 1 + p * rng.randrange(1, p * p)
+            check(act(power(x * y % mod), g).res,
+                  series_to_json(act(power(x), act(power(y), g))))
+

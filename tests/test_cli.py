@@ -70,11 +70,10 @@ def test_character_twists_are_refused_before_any_table(capsys):
     # a character of level >= 1, bare, in a product, scaled or zero-extended,
     # is refused from its descriptor; building its p^m ring elements first
     # took seconds at level 4 and did not finish at level 5.  A level-0
-    # character is not refused there, and its one-entry table (a level-0
-    # ring element) exits 4 with the same message
+    # character is the scalar 1 and is not refused (see below)
     char = '{"kind":"character","level":%d,"power":%d}'
     ind = '{"kind":"indicator","level":1,"class":0}'
-    twists = [char % (5, 1), char % (6, 3), char % (0, 1),
+    twists = [char % (5, 1), char % (6, 3),
               '{"kind":"product","factors":[%s,%s]}' % (ind, char % (5, 2)),
               '{"kind":"scaled","unit":2,"inner":%s}' % (char % (5, 1)),
               '{"kind":"zero_extended_units","inner":%s}' % (char % (5, 1))]
@@ -85,6 +84,43 @@ def test_character_twists_are_refused_before_any_table(capsys):
         assert code == 4 and out == ""
         assert json.loads(err) == {
             "code": 4, "message": "L-values need scalar (non-cyclotomic) twists"}
+
+
+def test_level0_character_twist_is_the_constant_one(capsys):
+    # zeta = 1 at level 0: the character is the scalar 1, so the twist is
+    # the untwisted series, as is the level-0 indicator; its product with
+    # a level-1 indicator is that indicator's twist.  A polynomial is its
+    # nonzero terms, so [3, 0] is the constant 3
+    char = '{"kind":"character","level":0}'
+    ind = '{"kind":"indicator","level":1,"class":0}'
+
+    def twisted(*twist):
+        code, out, err = run_cli(capsys, "--M", "5", "eisenstein", "--k", "6", *twist)
+        assert code == 0 and err == "", twist
+        return out
+
+    plain = twisted()
+    assert twisted("--twist", char) == plain
+    assert twisted("--twist", '{"kind":"indicator","level":0,"class":0}') == plain
+    assert twisted("--twist", '{"kind":"product","factors":[%s,%s]}' % (char, ind)) \
+        == twisted("--twist", ind)
+    assert twisted("--twist", '{"kind":"polynomial","coeffs":[3,0]}') == \
+        twisted("--twist", '{"kind":"constant","value":3}')
+
+
+def test_lvalue_validates_each_character_once(capsys, monkeypatch):
+    # the L-value, its Euler factor and the nu series share one validated
+    # pair: one multiplicativity pass per character, not two each
+    from padicq import measures
+
+    calls, real = [], measures.validate_character
+    monkeypatch.setattr(measures, "validate_character",
+                        lambda chi, m: calls.append(m) or real(chi, m))
+    chi1 = json.dumps({"kind": "table", "level": 2,
+                       "values": [pow(c, 5 ** 11, 5 ** 12) if c % 5 else 0
+                                  for c in range(25)]})
+    code, out, err = run_cli(capsys, "lvalue", "--chi1", chi1, "--chi2", "trivial")
+    assert code == 0 and err == "" and calls == [2, 2]
 
 
 def test_character_above_N_is_refused_before_its_table(capsys):

@@ -762,7 +762,7 @@ def test_long_polynomials_bypass_the_sigma_cache(monkeypatch):
 
     ctx = PadicContext(5, 6, 60)
     f = Polynomial(ctx, [1] * 41)
-    assert len(f.coeffs) > SIGMA_CACHE_SIZE
+    assert len(f.terms) > SIGMA_CACHE_SIZE
     a = PadicInt(ctx, 2)
     w = [None] + [f.evaluate(PadicInt(ctx, d)) - a * f.evaluate(a * d)
                   for d in range(1, ctx.M + 1)]
@@ -1281,3 +1281,20 @@ def test_kernel_binomials_match_math_comb(p, N):
         for K in (0, 1, 2, 5, 17, 60):
             got = RegularizedKernel(ctx, PadicInt(ctx, r))._compute(K)
             assert got == _kernel_from_comb(r, K, ctx.modulus), (r, K)
+
+
+def test_twisted_series_prefixes_are_shorter_twists():
+    # coefficient n of ((1+T) d/dT)^j A_a depends only on coefficients
+    # n..n + j of A_a, so one twist to T-degree K holds every shorter one;
+    # each K' is twisted on a fresh kernel, from a base of its own length
+    from padicq.cyclotomic import phi_pm
+    from padicq.measures import RegularizedKernel
+
+    for p in (3, 5, 7):
+        ctx = PadicContext(p, 4, 10)
+        K = ctx.N * phi_pm(p, 2)
+        for j in (0, 1, 7, 300):
+            full = RegularizedKernel(ctx, PadicInt(ctx, 2)).twisted(j, K)
+            for k in (0, 1, ctx.N * (p - 1), K - 1):
+                got = RegularizedKernel(ctx, PadicInt(ctx, 2)).twisted(j, k)
+                assert got == full[:k + 1], (p, j, k)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicq import (Binomial, Character, CyclotomicElem, LocallyConstant,
-                    MahlerSeries, NotRootOfUnity, NotUnit, PadicContext, PadicInt,
-                    PadicqError, Polynomial, PrecisionExhausted, Product,
-                    QExpansion, Scaled, TwoVarFn, UnsupportedShape,
-                    ZeroExtendedUnits, act, eisenstein_eval, evaluate,
-                    fn_from_json, indicator, kl_constant, lc_level,
+from padicq import (Binomial, Character, ContinuousFn, CyclotomicElem,
+                    LocallyConstant, MahlerSeries, NotRootOfUnity, NotUnit,
+                    PadicContext, PadicInt, PadicqError, Polynomial,
+                    PrecisionExhausted, Product, QExpansion, Scaled, TwoVarFn,
+                    UnsupportedShape, ZeroExtendedUnits, act, eisenstein_eval,
+                    evaluate, fn_from_json, indicator, kl_constant, lc_level,
                     mahler_coeffs, monomial, multiply, poly_lc_terms,
                     scale_argument)
 from padicq.zpfun import values
@@ -526,3 +526,83 @@ def test_poly_lc_terms_keeps_low_precision_zeros(ctx5):
     assert kl_constant(PadicInt(ctx5, 2), f).prec == 3
     mu = eisenstein_eval(PadicInt(ctx5, 2), f)
     assert all(c.prec == 3 for c in mu.coeffs)
+
+
+# -- the sparse polynomial against the dense coefficient list ------------------
+
+class _DensePolynomial(ContinuousFn):
+    """The dense reference: one PadicInt per degree, evaluated by Horner."""
+
+    def __init__(self, ctx, coeffs):
+        self.ctx = ctx
+        self.coeffs = list(coeffs) or [PadicInt(ctx, 0)]
+
+    def evaluate(self, x):
+        acc = PadicInt(self.ctx, 0, x.prec)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+def _dense_multiply(f, g):
+    out = [PadicInt(f.ctx, 0) for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return _DensePolynomial(f.ctx, out)
+
+
+@st.composite
+def _dense_coeffs(draw, ctx):
+    """Low-precision coefficients and zeros, trailing exact zeros, and the
+    zero polynomial (no coefficients, or only exact zeros)."""
+    zero = PadicInt(ctx, 0)
+    cs = draw(st.lists(_scalars(ctx), max_size=4) | st.lists(st.just(zero), max_size=2))
+    return cs + [zero] * draw(st.sampled_from([0, 0, 1, 2]))
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_sparse_polynomials_match_the_dense_reference(data):
+    # products of sparse polynomials, and their products with an indicator,
+    # against dense lists multiplied degree by degree: the same residues and
+    # precisions everywhere (0 (c + O(p^e)) is a zero known to e digits);
+    # lc_level differs only where a dense list ends in an exact zero
+    ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
+    lists = data.draw(st.lists(_dense_coeffs(ctx), min_size=1, max_size=3))
+    f, ref = Polynomial(ctx, lists[0]), _DensePolynomial(ctx, lists[0])
+    for cs in lists[1:]:
+        f = multiply(f, Polynomial(ctx, cs))
+        ref = _dense_multiply(ref, _DensePolynomial(ctx, cs))
+    trailing = any(len(cs) > 1 and cs[-1].is_exact_zero()
+                   for cs in lists + [ref.coeffs])
+    assert lc_level(f) == (0 if len(ref.coeffs) == 1 else None) or \
+        trailing and lc_level(f) == 0
+    # the consumers read a dense list as the polynomial of its coefficients
+    lib = Polynomial(ctx, ref.coeffs)
+    if data.draw(st.booleans()):
+        level = data.draw(st.integers(1, 2))
+        ind = indicator(ctx, level, data.draw(st.integers(0, ctx.p ** level - 1)))
+        f, ref, lib = multiply(f, ind), Product(ref, ind), Product(lib, ind)
+    xs = data.draw(st.lists(st.integers(0, 2 * ctx.modulus), min_size=1, max_size=8))
+    for x in xs:
+        e = data.draw(st.integers(0, ctx.N))
+        assert _outcome(lambda: [f.evaluate(PadicInt(ctx, x, e))]) == \
+            _outcome(lambda: [ref.evaluate(PadicInt(ctx, x, e))])
+    assert _outcome(lambda: values(f, xs)) == \
+        _outcome(lambda: [ref.evaluate(PadicInt(ctx, x)) for x in xs])
+    K = data.draw(st.integers(0, 12))
+    assert _outcome(lambda: mahler_coeffs(f, K)) == _outcome(lambda: _old_mahler(ref, K))
+    n = data.draw(st.integers(1, ctx.M + 1))
+    g = QExpansion(ctx, data.draw(st.lists(_scalars(ctx), min_size=n, max_size=n)))
+    assert _outcome(lambda: act(f, g)) == _outcome(lambda: _old_act(ref, g))
+    a = PadicInt(ctx, 2)
+    assert _outcome(lambda: [kl_constant(a, f)]) == _outcome(lambda: [kl_constant(a, lib)])
+    assert _outcome(lambda: eisenstein_eval(a, f)) == \
+        _outcome(lambda: eisenstein_eval(a, lib))
+
+
+def test_monomials_are_one_term(ctx5):
+    f = monomial(ctx5, 10 ** 9)
+    assert list(f.terms) == [10 ** 9] and f.degree() == 10 ** 9
+    assert multiply(f, f).terms == {2 * 10 ** 9: PadicInt(ctx5, 1)}
