@@ -97,6 +97,10 @@ class RunConfig:
         self.a = PadicInt(self.ctx, check_a_range(a, self.p, self.N, "a"))
 
 
+_RING_RESULT = ("cyclotomic-valued results are not serializable; "
+                "use scalar character tables")
+
+
 def _as_scalar(v) -> PadicInt:
     """v itself, or a cyclotomic v's constant coefficient when every other
     coefficient is 0 to the full N digits; any other v cannot print."""
@@ -104,8 +108,7 @@ def _as_scalar(v) -> PadicInt:
         return v
     head, *rest = v.coeffs
     if not all(c.is_exact_zero() for c in rest):
-        raise ConfigError("cyclotomic-valued results are not serializable; "
-                          "use scalar character tables")
+        raise ConfigError(_RING_RESULT)
     return head
 
 
@@ -199,8 +202,11 @@ def _parse_character(cfg: RunConfig, text: str):
 def cmd_lvalue(cfg: RunConfig, args) -> int:
     from .measures import lvalue
     from .qseries import series_to_json
+    from .zpfun import ring_valued
     chi1 = _parse_character(cfg, args.chi1)
     chi2 = _parse_character(cfg, args.chi2)
+    if ring_valued(chi1) or ring_valued(chi2):  # nu_series would be a ring series
+        raise ConfigError(_RING_RESULT)
     value, factor, series = lvalue(chi1, chi2, cfg.a)
     emit({"schema": 1, "kind": "lvalue", "value": value_to_json(value, cfg),
           "euler_factor": value_to_json(factor, cfg),

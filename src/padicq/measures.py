@@ -17,12 +17,12 @@ weight: the n-th Mahler coefficient of z^j is Delta^n(z^j)(0) = n! S(j, n),
 a multiple of n! and so 0 mod p^N from n0 on, which keeps the sum exact.
 As Delta^n f(0) = sum_i (-1)^(n-i) C(n, i) f(i), the pairing is a dot
 product sum_i w_i i^j with point weights w_i, i < n0, built once.
-At a primitive p^l-th root zeta, zeta - 1 is a root of Phi_{p^l}(1 + T),
-which is monic of degree phi(p^l): the kernel series is reduced modulo it
-with plain integers, then evaluated by Horner in phi(p^l) ring steps.  One
-such root per level suffices: the other roots of level l are its Galois
-conjugates, so their share of the character sum is an integer trace of the
-one value.
+A character chi_zeta is a torsion point of the formal group Gm-hat: when
+zeta^(p^l) = 1, zeta - 1 is a root of (1 + T)^(p^l) - 1, monic of degree
+p^l, so the kernel series is reduced modulo it with plain integers, then
+evaluated by Horner in p^l ring steps.  One primitive root per level
+suffices: the other roots of level l are its Galois conjugates, so their
+share of the character sum is an integer trace of the one value.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ class KLConstantTerm:
     built once per functional; i^(k-1) is completely multiplicative in i,
     so only prime i take a modular power, and the cost barely grows with k.
     Values on level-m step functions are exact to N - m digits and cost one
-    Horner per level l <= m (phi(p^l) ring products) plus integer traces.
+    Horner per level l <= m (p^l ring products, after reducing the kernel
+    series by the torsion polynomial (1+T)^(p^l) - 1) plus integer traces.
     Step functions and characters beyond the fixed cap action.M_MAX raise
     PrecisionExhausted.
     """
@@ -170,14 +171,17 @@ class KLConstantTerm:
         return PadicInt(ctx, sum(map(mul, self._weights, row)))
 
     def value_character(self, zeta: CyclotomicElem, j: int = 0):
-        """kappa(z^j chi_zeta) = (twisted series)(zeta - 1), full precision."""
-        ctx = self.ctx
-        K = ctx.N * phi_pm(ctx.p, zeta.level)
-        coeffs = self.kernel.twisted(j, K)
-        lvl = _root_level(zeta)
-        if lvl is not None:
-            coeffs = _mod_psi(coeffs, ctx.p, lvl, ctx.modulus)
-        return _horner_cyclo(ctx, coeffs, zeta)
+        """kappa(z^j chi_zeta) = (twisted series)(zeta - 1), full precision.
+
+        The series is reduced by (1+T)^(p^l) - 1 for the least l <= the
+        level with zeta^(p^l) = 1 at zeta's precision, and evaluated in full
+        when there is none (zeta is no root of unity of its level)."""
+        ctx, p = self.ctx, self.ctx.p
+        coeffs = self.kernel.twisted(j, ctx.N * phi_pm(p, zeta.level))
+        y, n = zeta, 1
+        while y != 1 and n < p ** zeta.level:
+            y, n = y ** p, n * p
+        return _torsion_horner(coeffs, zeta, n if y == 1 else None)
 
     def _indicator_values(self, j: int, m: int) -> list[PadicInt]:
         """kappa(z^j 1_{c + p^m Z_p}) for all c, by Galois traces.
@@ -199,8 +203,8 @@ class KLConstantTerm:
         prec = ctx.N
         for lvl in range(1, m + 1):
             K = ctx.N * phi_pm(p, lvl)
-            rem = _mod_psi(F[:K + 1], p, lvl, ctx.modulus)
-            e = _horner_cyclo(ctx, rem, CyclotomicElem.zeta(ctx, lvl))
+            e = _torsion_horner(F[:K + 1], CyclotomicElem.zeta(ctx, lvl),
+                                p ** lvl)
             prec = min(prec, e.min_prec())
             # Tr_l(zeta^k) is p^l - q if p^l | k, -q if v_p(k) = l - 1 and 0
             # otherwise (q = p^(l-1)), so zeta^(-c) meets only the p - 1
@@ -247,64 +251,30 @@ def _check_level(m: int) -> None:
         raise PrecisionExhausted(f"level {m} exceeds the level cap {M_MAX}")
 
 
-def _mod_psi(coeffs: list[int], p: int, level: int, mod: int) -> list[int]:
-    """Remainder of an integer series modulo Psi_l(T) = Phi_{p^l}(1 + T).
+def _torsion_horner(coeffs: list[int], zeta: CyclotomicElem, n: int | None):
+    """An integer series F evaluated at zeta - 1 in zeta's ring.
 
-    Psi_l is monic of degree phi(p^l) with integer coefficients
-    Psi_k = sum_{i<p} C(i p^(l-1), k) (and Psi_0 = T); the remainder has at
-    most phi(p^l) coefficients, reduced mod ``mod``.
+    When zeta^n = 1, zeta - 1 is a root of (1 + T)^n - 1, monic of degree n
+    with coefficients C(n, k) for 1 <= k < n and constant term 0.  F is then
+    first reduced modulo it with plain integers, and Horner takes n ring
+    steps instead of one per coefficient.  F - R = Q ((1+T)^n - 1) vanishes
+    at zeta - 1 to zeta's precision, which is also the precision Horner
+    gives both, so residues and precisions are unchanged.  With n None the
+    series is evaluated in full.
     """
-    if level == 0:
-        psi = [0, 1]
-    else:
-        step = p ** (level - 1)
-        psi = [sum(comb(i * step, k) for i in range(p)) % mod
-               for k in range(phi_pm(p, level) + 1)]
-    phi = len(psi) - 1
-    rem = list(coeffs)
-    for d in range(len(rem) - 1, phi - 1, -1):
-        c = rem[d] % mod
-        if c:
-            rem[d - phi:d] = [r - c * q for r, q in zip(rem[d - phi:d], psi)]
-    return [c % mod for c in rem[:phi]]
-
-
-def _root_level(zeta: CyclotomicElem) -> int | None:
-    """The l <= zeta.level with Phi_{p^l}(zeta) = 0 exactly in zeta's ring.
-
-    Phi_{p^l}(zeta) = 1 + y + ... + y^(p-1) with y = zeta^(p^(l-1)), and
-    Phi_1(zeta) = zeta - 1.  None when no such l exists (say 1 + p known
-    mod p^2, a root of unity that no Phi_{p^l} kills); the series is then
-    evaluated in full.
-    """
-    p = zeta.ctx.p
-    ys = [zeta]                     # ys[k] = zeta^(p^k)
-    for _ in range(zeta.level - 1):
-        ys.append(ys[-1] ** p)
-    for lvl in range(zeta.level, 0, -1):
-        term = total = CyclotomicElem.one(zeta.ctx, 0)
-        for _ in range(p - 1):
-            term = term * ys[lvl - 1]
-            total = total + term
-        if total.is_zero():
-            return lvl
-    return 0 if (zeta - 1).is_zero() else None
-
-
-def _horner_cyclo(ctx: PadicContext, coeffs: list[int], zeta: CyclotomicElem):
-    """Evaluate an integer-coefficient series at zeta - 1 in zeta's ring.
-
-    Callers first reduce the series modulo Psi_l(T) = Phi_{p^l}(1 + T) when
-    zeta is a root of Phi_{p^l} (``_mod_psi``): Psi_l(zeta - 1) = Phi(zeta)
-    = 0 exactly in (Z/p^N)[T]/Phi, so the value is unchanged, residues and
-    precisions alike, and Horner takes phi(p^l) ring steps instead of one per
-    series coefficient (N phi(p^l) for the kernel series).
-    """
-    x = zeta - CyclotomicElem.one(ctx, 0)
+    ctx, rem = zeta.ctx, list(coeffs)
+    if n is not None:
+        mod = ctx.modulus
+        tor = [0] + [comb(n, k) % mod for k in range(1, n)]
+        for d in range(len(rem) - 1, n - 1, -1):
+            c = rem[d] % mod
+            if c:
+                rem[d - n:d] = [r - c * t for r, t in zip(rem[d - n:d], tor)]
+        rem = [c % mod for c in rem[:n]]
+    x = zeta - 1
     acc = CyclotomicElem.zero(ctx, zeta.level)
-    for c in reversed(coeffs):
-        acc = acc * x
-        acc = acc + c
+    for c in reversed(rem):
+        acc = acc * x + c
     return acc
 
 
@@ -721,6 +691,7 @@ def lvalue(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt,
     units."""
     ctx = chi1.ctx
     m = max(lc_level(chi1) or 0, lc_level(chi2) or 0, 1)
+    _check_level(m)
     tab1, tab2 = validate_character(chi1, m), validate_character(chi2, m)
     fn = ZeroExtendedUnits(LocallyConstant(ctx, m, [
         tab1[c] * tab2[c].inverse() if c % ctx.p != 0 else PadicInt(ctx, 0)

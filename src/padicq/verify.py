@@ -20,8 +20,8 @@ from .measures import (AmiceMeasure, DiracMeasure, amice_transform,
                        kl_constant)
 from .padic import PadicContext, PadicInt, bernoulli, reduce_rational
 from .qseries import QExpansion, divisor_sum, theta, u_p, v_p
-from .zpfun import (Character, Polynomial, Scaled, TwoVarFn, indicator,
-                    mahler_coeffs, monomial, multiply)
+from .zpfun import (Character, MahlerSeries, Polynomial, Scaled, TwoVarFn,
+                    indicator, mahler_coeffs, monomial, multiply)
 
 
 class SuiteResult:
@@ -136,6 +136,14 @@ def suite_action(ctx: PadicContext) -> SuiteResult:
         a, b = derivative_check(g).parts
         res.check(a == g and b == theta(g),
                   f"derivative eps-part mismatch (series {i})")
+    # a non-torsion point of Gm-hat: x^z = sum_{k<N} (x - 1)^k C(z, k) for
+    # x = 1 + p acts by q -> x q
+    x, mod = 1 + ctx.p, ctx.modulus
+    xz = MahlerSeries(ctx, [pow(x - 1, k, mod) for k in range(ctx.N)], ctx.N)
+    g = series[0]
+    res.check(act(xz, g) == QExpansion(ctx, [pow(x, n, mod) * a % mod
+                                             for n, a in enumerate(g.res)]),
+              "act(x^z, g) != x^n a_n at x = 1 + p")
     # U_p / V_p compatibility
     for i in range(5):
         f = _random_fn(ctx, rng)

@@ -497,6 +497,56 @@ def test_derivative_check_is_series_and_theta():
     inner()
 
 
+def _low_prec_series(ctx, rng):
+    return QExpansion(ctx, [PadicInt(ctx, rng.randrange(ctx.modulus),
+                                     rng.choice((ctx.N, ctx.N, 5, 1)))
+                            for _ in range(ctx.M + 1)])
+
+
+def _flat_dual(d):
+    return [(c.res, c.prec) for c in d.parts]
+
+
+def test_derivative_check_is_additive(ctx5):
+    # sums of dual series add the a and eps parts apart; a series that is
+    # not dual joins a dual one as itself + eps 0
+    rng = random.Random(23)
+    for _ in range(5):
+        g, h = _low_prec_series(ctx5, rng), _low_prec_series(ctx5, rng)
+        total = derivative_check(g) + derivative_check(h)
+        assert total.level is None
+        assert total == derivative_check(g + h)
+        assert _flat_dual(total) == _flat_dual(derivative_check(g + h))
+        eps = derivative_check(g) - g
+        assert _flat_dual(eps) == _flat_dual(
+            QExpansion.from_parts(ctx5, None, (g - g, theta(g))))
+
+
+def test_dual_series_round_trip_through_coeffs(ctx5):
+    # coeffs reads DualNumbers off the two parts; the constructor splits
+    # them back, residues and precisions alike, and reads an int among
+    # them as int + eps 0
+    rng = random.Random(24)
+    d = derivative_check(_low_prec_series(ctx5, rng))
+    cs = d.coeffs
+    assert all(isinstance(c, DualNumber) for c in cs) and len(cs) == d.qprec + 1
+    back = QExpansion(ctx5, cs, d.qprec)
+    assert back.level is None and _flat_dual(back) == _flat_dual(d)
+    mixed = QExpansion(ctx5, [7] + cs[1:], d.qprec)
+    assert mixed.coefficient(0).a == 7 and mixed.coefficient(0).b == 0
+    assert _flat_dual(mixed)[0][0][1:] == _flat_dual(d)[0][0][1:]
+
+
+def test_theta_of_a_dual_series(ctx5):
+    # theta scales both parts by n; the eps part is also capped by the
+    # precision of the a part, which theta(g) never lowers
+    rng = random.Random(25)
+    g = _low_prec_series(ctx5, rng)
+    t = theta(derivative_check(g))
+    assert t.level is None
+    assert _flat_dual(t) == [(c.res, c.prec) for c in (theta(g), theta(theta(g)))]
+
+
 def test_verify_action_flags_a_corrupted_theta(ctx5, monkeypatch):
     # negative control: a theta with one wrong coefficient must fail the
     # derivative check of the action suite
@@ -515,6 +565,27 @@ def test_verify_action_flags_a_corrupted_theta(ctx5, monkeypatch):
     got = verify.suite_action(ctx5)
     assert not got.passed
     assert any("derivative" in msg for msg in got.failures)
+
+
+def test_verify_action_flags_a_corrupted_non_torsion_action(ctx5, monkeypatch):
+    # negative control: an action of x^z with one wrong coefficient must
+    # fail the x^n a_n line of the action suite, and only that line
+    import padicq.verify as verify
+
+    true_act = verify.act
+
+    def corrupted(f, g):
+        out = true_act(f, g)
+        if not isinstance(f, verify.MahlerSeries):
+            return out
+        res = list(out.res)
+        res[3] = (res[3] + 1) % ctx5.pows[out.prec[3]]
+        return QExpansion.from_flat(ctx5, res, out.prec)
+
+    monkeypatch.setattr(verify, "act", corrupted)
+    got = verify.suite_action(ctx5)
+    assert not got.passed
+    assert got.failures == ["act(x^z, g) != x^n a_n at x = 1 + p"]
 
 
 @pytest.mark.parametrize("p,levels", [(3, range(4)), (5, range(4)), (7, range(3))])
@@ -590,3 +661,39 @@ def test_non_torsion_action_integrates_theta(oracles):
             check(act(power(x * y % mod), g).res,
                   series_to_json(act(power(x), act(power(y), g))))
 
+
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_twist_then_act_at_non_torsion_points(p, oracles):
+    # acting by x^z, x = 1 + p t, commutes with the twist by a standard
+    # root zeta: both orders give x^n zeta^n a_n, coordinate by coordinate,
+    # to the N - floor(log_p (N - 1)) digits act claims at x^z
+    from padicq import MahlerSeries, PadicContext
+
+    rng = random.Random(p + 15)
+    N = rng.randint(6, 12)
+    ctx = PadicContext(p, N, 60)
+    mod, claimed = ctx.modulus, N - max(e for e in range(N) if p ** e < N)
+    exact, g, ns = oracles.Exact(p, N), rand_series(ctx, rng), range(ctx.M + 1)
+
+    def flat(h):
+        return {"kind": "cyclo_series", "M": ctx.M,
+                "coeffs": [[str(c.res[n]) for c in h.parts] for n in ns],
+                "prec": [[c.prec[n] for c in h.parts] for n in ns]}
+
+    for t in (1, 2):
+        x = 1 + p * t
+        xz = MahlerSeries(ctx, [pow(x - 1, k, mod) for k in range(N)], N)
+        for m in (1, 2):
+            zeta = CyclotomicElem.zeta(ctx, m)
+            rows = [exact.zeta_power(m, n) for n in ns]
+            want = {"kind": "cyclo_series", "M": ctx.M,
+                    "coeffs": [[str(pow(x, n, mod) * z * a % mod) for z in row]
+                               for n, row, a in zip(ns, rows, g.res)],
+                    "prec": [[claimed] * len(row) for row in rows]}
+            twist_first = flat(act(xz, act_character(zeta, g)))
+            act_first = flat(act_character(zeta, act(xz, g)))
+            assert twist_first == act_first, (t, m)
+            assert oracles.agree(want, act_first, p), (t, m)
+            assert oracles.agree(dict(want, prec=act_first["prec"]), act_first, p)

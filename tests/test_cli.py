@@ -123,6 +123,48 @@ def test_lvalue_validates_each_character_once(capsys, monkeypatch):
     assert code == 0 and err == "" and calls == [2, 2]
 
 
+@pytest.mark.parametrize("chi1", ['{"kind":"character","level":4,"power":0}',
+                                  '{"kind":"character","level":6}'])
+def test_lvalue_refuses_ring_characters_at_once(capsys, chi1):
+    # a character of level >= 1 makes nu_series a ring series, which never
+    # prints: refused with exit 4 before any table is built or validated
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "lvalue", "--chi1", chi1, "--chi2", "trivial")
+    assert time.monotonic() - start < 1.0
+    assert code == 4 and out == ""
+    assert json.loads(err) == {
+        "code": 4, "message": "cyclotomic-valued results are not serializable; "
+                              "use scalar character tables"}
+
+
+def test_lvalue_refuses_levels_past_the_cap_before_validating(capsys):
+    # a scalar table of level 4 exceeds the level cap 3: exit 2 at once,
+    # before the O(p^(2m)) multiplicativity check, multiplicative or not
+    for values in ([1] * 625, [2] * 625):
+        chi1 = json.dumps({"kind": "table", "level": 4, "values": values})
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "lvalue", "--chi1", chi1, "--chi2", "trivial")
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": 2,
+                                   "message": "level 4 exceeds the level cap 3"}
+
+
+def test_lvalue_teichmuller_tables_match_the_step_cold_reference(capsys):
+    # the level-2 Teichmueller pairs of the seed-0 step-cold deck print the
+    # bytes recorded in the benchmark's reference outputs
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    path = path / "step-cold.json"
+    jobs = [j for j in json.loads(path.read_text())["jobs"] if j["argv"][0] == "lvalue"]
+    assert jobs
+    for job in jobs:
+        code, out, err = run_cli(capsys, *job["argv"])
+        assert code == 0 and err == ""
+        assert out == json.dumps(job["output"], sort_keys=True,
+                                 separators=(",", ":")) + "\n"
+
+
 def test_character_above_N_is_refused_before_its_table(capsys):
     # a level-5 character at N = 2 has no argument whose digits fix it;
     # it is refused as one point refuses it, before its 5^5 powers

@@ -29,6 +29,24 @@ def test_amice_of_dirac(ctx5):
         assert [b.residue for b in am.coeffs] == want
 
 
+def test_amice_transform_of_amice_measure_pads_with_zeros(ctx5):
+    am = amice_transform(AmiceMeasure(ctx5, [3, PadicInt(ctx5, 7, 4), 1]), 5)
+    assert [(b.residue, b.prec) for b in am.coeffs] == \
+        [(3, 12), (7, 4), (1, 12), (0, 12), (0, 12), (0, 12)]
+    assert [(b.residue, b.prec) for b in amice_transform(am, 1).coeffs] == \
+        [(3, 12), (7, 4)]
+
+
+def test_amice_transform_of_eisenstein_measure(ctx5):
+    # b_k is the Eisenstein measure on the binomial C(z, k)
+    a = PadicInt(ctx5, 2)
+    am = amice_transform(EisensteinMeasure(ctx5, a), 4)
+    assert len(am.coeffs) == 5
+    for k, b in enumerate(am.coeffs):
+        want = eisenstein_eval(a, Binomial(ctx5, k))
+        assert (b.res, b.prec) == (want.res, want.prec)
+
+
 def test_eval_measure_dirac_character(ctx5):
     z = CyclotomicElem.zeta(ctx5, 1)
     mu = DiracMeasure(PadicInt(ctx5, 1))
@@ -448,15 +466,19 @@ _PSI_CASES = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
 
 @pytest.mark.parametrize("p, level", _PSI_CASES)
 def test_psi_reduction_matches_full_horner(p, level):
-    # the series reduced modulo Psi_l = Phi_{p^l}(1 + T) and evaluated at
-    # zeta - 1 equals the full-length Horner evaluation, coefficient by
-    # coefficient, residues and precisions alike
+    # the series reduced modulo the torsion polynomial (1 + T)^n - 1 of a
+    # root with zeta^n = 1 and evaluated at zeta - 1 equals the full-length
+    # Horner evaluation, coefficient by coefficient, residues and precisions
+    # alike; a root with zeta^(p^level) != 1 gets the full series
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
     from padicq.cyclotomic import phi_pm
-    from padicq.measures import _horner_cyclo, _mod_psi, _root_level
+    from padicq.measures import _torsion_horner
     from padicq.padic import padic_valuation
+
+    def flat(x):
+        return [(c.residue, c.prec) for c in x.coeffs]
 
     @settings(max_examples=4)
     @given(st.data())
@@ -474,31 +496,37 @@ def test_psi_reduction_matches_full_horner(p, level):
             st.integers(min_value=0, max_value=pm - 1))]
         for i in roots:
             zeta = CyclotomicElem.zeta_power(ctx, level, i)
-            lvl = _root_level(zeta)
-            assert lvl is not None
-            if N > 1:
-                # zeta^i has order p^(level - v_p(i)); mod p every root of
-                # unity is also a root of the top-level Phi
-                assert lvl == (0 if i == 0 else
-                               level - padic_valuation(i, p))
-            got = _horner_cyclo(ctx, _mod_psi(series, p, lvl, ctx.modulus),
-                                zeta)
-            want = _full_horner(ctx, series, zeta)
-            assert [(c.residue, c.prec) for c in got.coeffs] == \
-                [(c.residue, c.prec) for c in want.coeffs]
+            # zeta^i has order p^(level - v_p(i)), at every precision
+            n = 1 if i == 0 else p ** (level - padic_valuation(i, p))
+            assert zeta ** n == 1 and (n == 1 or zeta ** (n // p) != 1)
+            assert flat(_torsion_horner(series, zeta, n)) == \
+                flat(_full_horner(ctx, series, zeta))
+        # 1 + p known mod p^2: a p-th root of unity in every coordinate
+        # precision, and no root that a single Phi_(p^l) kills
+        zeta = CyclotomicElem(ctx, level, [PadicInt(ctx, 1 + p, 2)] +
+                              [PadicInt(ctx, 0, 2)] * (phi_pm(p, level) - 1))
+        n = p if N > 1 else 1
+        assert flat(_torsion_horner(series, zeta, n)) == \
+            flat(_full_horner(ctx, series, zeta))
+        # value_character picks the least n for a root and none for 2 zeta,
+        # whose p^level-th power is 2^(p^level) != 1 mod p
+        kl = kl_constant_functional(ctx, PadicInt(ctx, 2))
+        F = kl.kernel.twisted(1, K)
+        for z in (CyclotomicElem.zeta_power(ctx, level, roots[-1]),
+                  CyclotomicElem.zeta_power(ctx, level, roots[-1]) * 2):
+            assert flat(kl.value_character(z, 1)) == \
+                flat(_full_horner(ctx, F, z))
 
     check()
 
 
 def test_value_character_off_phi_roots_uses_full_series(ctx5):
-    # 1 + p known mod p^2 is a root of unity that no Phi_{p^l} kills, so
-    # value_character must not reduce the series
-    from padicq.measures import _root_level
-
+    # 1 + p known mod p^2 is a root of unity that no Phi_{p^l} kills, but
+    # zeta^p = 1 at its precision: value_character reduces the series by
+    # (1 + T)^p - 1 and gets the value of the full series
     zeta = CyclotomicElem(ctx5, 1, [PadicInt(ctx5, 6, 2)] +
                           [PadicInt(ctx5, 0, 2)] * 3)
     assert zeta ** 5 == CyclotomicElem.one(ctx5, 0)
-    assert _root_level(zeta) is None
     kl = kl_constant_functional(ctx5, PadicInt(ctx5, 2))
     got = kl.value_character(zeta, 1)
     want = _full_horner(ctx5, kl.kernel.twisted(1, ctx5.N * 4), zeta)
