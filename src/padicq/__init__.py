@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # re-exported name -> the module under padicq that defines it
 _EXPORTS = {name: module for module, names in {
-    "action": "act act_character derivative_check psi",
+    "action": "act act_character derivative_check",
     "cyclotomic": "CyclotomicElem cyclo_pow phi_pm",
     "errors": "BaseMismatch ConfigError EulerFactorNotInvertible IncompatibleRoots "
     "NotPIntegral NotRootOfUnity NotUnit PadicqError PrecisionExhausted "
@@ -25,7 +25,7 @@ _EXPORTS = {name: module for module, names in {
     "measures": "ActionMeasure AmiceMeasure DiracMeasure EisensteinMeasure "
     "KLConstantTerm LinearMeasure Measure ProductMeasure amice_transform "
     "convolution_nu eisenstein_eval eval_at_character eval_measure kl_constant "
-    "measure_from_json nu_character_series product_measure pushforward_halving "
+    "measure_from_json nu_character_series product_measure psi pushforward_halving "
     "two_variable_L",
     "padic": "DualNumber PadicContext PadicInt bernoulli bernoulli_polynomial "
     "binomial_padic reduce_rational",

@@ -91,13 +91,6 @@ def act_character(zeta, g: QExpansion) -> QExpansion:
                                                    for r in out])
 
 
-def psi(g: QExpansion):
-    """The measure f |-> act(f, g); Amice coefficient k is act(C(., k), g)."""
-    from .measures import ActionMeasure
-
-    return ActionMeasure(g)
-
-
 def derivative_check(g: QExpansion) -> QExpansion:
     """Twist by 1 + eps over the dual numbers.
 

@@ -125,10 +125,6 @@ class CyclotomicElem:
     def min_prec(self) -> int:
         return min(self.prec)
 
-    def _raw(self) -> list[int]:
-        """The residues themselves, not a copy: callers only read them."""
-        return self.res
-
     def lift_to(self, level: int) -> "CyclotomicElem":
         """Image under Z[zeta_{p^m}] -> Z[zeta_{p^m'}], zeta |-> zeta^(p^(m'-m))."""
         if level < self.level:

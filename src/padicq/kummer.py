@@ -64,7 +64,8 @@ class LaurentElem:
 
 
 class KummerBase:
-    """Base data for p^k-torsion: depth-K roots and a chosen parameter root.
+    """Base data for p^k-torsion: roots adjoined to depth K = 2k and a
+    chosen parameter root.
 
     param_root realizes parameter^(1/p^k) inside (Z/p^N)[zeta_{p^K}]
     [q^(+-1/p^K)]; the standard base takes the formal root of q itself, and
@@ -72,13 +73,10 @@ class KummerBase:
     t^(1/p^k).
     """
 
-    def __init__(self, ctx: PadicContext, k: int, K: int,
-                 param_root: LaurentElem):
-        if K < k:
-            raise ValueError("root depth K must be at least the torsion level k")
+    def __init__(self, ctx: PadicContext, k: int, param_root: LaurentElem):
         self.ctx = ctx
         self.k = k
-        self.K = K
+        self.K = 2 * k
         self.param_root = param_root
         self._realized: dict = {}
         self._powers: dict = {}
@@ -86,22 +84,16 @@ class KummerBase:
         self._inverse: KummerBase | None = None
 
     @classmethod
-    def standard(cls, ctx: PadicContext, k: int, K: int | None = None):
-        K = 2 * k if K is None else K
-        root = LaurentElem(ctx, K, ctx.p ** (K - k),
-                           CyclotomicElem.one(ctx, 0))
-        return cls(ctx, k, K, root)
+    def standard(cls, ctx: PadicContext, k: int):
+        root = LaurentElem(ctx, 2 * k, ctx.p ** k, CyclotomicElem.one(ctx, 0))
+        return cls(ctx, k, root)
 
     @classmethod
-    def inverted(cls, ctx: PadicContext, k: int, K: int | None = None):
-        K = 2 * k if K is None else K
-        root = LaurentElem(ctx, K, -(ctx.p ** (K - k)),
-                           CyclotomicElem.one(ctx, 0))
-        return cls(ctx, k, K, root)
+    def inverted(cls, ctx: PadicContext, k: int):
+        return cls(ctx, k, cls.standard(ctx, k).param_root ** -1)
 
     def transformed(self, t_root_k: LaurentElem) -> "KummerBase":
-        return KummerBase(self.ctx, self.k, self.K,
-                          self.param_root * t_root_k)
+        return KummerBase(self.ctx, self.k, self.param_root * t_root_k)
 
     def parameter(self) -> LaurentElem:
         if self._parameter is None:
@@ -132,7 +124,7 @@ class KummerBase:
 
     def compatible(self, other: "KummerBase") -> bool:
         return self is other or (
-            self.ctx == other.ctx and self.k == other.k and self.K == other.K
+            self.ctx == other.ctx and self.k == other.k
             and self.param_root == other.param_root)
 
     def elements(self) -> list["KummerElement"]:
@@ -207,8 +199,8 @@ def kummer_pair(e: KummerElement, e_inv: KummerElement) -> int:
     g^b h^a is the root of unity zeta^(i b + j a); the index is returned.
     """
     b1, b2 = e.base, e_inv.base
-    if not (b1.ctx == b2.ctx and b1.k == b2.k and b1.K == b2.K):
-        raise BaseMismatch("pairing requires matching p, k, N and depth")
+    if not (b1.ctx == b2.ctx and b1.k == b2.k):
+        raise BaseMismatch("pairing requires matching p, k and N")
     if not b1._inverts(b2):
         raise BaseMismatch("pairing requires mutually inverse parameters")
     pk = b1.ctx.p ** b1.k
@@ -259,17 +251,23 @@ def constant_roots(ctx: PadicContext, K: int, level: int, power: int,
 # -- exhaustive checks -----------------------------------------------------------
 
 class CheckReport:
-    """Outcome of one exhaustive check: cases run and the first failures."""
+    """Outcome of one invariant check or suite: cases run and the first
+    three failures."""
 
-    def __init__(self, name, passed, checks=0, failures=None):
+    def __init__(self, name, passed=True, checks=0, failures=None):
         self.name = name
         self.passed = passed
         self.checks = checks
         self.failures = [] if failures is None else failures
 
+    def check(self, ok: bool, msg: str):
+        self.checks += 1
+        if not ok:
+            self.fail(msg)
+
     def fail(self, msg: str):
         self.passed = False
-        if len(self.failures) < 5:
+        if len(self.failures) < 3:
             self.failures.append(msg)
 
 
@@ -282,7 +280,7 @@ def check_group_axioms(ctx: PadicContext, k: int) -> CheckReport:
     the p^i-torsion counts p^(2i), and the projection to a as a
     homomorphism whose kernel is the root-of-unity subgroup.
     """
-    rep = CheckReport("group-axioms", True)
+    rep = CheckReport("group-axioms")
     els = KummerBase.standard(ctx, k).elements()
     pk = ctx.p ** k
     for e1 in els:
@@ -297,15 +295,13 @@ def check_group_axioms(ctx: PadicContext, k: int) -> CheckReport:
 def _check_zeta_linear(rep: CheckReport, base: KummerBase) -> None:
     """(R3) zeta^(p^k) = 1 and (R1) x(a, j) = zeta^j x(a, 0) per element."""
     ctx = base.ctx
-    rep.checks += 1
-    if not base.zeta() ** (ctx.p ** base.k) == CyclotomicElem.one(ctx, 0):
-        rep.fail(f"zeta^(p^{base.k}) != 1")
+    rep.check(base.zeta() ** (ctx.p ** base.k) == CyclotomicElem.one(ctx, 0),
+              f"zeta^(p^{base.k}) != 1")
     for e in base.elements():
-        rep.checks += 1
         head = base.realize(KummerElement(base, e.a, 0))
-        if not base.realize(e) == \
-                LaurentElem(ctx, base.K, 0, base.zeta(e.j)) * head:
-            rep.fail(f"realization of {e} is not zeta^j times that of j = 0")
+        rep.check(base.realize(e) ==
+                  LaurentElem(ctx, base.K, 0, base.zeta(e.j)) * head,
+                  f"realization of {e} is not zeta^j times that of j = 0")
 
 
 def _check_products(rep: CheckReport, base: KummerBase, mul,
@@ -327,9 +323,8 @@ def _check_products(rep: CheckReport, base: KummerBase, mul,
     _check_zeta_linear(rep, base)
     for h1 in heads:
         for h2 in heads:
-            rep.checks += 1
-            if not verify_mul_realization(h1, h2, mul):
-                rep.fail(f"{label}realized group law fails at pair {h1}, {h2}")
+            rep.check(verify_mul_realization(h1, h2, mul),
+                      f"{label}realized group law fails at pair {h1}, {h2}")
 
 
 def check_realization(ctx: PadicContext, k: int) -> CheckReport:
@@ -339,7 +334,7 @@ def check_realization(ctx: PadicContext, k: int) -> CheckReport:
     kummer_pair = (i b + j a) mod p^k on every pair, (R1) on both bases and
     (R4) x(a, 0)^b x'(b, 0)^a = 1 for every a, b.
     """
-    rep = CheckReport("realization", True)
+    rep = CheckReport("realization")
     base = KummerBase.standard(ctx, k)
     inv = KummerBase.inverted(ctx, k)
     pk = ctx.p ** k
@@ -353,9 +348,8 @@ def check_realization(ctx: PadicContext, k: int) -> CheckReport:
                 rep.fail(f"pairing index fails at {e}, {f}")
     for e in els[::pk]:
         for f in inv_els[::pk]:
-            rep.checks += 1
-            if not verify_pair_realization(e, f):
-                rep.fail(f"pairing realization fails at {e}, {f}")
+            rep.check(verify_pair_realization(e, f),
+                      f"pairing realization fails at {e}, {f}")
     return rep
 
 
@@ -366,18 +360,16 @@ def check_pairing_perfect(ctx: PadicContext, k: int) -> CheckReport:
     kernels are one set: each nonzero (a, i) must pair nontrivially with
     some (b, j).
     """
-    rep = CheckReport("pairing-perfect", True)
+    rep = CheckReport("pairing-perfect")
     pk = ctx.p ** k
     pairs = [(a, j) for a in range(pk) for j in range(pk)]
     for a, i in pairs[1:]:
-        rep.checks += 1
-        if all((i * b + j * a) % pk == 0 for b, j in pairs):
-            rep.fail(f"kernel contains ({a}, {i})")
+        rep.check(any((i * b + j * a) % pk for b, j in pairs),
+                  f"kernel contains ({a}, {i})")
     return rep
 
 
 def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
-                            K: int | None = None,
                             corrupt_carry: bool = False) -> CheckReport:
     """Torsion-level check of the coordinate-multiplication action.
 
@@ -389,32 +381,27 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
     zeta returns the original table.  corrupt_carry swaps in a broken group
     law and must produce a counterexample pair.
     """
-    rep = CheckReport("serre-tate-action", True)
-    K = 2 * k if K is None else K
+    rep = CheckReport("serre-tate-action")
     pk = ctx.p ** k
     if not zeta ** pk == CyclotomicElem.one(ctx, 0):
         raise NotRootOfUnity(f"zeta^(p^{k}) != 1")
     # express zeta as a power of the standard generator
-    power = None
-    for u in range(pk):
-        if CyclotomicElem.zeta_power(ctx, k, u) == zeta:
-            power = u
-            break
+    power = next((u for u in range(pk)
+                  if CyclotomicElem.zeta_power(ctx, k, u) == zeta), None)
     if power is None:
         raise NotRootOfUnity("zeta is not a power of the standard generator")
     mul = kummer_mul_corrupted if corrupt_carry else kummer_mul
 
+    base = KummerBase.standard(ctx, k)
+    K = base.K
     roots_fwd = constant_roots(ctx, K, k, power, k)       # roots of zeta
     roots_bwd = constant_roots(ctx, K, k, -power, k)      # roots of zeta^(-1)
-
-    base = KummerBase.standard(ctx, k, K)
     twisted = base.transformed(roots_bwd[k])
 
     # (0) the twisted parameter is zeta^(-1) q
-    rep.checks += 1
     zinv = LaurentElem(ctx, K, 0, CyclotomicElem.zeta_power(ctx, k, -power))
-    if not twisted.parameter() == zinv * base.parameter():
-        rep.fail("twisted parameter is not zeta^(-1) q")
+    rep.check(twisted.parameter() == zinv * base.parameter(),
+              "twisted parameter is not zeta^(-1) q")
 
     # (1) group law soundness under realization, both parameters
     _check_products(rep, base, mul)

@@ -173,15 +173,12 @@ class KLConstantTerm:
     def value_character(self, zeta: CyclotomicElem, j: int = 0):
         """kappa(z^j chi_zeta) = (twisted series)(zeta - 1), full precision.
 
-        The series is reduced by (1+T)^(p^l) - 1 for the least l <= the
-        level with zeta^(p^l) = 1 at zeta's precision, and evaluated in full
-        when there is none (zeta is no root of unity of its level)."""
-        ctx, p = self.ctx, self.ctx.p
-        coeffs = self.kernel.twisted(j, ctx.N * phi_pm(p, zeta.level))
-        y, n = zeta, 1
-        while y != 1 and n < p ** zeta.level:
-            y, n = y ** p, n * p
-        return _torsion_horner(coeffs, zeta, n if y == 1 else None)
+        The series is reduced by (1+T)^n - 1 with n = p^level when
+        zeta^n = 1 at zeta's precision, and evaluated in full otherwise
+        (zeta is no root of unity of its level)."""
+        ctx, n = self.ctx, self.ctx.p ** zeta.level
+        coeffs = self.kernel.twisted(j, ctx.N * phi_pm(ctx.p, zeta.level))
+        return _torsion_horner(coeffs, zeta, n if zeta ** n == 1 else None)
 
     def _indicator_values(self, j: int, m: int) -> list[PadicInt]:
         """kappa(z^j 1_{c + p^m Z_p}) for all c, by Galois traces.
@@ -209,7 +206,7 @@ class KLConstantTerm:
             # Tr_l(zeta^k) is p^l - q if p^l | k, -q if v_p(k) = l - 1 and 0
             # otherwise (q = p^(l-1)), so zeta^(-c) meets only the p - 1
             # coordinates k = c mod q, and k = c mod p^l if k < phi(p^l)
-            q, x = p ** (lvl - 1), e._raw()
+            q, x = p ** (lvl - 1), e.res
             for c in range(len(sums)):
                 k = c % (p * q)
                 sums[c] -= q * sum(x[c % q::q])
@@ -475,6 +472,11 @@ class ActionMeasure(Measure):
 
     def at_character(self, zeta: CyclotomicElem) -> QExpansion:
         return act_character(zeta, self.g)
+
+
+def psi(g: QExpansion) -> ActionMeasure:
+    """The measure f |-> act(f, g); Amice coefficient k is act(C(., k), g)."""
+    return ActionMeasure(g)
 
 
 class LinearMeasure(Measure):

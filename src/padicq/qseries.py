@@ -118,8 +118,8 @@ class QExpansion:
                             zip(*(c.prec for c in parts)))]
 
     def coefficient(self, n: int):
-        if n > self.qprec:
-            raise IndexError(f"coefficient {n} beyond q-precision {self.qprec}")
+        if not 0 <= n <= self.qprec:
+            raise IndexError(f"coefficient {n} outside 0..{self.qprec}")
         if self.parts is None:
             return PadicInt(self.ctx, self.res[n], self.prec[n])
         xs = [c.coefficient(n) for c in self.parts]

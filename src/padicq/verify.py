@@ -13,7 +13,7 @@ from math import comb
 
 from .action import act, act_character, derivative_check
 from .cyclotomic import CyclotomicElem
-from .kummer import (check_group_axioms, check_pairing_perfect,
+from .kummer import (CheckReport, check_group_axioms, check_pairing_perfect,
                      check_realization, serre_tate_action_check)
 from .measures import (AmiceMeasure, DiracMeasure, amice_transform,
                        convolution_nu, eisenstein_eval, eval_at_character,
@@ -22,23 +22,6 @@ from .padic import PadicContext, PadicInt, bernoulli, reduce_rational
 from .qseries import QExpansion, divisor_sum, theta, u_p, v_p
 from .zpfun import (Character, MahlerSeries, Polynomial, Scaled, TwoVarFn,
                     indicator, mahler_coeffs, monomial, multiply)
-
-
-class SuiteResult:
-    """Outcome of one named suite: checks run and the first failures."""
-
-    def __init__(self, name, passed=True, checks=0, failures=None):
-        self.name = name
-        self.passed = passed
-        self.checks = checks
-        self.failures = [] if failures is None else failures
-
-    def check(self, ok: bool, msg: str):
-        self.checks += 1
-        if not ok:
-            self.passed = False
-            if len(self.failures) < 3:
-                self.failures.append(msg)
 
 
 def reference_nu(ctx: PadicContext, a: PadicInt, s: int, t: int) -> QExpansion:
@@ -61,8 +44,8 @@ def reference_nu(ctx: PadicContext, a: PadicInt, s: int, t: int) -> QExpansion:
     return g
 
 
-def suite_moments(ctx: PadicContext, a: PadicInt) -> SuiteResult:
-    res = SuiteResult("moments")
+def suite_moments(ctx: PadicContext, a: PadicInt) -> CheckReport:
+    res = CheckReport("moments")
     for k in range(2, 2 * (ctx.p - 1) + 3, 2):
         got = kl_constant(a, monomial(ctx, k - 1))
         want = reduce_rational(
@@ -77,8 +60,8 @@ def suite_moments(ctx: PadicContext, a: PadicInt) -> SuiteResult:
     return res
 
 
-def suite_congruences(ctx: PadicContext, a: PadicInt) -> SuiteResult:
-    res = SuiteResult("congruences")
+def suite_congruences(ctx: PadicContext, a: PadicInt) -> CheckReport:
+    res = CheckReport("congruences")
     p = ctx.p
     for m in (1, 2):
         step = (p - 1) * p ** (m - 1)
@@ -113,8 +96,8 @@ def _random_fn(ctx: PadicContext, rng: random.Random):
                     indicator(ctx, 1, rng.randrange(ctx.p)))
 
 
-def suite_action(ctx: PadicContext) -> SuiteResult:
-    res = SuiteResult("action")
+def suite_action(ctx: PadicContext) -> CheckReport:
+    res = CheckReport("action")
     rng = random.Random(20240901)
     series = [_random_series(ctx, rng) for _ in range(10)]
     one_fn = Polynomial(ctx, [1])
@@ -161,8 +144,8 @@ def suite_action(ctx: PadicContext) -> SuiteResult:
     return res
 
 
-def suite_amice(ctx: PadicContext) -> SuiteResult:
-    res = SuiteResult("amice")
+def suite_amice(ctx: PadicContext) -> CheckReport:
+    res = CheckReport("amice")
     rng = random.Random(20240902)
     z = CyclotomicElem.zeta(ctx, 1)
     K = ctx.N * (ctx.p - 1)
@@ -190,8 +173,8 @@ def suite_amice(ctx: PadicContext) -> SuiteResult:
     return res
 
 
-def suite_kummer(ctx: PadicContext, k: int = 1) -> SuiteResult:
-    res = SuiteResult("kummer")
+def suite_kummer(ctx: PadicContext, k: int = 1) -> CheckReport:
+    res = CheckReport("kummer")
     for rep in (check_group_axioms(ctx, k), check_realization(ctx, k),
                 check_pairing_perfect(ctx, k)):
         res.checks += rep.checks
@@ -205,8 +188,8 @@ def suite_kummer(ctx: PadicContext, k: int = 1) -> SuiteResult:
     return res
 
 
-def suite_nu(ctx: PadicContext, a: PadicInt) -> SuiteResult:
-    res = SuiteResult("nu")
+def suite_nu(ctx: PadicContext, a: PadicInt) -> CheckReport:
+    res = CheckReport("nu")
     for s in (1, 3, 5):
         for t in range(4):
             F = TwoVarFn.tensor(monomial(ctx, s), monomial(ctx, t))
@@ -228,7 +211,7 @@ SUITES = {
 
 
 def run_suites(name: str, ctx: PadicContext, a: PadicInt,
-               k: int = 1) -> list[SuiteResult]:
+               k: int = 1) -> list[CheckReport]:
     if name == "all":
         return [suite(ctx, a, k) for suite in SUITES.values()]
     if name not in SUITES:

@@ -150,19 +150,32 @@ def test_lvalue_refuses_levels_past_the_cap_before_validating(capsys):
                                    "message": "level 4 exceeds the level cap 3"}
 
 
-def test_lvalue_teichmuller_tables_match_the_step_cold_reference(capsys):
-    # the level-2 Teichmueller pairs of the seed-0 step-cold deck print the
-    # bytes recorded in the benchmark's reference outputs
+def _strip_volatile(obj):
+    # the fields the benchmark's references leave out: verify's timing and
+    # its check counts
+    if isinstance(obj, dict):
+        return {k: _strip_volatile(v) for k, v in obj.items()
+                if k not in ("elapsed_s", "checks")}
+    if isinstance(obj, list):
+        return [_strip_volatile(v) for v in obj]
+    return obj
+
+
+def test_commands_match_the_benchmark_reference_outputs(capsys):
+    # every job of the seed-0 cli-cold and step-cold decks (verify all,
+    # kummer-dump, moment, nu, apply, eisenstein, lvalue) prints what the
+    # benchmark recorded for it
     from pathlib import Path
     path = Path(__file__).resolve().parents[1] / "bench" / "reference"
-    path = path / "step-cold.json"
-    jobs = [j for j in json.loads(path.read_text())["jobs"] if j["argv"][0] == "lvalue"]
-    assert jobs
+    jobs = [job for workload in ("cli-cold", "step-cold") for job in
+            json.loads((path / f"{workload}.json").read_text())["jobs"]]
+    assert len(jobs) == 30
     for job in jobs:
         code, out, err = run_cli(capsys, *job["argv"])
-        assert code == 0 and err == ""
-        assert out == json.dumps(job["output"], sort_keys=True,
-                                 separators=(",", ":")) + "\n"
+        assert code == 0 and err == "", job["argv"]
+        obj = json.loads(out)
+        assert out == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        assert _strip_volatile(obj) == job["output"], job["argv"]
 
 
 def test_character_above_N_is_refused_before_its_table(capsys):
@@ -286,7 +299,7 @@ def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
     import padicq.verify as pv
 
     def broken(ctx, a, k):
-        r = pv.SuiteResult("moments")
+        r = pv.CheckReport("moments")
         r.check(False, "synthetic failure")
         return r
 

@@ -534,6 +534,21 @@ def test_value_character_off_phi_roots_uses_full_series(ctx5):
         [(c.residue, c.prec) for c in want.coeffs]
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_value_character_at_non_primitive_roots_matches_full_horner(p):
+    # zeta_2^p and zeta_3^(p^2) have order p: the series is reduced by
+    # (1 + T)^(p^level) - 1, not by the least torsion polynomial, and still
+    # gives the full series' residues and precisions
+    ctx = PadicContext(p, 4, 1)
+    kl = kl_constant_functional(ctx, PadicInt(ctx, 2))
+    for level, power in ((2, p), (3, p * p)):
+        zeta = CyclotomicElem.zeta_power(ctx, level, power)
+        assert zeta ** p == 1 and zeta != 1
+        F = kl.kernel.twisted(1, ctx.N * (p - 1) * p ** (level - 1))
+        assert [(c.residue, c.prec) for c in kl.value_character(zeta, 1).coeffs] \
+            == [(c.residue, c.prec) for c in _full_horner(ctx, F, zeta).coeffs]
+
+
 def _fourier_sum_indicator_values(kl, j, m):
     # the character sum root by root, on integer lists: F(zeta^i - 1) at
     # every p^m-th root of unity zeta^i, then the p^(2m) Fourier sum

@@ -26,6 +26,20 @@ def test_theta_examples(ctx5):
     assert theta(theta(q_power(ctx5, 3))) == q_power(ctx5, 3, 9)
 
 
+def test_coefficient_index_must_lie_in_0_to_qprec():
+    # a negative index once read a flat list from its end: coefficient(-1)
+    # of a scalar series returned a_M
+    from padicq import act_character, derivative_check
+    ctx = PadicContext(5, 4, 6)
+    g = QExpansion(ctx, [1, 2, 3, 4, 5, 6, 7])
+    z = CyclotomicElem.zeta(ctx, 1)
+    for s in (g, act_character(z, g), derivative_check(g)):
+        assert s.coefficient(6) == s.coeffs[6]
+        for n in (-1, 7):
+            with pytest.raises(IndexError):
+                s.coefficient(n)
+
+
 def test_up_vp_examples():
     ctx = PadicContext(5, 12, 12)
     g = q_power(ctx, 5) + QExpansion(ctx, [0] * 10 + [2, 0]) + q_power(ctx, 3)

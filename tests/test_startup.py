@@ -1,6 +1,7 @@
 """What a one-shot process imports: each CLI command loads only the layers it
 runs, and the package's lazy re-exports resolve to the defining modules."""
 
+import ast
 import importlib
 import json
 import os
@@ -56,6 +57,30 @@ def test_kummer_dump_skips_the_measure_layers():
     assert "padicq.kummer" in mods
     assert not mods & {"padicq.measures", "padicq.qseries", "padicq.zpfun",
                        "padicq.verify", "dataclasses"}
+
+
+def _imports_padicq(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").startswith("padicq")
+    return isinstance(node, ast.Import) and \
+        any(alias.name.startswith("padicq") for alias in node.names)
+
+
+def test_library_layers_import_at_module_level():
+    # only the CLI defers the layers a command does not run; a library
+    # module that imported another inside a function body would hide a
+    # dependency from its import lines and pay the import on a call
+    pkg = os.path.dirname(padicq.__file__)
+    late = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "cli.py":
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        late += [(name, fn.name, node.lineno) for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn) if _imports_padicq(node)]
+    assert not late, late
 
 
 def test_lazy_exports_resolve_to_their_modules():
