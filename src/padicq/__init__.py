@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # re-exported name -> the module under padicq that defines it
 _EXPORTS = {name: module for module, names in {
-    "action": "act act_character derivative_check",
+    "action": "act act_character",
     "cyclotomic": "CyclotomicElem cyclo_pow phi_pm",
     "errors": "BaseMismatch ConfigError EulerFactorNotInvertible IncompatibleRoots "
     "NotPIntegral NotRootOfUnity NotUnit PadicqError PrecisionExhausted "
@@ -27,8 +27,8 @@ _EXPORTS = {name: module for module, names in {
     "convolution_nu eisenstein_eval eval_at_character eval_measure kl_constant "
     "measure_from_json nu_character_series product_measure psi pushforward_halving "
     "two_variable_L",
-    "padic": "DualNumber PadicContext PadicInt bernoulli bernoulli_polynomial "
-    "binomial_padic reduce_rational",
+    "padic": "PadicContext PadicInt bernoulli bernoulli_polynomial binomial_padic "
+    "reduce_rational",
     "qseries": "QExpansion divisor_sum double_divisor_series eisenstein_2G "
     "eisenstein_2G_scaled eisenstein_2G_twisted lvalue_periodic series_from_json "
     "series_to_json sigma_table theta u_p v_p",

@@ -3,10 +3,14 @@
 The action sends (f, sum a_n q^n) to sum f(n) a_n q^n.  Characters act by
 twisting q by a root of unity, the monomial z^t acts as the t-th power of
 the derivation theta, and the whole thing is an algebra action: acting by a
-pointwise product equals acting twice.  The values f(0), ..., f(M) come
-from ``zpfun.values``: f's polynomial-times-step tables are built once and
-read at n mod p^m, and only functions without tables (Mahler series,
-binomials C(z, k) with k > 0) are evaluated coefficient by coefficient.
+pointwise product equals acting twice.  A point x = 1 + p t of the formal
+multiplicative group acts through the Mahler series x^z = sum_k (x - 1)^k
+C(z, k), by q -> x q: at x = 1 + p^s with 2s >= N, x^z is 1 + p^s z mod
+p^N and g goes to g + p^s theta(g), which is how the action integrates
+theta.  The values f(0), ..., f(M) come from ``zpfun.values``: f's
+polynomial-times-step tables are built once and read at n mod p^m, and
+only functions without tables (Mahler series, binomials C(z, k) with
+k > 0) are evaluated coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from itertools import compress
 
 from .cyclotomic import CyclotomicElem, zeta_powers
 from .errors import NotRootOfUnity
-from .padic import DualNumber, PadicInt
 from .qseries import QExpansion
 from .zpfun import ContinuousFn, values
 
@@ -44,24 +47,10 @@ def act_character(zeta, g: QExpansion) -> QExpansion:
     digit of both is known, x = 1 moves the slice as it is and x = -1
     negates it, so a standard power T^u costs no products at all.  A
     ring-valued series is twisted one element product per coefficient.
-
-    zeta may also be a dual number a + eps b over the scalars; the
-    exponents are then the literal indices n, and coefficient n becomes
-    a^n a_n + eps n a^(n-1) b a_n (how the derivative of the action is read
-    off).
     """
     ctx, n = g.ctx, g.qprec + 1
-    if isinstance(zeta, DualNumber):
-        a, b = zeta.a, zeta.b
-        if not (isinstance(a, PadicInt) and isinstance(b, PadicInt)):
-            raise TypeError("dual twists need scalar parts a and b")
-        pw = [pow(a.residue, k, ctx.modulus) for k in range(n)]
-        return QExpansion.from_parts(ctx, None, (
-            g.times_scalars(pw, [ctx.N] + [a.prec] * (n - 1)),
-            g.times_scalars([k * x * b.residue for k, x in enumerate([0] + pw)],
-                            [ctx.N] + [min(a.prec, b.prec)] * (n - 1))))
     if not isinstance(zeta, CyclotomicElem):
-        raise TypeError("zeta must be a cyclotomic element or a dual number")
+        raise TypeError("zeta must be a cyclotomic element")
     if zeta.level > M_MAX:
         raise NotRootOfUnity(
             f"level {zeta.level} exceeds the available cyclotomic level {M_MAX}"
@@ -90,13 +79,3 @@ def act_character(zeta, g: QExpansion) -> QExpansion:
     return QExpansion.from_parts(ctx, zeta.level, [QExpansion.from_flat(ctx, r, top)
                                                    for r in out])
 
-
-def derivative_check(g: QExpansion) -> QExpansion:
-    """Twist by 1 + eps over the dual numbers.
-
-    The left action used throughout this package satisfies
-    act_character(1 + eps, g) = g + eps * theta(g); the composed-with-inverse
-    convention would flip the sign of the eps part.
-    """
-    one = PadicInt.one(g.ctx)
-    return act_character(DualNumber(one, one), g)

@@ -160,12 +160,6 @@ class CyclotomicElem:
     def is_root_of_unity(self) -> bool:
         return self ** (self.ctx.p ** self.level) == CyclotomicElem.one(self.ctx, 0)
 
-    def zero_like(self) -> "CyclotomicElem":
-        return CyclotomicElem.zero(self.ctx, self.level)
-
-    def one_like(self) -> "CyclotomicElem":
-        return CyclotomicElem.one(self.ctx, self.level)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):

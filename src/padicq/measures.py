@@ -44,7 +44,7 @@ from .qseries import (SIGMA_CACHE_SIZE, QExpansion, _least_prime_factors,
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
                     Polynomial, TwoVarFn, ZeroExtendedUnits, as_table,
                     indicator, lc_level, mahler_coeffs, monomial, multiply,
-                    poly_lc_terms, table_values, values)
+                    poly_lc_terms, ring_valued, table_values, values)
 
 
 # -- the regularized kernel series -------------------------------------------
@@ -352,6 +352,7 @@ class AmiceMeasure(Measure):
                        for c in coeffs]
 
     def __call__(self, f: ContinuousFn):
+        _check_level(ring_valued(f))  # before a character's power table
         c = mahler_coeffs(f, len(self.coeffs) - 1)
         return _dot(self.ctx, c, self.coeffs)
 

@@ -119,12 +119,6 @@ class PadicInt:
             v += 1
         return v
 
-    def zero_like(self) -> "PadicInt":
-        return PadicInt(self.ctx, 0)
-
-    def one_like(self) -> "PadicInt":
-        return PadicInt(self.ctx, 1)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -199,75 +193,6 @@ class PadicInt:
 
     def __repr__(self):
         return f"{self.residue} + O({self.ctx.p}^{self.prec})"
-
-
-class DualNumber:
-    """a + eps*b with eps**2 = 0, over PadicInt or cyclotomic scalars."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def _coerce(self, other):
-        if isinstance(other, DualNumber):
-            return other
-        if isinstance(other, int):
-            other = self.a.zero_like() + other
-        return DualNumber(other, other.zero_like())
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return DualNumber(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return DualNumber(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return DualNumber(-self.a, -self.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return DualNumber(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers of dual numbers not supported")
-        acc = DualNumber(self.a.one_like(), self.a.zero_like())
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def is_unit(self) -> bool:
-        return self.a.is_unit()
-
-    def zero_like(self):
-        return DualNumber(self.a.zero_like(), self.a.zero_like())
-
-    def one_like(self):
-        return DualNumber(self.a.one_like(), self.a.zero_like())
-
-    def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, DualNumber) else other
-        return self.a == o.a and self.b == o.b
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"({self.a!r}) + eps*({self.b!r})"
 
 
 # -- exact rational utilities ----------------------------------------------

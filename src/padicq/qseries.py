@@ -12,9 +12,8 @@ of a_n reduced into [0, p^prec[n]) and ``prec[n]`` its known digits, the
 pair (res, prec) in which ``zpfun.values`` and ``divisor_sum`` also return
 scalars.  A ring-valued series is a tuple of such flat series: one per
 power-basis coordinate of Z[zeta_{p^L}]/p^N (lower-level coefficients are
-lifted as ``CyclotomicElem.lift_to`` lifts them), or the two parts a, b of
-the dual numbers a + eps b.  Sums, U_p and V_p run the scalar code on each
-coordinate.
+lifted as ``CyclotomicElem.lift_to`` lifts them).  Sums, U_p and V_p run
+the scalar code on each coordinate.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from operator import add
 
 from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import ConfigError, json_int_field, json_int_list
-from .padic import DualNumber, PadicContext, PadicInt, bernoulli, \
-    bernoulli_polynomial, padic_valuation, reduce_rational
+from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
+    padic_valuation, reduce_rational
 from .zpfun import ContinuousFn, LocallyConstant, as_table, lc_level, \
     ring_valued, values
 
@@ -39,11 +38,11 @@ def _same_ring(ctx: PadicContext, other: PadicContext) -> None:
 
 
 class QExpansion:
-    """sum_{n<=qprec} a_n q^n over Z/p^N, Z[zeta_{p^L}]/p^N or dual numbers.
+    """sum_{n<=qprec} a_n q^n over Z/p^N or Z[zeta_{p^L}]/p^N.
 
     ``level`` names the ring: 0 for scalars, stored flat in ``res`` and
     ``prec``; L >= 1 for cyclotomic coefficients, whose phi(p^L) coordinate
-    series are ``parts``; None for dual numbers, ``parts = (a, b)``.
+    series are ``parts``.
     ``coeffs`` is a fresh list of ring elements on each read; no list is
     mutated once a series is built, so results may share them.
     """
@@ -59,11 +58,6 @@ class QExpansion:
                 _same_ring(ctx, getattr(c, "ctx", ctx))
         self.ctx, self.qprec, self.level, self.parts = ctx, qprec, 0, None
         self.res = self.prec = None
-        if any(isinstance(c, DualNumber) for c in coeffs):  # c is c + eps 0
-            self.level, self.parts = None, (
-                QExpansion(ctx, [getattr(c, "a", c) for c in coeffs], qprec),
-                QExpansion(ctx, [getattr(c, "b", 0) for c in coeffs], qprec))
-            return
         level = max((c.level for c in coeffs if isinstance(c, CyclotomicElem)),
                     default=0)
         if level:  # every coefficient lifted to the highest level
@@ -89,10 +83,9 @@ class QExpansion:
         return g
 
     @classmethod
-    def from_parts(cls, ctx: PadicContext, level, parts) -> "QExpansion":
-        """The level-L series with coordinate series ``parts`` (L >= 1), the
-        dual series a + eps b for level None, or parts[0] itself at level 0;
-        unchecked and kept."""
+    def from_parts(cls, ctx: PadicContext, level: int, parts) -> "QExpansion":
+        """The level-L series with coordinate series ``parts`` (L >= 1), or
+        parts[0] itself at level 0; unchecked and kept."""
         if level == 0:
             return parts[0]
         g = object.__new__(cls)
@@ -109,8 +102,6 @@ class QExpansion:
         ctx, parts = self.ctx, self.parts
         if parts is None:
             return [PadicInt(ctx, r, e) for r, e in zip(self.res, self.prec)]
-        if self.level is None:
-            return list(map(DualNumber, *(c.coeffs for c in parts)))
         shared = {}  # coefficients with equal precisions share one list
         return [CyclotomicElem.from_flat(
             ctx, self.level, list(r), shared.get(e) or shared.setdefault(e, list(e)))
@@ -122,9 +113,8 @@ class QExpansion:
             raise IndexError(f"coefficient {n} outside 0..{self.qprec}")
         if self.parts is None:
             return PadicInt(self.ctx, self.res[n], self.prec[n])
-        xs = [c.coefficient(n) for c in self.parts]
-        return DualNumber(*xs) if self.level is None \
-            else CyclotomicElem(self.ctx, self.level, xs)
+        return CyclotomicElem(self.ctx, self.level,
+                              [c.coefficient(n) for c in self.parts])
 
     def _combine(self, other, sign: int):
         if not isinstance(other, QExpansion):
@@ -132,7 +122,8 @@ class QExpansion:
         ctx = self.ctx
         _same_ring(ctx, other.ctx)
         if self.parts or other.parts:
-            level, xs, ys = _common(self, other)
+            level = max(self.level, other.level)  # the ring holding both
+            xs, ys = _coords(self, level), _coords(other, level)
             return QExpansion.from_parts(ctx, level, [x._combine(y, sign)
                                                       for x, y in zip(xs, ys)])
         pows = ctx.pows
@@ -154,17 +145,10 @@ class QExpansion:
         """Coefficient n times the scalar res[n] + O(p^prec[n]), n <= qprec.
 
         A ring coefficient times a scalar knows as many digits as its least
-        known coordinate, as in ``CyclotomicElem * PadicInt``; the eps part
-        of a dual coefficient is also capped by its a part.  When every
+        known coordinate, as in ``CyclotomicElem * PadicInt``.  When every
         operand digit is known the products are reduced mod p^N directly.
         """
-        ctx = self.ctx
-        if self.level is None:
-            a, b = self.parts
-            capped = [e if e < f else f for e, f in zip(prec, _least_prec(a))]
-            return QExpansion.from_parts(ctx, None, (a.times_scalars(res, prec),
-                                                     b.times_scalars(res, capped)))
-        least = _least_prec(self)
+        ctx, least = self.ctx, _least_prec(self)
         if min(prec) == ctx.N == min(least):
             mods = repeat(ctx.modulus)
         else:
@@ -220,7 +204,8 @@ class QExpansion:
         """Equal at the smaller precision of each pair of coefficients."""
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return not any(any(c.res) for c in _flat(self - other))
+        d = self - other
+        return not any(any(c.res) for c in d.parts or (d,))
 
     __hash__ = None
 
@@ -229,14 +214,9 @@ class QExpansion:
         return f"QExpansion([{head}, ...], qprec={self.qprec})"
 
 
-def _flat(g: QExpansion) -> list:
-    """The scalar series g is made of: g itself, or its coordinates'."""
-    return [g] if g.parts is None else [x for c in g.parts for x in _flat(c)]
-
-
 def _least_prec(g: QExpansion) -> list:
     """Per coefficient, the least precision over every coordinate of g."""
-    precs = [c.prec for c in _flat(g)]
+    precs = [c.prec for c in g.parts or (g,)]
     return precs[0] if all(e is precs[0] for e in precs) \
         else list(map(min, *precs))
 
@@ -253,16 +233,6 @@ def _coords(g: QExpansion, level: int) -> list:
     out[::ctx.p ** (level - g.level)] = [QExpansion.from_flat(
         ctx, [r % pows[e] for r, e in zip(c.res, top)], top) for c in parts]
     return out
-
-
-def _common(g: QExpansion, h: QExpansion) -> tuple:
-    """The ring holding both g and h, and the coordinates of each there; a
-    series s that is not dual is s + eps 0 among dual ones."""
-    if g.level is not None and h.level is not None:
-        level = max(g.level, h.level)
-        return level, _coords(g, level), _coords(h, level)
-    return None, *[x.parts if x.level is None else
-                   (x, QExpansion.zero(x.ctx, x.qprec)) for x in (g, h)]
 
 
 def _convolve(xs: list[int], ys: list[int], bits: int) -> list[int]:

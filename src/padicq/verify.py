@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .action import act, act_character, derivative_check
+from .action import act, act_character
 from .cyclotomic import CyclotomicElem
 from .kummer import (CheckReport, check_group_axioms, check_pairing_perfect,
                      check_realization, serre_tate_action_check)
@@ -113,12 +113,6 @@ def suite_action(ctx: PadicContext) -> CheckReport:
     f = _random_fn(ctx, rng)
     g, h = series[0], series[1]
     res.check(act(f, g + h) == act(f, g) + act(f, h), "act not additive in g")
-    # derivative: eps part of the dual-number twist is theta
-    for i in range(20):
-        g = series[i % len(series)]
-        a, b = derivative_check(g).parts
-        res.check(a == g and b == theta(g),
-                  f"derivative eps-part mismatch (series {i})")
     # a non-torsion point of Gm-hat: x^z = sum_{k<N} (x - 1)^k C(z, k) for
     # x = 1 + p acts by q -> x q
     x, mod = 1 + ctx.p, ctx.modulus
@@ -127,6 +121,14 @@ def suite_action(ctx: PadicContext) -> CheckReport:
     res.check(act(xz, g) == QExpansion(ctx, [pow(x, n, mod) * a % mod
                                              for n, a in enumerate(g.res)]),
               "act(x^z, g) != x^n a_n at x = 1 + p")
+    # derivative: at x = 1 + p^s with 2s >= N, x^n = 1 + n p^s mod p^N, so
+    # x^z is the Mahler series 1 + p^s z and acts by g -> g + p^s theta(g)
+    ps = ctx.pows[(ctx.N + 1) // 2]
+    xz = MahlerSeries(ctx, [1, ps], ctx.N)
+    for i in range(20):
+        g = series[i % len(series)]
+        res.check(act(xz, g) == g + theta(g).scale(ps),
+                  f"derivative: act(x^z, g) != g + p^s theta(g) (series {i})")
     # U_p / V_p compatibility
     for i in range(5):
         f = _random_fn(ctx, rng)

@@ -21,12 +21,13 @@ never guesses a modulus of continuity.
 from __future__ import annotations
 
 from itertools import accumulate, repeat
+from math import comb
 
 from .cyclotomic import CyclotomicElem, cyclo_pow, zeta_powers
 from .errors import (ConfigError, NotUnit, PadicqError, PrecisionExhausted,
                      UnsupportedShape, json_field, json_int_field,
                      json_int_list, json_list, json_object)
-from .padic import PadicContext, PadicInt, binomial_padic
+from .padic import PadicContext, PadicInt, binomial_padic, ilog
 
 
 class ContinuousFn:
@@ -145,7 +146,9 @@ class MahlerSeries(ContinuousFn):
 
     tail_valuation is the caller's promise that every coefficient beyond the
     stored ones has p-adic valuation >= tail_valuation; evaluations deduct
-    precision accordingly.
+    precision accordingly.  A value is summed on integers, known to the
+    least precision of x, the tail, every c_k and C(x, k): C(x, k) loses
+    floor(log_p k) digits of x (``binomial_padic``), most at the last k.
     """
 
     def __init__(self, ctx: PadicContext, coeffs, tail_valuation: int):
@@ -155,13 +158,14 @@ class MahlerSeries(ContinuousFn):
         self.tail_valuation = tail_valuation
 
     def evaluate(self, x: PadicInt):
-        acc = PadicInt(self.ctx, 0, x.prec)
-        for k, c in enumerate(self.coeffs):
-            acc = acc + c * binomial_padic(x, k)
-        certified = min(acc.prec, self.tail_valuation)
-        if certified <= 0:
+        cs, r = self.coeffs, x.residue
+        prec = min([x.prec, self.tail_valuation, *(c.prec for c in cs)])
+        if len(cs) > 1:
+            prec = min(prec, x.prec - ilog(len(cs) - 1, self.ctx.p))
+        if prec <= 0:
             raise PrecisionExhausted("tail bound certifies no digits")
-        return PadicInt(self.ctx, acc.residue, certified)
+        return PadicInt(self.ctx, sum(c.residue * comb(r, k)
+                                      for k, c in enumerate(cs)), prec)
 
 
 class Product(ContinuousFn):
@@ -296,15 +300,17 @@ def lc_level(f: ContinuousFn) -> int | None:
     return None
 
 
-def ring_valued(f: ContinuousFn) -> bool:
-    """Whether f has a character of level >= 1 as a factor, scaled or
-    zero-extended, so that its values are ring elements; follows the
+def ring_valued(f: ContinuousFn) -> int:
+    """The deepest level of a character factor of f, scaled or zero-extended,
+    0 for none: f's values are ring elements when it is >= 1.  Follows the
     recursion of lc_level."""
     if isinstance(f, Character):
-        return f.level > 0
+        return f.level
     if isinstance(f, Product):
-        return ring_valued(f.f) or ring_valued(f.g)
-    return isinstance(f, (Scaled, ZeroExtendedUnits)) and ring_valued(f.inner)
+        return max(ring_valued(f.f), ring_valued(f.g))
+    if isinstance(f, (Scaled, ZeroExtendedUnits)):
+        return ring_valued(f.inner)
+    return 0
 
 
 def as_table(f: ContinuousFn, level: int) -> list:

@@ -11,13 +11,13 @@ from fractions import Fraction
 import pytest
 
 from padicq import (AmiceMeasure, Character, CyclotomicElem, DiracMeasure,
-                    LocallyConstant, PadicContext, PadicInt, Polynomial,
-                    QExpansion, TwoVarFn, ZeroExtendedUnits, act,
-                    amice_transform, bernoulli, convolution_nu,
-                    derivative_check, eisenstein_2G, eisenstein_eval,
-                    eval_at_character, eval_measure, indicator, kl_constant,
-                    monomial, multiply, nu_character_series, reduce_rational,
-                    sigma_table, theta, two_variable_L)
+                    LocallyConstant, MahlerSeries, PadicContext, PadicInt,
+                    Polynomial, QExpansion, TwoVarFn, ZeroExtendedUnits, act,
+                    amice_transform, bernoulli, convolution_nu, eisenstein_2G,
+                    eisenstein_eval, eval_at_character, eval_measure,
+                    indicator, kl_constant, monomial, multiply,
+                    nu_character_series, reduce_rational, sigma_table, theta,
+                    two_variable_L)
 from padicq.kummer import (check_group_axioms, check_pairing_perfect,
                            check_realization, serre_tate_action_check)
 from padicq.verify import reference_nu
@@ -151,19 +151,18 @@ def test_criterion_07_character_amice_duality(ctx):
 
 
 def test_criterion_08_derivative_shadow(ctx):
+    # x = 1 + 5^6 has x^n = 1 + n 5^6 mod 5^12, so x^z is the Mahler series
+    # 1 + 5^6 z: the action of x^z is the identity plus 5^6 theta
     rng = random.Random(777)
+    ps = P ** ((N + 1) // 2)
+    xz = MahlerSeries(ctx, [1, ps], N)
     ok = True
     for _ in range(20):
         g = QExpansion(ctx, [rng.randrange(ctx.modulus)
                              for _ in range(M + 1)])
-        d = derivative_check(g)
-        t = theta(g)
-        for n in range(M + 1):
-            if not (d.coefficient(n).a == g.coefficient(n)
-                    and d.coefficient(n).b == t.coefficient(n)):
-                ok = False
-    report(8, ok, "eps part of the (1 + eps)-twist equals theta(g) on 20 "
-                  "random series")
+        if not act(xz, g) == g + theta(g).scale(ps):
+            ok = False
+    report(8, ok, "x = 1 + 5^6 acts as g + 5^6 theta(g) on 20 random series")
 
 
 def test_criterion_09_kummer_brute_force():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from padicq import (CyclotomicElem, DualNumber, NotRootOfUnity, PadicInt, Polynomial,
-                    QExpansion, Scaled, act, act_character, amice_transform,
-                    constant_fn, derivative_check, indicator, monomial,
+from padicq import (CyclotomicElem, MahlerSeries, NotRootOfUnity, PadicInt,
+                    Polynomial, QExpansion, Scaled, act, act_character,
+                    amice_transform, constant_fn, indicator, monomial,
                     multiply, psi, theta, u_p, v_p)
 from padicq.zpfun import Character
 
@@ -137,29 +137,6 @@ def test_psi_amice_coefficients(ctx5):
             assert b.coefficient(n) == comb(n, k) * g.coefficient(n)
 
 
-def test_derivative_examples(ctx5):
-    q = QExpansion(ctx5, [0, 1], 3)
-    d = derivative_check(q)
-    assert d.coefficient(1).a == 1 and d.coefficient(1).b == 1
-    c = QExpansion(ctx5, [7], 3)
-    d = derivative_check(c)
-    assert d.coefficient(0).a == 7 and d.coefficient(0).b == 0
-    q2 = QExpansion(ctx5, [0, 0, 1], 3)
-    d = derivative_check(q2)
-    assert d.coefficient(2).a == 1 and d.coefficient(2).b == 2
-
-
-def test_derivative_eps_part_is_theta(ctx5):
-    rng = random.Random(49)
-    for _ in range(20):
-        g = rand_series(ctx5, rng)
-        d = derivative_check(g)
-        t = theta(g)
-        for n in range(g.qprec + 1):
-            assert d.coefficient(n).a == g.coefficient(n)
-            assert d.coefficient(n).b == t.coefficient(n)
-
-
 def test_up_vp_compatibility(ctx5):
     rng = random.Random(50)
     for _ in range(5):
@@ -184,8 +161,6 @@ def _cyclo_shape(c):
 # compared after lifting every element to that level.
 
 def ref_act_character(zeta, coeffs):
-    if isinstance(zeta, DualNumber):
-        return [zeta ** n * c for n, c in enumerate(coeffs)]
     pm = zeta.ctx.p ** zeta.level
     powers = [CyclotomicElem.one(zeta.ctx, 0)]
     for _ in range(min(pm, len(coeffs)) - 1):
@@ -467,86 +442,6 @@ def test_ring_series_match_element_lists():
     inner()
 
 
-def test_derivative_check_is_series_and_theta():
-    # the two flat series of the dual twist are g and theta(g), residue and
-    # precision, with coefficients known to fewer than N digits among them;
-    # the element-list dual twist agrees
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-    from padicq import PadicContext
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def inner(data):
-        ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
-                           data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40)))
-        qp = data.draw(st.integers(0, ctx.M))
-        coeffs = _draw_coeffs(data, ctx, qp + 1)
-        g = QExpansion(ctx, coeffs, qp)
-        a, b = derivative_check(g).parts
-        tg = theta(g)
-        assert (a.res, a.prec) == (g.res, g.prec)
-        assert (b.res, b.prec) == (tg.res, tg.prec)
-        one = PadicInt.one(ctx)
-        want = ref_act_character(DualNumber(one, one), coeffs)
-        assert [(x.residue, x.prec) for x in a.coeffs] == \
-            [(d.a.residue, d.a.prec) for d in want]
-        assert [(x.residue, x.prec) for x in b.coeffs] == \
-            [(d.b.residue, d.b.prec) for d in want]
-
-    inner()
-
-
-def _low_prec_series(ctx, rng):
-    return QExpansion(ctx, [PadicInt(ctx, rng.randrange(ctx.modulus),
-                                     rng.choice((ctx.N, ctx.N, 5, 1)))
-                            for _ in range(ctx.M + 1)])
-
-
-def _flat_dual(d):
-    return [(c.res, c.prec) for c in d.parts]
-
-
-def test_derivative_check_is_additive(ctx5):
-    # sums of dual series add the a and eps parts apart; a series that is
-    # not dual joins a dual one as itself + eps 0
-    rng = random.Random(23)
-    for _ in range(5):
-        g, h = _low_prec_series(ctx5, rng), _low_prec_series(ctx5, rng)
-        total = derivative_check(g) + derivative_check(h)
-        assert total.level is None
-        assert total == derivative_check(g + h)
-        assert _flat_dual(total) == _flat_dual(derivative_check(g + h))
-        eps = derivative_check(g) - g
-        assert _flat_dual(eps) == _flat_dual(
-            QExpansion.from_parts(ctx5, None, (g - g, theta(g))))
-
-
-def test_dual_series_round_trip_through_coeffs(ctx5):
-    # coeffs reads DualNumbers off the two parts; the constructor splits
-    # them back, residues and precisions alike, and reads an int among
-    # them as int + eps 0
-    rng = random.Random(24)
-    d = derivative_check(_low_prec_series(ctx5, rng))
-    cs = d.coeffs
-    assert all(isinstance(c, DualNumber) for c in cs) and len(cs) == d.qprec + 1
-    back = QExpansion(ctx5, cs, d.qprec)
-    assert back.level is None and _flat_dual(back) == _flat_dual(d)
-    mixed = QExpansion(ctx5, [7] + cs[1:], d.qprec)
-    assert mixed.coefficient(0).a == 7 and mixed.coefficient(0).b == 0
-    assert _flat_dual(mixed)[0][0][1:] == _flat_dual(d)[0][0][1:]
-
-
-def test_theta_of_a_dual_series(ctx5):
-    # theta scales both parts by n; the eps part is also capped by the
-    # precision of the a part, which theta(g) never lowers
-    rng = random.Random(25)
-    g = _low_prec_series(ctx5, rng)
-    t = theta(derivative_check(g))
-    assert t.level is None
-    assert _flat_dual(t) == [(c.res, c.prec) for c in (theta(g), theta(theta(g)))]
-
-
 def test_verify_action_flags_a_corrupted_theta(ctx5, monkeypatch):
     # negative control: a theta with one wrong coefficient must fail the
     # derivative check of the action suite
@@ -569,7 +464,8 @@ def test_verify_action_flags_a_corrupted_theta(ctx5, monkeypatch):
 
 def test_verify_action_flags_a_corrupted_non_torsion_action(ctx5, monkeypatch):
     # negative control: an action of x^z with one wrong coefficient must
-    # fail the x^n a_n line of the action suite, and only that line
+    # fail the x^n a_n line of the action suite first, and otherwise only
+    # the derivative lines, which act by x^z at x = 1 + p^s
     import padicq.verify as verify
 
     true_act = verify.act
@@ -585,7 +481,9 @@ def test_verify_action_flags_a_corrupted_non_torsion_action(ctx5, monkeypatch):
     monkeypatch.setattr(verify, "act", corrupted)
     got = verify.suite_action(ctx5)
     assert not got.passed
-    assert got.failures == ["act(x^z, g) != x^n a_n at x = 1 + p"]
+    assert got.failures[0] == "act(x^z, g) != x^n a_n at x = 1 + p"
+    assert got.failures[1:] == [
+        f"derivative: act(x^z, g) != g + p^s theta(g) (series {i})" for i in (0, 1)]
 
 
 @pytest.mark.parametrize("p,levels", [(3, range(4)), (5, range(4)), (7, range(3))])
@@ -662,6 +560,47 @@ def test_non_torsion_action_integrates_theta(oracles):
                   series_to_json(act(power(x), act(power(y), g))))
 
 
+
+
+def test_one_plus_p_s_acts_as_one_plus_p_s_theta():
+    # x = 1 + p^s with 2s >= N has x^n = 1 + n p^s mod p^N, so x^z is the
+    # Mahler series 1 + p^s z and acts by g -> g + p^s theta(g): the action
+    # differentiates to theta.  Both sides and x^n a_n on exact ints agree
+    # in residue and claimed precision, on coefficients known to mixed
+    # precisions
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from padicq import PadicContext
+
+    def power(ctx):
+        ps = ctx.pows[(ctx.N + 1) // 2]
+        return ps, MahlerSeries(ctx, [1, ps], ctx.N)
+
+    # q, a constant and q^2 at p = 5, N = 12 go to x q, the constant, x^2 q^2
+    ctx = PadicContext(5, 12, 3)
+    ps, xz = power(ctx)
+    for n, c, want in ((1, 1, 1 + ps), (0, 7, 7), (2, 1, 1 + 2 * ps)):
+        got = act(xz, QExpansion(ctx, [0] * n + [c], 3))
+        assert got.coefficient(n) == want and got.coefficient(n).prec == ctx.N
+        assert got == QExpansion(ctx, [0] * n + [want], 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def inner(data):
+        ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
+                           data.draw(st.integers(1, 8)), data.draw(st.integers(1, 40)))
+        qp = data.draw(st.integers(0, ctx.M))
+        coeffs = _draw_coeffs(data, ctx, qp + 1)
+        g = QExpansion(ctx, coeffs, qp)
+        ps, xz = power(ctx)
+        got, lin = act(xz, g), g + theta(g).scale(ps)
+        assert got.qprec == qp
+        assert (got.res, got.prec) == (lin.res, lin.prec)
+        assert list(zip(got.res, got.prec)) == \
+            [((1 + ps) ** n * c.residue % ctx.pows[c.prec], c.prec)
+             for n, c in enumerate(coeffs)]
+
+    inner()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -179,16 +179,29 @@ def test_commands_match_the_benchmark_reference_outputs(capsys):
 
 
 def test_character_above_N_is_refused_before_its_table(capsys):
-    # a level-5 character at N = 2 has no argument whose digits fix it;
-    # it is refused as one point refuses it, before its 5^5 powers
+    # a level-5 character at N = 2 is past the level cap; it is refused
+    # from its level, before its 5^5 powers
     start = time.monotonic()
     code, out, err = run_cli(capsys, "--N", "2", "apply", "--measure",
                              '{"kind":"amice","coeffs":[1]}', "--fn",
                              '{"kind":"character","level":5}')
     assert time.monotonic() - start < 1.0
     assert code == 2 and out == ""
+    assert json.loads(err) == {"code": 2, "message": "level 5 exceeds the level cap 3"}
+
+
+@pytest.mark.parametrize("level", [4, 6])
+def test_amice_pairing_refuses_a_character_above_the_cap(capsys, level):
+    # the Mahler coefficients of a character need its p^level powers,
+    # about 2 GB at level 6, so the cap is applied before them
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "--M", "5", "apply", "--measure",
+                             '{"kind":"amice","coeffs":[1,2,3]}', "--fn",
+                             f'{{"kind":"character","level":{level}}}')
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
     assert json.loads(err) == {
-        "code": 2, "message": "exponent known mod p^2 but level-5 root needs p^5"}
+        "code": 2, "message": f"level {level} exceeds the level cap 3"}
 
 
 def test_moment_value(capsys):

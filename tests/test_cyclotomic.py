@@ -307,11 +307,6 @@ class RefCyclo:
     def one(cls, ctx):
         return cls(ctx, 0, [PadicInt(ctx, 1)])
 
-    def one_like(self):
-        return RefCyclo(self.ctx, self.level, [
-            PadicInt(self.ctx, int(i == 0))
-            for i in range(phi_pm(self.ctx.p, self.level))])
-
     def min_prec(self):
         return min(c.prec for c in self.coeffs)
 
@@ -500,7 +495,7 @@ def test_flat_arithmetic_matches_padicint_lists(case):
         lambda x, y: x.is_constant(), lambda x, y: x.constant_part(),
         lambda x, y: x.theta_valuation(), lambda x, y: x == y,
         lambda x, y: x == x + s * 0, lambda x, y: x == k,
-        lambda x, y: x.lift_to(ly), lambda x, y: x.one_like(),
+        lambda x, y: x.lift_to(ly),
         *[lambda x, y, e=e: x ** e for e in (-2, -1, 0, 1, 2, 3)],
         *[lambda x, y, m=m: x.lift_to(m) for m in range(lx, top + 1)],
     ]

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicq import (DualNumber, NotPIntegral, NotUnit, PadicContext, PadicInt,
-                    bernoulli, bernoulli_polynomial, binomial_padic,
-                    reduce_rational)
+from padicq import (NotPIntegral, NotUnit, PadicContext, PadicInt, bernoulli,
+                    bernoulli_polynomial, binomial_padic, reduce_rational)
 from padicq.padic import is_prime
 
 ints = st.integers(min_value=-10**9, max_value=10**9)
@@ -190,30 +189,6 @@ def test_bernoulli_polynomial():
         for x in (Fraction(0), Fraction(1, 3), Fraction(7, 5)):
             assert bernoulli_polynomial(k, x + 1) - bernoulli_polynomial(k, x) \
                 == k * x ** (k - 1)
-
-
-# -- dual numbers ------------------------------------------------------------------
-
-def test_dual_one_plus_eps_powers():
-    ctx = PadicContext(5, 12, 4)
-    one = PadicInt.one(ctx)
-    d = DualNumber(one, one)
-    acc = DualNumber(one, PadicInt.zero(ctx))
-    for n in range(0, 41):
-        assert acc.a == 1 and acc.b == n, n
-        acc = acc * d
-    assert (d ** 17).b == 17
-
-
-@given(ints, ints, ints, ints)
-def test_dual_ring_laws(xa, xb, ya, yb):
-    ctx = PadicContext(3, 8, 4)
-    x = DualNumber(PadicInt(ctx, xa), PadicInt(ctx, xb))
-    y = DualNumber(PadicInt(ctx, ya), PadicInt(ctx, yb))
-    assert x * y == y * x
-    assert (x + y) * x == x * x + y * x
-    # eps^2 = 0: product rule on the eps part
-    assert (x * y).b == PadicInt(ctx, xa * yb + xb * ya)
 
 
 # -- binomials ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ from padicq import (Binomial, Character, ContinuousFn, CyclotomicElem,
                     LocallyConstant, MahlerSeries, NotRootOfUnity, NotUnit,
                     PadicContext, PadicInt, PadicqError, Polynomial,
                     PrecisionExhausted, Product, QExpansion, Scaled, TwoVarFn,
-                    UnsupportedShape, ZeroExtendedUnits, act, eisenstein_eval,
-                    evaluate, fn_from_json, indicator, kl_constant, lc_level,
-                    mahler_coeffs, monomial, multiply, poly_lc_terms,
-                    scale_argument)
+                    UnsupportedShape, ZeroExtendedUnits, act, binomial_padic,
+                    eisenstein_eval, evaluate, fn_from_json, indicator,
+                    kl_constant, lc_level, mahler_coeffs, monomial, multiply,
+                    poly_lc_terms, scale_argument)
 from padicq.zpfun import values
 
 
@@ -199,6 +199,34 @@ def test_mahler_series_tail_precision(ctx5):
     bad = MahlerSeries(ctx5, [1], 0)
     with pytest.raises(PrecisionExhausted):
         evaluate(bad, PadicInt(ctx5, 1))
+
+
+def _ref_mahler_evaluate(f, x):
+    """MahlerSeries.evaluate as a PadicInt loop: sum_k c_k C(x, k) with
+    binomial_padic, certified to the tail."""
+    acc = PadicInt(f.ctx, 0, x.prec)
+    for k, c in enumerate(f.coeffs):
+        acc = acc + c * binomial_padic(x, k)
+    certified = min(acc.prec, f.tail_valuation)
+    if certified <= 0:
+        raise PrecisionExhausted("tail bound certifies no digits")
+    return PadicInt(f.ctx, acc.residue, certified)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mahler_evaluate_matches_padicint_loop(data):
+    # the sum on integers has the residue, precision and refusal of the
+    # PadicInt loop: coefficients and arguments known to mixed precisions,
+    # series long enough that C(x, k) loses digits, tails <= 0
+    ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
+                       data.draw(st.integers(1, 8)), 4)
+    f = MahlerSeries(ctx, data.draw(st.lists(_scalars(ctx), max_size=30)),
+                     data.draw(st.integers(-2, ctx.N + 2)))
+    x = PadicInt(ctx, data.draw(st.integers(0, ctx.modulus - 1)),
+                 data.draw(st.integers(0, ctx.N)))
+    assert _outcome(lambda: [f.evaluate(x)]) == \
+        _outcome(lambda: [_ref_mahler_evaluate(f, x)])
 
 
 def test_locally_constant_requires_precision(ctx5):
