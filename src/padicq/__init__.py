@@ -23,13 +23,12 @@ _EXPORTS = {name: module for module, names in {
     "kummer": "CheckReport KummerBase KummerElement LaurentElem constant_roots "
     "kummer_iso kummer_mul kummer_pair serre_tate_action_check",
     "measures": "ActionMeasure AmiceMeasure DiracMeasure EisensteinMeasure "
-    "KLConstantTerm LinearMeasure Measure ProductMeasure amice_transform "
-    "convolution_nu eisenstein_eval eval_at_character eval_measure kl_constant "
-    "measure_from_json nu_character_series product_measure psi pushforward_halving "
-    "two_variable_L",
+    "KLConstantTerm LinearMeasure Measure amice_transform convolution_nu "
+    "eisenstein_eval eval_at_character eval_measure kl_constant lvalue "
+    "measure_from_json psi",
     "padic": "PadicContext PadicInt bernoulli bernoulli_polynomial binomial_padic "
     "reduce_rational",
-    "qseries": "QExpansion divisor_sum double_divisor_series eisenstein_2G "
+    "qseries": "QExpansion divisor_sum eisenstein_2G "
     "eisenstein_2G_scaled eisenstein_2G_twisted lvalue_periodic series_from_json "
     "series_to_json sigma_table theta u_p v_p",
     "zpfun": "Binomial Character ContinuousFn LocallyConstant MahlerSeries Polynomial "

@@ -42,9 +42,9 @@ from .padic import PadicContext, PadicInt, padic_valuation
 from .qseries import (SIGMA_CACHE_SIZE, QExpansion, _least_prime_factors,
                       divisor_sum, sigma_table)
 from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
-                    Polynomial, TwoVarFn, ZeroExtendedUnits, as_table,
-                    indicator, lc_level, mahler_coeffs, monomial, multiply,
-                    poly_lc_terms, ring_valued, table_values, values)
+                    MahlerSeries, TwoVarFn, ZeroExtendedUnits, as_table,
+                    lc_level, mahler_coeffs, poly_lc_terms, ring_valued,
+                    table_values, values)
 
 
 # -- the regularized kernel series -------------------------------------------
@@ -140,7 +140,8 @@ class KLConstantTerm:
     Horner per level l <= m (p^l ring products, after reducing the kernel
     series by the torsion polynomial (1+T)^(p^l) - 1) plus integer traces.
     Step functions and characters beyond the fixed cap action.M_MAX raise
-    PrecisionExhausted.
+    PrecisionExhausted.  A Mahler series sum_k c_k C(z, k) pairs with the
+    kernel series to sum_k c_k b_k; a binomial is the one-term case.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -221,8 +222,16 @@ class KLConstantTerm:
     def value(self, f: ContinuousFn, lc: tuple | None = None):
         """kappa(f) for exactly representable f (``lc``: poly_lc_terms(f))."""
         ctx = self.ctx
-        if isinstance(f, Binomial):
-            return PadicInt(ctx, self.kernel.base(f.k)[f.k])
+        if isinstance(f, Binomial):  # the one-term Mahler series C(z, k)
+            f = MahlerSeries(ctx, [0] * f.k + [1], ctx.N)
+        if isinstance(f, MahlerSeries):
+            # kappa(C(z, k)) = b_k; the tail's terms have valuation >= t
+            cs = f.coeffs
+            prec = min([f.tail_valuation, *(c.prec for c in cs)])
+            if prec <= 0:
+                raise PrecisionExhausted("tail bound certifies no digits")
+            return PadicInt(ctx, sum(map(mul, (c.residue for c in cs),
+                                         self.kernel.base(len(cs) - 1))), prec)
         if isinstance(f, Character) and f.level:
             _check_level(f.level)
             return self.value_character(f.zeta)
@@ -389,7 +398,7 @@ class EisensteinMeasure(Measure):
     the combined tables U_j[c] = T_j[c] - a^(j+1) T_j[a c mod p^m] of
     f = sum_j z^j T_j (zpfun.table_values), and the weights are
     divisor-summed as residues, one coordinate at a time for characters;
-    binomials take f(d), f(a d) point by point.
+    binomials and Mahler series take f(d), f(a d) point by point.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -403,7 +412,7 @@ class EisensteinMeasure(Measure):
         ctx, ar = self.ctx, self.a.residue
         # the constant term first: it refuses levels past the cap before
         # any table of a character is built; kl shares f's other tables
-        lc = None if isinstance(f, Binomial) or \
+        lc = None if isinstance(f, (Binomial, MahlerSeries)) or \
             isinstance(f, Character) and f.level else poly_lc_terms(f)
         const = self.kl.value(f, lc)
         if lc and lc[0] == 0 and len(lc[1]) <= SIGMA_CACHE_SIZE and all(
@@ -412,7 +421,7 @@ class EisensteinMeasure(Measure):
         zero, ds = PadicInt(ctx, 0), range(ctx.M + 1)
         try:
             m, terms = lc or poly_lc_terms(f)
-        except UnsupportedShape:  # binomials: two scalar rows
+        except UnsupportedShape:  # binomials, Mahler series: two scalar rows
             (x, xp), (y, yp) = values(f, ds), values(f, [ar * d for d in ds])
             w = ([2 * (u - ar * v) for u, v in zip(x, y)],
                  [u if u < v else v for u, v in zip(xp, yp)])
@@ -554,26 +563,6 @@ def eisenstein_eval(a: PadicInt, f: ContinuousFn) -> QExpansion:
     return EisensteinMeasure(f.ctx, a)(f)
 
 
-class ProductMeasure(Measure):
-    """Measure on Z_p x Z_p induced by a bilinear form on pure tensors."""
-
-    def __init__(self, ctx: PadicContext, bilinear):
-        self.ctx = ctx
-        self.bilinear = bilinear
-
-    def __call__(self, F: TwoVarFn):
-        acc = None
-        for f, g in F.terms:
-            v = self.bilinear(f, g)
-            acc = v if acc is None else acc + v
-        return acc if acc is not None else PadicInt(self.ctx, 0)
-
-
-def product_measure(ctx: PadicContext, bilinear, F: TwoVarFn):
-    """Evaluate the unique measure with mu(f (x) g) = bilinear(f, g) on F."""
-    return ProductMeasure(ctx, bilinear)(F)
-
-
 def convolution_nu(a: PadicInt, F: TwoVarFn) -> QExpansion:
     """The convolution measure: on f (x) g it acts by g on the Eisenstein
     value at f, so its moments on x^s y^t are (1 - a^(s+1)) theta^t 2G_(s+1).
@@ -582,39 +571,6 @@ def convolution_nu(a: PadicInt, F: TwoVarFn) -> QExpansion:
     terms = (act(g, mu(f)) for f, g in F.terms)
     first = next(terms, None)
     return QExpansion.zero(F.ctx) if first is None else sum(terms, first)
-
-
-def pushforward_halving(F: TwoVarFn) -> TwoVarFn:
-    """Transport along (x, y) |-> (x, x y), re-tensored term by term.
-
-    A monomial factor y^t contributes x^t to the first slot; a level-m step
-    factor is split over the residue classes of x, since x y mod p^m only
-    depends on x mod p^m.
-    """
-    ctx = F.ctx
-    out = []
-    for f, g in F.terms:
-        try:
-            m, terms = poly_lc_terms(g)
-        except UnsupportedShape as exc:
-            raise UnsupportedShape(
-                f"second factor {type(g).__name__} cannot be re-tensored"
-            ) from exc
-        if m == 0:
-            for t, tab in terms.items():
-                xpart = multiply(f, Polynomial(ctx, {t: tab[0]}))
-                out.append((xpart, monomial(ctx, t)))
-        else:
-            pm = ctx.p ** m
-            for cc in range(pm):
-                ind = indicator(ctx, m, cc)
-                for t, tab in terms.items():
-                    shifted = [tab[(cc * y) % pm] for y in range(pm)]
-                    xpart = multiply(f, multiply(monomial(ctx, t), ind))
-                    ypart = multiply(monomial(ctx, t),
-                                     LocallyConstant(ctx, m, shifted))
-                    out.append((xpart, ypart))
-    return TwoVarFn(ctx, out)
 
 
 def measure_from_json(ctx: PadicContext, obj,
@@ -668,30 +624,17 @@ def validate_character(chi: ContinuousFn, m: int) -> list:
     return tab
 
 
-def two_variable_L(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt):
-    """The two-variable L-value pinned by the defining identity.
+def lvalue(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt) -> tuple:
+    """(L, factor, nu) for a pair of characters, from one validated table of
+    each at their common level m >= 1.
 
     Both characters are zero-extended off the units.  The y-side extension
     annihilates the literal constant coefficient of the convolution value,
-    so the number returned is the measure-side constant: the regularized
-    functional on the zero-extended quotient character, divided by the
-    Euler-type factor 1 - chi1(a) a / chi2(a).
+    so L is the measure-side constant: the regularized functional on the
+    zero-extended quotient character chi1/chi2, divided by the Euler-type
+    factor 1 - chi1(a) a / chi2(a).  nu is the full convolution value on
+    the zero-extended pair.
     """
-    return lvalue(chi1, chi2, a, series=False)[0]
-
-
-def nu_character_series(chi1: ContinuousFn, chi2: ContinuousFn,
-                        a: PadicInt) -> QExpansion:
-    """The full convolution value on the zero-extended character pair."""
-    return lvalue(chi1, chi2, a, value=False)[2]
-
-
-def lvalue(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt,
-           value: bool = True, series: bool = True) -> tuple:
-    """(two_variable_L, its Euler factor, nu_character_series), None where
-    not asked for, from one validated table of each character at their
-    common level m >= 1 and the table of chi1/chi2 zero-extended off the
-    units."""
     ctx = chi1.ctx
     m = max(lc_level(chi1) or 0, lc_level(chi2) or 0, 1)
     _check_level(m)
@@ -699,17 +642,14 @@ def lvalue(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt,
     fn = ZeroExtendedUnits(LocallyConstant(ctx, m, [
         tab1[c] * tab2[c].inverse() if c % ctx.p != 0 else PadicInt(ctx, 0)
         for c in range(ctx.p ** m)]))
-    L = factor = nu = None
-    if value:
-        if not a.is_unit():
-            raise NotUnit("a must be a unit")
-        ar = a.residue % ctx.p ** m
-        factor = PadicInt(ctx, 1) - tab1[ar] * a * tab2[ar].inverse()
-        if not factor.is_unit():
-            raise EulerFactorNotInvertible(
-                "1 - chi1(a) a / chi2(a) is congruent to 0 mod p")
-        L = kl_constant(a, fn) * factor.inverse()
-    if series:
-        nu = convolution_nu(a, TwoVarFn.tensor(
-            fn, ZeroExtendedUnits(LocallyConstant(ctx, m, tab2))))
+    if not a.is_unit():
+        raise NotUnit("a must be a unit")
+    ar = a.residue % ctx.p ** m
+    factor = PadicInt(ctx, 1) - tab1[ar] * a * tab2[ar].inverse()
+    if not factor.is_unit():
+        raise EulerFactorNotInvertible(
+            "1 - chi1(a) a / chi2(a) is congruent to 0 mod p")
+    L = kl_constant(a, fn) * factor.inverse()
+    nu = convolution_nu(a, TwoVarFn.tensor(
+        fn, ZeroExtendedUnits(LocallyConstant(ctx, m, tab2))))
     return L, factor, nu

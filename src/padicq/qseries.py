@@ -353,20 +353,6 @@ def sigma_table(e: int, M: int, mod: int) -> tuple:
     return tuple(sig[:M + 1])
 
 
-def double_divisor_series(ctx: PadicContext, k: int, r: int) -> QExpansion:
-    """2 sum_n q^n sum_{d d' = n} d^k d'^r, constant term 0, mod p^N.
-
-    The inner sum is symmetric in k and r and equals n^r sigma_(k-r)(n)
-    for k >= r, read off the sigma table mod p^N.
-    """
-    lo, hi = sorted((k, r))
-    mod = ctx.modulus
-    return QExpansion.from_flat(
-        ctx, [2 * pow(n, lo, mod) * s % mod
-              for n, s in enumerate(sigma_table(hi - lo, ctx.M, mod))],
-        [ctx.N] * (ctx.M + 1))
-
-
 # -- Eisenstein series ----------------------------------------------------------
 
 def eisenstein_2G(ctx: PadicContext, k: int) -> QExpansion:

@@ -486,19 +486,6 @@ class TwoVarFn:
     def tensor(cls, f: ContinuousFn, g: ContinuousFn) -> "TwoVarFn":
         return cls(f.ctx, [(f, g)])
 
-    @classmethod
-    def zero(cls, ctx: PadicContext) -> "TwoVarFn":
-        return cls(ctx, [])
-
-    def evaluate(self, x: PadicInt, y: PadicInt):
-        acc = PadicInt(self.ctx, 0, min(x.prec, y.prec))
-        for f, g in self.terms:
-            acc = acc + f.evaluate(x) * g.evaluate(y)
-        return acc
-
-    def __add__(self, other: "TwoVarFn") -> "TwoVarFn":
-        return TwoVarFn(self.ctx, self.terms + other.terms)
-
 
 # -- JSON descriptors ---------------------------------------------------------
 

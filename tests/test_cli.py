@@ -308,6 +308,17 @@ def test_verify_all_passes(capsys):
         assert all(s["passed"] for s in suites)
 
 
+@pytest.mark.parametrize("p", ["3", "5", "7"])
+def test_verify_all_passes_at_low_precision(capsys, p):
+    # at N = 1 the congruences hold to the one digit known, and the random
+    # step functions of the action and Amice suites stay at level <= N
+    for N in ("1", "2", "3"):
+        code, out, _ = run_cli(capsys, "--p", p, "--N", N, "--M", "8",
+                               "verify", "all")
+        assert code == 0, (p, N, out)
+        assert all(s["passed"] for s in json.loads(out)["suites"])
+
+
 def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
     import padicq.verify as pv
 
@@ -544,6 +555,29 @@ def test_apply_measure_descriptor(capsys):
     obj = json.loads(out)
     assert obj["kind"] == "series"
     assert obj["coeffs"][1] == str(-6 % 5 ** 12)
+
+
+def test_apply_to_the_mahler_series_of_x_to_the_z(capsys):
+    # 6^z = sum_k 5^k C(z, k): the Eisenstein measure pairs its constant
+    # term with the kernel series, and coefficient n >= 1 is
+    # 2 sum_{d|n} (6^d - 2 6^(2d)); an Amice measure gives sum_k b_k 5^k
+    fn = json.dumps({"kind": "mahler", "coeffs": [5 ** k for k in range(12)],
+                     "tail_valuation": 12})
+    code, out, err = run_cli(capsys, "--p", "5", "--M", "8", "apply",
+                             "--measure", '{"kind":"eisenstein","a":2}',
+                             "--fn", fn)
+    assert code == 0 and err == ""
+    g = series_from_json(json.loads(out))
+    for n in range(1, 9):
+        c = g.coefficient(n)
+        want = 2 * sum(6 ** d - 2 * 6 ** (2 * d)
+                       for d in range(1, n + 1) if n % d == 0)
+        assert c.prec >= 10 and (c.residue - want) % 5 ** c.prec == 0, n
+    code, out, _ = run_cli(capsys, "--p", "5", "--M", "8", "apply",
+                           "--measure", '{"kind":"amice","coeffs":[1,2,3]}',
+                           "--fn", fn)
+    assert code == 0
+    assert json.loads(out)["residue"] == str(1 + 2 * 5 + 3 * 25)
 
 
 def test_scalar_cyclotomic_results_print_as_values(capsys):

@@ -8,14 +8,13 @@ from padicq import (AmiceMeasure, Binomial, Character, CyclotomicElem,
                     DiracMeasure, EisensteinMeasure, EulerFactorNotInvertible,
                     LocallyConstant, MahlerSeries, NotUnit, PadicContext,
                     PadicInt, Polynomial, PrecisionExhausted, QExpansion,
-                    Scaled, TwoVarFn, UnsupportedShape, ZeroExtendedUnits,
+                    Scaled, TwoVarFn, ZeroExtendedUnits,
                     amice_transform, bernoulli, constant_fn, convolution_nu,
                     eisenstein_2G, eisenstein_2G_scaled,
                     eisenstein_2G_twisted, eisenstein_eval,
                     eval_at_character, eval_measure, indicator, kl_constant,
-                    lvalue_periodic, monomial, multiply, nu_character_series,
-                    product_measure, pushforward_halving, reduce_rational,
-                    theta, two_variable_L)
+                    lvalue, lvalue_periodic, monomial, multiply,
+                    reduce_rational, theta)
 from padicq.measures import KLConstantTerm, kl_constant_functional
 from padicq.verify import reference_nu
 
@@ -702,6 +701,71 @@ def test_kl_binomial_values_are_series_coefficients(ctx5):
         assert kl.value(Binomial(ctx5, k)) == PadicInt(ctx5, base[k])
 
 
+def _x_to_the_z(ctx, x):
+    # x^z = sum_k (x - 1)^k C(z, k); for v(x - 1) >= 1 the terms k >= N vanish
+    return MahlerSeries(ctx, [pow(x - 1, k, ctx.modulus) for k in range(ctx.N)],
+                        ctx.N)
+
+
+def test_kl_mahler_series_is_the_pairing_with_the_kernel(ctx5):
+    a = PadicInt(ctx5, 2)
+    kl = kl_constant_functional(ctx5, a)
+    base = kl.kernel.base(8)
+    cs = [PadicInt(ctx5, 7), 3, PadicInt(ctx5, 11, 6), 0, 1]
+    v = kl.value(MahlerSeries(ctx5, cs, 9))
+    assert v.prec == 6
+    assert v == PadicInt(ctx5, sum(c * b for c, b in zip([7, 3, 11, 0, 1], base)))
+    assert kl.value(MahlerSeries(ctx5, cs[:2], 4)).prec == 4
+    assert kl.value(MahlerSeries(ctx5, [], 20)) == PadicInt(ctx5, 0)
+    with pytest.raises(PrecisionExhausted):
+        kl.value(MahlerSeries(ctx5, [1], 0))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_eisenstein_measure_on_x_to_the_z(p):
+    # coefficient n >= 1 of mu(x^z) is 2 sum_{d|n} (x^d - a x^(ad)) to its
+    # claimed precision, for x = 1 + p t off the torsion of Gm-hat
+    ctx, a = PadicContext(p, 12, 8), 2
+    for t in (1, 2):
+        x = 1 + p * t
+        g = eisenstein_eval(PadicInt(ctx, a), _x_to_the_z(ctx, x))
+        for n in range(1, ctx.M + 1):
+            c = g.coefficient(n)
+            want = 2 * sum(x ** d - a * x ** (a * d)
+                           for d in range(1, n + 1) if n % d == 0)
+            assert c.prec >= ctx.N - 2 and (c.residue - want) % p ** c.prec == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_kl_of_x_to_the_z_is_the_moment_exponential(p):
+    # kappa(x^z) = A_a(x - 1) = sum_n b_n (x - 1)^n, and since x^z =
+    # exp(z log x), also sum_j kappa(z^j) (log x)^j / j! with the exact
+    # moments kappa(z^j) = (1 - a^(j+1)) (-B_(j+1)/(j+1)): this ties the
+    # kernel series to the Bernoulli numbers, all in exact rationals
+    ctx, a = PadicContext(p, 12, 8), 2
+    N = ctx.N
+    kl = kl_constant_functional(ctx, PadicInt(ctx, a))
+    moments = [(1 - a ** (j + 1)) * -bernoulli(j + 1) / (j + 1)
+               for j in range(2 * N + 1)]
+    assert all(kl.moment(j) == reduce_rational(m, ctx)
+               for j, m in enumerate(moments))
+    for t in (1, 2):
+        x = 1 + p * t
+        got = kl.value(_x_to_the_z(ctx, x))
+        assert got.prec == N
+        assert got == PadicInt(ctx, sum(b * (x - 1) ** n for n, b in
+                                        enumerate(kl.kernel.base(N))))
+        # the terms n >= 3N of log x have valuation n - log_p(n) > N, and
+        # (log x)^j / j! has valuation > j (p - 2)/(p - 1) >= j / 2
+        log = sum(Fraction((-1) ** (n + 1) * (x - 1) ** n, n)
+                  for n in range(1, 3 * N))
+        term, total = Fraction(1), Fraction(0)
+        for j, kappa in enumerate(moments):
+            total += kappa * term
+            term = term * log / (j + 1)
+        assert reduce_rational(total, ctx) == got
+
+
 def test_eisenstein_coefficient_rule_random_tables(ctx5):
     # independent re-derivation: coefficient n is 2 sum_{d|n} (f(d) - a f(ad))
     # with everything reduced by hand from the integer table
@@ -994,113 +1058,17 @@ def test_convolution_x0_constant_term_zero(ctx5):
 
 def test_convolution_empty_is_zero(ctx5):
     a = PadicInt(ctx5, 2)
-    assert convolution_nu(a, TwoVarFn.zero(ctx5)) == QExpansion.zero(ctx5)
-
-
-# -- product measures -------------------------------------------------------------
-
-def test_product_measure_diracs(ctx5):
-    mu1 = DiracMeasure(PadicInt(ctx5, 2))
-    mu2 = DiracMeasure(PadicInt(ctx5, 3))
-
-    def bilinear(f, g):
-        return mu1(f) * mu2(g)
-
-    f, g = monomial(ctx5, 2), monomial(ctx5, 1)
-    F = TwoVarFn.tensor(f, g)
-    assert product_measure(ctx5, bilinear, F) == 4 * 3
-    assert product_measure(ctx5, bilinear, TwoVarFn.zero(ctx5)) == 0
-
-
-def test_product_measure_decomposition_independence(ctx5):
-    # one step function, two tensor presentations
-    mu1 = DiracMeasure(PadicInt(ctx5, 7))
-    mu2 = AmiceMeasure(ctx5, [3, 1, 4])
-
-    def bilinear(f, g):
-        return mu1(f) * mu2(g)
-
-    fine = TwoVarFn(ctx5, [
-        (indicator(ctx5, 1, c), indicator(ctx5, 1, c)) for c in range(5)
-    ])
-    # the same function written with coarser pieces: diagonal indicator via
-    # complement double-count: 1_{x=c} 1_{y=c} summed = the same terms in a
-    # different order with a split class
-    split = TwoVarFn(ctx5, [
-        (indicator(ctx5, 2, c), indicator(ctx5, 1, c % 5)) for c in range(25)
-    ])
-    # first make sure both present the same two-variable function
-    for x in range(25):
-        for y in range(5):
-            assert fine.evaluate(PadicInt(ctx5, x), PadicInt(ctx5, y)) == \
-                split.evaluate(PadicInt(ctx5, x), PadicInt(ctx5, y))
-    assert product_measure(ctx5, bilinear, fine) == \
-        product_measure(ctx5, bilinear, split)
+    assert convolution_nu(a, TwoVarFn(ctx5, [])) == QExpansion.zero(ctx5)
 
 
 def test_psi_convolution_closure_matches(ctx5):
-    # the bilinear closure of the convolution construction gives the same
-    # values as the packaged operation
+    # on f (x) g the convolution acts by g on the Eisenstein value at f
     from padicq import psi
 
     a = PadicInt(ctx5, 2)
     mu = EisensteinMeasure(ctx5, a)
-
-    def bilinear(f, g):
-        return psi(mu(f))(g)
-
-    F = TwoVarFn.tensor(monomial(ctx5, 1), monomial(ctx5, 2))
-    assert product_measure(ctx5, bilinear, F) == convolution_nu(a, F)
-
-
-# -- halving pushforward -----------------------------------------------------------
-
-def test_pushforward_monomials(ctx5):
-    F = TwoVarFn.tensor(monomial(ctx5, 2), monomial(ctx5, 3))
-    G = pushforward_halving(F)
-    assert len(G.terms) == 1
-    xpart, ypart = G.terms[0]
-    for x in range(8):
-        assert xpart.evaluate(PadicInt(ctx5, x)) == x ** 5
-        assert ypart.evaluate(PadicInt(ctx5, x)) == x ** 3
-
-
-def test_pushforward_t0_fixed(ctx5):
-    f = indicator(ctx5, 1, 2)
-    F = TwoVarFn.tensor(f, constant_fn(ctx5, 1))
-    G = pushforward_halving(F)
-    for x in range(10):
-        for y in range(10):
-            assert G.evaluate(PadicInt(ctx5, x), PadicInt(ctx5, y)) == \
-                F.evaluate(PadicInt(ctx5, x), PadicInt(ctx5, y))
-
-
-def test_pushforward_pointwise_contract(ctx5):
-    # F o phi with phi(x, y) = (x, x y), for a character second factor
-    z = CyclotomicElem.zeta(ctx5, 1)
-    F = TwoVarFn.tensor(monomial(ctx5, 1), Character(z))
-    G = pushforward_halving(F)
-    for x in range(25):
-        for y in range(25):
-            got = G.evaluate(PadicInt(ctx5, x), PadicInt(ctx5, y))
-            want = F.evaluate(PadicInt(ctx5, x), PadicInt(ctx5, x * y))
-            assert got == want, (x, y)
-
-
-def test_pushforward_moment_transport(ctx5):
-    # x^s (x) y^t pushes to x^(s+t) (x) y^t, so nu takes the halved moments
-    # (s + t odd keeps the transported weight s + t + 1 even)
-    a = PadicInt(ctx5, 2)
-    for s, t in [(1, 2), (2, 1), (3, 2)]:
-        F = TwoVarFn.tensor(monomial(ctx5, s), monomial(ctx5, t))
-        G = pushforward_halving(F)
-        assert convolution_nu(a, G) == reference_nu(ctx5, a, s + t, t)
-
-
-def test_pushforward_rejects_mahler(ctx5):
-    F = TwoVarFn.tensor(monomial(ctx5, 1), MahlerSeries(ctx5, [1, 2], 5))
-    with pytest.raises(UnsupportedShape):
-        pushforward_halving(F)
+    f, g = monomial(ctx5, 1), monomial(ctx5, 2)
+    assert psi(mu(f))(g) == convolution_nu(a, TwoVarFn.tensor(f, g))
 
 
 # -- two-variable L-values -----------------------------------------------------------
@@ -1112,7 +1080,7 @@ def trivial_character(ctx):
 def test_two_variable_L_trivial(ctx5):
     a = PadicInt(ctx5, 2)
     triv = trivial_character(ctx5)
-    L = two_variable_L(triv, triv, a)
+    L = lvalue(triv, triv, a)[0]
     # defining identity: factor * L = the measure-side constant
     factor = PadicInt(ctx5, 1) - a
     kl_side = kl_constant(a, ZeroExtendedUnits(triv))
@@ -1124,7 +1092,7 @@ def test_two_variable_L_trivial(ctx5):
 def test_nu_character_series_trivial(ctx5):
     a = PadicInt(ctx5, 2)
     triv = trivial_character(ctx5)
-    nu = nu_character_series(triv, triv, a)
+    nu = lvalue(triv, triv, a)[2]
     for n in range(1, ctx5.M + 1):
         if n % 5 == 0:
             assert nu.coefficient(n) == 0
@@ -1146,13 +1114,13 @@ def test_two_variable_L_quadratic_consistency(ctx5):
     a = PadicInt(ctx5, 2)
     chi = quadratic_character(ctx5)
     triv = trivial_character(ctx5)
-    L = two_variable_L(chi, triv, a)
+    L = lvalue(chi, triv, a)[0]
     # chi(2) = -1, so the factor is 1 + 2 = 3
     factor = PadicInt(ctx5, 3)
     kl_side = kl_constant(a, ZeroExtendedUnits(chi))
     assert factor * L == kl_side
     # cross-check the series side coefficient by coefficient
-    nu = nu_character_series(chi, triv, a)
+    nu = lvalue(chi, triv, a)[2]
     chival = [0, 1, -1, -1, 1]
     for n in range(1, ctx5.M + 1):
         if n % 5 == 0:
@@ -1168,14 +1136,14 @@ def test_two_variable_L_euler_factor_guard(ctx5):
     a = PadicInt(ctx5, 6)
     triv = trivial_character(ctx5)
     with pytest.raises(EulerFactorNotInvertible):
-        two_variable_L(triv, triv, a)
+        lvalue(triv, triv, a)[0]
 
 
 def test_two_variable_L_rejects_non_multiplicative(ctx5):
     a = PadicInt(ctx5, 2)
     doubled = LocallyConstant(ctx5, 1, [0, 2, 2, 2, 2])
     with pytest.raises(ValueError):
-        two_variable_L(doubled, trivial_character(ctx5), a)
+        lvalue(doubled, trivial_character(ctx5), a)
 
 
 def hensel_sqrt_minus_one(ctx):
@@ -1206,14 +1174,14 @@ def test_two_variable_L_quartic_nonzero(ctx5):
     chi = quartic_character(ctx5)
     triv = trivial_character(ctx5)
     i = hensel_sqrt_minus_one(ctx5)
-    L = two_variable_L(chi, triv, a)
+    L = lvalue(chi, triv, a)[0]
     factor = PadicInt(ctx5, 1 - 2 * i)
     assert factor.is_unit()
     kl_side = kl_constant(a, ZeroExtendedUnits(chi))
     assert factor * L == kl_side
     assert not L.is_zero()
     # series side against independent divisor enumeration over the table
-    nu = nu_character_series(chi, triv, a)
+    nu = lvalue(chi, triv, a)[2]
     tab = [0] * 5
     g, val = 1, 1
     for _ in range(4):
@@ -1248,12 +1216,12 @@ def test_two_variable_L_wild_character(ctx5):
     chi = wild_character(ctx5)
     triv = trivial_character(ctx5)
     z = CyclotomicElem.zeta(ctx5, 1)
-    L = two_variable_L(chi, triv, a)
+    L = lvalue(chi, triv, a)[0]
     factor = CyclotomicElem.one(ctx5, 0) - 2 * z  # 1 - chi(2) * 2
     kl_side = kl_constant(a, ZeroExtendedUnits(chi))
     assert factor * L == kl_side
     # series side against the table, coefficient by coefficient
-    nu = nu_character_series(chi, triv, a)
+    nu = lvalue(chi, triv, a)[2]
     tabfn = chi
     for n in (1, 2, 3, 4, 6, 7, 12, 23):
         want = CyclotomicElem.zero(ctx5, 1)

@@ -235,15 +235,6 @@ def test_locally_constant_requires_precision(ctx5):
         evaluate(f, PadicInt(ctx5, 3, 1))
 
 
-def test_two_var_evaluate(ctx5):
-    F = TwoVarFn.tensor(monomial(ctx5, 1), indicator(ctx5, 1, 1)) + \
-        TwoVarFn.tensor(Polynomial(ctx5, [1]), monomial(ctx5, 2))
-    for x in range(6):
-        for y in range(6):
-            want = x * (1 if y % 5 == 1 else 0) + y * y
-            assert F.evaluate(PadicInt(ctx5, x), PadicInt(ctx5, y)) == want
-
-
 def test_fn_from_json(ctx5):
     f = fn_from_json(ctx5, '{"kind":"monomial","degree":3}')
     assert evaluate(f, PadicInt(ctx5, 2)) == 8
