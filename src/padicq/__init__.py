@@ -28,11 +28,10 @@ _EXPORTS = {name: module for module, names in {
     "measure_from_json psi",
     "padic": "PadicContext PadicInt bernoulli bernoulli_polynomial binomial_padic "
     "reduce_rational",
-    "qseries": "QExpansion divisor_sum eisenstein_2G "
-    "eisenstein_2G_scaled eisenstein_2G_twisted lvalue_periodic series_from_json "
-    "series_to_json sigma_table theta u_p v_p",
+    "qseries": "QExpansion divisor_sum eisenstein_2G eisenstein_2G_twisted "
+    "lvalue_periodic series_from_json series_to_json sigma_table theta u_p v_p",
     "zpfun": "Binomial Character ContinuousFn LocallyConstant MahlerSeries Polynomial "
-    "Product Scaled TwoVarFn ZeroExtendedUnits constant_fn evaluate fn_from_json "
+    "Product Scaled TwoVarFn ZeroExtendedUnits constant_fn fn_from_json "
     "indicator lc_level mahler_coeffs monomial multiply poly_lc_terms scale_argument",
 }.items() for name in names.split()}
 __all__ = list(_EXPORTS)

@@ -106,10 +106,9 @@ def _as_scalar(v) -> PadicInt:
     coefficient is 0 to the full N digits; any other v cannot print."""
     if isinstance(v, PadicInt):
         return v
-    head, *rest = v.coeffs
-    if not all(c.is_exact_zero() for c in rest):
+    if any(v.res[1:]) or any(e < v.ctx.N for e in v.prec[1:]):
         raise ConfigError(_RING_RESULT)
-    return head
+    return PadicInt(v.ctx, v.res[0], v.prec[0])
 
 
 def value_to_json(v, cfg: RunConfig) -> dict:

@@ -21,7 +21,6 @@ zeta^0, zeta^1, ... after a single root check.
 from __future__ import annotations
 
 from itertools import compress
-from math import comb
 
 from .errors import NotRootOfUnity, NotUnit, PrecisionExhausted
 from .padic import PadicContext, PadicInt
@@ -138,9 +137,6 @@ class CyclotomicElem:
         res = [0] * n
         res[::stride] = [r % mod for r in self.res]
         return _make(self.ctx, level, res, [prec] * n)
-
-    def is_zero(self) -> bool:
-        return not any(self.res)
 
     def is_constant(self) -> bool:
         return not any(self.res[1:])
@@ -270,26 +266,6 @@ class CyclotomicElem:
             digits *= 2
         return y
 
-    # -- valuation ---------------------------------------------------------
-
-    def theta_valuation(self) -> int:
-        """(zeta - 1)-adic valuation, in units of 1/phi(p^m) of v_p.
-
-        Expanding in powers of (zeta - 1), the valuation is the minimum of
-        j + phi * v_p(d_j); the minimizing index is unique, so no cancellation
-        can occur.  Coefficients that vanish at working precision contribute
-        their precision as a floor.
-        """
-        phi = phi_pm(self.ctx.p, self.level)
-        raw, prec = self.res, self.min_prec()
-        best = None
-        for j in range(phi):
-            d = sum(comb(i, j) * raw[i] for i in range(j, phi))
-            val = j + phi * PadicInt(self.ctx, d, prec).valuation()
-            if best is None or val < best:
-                best = val
-        return best
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -310,43 +286,54 @@ class CyclotomicElem:
         return f"Cyclo(level={self.level}, {body} + O(p^{self.min_prec()}))"
 
 
+def _standard_power(zeta: CyclotomicElem) -> int | None:
+    """u when zeta is known to N digits with the coordinates of the standard
+    power T^u (``CyclotomicElem.zeta_power``: e_u, or p - 1 coordinates -1
+    spaced p^(m-1) apart from u - phi), else None.  Such a zeta is a root of
+    unity by its form, and zeta^k = T^(u k mod p^m) is read off the same
+    closed form."""
+    ctx, res = zeta.ctx, zeta.res
+    p, phi = ctx.p, len(res)
+    q = phi // (p - 1)
+    nz = list(compress(range(phi), res)) if zeta.min_prec() == ctx.N else []
+    if len(nz) == 1 and res[nz[0]] == 1:
+        return nz[0]
+    if zeta.level and len(nz) == p - 1 and nz[0] < q and \
+            res[nz[0]::q] == [ctx.modulus - 1] * (p - 1):
+        return phi + nz[0]
+    return None
+
+
 def cyclo_pow(x: CyclotomicElem, e: PadicInt) -> CyclotomicElem:
     """x**e for a p-power root of unity x and a p-adic exponent e.
 
     Well-defined because the order of x divides p^level, so only e modulo
-    p^level matters.
+    p^level matters.  A standard power of T is read off its closed form;
+    any other x is checked (x^(p^m) = 1) and powered by squaring.
     """
-    m = x.level
-    if not x.is_root_of_unity():
+    m, u = x.level, _standard_power(x)
+    if u is None and not x.is_root_of_unity():
         raise NotRootOfUnity(f"{x!r}^(p^{m}) != 1")
     if e.prec < m:
         raise PrecisionExhausted(
             f"exponent known mod p^{e.prec} but level-{m} root needs p^{m}"
         )
-    return x ** (e.residue % (x.ctx.p ** m))
+    k = e.residue % (x.ctx.p ** m)
+    if u is None or not k:  # x^0 is the scalar one
+        return x ** k
+    return CyclotomicElem.zeta_power(x.ctx, m, u * k)
 
 
 def zeta_powers(zeta: CyclotomicElem, count: int) -> list[CyclotomicElem]:
     """[zeta^0, ..., zeta^(count - 1)] for a p^m-th root of unity zeta and
     count <= p^m; zeta^0 is the scalar one, as ``cyclo_pow`` gives it.
 
-    A zeta known to N digits with the coordinates of a standard power T^u
-    (``CyclotomicElem.zeta_power``: e_u, or p - 1 coordinates -1 spaced
-    p^(m-1) apart from u - phi) is a root of unity by its form, and
-    zeta^k = T^(u k mod p^m) is read off the same closed form.  Any other
-    zeta is checked once (zeta^(p^m) = 1, else NotRootOfUnity) and powered
-    by successive sparse products, each known to zeta's least precision.
+    A standard power of T (``_standard_power``) gives every zeta^k by its
+    closed form.  Any other zeta is checked once (zeta^(p^m) = 1, else
+    NotRootOfUnity) and powered by successive sparse products, each known
+    to zeta's least precision.
     """
-    ctx, m, res = zeta.ctx, zeta.level, zeta.res
-    p, phi = ctx.p, len(res)
-    q, neg = phi // (p - 1), [ctx.modulus - 1] * (p - 1)
-    nz = list(compress(range(phi), res)) if zeta.min_prec() == ctx.N else []
-    if len(nz) == 1 and res[nz[0]] == 1:
-        u = nz[0]
-    elif m and len(nz) == p - 1 and nz[0] < q and res[nz[0]::q] == neg:
-        u = phi + nz[0]
-    else:
-        u = None
+    ctx, m, u = zeta.ctx, zeta.level, _standard_power(zeta)
     powers = [CyclotomicElem.one(ctx, 0)]
     if u is not None:
         return powers + [CyclotomicElem.zeta_power(ctx, m, u * k)

@@ -317,19 +317,19 @@ class Measure:
 
     def amice(self, K: int) -> list:
         """Amice coefficients b_k = mu(C(x, k)) for k <= K."""
-        raise NotImplementedError
+        return [self(Binomial(self.ctx, k)) for k in range(K + 1)]
 
     def at_character(self, zeta: CyclotomicElem):
         """mu(chi_zeta); always equals the Amice series at zeta - 1."""
-        raise NotImplementedError
+        return self(Character(zeta))
 
 
 class DiracMeasure(Measure):
-    """Evaluation at a point.
+    """Evaluation at a point c of Z_p.
 
-    The point is a p-adic integer; binomial and character values are taken
-    on its canonical residue, which is exact whenever the point was given as
-    an actual integer at full precision.
+    Every value is f(c) with the digits ``f.evaluate`` certifies from those
+    known of c.  When c is known to N digits, its Amice coefficients are the
+    exact binomials C(c, k) of its canonical residue.
     """
 
     def __init__(self, c: PadicInt):
@@ -340,11 +340,10 @@ class DiracMeasure(Measure):
         return f.evaluate(self.c)
 
     def amice(self, K: int) -> list:
+        if self.c.prec < self.ctx.N:  # the digits binomial_padic certifies
+            return super().amice(K)
         return [PadicInt(self.ctx, comb(self.c.residue, k), self.c.prec)
                 for k in range(K + 1)]
-
-    def at_character(self, zeta: CyclotomicElem):
-        return zeta ** (self.c.residue % (self.ctx.p ** zeta.level))
 
 
 class AmiceMeasure(Measure):
@@ -418,7 +417,7 @@ class EisensteinMeasure(Measure):
         if lc and lc[0] == 0 and len(lc[1]) <= SIGMA_CACHE_SIZE and all(
                 isinstance(t[0], PadicInt) for t in lc[1].values()):
             return self._polynomial(lc[1], const)
-        zero, ds = PadicInt(ctx, 0), range(ctx.M + 1)
+        ds = range(ctx.M + 1)
         try:
             m, terms = lc or poly_lc_terms(f)
         except UnsupportedShape:  # binomials, Mahler series: two scalar rows
@@ -436,7 +435,7 @@ class EisensteinMeasure(Measure):
             g = QExpansion(ctx, [const] + w[1:])
         out = []
         for c in g.parts or (g,):
-            res, prec = divisor_sum((c.res, c.prec), 0, zero)
+            res, prec = divisor_sum(ctx, (c.res, c.prec), 0)
             res[0], prec[0] = c.res[0], c.prec[0]
             out.append(QExpansion.from_flat(ctx, res, prec))
         return QExpansion.from_parts(ctx, g.level, out)
@@ -460,12 +459,6 @@ class EisensteinMeasure(Measure):
         res[0] = const.residue
         return QExpansion.from_flat(ctx, res, [const.prec] + [top] * ctx.M)
 
-    def amice(self, K: int) -> list:
-        return [self(Binomial(self.ctx, k)) for k in range(K + 1)]
-
-    def at_character(self, zeta: CyclotomicElem) -> QExpansion:
-        return self(Character(zeta))
-
 
 class ActionMeasure(Measure):
     """The measure f |-> act(f, g) attached to a q-expansion g."""
@@ -476,9 +469,6 @@ class ActionMeasure(Measure):
 
     def __call__(self, f: ContinuousFn) -> QExpansion:
         return act(f, self.g)
-
-    def amice(self, K: int) -> list:
-        return [act(Binomial(self.ctx, k), self.g) for k in range(K + 1)]
 
     def at_character(self, zeta: CyclotomicElem) -> QExpansion:
         return act_character(zeta, self.g)

@@ -82,24 +82,10 @@ class PadicInt:
         self.prec = prec
         self.residue = value % ctx.pows[prec]
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: PadicContext) -> "PadicInt":
-        return cls(ctx, 0)
-
-    @classmethod
-    def one(cls, ctx: PadicContext) -> "PadicInt":
-        return cls(ctx, 1)
-
     # -- structure ---------------------------------------------------------
 
     def is_unit(self) -> bool:
         return self.prec > 0 and self.residue % self.ctx.p != 0
-
-    def is_zero(self) -> bool:
-        """True when the value is 0 at the known precision."""
-        return self.residue == 0
 
     def is_exact_zero(self) -> bool:
         """True when the value is 0 to the full precision N.

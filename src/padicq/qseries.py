@@ -279,37 +279,34 @@ def v_p(g: QExpansion) -> QExpansion:
 
 # -- divisor sums --------------------------------------------------------------
 
-def divisor_sum(w, e: int, zero=0):
-    """out[n] = sum_{d | n} d^e w[d] for 1 <= n < len(w); w[0] is ignored.
+def divisor_sum(ctx: PadicContext, w: tuple, e: int) -> tuple:
+    """out[n] = sum_{d | n} d^e w[d] mod p^N for 1 <= n < len(res), with
+    flat weights w = (res, prec) and flat sums (res, prec) out; w[0] is
+    ignored and out[0] is an exact 0.
 
-    The weights are ints, ring elements or flat scalars (res, prec); every
-    out[n] starts at ``zero``.  An int weight 0 is skipped, but a zero weight
-    known to fewer digits still caps its sums.  Flat weights over a PadicInt
-    zero are summed mod p^N and come back flat, out[n] known to the least
-    prec of zero and the w[d], d | n; when no w[d] (d >= 1) is known to fewer
-    digits than zero, every out[n] is reduced to zero's precision at once,
-    and a weight 0 skips its d^e.
+    out[n] is known to the least prec of the w[d], d | n: a zero weight
+    known to fewer digits still caps its sums, and a weight 0 skips its d^e.
     """
-    if isinstance(w, tuple):
-        (res, wprec), mod, pows = w, zero.ctx.modulus, zero.ctx.pows
-        sums = divisor_sum([r * pow(d, e, mod) % mod if r else 0
-                            for d, r in enumerate(res)] if e else res, 0)
-        top, prec = zero.prec, [zero.prec] * len(res)
-        if min(wprec[1:], default=top) >= top:
-            return [(zero.residue + s) % pows[top] for s in sums], prec
-        # only weights below the zero's precision lower any out[n]
-        for d, v in enumerate(wprec):
-            if d and v < top:
-                prec[d::d] = [min(pr, v) for pr in prec[d::d]]
-        return [(zero.residue + s) % pows[pr]
-                for s, pr in zip(sums, prec)], prec
+    (res, wprec), mod, pows = w, ctx.modulus, ctx.pows
+    sums = _sieve([r * pow(d, e, mod) % mod if r else 0
+                   for d, r in enumerate(res)] if e else res)
+    prec = [ctx.N] * len(res)
+    if min(wprec[1:], default=ctx.N) >= ctx.N:
+        return [s % mod for s in sums], prec
+    # only weights known to fewer than N digits lower any out[n]
+    for d, v in enumerate(wprec):
+        if d and v < ctx.N:
+            prec[d::d] = [min(pr, v) for pr in prec[d::d]]
+    return [s % pows[pr] for s, pr in zip(sums, prec)], prec
+
+
+def _sieve(w: list[int]) -> list[int]:
+    """out[n] = sum_{d | n} w[d] for 1 <= n < len(w), out[0] = 0."""
     M, s = len(w) - 1, isqrt(len(w) - 1)
-    if e:
-        w = [None] + [t * d ** e for d, t in enumerate(w) if d]
-    out = [zero] * (M + 1)
+    out = [0] * (M + 1)
     # each d <= s with all of its multiples, then d > s by cofactor j < M / s
     for d in range(1, s + 1):
-        if type(w[d]) is not int or w[d]:
+        if w[d]:
             out[d::d] = map(add, out[d::d], repeat(w[d]))
     tail = w[s + 1:]
     for j in range(1, M // (s + 1) + 1):
@@ -360,33 +357,16 @@ def eisenstein_2G(ctx: PadicContext, k: int) -> QExpansion:
 
     Constant term is the reduction of -B_k/k; for (p-1) | k that value has a
     genuine p in the denominator and NotPIntegral propagates (callers needing
-    those weights go through the regularized measure instead).
+    those weights go through the regularized measure instead).  The other
+    coefficients are 2 sigma_(k-1)(n) mod p^N, from the sigma table mod p^N.
     """
     if k < 2:
         raise ValueError("2G_k requires k >= 2 (the k = 1 series is not defined)")
     if k % 2 == 1:
         return QExpansion.zero(ctx)
-    return eisenstein_2G_scaled(ctx, k, 1)
-
-
-def eisenstein_2G_scaled(ctx: PadicContext, k: int, factor) -> QExpansion:
-    """factor * 2G_k computed p-integrally.
-
-    The constant term is reduced from the exact rational factor * (-B_k/k),
-    so an integer factor divisible by p can cancel the pole at (p-1) | k.
-    The other coefficients are 2 factor sigma_(k-1)(n) mod p^N, from the
-    sigma table mod p^N: a rational factor is first reduced to its residue.
-    """
-    if k < 2:
-        raise ValueError("2G_k requires k >= 2")
-    if k % 2 == 1:
-        return QExpansion.zero(ctx)
-    const = reduce_rational(Fraction(factor) * (-bernoulli(k)) / k, ctx)
-    if not isinstance(factor, int):
-        factor = reduce_rational(factor, ctx).residue
-    mod = ctx.modulus
+    const, mod = reduce_rational(-bernoulli(k) / k, ctx), ctx.modulus
     return QExpansion.from_flat(
-        ctx, [const.residue] + [2 * factor * s % mod
+        ctx, [const.residue] + [2 * s % mod
                                 for s in sigma_table(k - 1, ctx.M, mod)[1:]],
         [const.prec] + [ctx.N] * ctx.M)
 
@@ -409,7 +389,7 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
                       - padic_valuation(w.denominator, ctx.p))
     const = reduce_rational(lvalue_periodic(k, f), ctx, max(top, 0))
     res, prec = values(f, range(ctx.M + 1))  # flat: f's table is scalar
-    res, prec = divisor_sum(([2 * r for r in res], prec), k - 1, PadicInt(ctx, 0))
+    res, prec = divisor_sum(ctx, ([2 * r for r in res], prec), k - 1)
     res[0], prec[0] = const.residue, const.prec
     return QExpansion.from_flat(ctx, res, prec)
 

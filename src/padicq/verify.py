@@ -35,8 +35,8 @@ def reference_nu(ctx: PadicContext, a: PadicInt, s: int, t: int) -> QExpansion:
     """
     factor, n = 1 - a.residue ** (s + 1), ctx.M + 1
     const = reduce_rational(factor * (-bernoulli(s + 1)) / (s + 1), ctx)
-    res, prec = divisor_sum(([2 * factor % ctx.modulus] * n, [ctx.N] * n), s,
-                            PadicInt(ctx, 0))
+    w = ([2 * factor % ctx.modulus] * n, [ctx.N] * n)
+    res, prec = divisor_sum(ctx, w, s)
     res[0], prec[0] = const.residue, const.prec
     g = QExpansion.from_flat(ctx, res, prec)
     for _ in range(t):

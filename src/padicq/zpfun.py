@@ -213,11 +213,6 @@ class ZeroExtendedUnits(ContinuousFn):
 
 # -- module operations -------------------------------------------------------
 
-def evaluate(f: ContinuousFn, x: PadicInt):
-    """Exact value of f at x (cyclotomic-valued when f involves a character)."""
-    return f.evaluate(x)
-
-
 def mahler_coeffs(f: ContinuousFn, K: int) -> list:
     """Coefficients c_k = (finite difference)^k f at 0, for k = 0..K.
 

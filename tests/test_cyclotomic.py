@@ -1,5 +1,4 @@
 import random
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -132,16 +131,6 @@ def test_inverse_precision_clamped():
     assert (x * y).coeffs[0].residue % 5 == 1
 
 
-def test_theta_valuation_growth():
-    # decay of character Mahler data: v((zeta-1)^k) = k for k <= 4 (p-1)
-    for p in (3, 5):
-        ctx = PadicContext(p, 12, 4)
-        for level in (1, 2):
-            t = CyclotomicElem.zeta(ctx, level) - 1
-            for k in range(0, 4 * (p - 1) + 1):
-                assert (t ** k).theta_valuation() == k, (p, level, k)
-
-
 def test_cyclo_pow_examples():
     ctx3 = PadicContext(3, 8, 4)
     z = CyclotomicElem.zeta(ctx3, 1)
@@ -172,6 +161,30 @@ def test_cyclo_pow_needs_precision():
     z = CyclotomicElem.zeta(ctx, 2)
     with pytest.raises(PrecisionExhausted):
         cyclo_pow(z, PadicInt(ctx, 7, 1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cyclo_pow_matches_repeated_squaring(p):
+    # residues, precisions and level equal those of x ** k for every
+    # k < p^m, whether x is a standard power T^u (read off the closed form)
+    # or a root that is none (known to N - 1 digits, or T (1 + p^(N-1) T)),
+    # which is checked and powered
+    ctx = PadicContext(p, 6, 4)
+    for level in (1, 2):
+        pm, phi = p ** level, phi_pm(p, level)
+        z = CyclotomicElem.zeta(ctx, level)
+        roots = [CyclotomicElem.zeta_power(ctx, level, u)
+                 for u in (1, 2, p, phi - 1, phi, phi + 1, pm - 1)]
+        roots += [CyclotomicElem.from_flat(ctx, level, z.res,
+                                           [ctx.N - 1] * phi),
+                  z * (1 + ctx.pows[ctx.N - 1] * z)]
+        for x in roots:
+            assert _flat(cyclo_pow(x, PadicInt(ctx, k)) for k in range(pm)) \
+                == _flat(x ** k for k in range(pm))
+    # at level 1, T (1 + p^(N-2) T) is a root of unity mod p^(N-1) only
+    z = CyclotomicElem.zeta(ctx, 1)
+    with pytest.raises(NotRootOfUnity):
+        cyclo_pow(z * (1 + ctx.pows[ctx.N - 2] * z), PadicInt(ctx, 1))
 
 
 # -- power tables ---------------------------------------------------------------
@@ -323,11 +336,8 @@ class RefCyclo:
             out[i * stride] = PadicInt(self.ctx, c.residue, prec)
         return RefCyclo(self.ctx, level, out)
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
     def is_constant(self):
-        return all(c.is_zero() for c in self.coeffs[1:])
+        return all(c.residue == 0 for c in self.coeffs[1:])
 
     def constant_part(self):
         if not self.is_constant():
@@ -414,17 +424,6 @@ class RefCyclo:
         return RefCyclo(self.ctx, m, [
             PadicInt(self.ctx, c.residue, min(c.prec, prec)) for c in y.coeffs])
 
-    def theta_valuation(self):
-        phi = phi_pm(self.ctx.p, self.level)
-        raw = [c.residue for c in self.coeffs]
-        best = None
-        for j in range(phi):
-            d = sum(comb(i, j) * raw[i] for i in range(j, phi))
-            val = j + phi * PadicInt(self.ctx, d, self.min_prec()).valuation()
-            if best is None or val < best:
-                best = val
-        return best
-
     def __eq__(self, other):
         a, b = self._coerce(other)
         return all(x.residue == y.residue or x == y
@@ -491,9 +490,8 @@ def test_flat_arithmetic_matches_padicint_lists(case):
         lambda x, y: y * x, lambda x, y: x * k, lambda x, y: k * x,
         lambda x, y: x * s, lambda x, y: s * x, lambda x, y: x + k,
         lambda x, y: k - x, lambda x, y: x - s, lambda x, y: x.inverse(),
-        lambda x, y: x.augmentation(), lambda x, y: x.is_zero(),
-        lambda x, y: x.is_constant(), lambda x, y: x.constant_part(),
-        lambda x, y: x.theta_valuation(), lambda x, y: x == y,
+        lambda x, y: x.augmentation(), lambda x, y: x.is_constant(),
+        lambda x, y: x.constant_part(), lambda x, y: x == y,
         lambda x, y: x == x + s * 0, lambda x, y: x == k,
         lambda x, y: x.lift_to(ly),
         *[lambda x, y, e=e: x ** e for e in (-2, -1, 0, 1, 2, 3)],

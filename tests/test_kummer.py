@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 import padicq.kummer as kummer
 from padicq import (BaseMismatch, CyclotomicElem, IncompatibleRoots,
                     KummerBase, KummerElement, LaurentElem, PadicContext,
                     constant_roots, kummer_iso, kummer_mul, kummer_pair,
-                    serre_tate_action_check)
+                    reduce_rational, serre_tate_action_check)
 from padicq.kummer import (check_group_axioms, check_pairing_perfect,
                            check_realization, kummer_mul_corrupted,
                            verify_mul_realization, verify_pair_realization)
@@ -251,3 +253,73 @@ def test_serre_tate_trivial_zeta(kctx3):
 def test_serre_tate_nonstandard_generator(kctx3):
     z = CyclotomicElem.zeta_power(kctx3, 1, 2)
     assert serre_tate_action_check(kctx3, z, 1).passed
+
+
+# -- the Gm-hat action at non-torsion points ----------------------------------
+
+def _root_system(ctx, x: Fraction, k: int) -> list:
+    """[x, x^(1/p), ..., x^(1/p^k)] for x in 1 + p^(k+1) Z_p, root i known to
+    N - i digits, as level-0 coefficients of q^0.
+
+    x^(1/p^i) = sum_n C(1/p^i, n) (x - 1)^n; term n has valuation at least
+    n (k + 1 - i) - v_p(n!) >= n / 2, so 2N terms leave a tail >= p^N.
+    """
+    p, N = ctx.p, ctx.N
+    out = []
+    for i in range(k + 1):
+        e, term, acc = Fraction(1, p ** i), Fraction(1), Fraction(0)
+        for n in range(2 * N + 1):
+            acc += term
+            term *= (e - n) / (n + 1) * (x - 1)
+        out.append(LaurentElem(ctx, 2 * k, 0, CyclotomicElem.from_scalar(
+            reduce_rational(acc, ctx, N - i))))
+    return out
+
+
+def _transport(roots, base):
+    """The base over x q that kummer_iso transports ``base`` to."""
+    return kummer_iso(roots, KummerElement(base, 0, 0)).base
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (7, 1)])
+def test_action_at_non_torsion_points(p, k):
+    # q -> x q for x = 1 + p^(k+1) t, not a root of unity: transport along
+    # the p^i-th roots of x, compared at the roots' claimed precisions
+    ctx = PadicContext(p, 8, 4)
+    pk, K = p ** k, 2 * k
+    x, y = 1 + Fraction(2 * p ** (k + 1)), 1 + Fraction(p ** (k + 1))
+    roots = _root_system(ctx, x, k)
+    base = KummerBase.standard(ctx, k)
+    moved = _transport(roots, base)
+    assert moved.parameter() == roots[0] * base.parameter()
+    # the group law survives on the generator pairs, a broken carry does not
+    heads = moved.elements()[::pk]
+    assert all(verify_mul_realization(h1, h2) for h1 in heads for h2 in heads)
+    assert not all(verify_mul_realization(h1, h2, kummer_mul_corrupted)
+                   for h1 in heads for h2 in heads)
+    # q^(1/p^k) -> x^(1/p^k) q^(1/p^k) maps the table onto the moved one
+    s, stride = roots[k].coeff, p ** (K - k)
+    for e in base.elements():
+        x_e = base.realize(e)
+        n, r = divmod(x_e.e, stride)
+        assert r == 0
+        assert LaurentElem(ctx, K, x_e.e, x_e.coeff * s ** n) == \
+            moved.realize(KummerElement(moved, e.a, e.j)), e
+    # transport along y after x is transport along x y
+    both = _transport(_root_system(ctx, y, k), moved)
+    assert both.param_root == _transport(_root_system(ctx, x * y, k),
+                                         base).param_root
+    # transport along the inverse roots returns the table
+    back = _transport([r ** -1 for r in roots], moved)
+    for e in base.elements():
+        assert back.realize(KummerElement(back, e.a, e.j)) == base.realize(e)
+    # the pairing with the inverse parameter keeps its values
+    inv = KummerBase(ctx, k, moved.param_root ** -1)
+    assert all(verify_pair_realization(e, f) for e in moved.elements()
+               for f in inv.elements()[::pk])
+    # a root off by p^(N-k-1) breaks the root system
+    for i in range(k):
+        bad = list(roots)
+        bad[i] = LaurentElem(ctx, K, 0, bad[i].coeff + ctx.pows[ctx.N - k - 1])
+        with pytest.raises(IncompatibleRoots):
+            _transport(bad, base)

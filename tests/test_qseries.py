@@ -5,10 +5,10 @@ import pytest
 
 from padicq import (CyclotomicElem, LocallyConstant, NotPIntegral, PadicContext, PadicInt,
                     QExpansion, bernoulli, constant_fn, divisor_sum,
-                    eisenstein_2G, eisenstein_2G_scaled,
-                    eisenstein_2G_twisted, indicator, lvalue_periodic,
+                    eisenstein_2G, eisenstein_2G_twisted, indicator, lvalue_periodic,
                     reduce_rational, series_from_json, series_to_json,
                     sigma_table, theta, u_p, v_p)
+from padicq.verify import reference_nu
 
 
 def brute_sigma(e, n):
@@ -103,7 +103,7 @@ def test_eisenstein_k1_rejected(ctx5):
 
 def test_eisenstein_scaled_cancels_pole(ctx5):
     # (1 - a^4) is divisible by 5 for any unit a, cancelling the 5 in 1/120
-    g = eisenstein_2G_scaled(ctx5, 4, 1 - 2 ** 4)
+    g = reference_nu(ctx5, PadicInt(ctx5, 2), 3, 0)
     assert g.coefficient(0) == reduce_rational(
         Fraction(1 - 2 ** 4) * Fraction(1, 120), ctx5)
     assert g.coefficient(2) == (1 - 16) * 2 * 9
@@ -112,24 +112,21 @@ def test_eisenstein_scaled_cancels_pole(ctx5):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_eisenstein_scaled_matches_rational_reduction(p):
     # every coefficient, residue and precision, equals the exact rational
-    # factor * (-B_k/k) or 2 factor sigma_(k-1)(n) reduced mod p^N, for
-    # integer and rational factors, and the pole at (p-1) | k is kept
+    # -B_k/k or 2 sigma_(k-1)(n) reduced mod p^N, and the pole at
+    # (p-1) | k is kept
     ctx = PadicContext(p, 12, 40)
     for k in range(2, 3 * (p - 1) + 3, 2):
-        for factor in (1, -1, 7 * p, -p ** 3, p ** 13, 1 - 2 ** k, 0,
-                       Fraction(3 * p, 2), Fraction(-1, 4)):
-            try:
-                want = [reduce_rational(Fraction(factor) * -bernoulli(k) / k,
-                                        ctx)]
-            except NotPIntegral:
-                with pytest.raises(NotPIntegral):
-                    eisenstein_2G_scaled(ctx, k, factor)
-                continue
-            want += [reduce_rational(2 * Fraction(factor) * brute_sigma(k - 1, n),
-                                     ctx) for n in range(1, ctx.M + 1)]
-            got = eisenstein_2G_scaled(ctx, k, factor)
-            assert [(c.residue, c.prec) for c in got.coeffs] == \
-                [(c.residue, c.prec) for c in want], (k, factor)
+        try:
+            want = [reduce_rational(-bernoulli(k) / k, ctx)]
+        except NotPIntegral:
+            with pytest.raises(NotPIntegral):
+                eisenstein_2G(ctx, k)
+            continue
+        want += [reduce_rational(2 * brute_sigma(k - 1, n), ctx)
+                 for n in range(1, ctx.M + 1)]
+        got = eisenstein_2G(ctx, k)
+        assert [(c.residue, c.prec) for c in got.coeffs] == \
+            [(c.residue, c.prec) for c in want], k
 
 
 def test_twisted_trivial_equals_plain(ctx5):
@@ -260,17 +257,16 @@ def test_sigma_cache_is_bounded():
 
 
 def test_divisor_sum_scalar_types(ctx5):
-    w = [None] + [PadicInt(ctx5, d % 3) for d in range(1, 21)]
-    out = divisor_sum(w, 2, PadicInt(ctx5, 0))
-    ints = divisor_sum([0] + [d % 3 for d in range(1, 21)], 2)
+    # flat weights come back flat and reduced, each sum known to N digits ...
+    res = [0] + [d % 3 for d in range(1, 21)]
+    out, out_prec = divisor_sum(ctx5, (res, [12] * 21), 2)
     for n in range(1, 21):
         want = sum(d ** 2 * (d % 3) for d in range(1, n + 1) if n % d == 0)
-        assert ints[n] == want and out[n] == want and out[n].prec == 12
-    # flat weights come back flat, reduced, each sum capped by its divisors
-    res = [0] + [d % 3 for d in range(1, 21)]
+        assert out[n] == want and out_prec[n] == 12
+    # ... unless some divisor's weight is known to fewer
     prec = [12] * 21
     prec[4] = 3
-    got, got_prec = divisor_sum((res, prec), 2, PadicInt(ctx5, 0))
+    got, got_prec = divisor_sum(ctx5, (res, prec), 2)
     for n in range(1, 21):
         want = sum(d ** 2 * (d % 3) for d in range(1, n + 1) if n % d == 0)
         assert got_prec[n] == (3 if n % 4 == 0 else 12)
@@ -282,7 +278,7 @@ def test_low_precision_zero_caps_twisted_series(ctx5):
     f = LocallyConstant(ctx5, 1, [1, PadicInt(ctx5, 0, 3), 0, 0, 0])
     g = eisenstein_2G_twisted(ctx5, 2, f)
     assert all(g.coefficient(n).prec == 3 for n in range(1, ctx5.M + 1))
-    assert g.coefficient(1).is_zero()
+    assert g.coefficient(1).residue == 0
     # f(1) enters the constant term with weight -5 B_2(1/5)/2 = -1/60, of
     # valuation -1, so the constant term is known to 3 - 1 digits
     lift = eisenstein_2G_twisted(
@@ -570,36 +566,33 @@ def test_flat_divisor_sums_match_padicint_lists():
     def check(ctx, data, kinds):
         g, rg = _draw_series(data, ctx, kinds)
         e = data.draw(st.integers(0, 6))
-        # over known weights a zero known to N digits takes the fast path
-        # unless some w[d], d >= 1, is short
-        zero = PadicInt(ctx, 0, data.draw(st.just(ctx.N) | st.integers(0, ctx.N)))
-        res, prec = divisor_sum((g.res, g.prec), e, zero)
-        want = _ref_divisor_sum(rg.coeffs, e, zero)
+        # known weights take the fast path unless some w[d], d >= 1, is short
+        res, prec = divisor_sum(ctx, (g.res, g.prec), e)
+        want = _ref_divisor_sum(rg.coeffs, e, PadicInt(ctx, 0))
         assert list(zip(res, prec)) == [(c.residue, c.prec) for c in want]
-        # ring weights (here PadicInts in a list) take the same sums
-        assert [(c.residue, c.prec) for c in divisor_sum(rg.coeffs, e, zero)] == \
-            [(c.residue, c.prec) for c in want]
 
     inner()
 
 
 def test_sparse_int_weights_and_low_precision_zero(ctx5):
-    # int zeros add nothing and are skipped, below isqrt(M) and above it; a
-    # PadicInt zero known to 2 digits (d = 3) still caps every multiple
+    # zero weights add nothing and are skipped, below isqrt(M) and above it;
+    # a zero weight known to 2 digits (d = 3) still caps every multiple
     rng = random.Random(19)
     M = 200
     w = [0] * (M + 1)
     for d in rng.sample(range(1, M + 1), 12) + [2, 13]:
         w[d] = rng.randrange(1, ctx5.modulus)
     zero = PadicInt(ctx5, 0)
-    for e in (0, 3):
-        assert divisor_sum(w, e) == _ref_divisor_sum(w, e, 0)
-        ring = [PadicInt(ctx5, 0, 2) if d == 3 else x for d, x in enumerate(w)]
-        got = divisor_sum(ring, e, zero)
-        assert [(c.residue, c.prec) for c in got] == \
-            [(c.residue, c.prec) for c in _ref_divisor_sum(ring, e, zero)]
-        assert [c.prec for c in got[1:]] == \
-            [2 if n % 3 == 0 else 12 for n in range(1, M + 1)]
+    for short in (12, 2):
+        res = [0 if d == 3 and short < 12 else x for d, x in enumerate(w)]
+        prec = [short if d == 3 else 12 for d in range(M + 1)]
+        ref = [PadicInt(ctx5, x, v) for x, v in zip(res, prec)]
+        for e in (0, 3):
+            got = divisor_sum(ctx5, (res, prec), e)
+            assert list(zip(*got)) == \
+                [(c.residue, c.prec) for c in _ref_divisor_sum(ref, e, zero)]
+            assert got[1][1:] == [short if n % 3 == 0 else 12
+                                  for n in range(1, M + 1)]
 
 
 def _other_lift(c: PadicInt, rng) -> PadicInt:
@@ -631,9 +624,8 @@ def test_series_ops_claim_only_known_digits():
         for op in (theta, u_p, v_p, lambda s: u_p(theta(s))):
             assert _agree(op(f), op(f2))
         e = data.draw(st.integers(0, 5))
-        zero = PadicInt(ctx, 0)
-        out = QExpansion.from_flat(ctx, *divisor_sum((f.res, f.prec), e, zero))
-        out2 = QExpansion.from_flat(ctx, *divisor_sum((f2.res, f2.prec), e, zero))
+        out = QExpansion.from_flat(ctx, *divisor_sum(ctx, (f.res, f.prec), e))
+        out2 = QExpansion.from_flat(ctx, *divisor_sum(ctx, (f2.res, f2.prec), e))
         assert _agree(out, out2)
         obj = series_to_json(f)
         lifted = {**obj, "coeffs": [str(c.residue) for c in f2.coeffs]}

@@ -10,7 +10,7 @@ from padicq import (Binomial, Character, ContinuousFn, CyclotomicElem,
                     PadicContext, PadicInt, PadicqError, Polynomial,
                     PrecisionExhausted, Product, QExpansion, Scaled, TwoVarFn,
                     UnsupportedShape, ZeroExtendedUnits, act, binomial_padic,
-                    eisenstein_eval, evaluate, fn_from_json, indicator,
+                    eisenstein_eval, fn_from_json, indicator,
                     kl_constant, lc_level, mahler_coeffs, monomial, multiply,
                     poly_lc_terms, scale_argument)
 from padicq.zpfun import values
@@ -18,19 +18,19 @@ from padicq.zpfun import values
 
 def test_evaluate_polynomial(ctx5):
     f = monomial(ctx5, 2)
-    assert evaluate(f, PadicInt(ctx5, 3)) == 9
+    assert f.evaluate(PadicInt(ctx5, 3)) == 9
 
 
 def test_evaluate_character(ctx3):
     z = CyclotomicElem.zeta(ctx3, 1)
     f = Character(z)
-    assert evaluate(f, PadicInt(ctx3, 4)) == z
+    assert f.evaluate(PadicInt(ctx3, 4)) == z
 
 
 def test_evaluate_indicator(ctx5):
     f = indicator(ctx5, 1, 1)
-    assert evaluate(f, PadicInt(ctx5, 6)) == 1
-    assert evaluate(f, PadicInt(ctx5, 7)) == 0
+    assert f.evaluate(PadicInt(ctx5, 6)) == 1
+    assert f.evaluate(PadicInt(ctx5, 7)) == 0
 
 
 def test_mahler_square(ctx5):
@@ -53,12 +53,13 @@ def test_mahler_character_is_zeta_minus_one_powers(ctx5):
 
 
 def test_mahler_character_decay(ctx5):
-    # v((zeta - 1)^k) grows like k/phi(p^m); checked for k <= 4 (p-1)
+    # c_k = (zeta - 1)^k, of (zeta - 1)-adic valuation k: the decay of
+    # character Mahler data, checked for k <= 4 (p-1) at levels 1 and 2
     for level in (1, 2):
         z = CyclotomicElem.zeta(ctx5, level)
         c = mahler_coeffs(Character(z), 4 * 4)
         for k in range(4 * 4 + 1):
-            assert c[k].theta_valuation() == k
+            assert c[k] == (z - 1) ** k, (level, k)
 
 
 def mahler_reconstruct(c, n):
@@ -84,7 +85,7 @@ def test_mahler_reconstruction(ctx5, builder):
     K = 12
     c = mahler_coeffs(f, K)
     for n in range(K + 1):
-        assert mahler_reconstruct(c, n) == evaluate(f, PadicInt(ctx5, n)), n
+        assert mahler_reconstruct(c, n) == f.evaluate(PadicInt(ctx5, n)), n
 
 
 def test_multiply_commutes_with_evaluate(ctx5):
@@ -96,33 +97,33 @@ def test_multiply_commutes_with_evaluate(ctx5):
             h = multiply(f, g)
             for _ in range(50):
                 x = PadicInt(ctx5, rng.randrange(ctx5.modulus))
-                assert evaluate(h, x) == evaluate(f, x) * evaluate(g, x)
+                assert h.evaluate(x) == f.evaluate(x) * g.evaluate(x)
 
 
 def test_multiply_polynomials_collapses(ctx5):
     f = multiply(monomial(ctx5, 1), monomial(ctx5, 1))
     assert isinstance(f, Polynomial)
     for n in range(11):
-        assert evaluate(f, PadicInt(ctx5, n)) == n * n
+        assert f.evaluate(PadicInt(ctx5, n)) == n * n
 
 
 def test_multiply_disjoint_indicators_vanish(ctx5):
     h = multiply(indicator(ctx5, 1, 1), indicator(ctx5, 1, 2))
     for x in range(25):
-        assert evaluate(h, PadicInt(ctx5, x)) == 0
+        assert h.evaluate(PadicInt(ctx5, x)) == 0
 
 
 def test_scale_argument_linear(ctx5):
     f = scale_argument(monomial(ctx5, 1), PadicInt(ctx5, 3))
     for x in range(10):
-        assert evaluate(f, PadicInt(ctx5, x)) == 3 * x
+        assert f.evaluate(PadicInt(ctx5, x)) == 3 * x
 
 
 def test_scale_argument_indicator(ctx5):
     # 2z = 1 mod 5 iff z = 3 mod 5
     f = scale_argument(indicator(ctx5, 1, 1), PadicInt(ctx5, 2))
     for x in range(10):
-        assert evaluate(f, PadicInt(ctx5, x)) == (1 if x % 5 == 3 else 0)
+        assert f.evaluate(PadicInt(ctx5, x)) == (1 if x % 5 == 3 else 0)
 
 
 def test_scale_argument_character(ctx5):
@@ -130,7 +131,7 @@ def test_scale_argument_character(ctx5):
     f = scale_argument(Character(z), PadicInt(ctx5, 2))
     g = Character(z ** 2)
     for x in range(10):
-        assert evaluate(f, PadicInt(ctx5, x)) == evaluate(g, PadicInt(ctx5, x))
+        assert f.evaluate(PadicInt(ctx5, x)) == g.evaluate(PadicInt(ctx5, x))
 
 
 def test_scale_argument_rejects_non_units(ctx5):
@@ -145,14 +146,14 @@ def test_scale_commutes_with_evaluate(ctx5):
     g = scale_argument(f, u)
     for _ in range(50):
         x = PadicInt(ctx5, rng.randrange(ctx5.modulus))
-        assert evaluate(g, x) == evaluate(f, u * x)
+        assert g.evaluate(x) == f.evaluate(u * x)
 
 
 def test_zero_extended_units(ctx5):
     f = ZeroExtendedUnits(monomial(ctx5, 1))
     for x in range(25):
         want = 0 if x % 5 == 0 else x
-        assert evaluate(f, PadicInt(ctx5, x)) == want
+        assert f.evaluate(PadicInt(ctx5, x)) == want
 
 
 def test_lc_level(ctx5):
@@ -183,7 +184,7 @@ def test_poly_lc_terms_reconstructs(ctx5):
                 acc = term if acc is None else acc + term
             if acc is None:
                 acc = PadicInt(ctx5, 0)
-            assert acc == evaluate(f, PadicInt(ctx5, x)), (f, x)
+            assert acc == f.evaluate(PadicInt(ctx5, x)), (f, x)
 
 
 def test_poly_lc_terms_rejects_mahler(ctx5):
@@ -194,11 +195,11 @@ def test_poly_lc_terms_rejects_mahler(ctx5):
 
 def test_mahler_series_tail_precision(ctx5):
     f = MahlerSeries(ctx5, [1, 1], 4)
-    v = evaluate(f, PadicInt(ctx5, 3))
+    v = f.evaluate(PadicInt(ctx5, 3))
     assert v.prec == 4 and v == PadicInt(ctx5, 4, 4)
     bad = MahlerSeries(ctx5, [1], 0)
     with pytest.raises(PrecisionExhausted):
-        evaluate(bad, PadicInt(ctx5, 1))
+        bad.evaluate(PadicInt(ctx5, 1))
 
 
 def _ref_mahler_evaluate(f, x):
@@ -232,20 +233,20 @@ def test_mahler_evaluate_matches_padicint_loop(data):
 def test_locally_constant_requires_precision(ctx5):
     f = indicator(ctx5, 2, 3)
     with pytest.raises(PrecisionExhausted):
-        evaluate(f, PadicInt(ctx5, 3, 1))
+        f.evaluate(PadicInt(ctx5, 3, 1))
 
 
 def test_fn_from_json(ctx5):
     f = fn_from_json(ctx5, '{"kind":"monomial","degree":3}')
-    assert evaluate(f, PadicInt(ctx5, 2)) == 8
+    assert f.evaluate(PadicInt(ctx5, 2)) == 8
     g = fn_from_json(ctx5, {"kind": "indicator", "level": 1, "class": 2})
-    assert evaluate(g, PadicInt(ctx5, 7)) == 1
+    assert g.evaluate(PadicInt(ctx5, 7)) == 1
     h = fn_from_json(ctx5, {"kind": "character", "level": 1, "power": 1})
-    assert evaluate(h, PadicInt(ctx5, 1)) == CyclotomicElem.zeta(ctx5, 1)
+    assert h.evaluate(PadicInt(ctx5, 1)) == CyclotomicElem.zeta(ctx5, 1)
     prod = fn_from_json(ctx5, {"kind": "product", "factors": [
         {"kind": "monomial", "degree": 1},
         {"kind": "indicator", "level": 1, "class": 1}]})
-    assert evaluate(prod, PadicInt(ctx5, 6)) == 6
+    assert prod.evaluate(PadicInt(ctx5, 6)) == 6
     with pytest.raises(ValueError):
         fn_from_json(ctx5, {"kind": "nope"})
 
