@@ -9,8 +9,8 @@ C(z, k), by q -> x q: at x = 1 + p^s with 2s >= N, x^z is 1 + p^s z mod
 p^N and g goes to g + p^s theta(g), which is how the action integrates
 theta.  The values f(0), ..., f(M) come from ``zpfun.values``: f's
 polynomial-times-step tables are built once and read at n mod p^m, and
-only functions without tables (Mahler series, binomials C(z, k) with
-k > 0) are evaluated coefficient by coefficient.
+only functions without tables (Mahler series, the binomials C(z, k) among
+them) are evaluated coefficient by coefficient.
 """
 
 from __future__ import annotations

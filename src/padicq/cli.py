@@ -142,13 +142,10 @@ def _check_kummer_size(cfg: RunConfig, args, command: str, what: str) -> None:
 
 def cmd_eisenstein(cfg: RunConfig, args) -> int:
     from .qseries import eisenstein_2G, eisenstein_2G_twisted, series_to_json
-    from .zpfun import fn_from_json, lc_level
+    from .zpfun import fn_from_json
     ctx = cfg.ctx
     if args.twist:
-        f = fn_from_json(ctx, args.twist)
-        if lc_level(f) is None:
-            raise ConfigError("twist must be locally constant")
-        g = eisenstein_2G_twisted(ctx, args.k, f)
+        g = eisenstein_2G_twisted(ctx, args.k, fn_from_json(ctx, args.twist))
     else:
         g = eisenstein_2G(ctx, args.k)
     emit(series_to_json(g))
@@ -183,7 +180,7 @@ def cmd_nu(cfg: RunConfig, args) -> int:
 
 
 def _parse_character(cfg: RunConfig, text: str):
-    from .zpfun import LocallyConstant, fn_from_json, lc_level
+    from .zpfun import LocallyConstant, fn_from_json
     ctx = cfg.ctx
     if text == "trivial":
         table = [1 if c % ctx.p != 0 else 0 for c in range(ctx.p)]
@@ -193,7 +190,7 @@ def _parse_character(cfg: RunConfig, text: str):
         return LocallyConstant(ctx, json_int_field(obj, "level", "table"),
                                json_int_list(obj, "values", "table"))
     f = fn_from_json(ctx, obj)
-    if lc_level(f) is None:
+    if f.lc_level is None:
         raise ConfigError("character data must be locally constant")
     return f
 
@@ -201,10 +198,9 @@ def _parse_character(cfg: RunConfig, text: str):
 def cmd_lvalue(cfg: RunConfig, args) -> int:
     from .measures import lvalue
     from .qseries import series_to_json
-    from .zpfun import ring_valued
     chi1 = _parse_character(cfg, args.chi1)
     chi2 = _parse_character(cfg, args.chi2)
-    if ring_valued(chi1) or ring_valued(chi2):  # nu_series would be a ring series
+    if chi1.ring_level or chi2.ring_level:  # nu_series would be a ring series
         raise ConfigError(_RING_RESULT)
     value, factor, series = lvalue(chi1, chi2, cfg.a)
     emit({"schema": 1, "kind": "lvalue", "value": value_to_json(value, cfg),

@@ -35,16 +35,14 @@ from operator import mul
 from .action import M_MAX, act, act_character
 from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
-                     NotUnit, PrecisionExhausted, UnsupportedShape,
-                     check_a_range, json_int, json_int_field, json_int_list,
-                     json_list, json_object)
-from .padic import PadicContext, PadicInt, padic_valuation
+                     NotUnit, PrecisionExhausted, check_a_range, json_int,
+                     json_int_field, json_int_list, json_list, json_object)
+from .padic import PadicContext, PadicInt, binomial_padic, padic_valuation
 from .qseries import (SIGMA_CACHE_SIZE, QExpansion, _least_prime_factors,
                       divisor_sum, sigma_table)
-from .zpfun import (Binomial, Character, ContinuousFn, LocallyConstant,
-                    MahlerSeries, TwoVarFn, ZeroExtendedUnits, as_table,
-                    lc_level, mahler_coeffs, poly_lc_terms, ring_valued,
-                    table_values, values)
+from .zpfun import (Character, ContinuousFn, LocallyConstant, MahlerSeries,
+                    TwoVarFn, ZeroExtendedUnits, as_table, binomial,
+                    mahler_coeffs, poly_lc_terms, table_values, values)
 
 
 # -- the regularized kernel series -------------------------------------------
@@ -174,12 +172,13 @@ class KLConstantTerm:
     def value_character(self, zeta: CyclotomicElem, j: int = 0):
         """kappa(z^j chi_zeta) = (twisted series)(zeta - 1), full precision.
 
-        The series is reduced by (1+T)^n - 1 with n = p^level when
-        zeta^n = 1 at zeta's precision, and evaluated in full otherwise
-        (zeta is no root of unity of its level)."""
+        The series is reduced by (1+T)^n - 1 with n = p^level; a zeta with
+        zeta^n != 1 at its precision raises NotRootOfUnity."""
         ctx, n = self.ctx, self.ctx.p ** zeta.level
+        if not zeta.is_root_of_unity():
+            raise NotRootOfUnity(f"{zeta!r}^(p^{zeta.level}) != 1")
         coeffs = self.kernel.twisted(j, ctx.N * phi_pm(ctx.p, zeta.level))
-        return _torsion_horner(coeffs, zeta, n if zeta ** n == 1 else None)
+        return _torsion_horner(coeffs, zeta, n)
 
     def _indicator_values(self, j: int, m: int) -> list[PadicInt]:
         """kappa(z^j 1_{c + p^m Z_p}) for all c, by Galois traces.
@@ -222,16 +221,15 @@ class KLConstantTerm:
     def value(self, f: ContinuousFn, lc: tuple | None = None):
         """kappa(f) for exactly representable f (``lc``: poly_lc_terms(f))."""
         ctx = self.ctx
-        if isinstance(f, Binomial):  # the one-term Mahler series C(z, k)
-            f = MahlerSeries(ctx, [0] * f.k + [1], ctx.N)
         if isinstance(f, MahlerSeries):
             # kappa(C(z, k)) = b_k; the tail's terms have valuation >= t
-            cs = f.coeffs
-            prec = min([f.tail_valuation, *(c.prec for c in cs)])
+            terms = f.terms
+            prec = min([f.tail_valuation, *(c.prec for c in terms.values())])
             if prec <= 0:
                 raise PrecisionExhausted("tail bound certifies no digits")
-            return PadicInt(ctx, sum(map(mul, (c.residue for c in cs),
-                                         self.kernel.base(len(cs) - 1))), prec)
+            b = self.kernel.base(max(terms, default=0))
+            return PadicInt(ctx, sum(c.residue * b[k] for k, c in terms.items()),
+                            prec)
         if isinstance(f, Character) and f.level:
             _check_level(f.level)
             return self.value_character(f.zeta)
@@ -257,26 +255,23 @@ def _check_level(m: int) -> None:
         raise PrecisionExhausted(f"level {m} exceeds the level cap {M_MAX}")
 
 
-def _torsion_horner(coeffs: list[int], zeta: CyclotomicElem, n: int | None):
-    """An integer series F evaluated at zeta - 1 in zeta's ring.
+def _torsion_horner(coeffs: list[int], zeta: CyclotomicElem, n: int):
+    """An integer series F evaluated at zeta - 1 in zeta's ring, zeta^n = 1.
 
-    When zeta^n = 1, zeta - 1 is a root of (1 + T)^n - 1, monic of degree n
-    with coefficients C(n, k) for 1 <= k < n and constant term 0.  F is then
-    first reduced modulo it with plain integers, and Horner takes n ring
-    steps instead of one per coefficient.  F - R = Q ((1+T)^n - 1) vanishes
-    at zeta - 1 to zeta's precision, which is also the precision Horner
-    gives both, so residues and precisions are unchanged.  With n None the
-    series is evaluated in full.
+    zeta - 1 is a root of (1 + T)^n - 1, monic of degree n with
+    coefficients C(n, k) for 1 <= k < n and constant term 0.  F is first
+    reduced modulo it with plain integers, and Horner takes n ring steps
+    instead of one per coefficient.  F - R = Q ((1+T)^n - 1) vanishes at
+    zeta - 1 to zeta's precision, which is also the precision Horner gives
+    both, so residues and precisions are unchanged.
     """
-    ctx, rem = zeta.ctx, list(coeffs)
-    if n is not None:
-        mod = ctx.modulus
-        tor = [0] + [comb(n, k) % mod for k in range(1, n)]
-        for d in range(len(rem) - 1, n - 1, -1):
-            c = rem[d] % mod
-            if c:
-                rem[d - n:d] = [r - c * t for r, t in zip(rem[d - n:d], tor)]
-        rem = [c % mod for c in rem[:n]]
+    ctx, rem, mod = zeta.ctx, list(coeffs), zeta.ctx.modulus
+    tor = [0] + [comb(n, k) % mod for k in range(1, n)]
+    for d in range(len(rem) - 1, n - 1, -1):
+        c = rem[d] % mod
+        if c:
+            rem[d - n:d] = [r - c * t for r, t in zip(rem[d - n:d], tor)]
+    rem = [c % mod for c in rem[:n]]
     x = zeta - 1
     acc = CyclotomicElem.zero(ctx, zeta.level)
     for c in reversed(rem):
@@ -317,7 +312,7 @@ class Measure:
 
     def amice(self, K: int) -> list:
         """Amice coefficients b_k = mu(C(x, k)) for k <= K."""
-        return [self(Binomial(self.ctx, k)) for k in range(K + 1)]
+        return [self(binomial(self.ctx, k)) for k in range(K + 1)]
 
     def at_character(self, zeta: CyclotomicElem):
         """mu(chi_zeta); always equals the Amice series at zeta - 1."""
@@ -341,7 +336,7 @@ class DiracMeasure(Measure):
 
     def amice(self, K: int) -> list:
         if self.c.prec < self.ctx.N:  # the digits binomial_padic certifies
-            return super().amice(K)
+            return [binomial_padic(self.c, k) for k in range(K + 1)]
         return [PadicInt(self.ctx, comb(self.c.residue, k), self.c.prec)
                 for k in range(K + 1)]
 
@@ -360,7 +355,7 @@ class AmiceMeasure(Measure):
                        for c in coeffs]
 
     def __call__(self, f: ContinuousFn):
-        _check_level(ring_valued(f))  # before a character's power table
+        _check_level(f.ring_level)  # before a character's power table
         c = mahler_coeffs(f, len(self.coeffs) - 1)
         return _dot(self.ctx, c, self.coeffs)
 
@@ -397,7 +392,7 @@ class EisensteinMeasure(Measure):
     the combined tables U_j[c] = T_j[c] - a^(j+1) T_j[a c mod p^m] of
     f = sum_j z^j T_j (zpfun.table_values), and the weights are
     divisor-summed as residues, one coordinate at a time for characters;
-    binomials and Mahler series take f(d), f(a d) point by point.
+    Mahler series (binomials among them) take f(d), f(a d) point by point.
     """
 
     def __init__(self, ctx: PadicContext, a: PadicInt):
@@ -409,22 +404,21 @@ class EisensteinMeasure(Measure):
 
     def __call__(self, f: ContinuousFn) -> QExpansion:
         ctx, ar = self.ctx, self.a.residue
-        # the constant term first: it refuses levels past the cap before
-        # any table of a character is built; kl shares f's other tables
-        lc = None if isinstance(f, (Binomial, MahlerSeries)) or \
-            isinstance(f, Character) and f.level else poly_lc_terms(f)
+        # levels past the cap are refused before any table is built; kl
+        # shares f's tables
+        _check_level(max(f.lc_level or 0, f.ring_level))
+        lc = None if isinstance(f, MahlerSeries) else poly_lc_terms(f)
         const = self.kl.value(f, lc)
         if lc and lc[0] == 0 and len(lc[1]) <= SIGMA_CACHE_SIZE and all(
                 isinstance(t[0], PadicInt) for t in lc[1].values()):
             return self._polynomial(lc[1], const)
         ds = range(ctx.M + 1)
-        try:
-            m, terms = lc or poly_lc_terms(f)
-        except UnsupportedShape:  # binomials, Mahler series: two scalar rows
+        if lc is None:  # Mahler series: two scalar rows
             (x, xp), (y, yp) = values(f, ds), values(f, [ar * d for d in ds])
             w = ([2 * (u - ar * v) for u, v in zip(x, y)],
                  [u if u < v else v for u, v in zip(xp, yp)])
         else:  # t has p^m entries
+            m, terms = lc
             w = table_values(ctx, m, {j: [
                 (t[c] - t[ar * c % len(t)] * pow(ar, j + 1, ctx.modulus)) * 2
                 for c in range(len(t))] for j, t in terms.items()}, ds)
@@ -596,7 +590,7 @@ def validate_character(chi: ContinuousFn, m: int) -> list:
     """Check multiplicativity of a unit-character table; returns the table."""
     ctx = chi.ctx
     pm = ctx.p ** m
-    lvl = lc_level(chi)
+    lvl = chi.lc_level
     if lvl is None:
         raise ValueError("characters must be locally constant data")
     if lvl > m:
@@ -626,7 +620,7 @@ def lvalue(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt) -> tuple:
     the zero-extended pair.
     """
     ctx = chi1.ctx
-    m = max(lc_level(chi1) or 0, lc_level(chi2) or 0, 1)
+    m = max(chi1.lc_level or 0, chi2.lc_level or 0, 1)
     _check_level(m)
     tab1, tab2 = validate_character(chi1, m), validate_character(chi2, m)
     fn = ZeroExtendedUnits(LocallyConstant(ctx, m, [

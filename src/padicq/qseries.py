@@ -28,8 +28,7 @@ from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import ConfigError, json_int_field, json_int_list
 from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
     padic_valuation, reduce_rational
-from .zpfun import ContinuousFn, LocallyConstant, as_table, lc_level, \
-    ring_valued, values
+from .zpfun import ContinuousFn, LocallyConstant, as_table, values
 
 
 def _same_ring(ctx: PadicContext, other: PadicContext) -> None:
@@ -376,8 +375,6 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
     """Twisted series: L(1-k, f) + 2 sum_n q^n sum_{d|n} d^(k-1) f(d)."""
     if k < 2:
         raise ValueError("twisted 2G_k requires k >= 2")
-    if lc_level(f) is None:
-        raise ValueError("twist must be locally constant")
     # the constant term sum_c f(c) w_c is known to prec f(c) + v_p(w_c)
     # digits for each entry f(c) known to fewer than N digits
     F, table = _period_table(f)
@@ -410,10 +407,10 @@ def lvalue_periodic(k: int, f: ContinuousFn) -> Fraction:
 
 def _period_table(f: ContinuousFn) -> tuple[int, list]:
     """The period F = p^m of a locally constant f and its scalar table."""
-    m = lc_level(f)
+    m = f.lc_level
     if m is None:
-        raise ValueError("f must be locally constant")
-    if ring_valued(f):  # refused before its p^m ring elements are built
+        raise ValueError("twist must be locally constant")
+    if f.ring_level:  # refused before its p^m ring elements are built
         raise TypeError("L-values need scalar (non-cyclotomic) twists")
     table = f.table if isinstance(f, LocallyConstant) and f.level == m \
         else as_table(f, m)

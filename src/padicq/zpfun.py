@@ -11,11 +11,16 @@ T_j[z mod p^m], which is what measure evaluation consumes.  The same tables eval
 many integers at once (``values``): they are built once, with p^m entries,
 and each value is then a sum of x^j T_j[x mod p^m] on plain integers, with
 exactly the residue and precision ``evaluate`` gives.
-Functions without such tables (Mahler series, binomials C(z, k) with k > 0,
-argument scalings known to fewer than N digits) raise UnsupportedShape and
-are evaluated point by point.  General continuous functions enter only as
-Mahler series with an explicit, caller-declared tail valuation; the library
-never guesses a modulus of continuity.
+Functions without such tables (Mahler series, among them the binomials
+C(z, k) with k > 0, and argument scalings known to fewer than N digits)
+raise UnsupportedShape and are evaluated point by point.  General continuous
+functions enter only as Mahler series with an explicit, caller-declared tail
+valuation; the library never guesses a modulus of continuity.  Every
+function states its shape where it is built: ``lc_level`` is the smallest
+level m at which it is known to factor through Z/p^m (None: not known
+locally constant, as for honest polynomials and Mahler series), and
+``ring_level`` the deepest level of a character factor (0 for none; its
+values are ring elements when it is >= 1).
 """
 
 from __future__ import annotations
@@ -27,13 +32,16 @@ from .cyclotomic import CyclotomicElem, cyclo_pow, zeta_powers
 from .errors import (ConfigError, NotUnit, PadicqError, PrecisionExhausted,
                      UnsupportedShape, json_field, json_int_field,
                      json_int_list, json_list, json_object)
-from .padic import PadicContext, PadicInt, binomial_padic, ilog
+from .padic import PadicContext, PadicInt, ilog
 
 
 class ContinuousFn:
-    """Base class; subclasses implement exact pointwise evaluation."""
+    """Base class; subclasses implement exact pointwise evaluation and set
+    ``lc_level`` and ``ring_level`` (module docstring) where they differ."""
 
     ctx: PadicContext
+    lc_level: int | None = None
+    ring_level = 0
 
     def evaluate(self, x: PadicInt):
         raise NotImplementedError
@@ -56,6 +64,7 @@ class Polynomial(ContinuousFn):
             c = c if isinstance(c, PadicInt) else PadicInt(ctx, c)
             if not c.is_exact_zero():
                 self.terms[j] = c
+        self.lc_level = 0 if self.degree() == 0 else None
 
     def evaluate(self, x: PadicInt):
         prec = min([x.prec, *(c.prec for c in self.terms.values())])
@@ -77,23 +86,6 @@ def constant_fn(ctx: PadicContext, value) -> Polynomial:
     return Polynomial(ctx, [value])
 
 
-class Binomial(ContinuousFn):
-    """The binomial coefficient function z |-> C(z, k).
-
-    Takes p-integral values on Z_p even though its monomial coefficients do
-    not; it is the k-th member of the basis dual to the Amice coefficients.
-    """
-
-    def __init__(self, ctx: PadicContext, k: int):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        self.ctx = ctx
-        self.k = k
-
-    def evaluate(self, x: PadicInt):
-        return binomial_padic(x, self.k)
-
-
 class Character(ContinuousFn):
     """f(z) = zeta^z for a p-power root of unity zeta; at level 0 (zeta = 1)
     the scalar constant 1."""
@@ -101,7 +93,7 @@ class Character(ContinuousFn):
     def __init__(self, zeta: CyclotomicElem):
         self.ctx = zeta.ctx
         self.zeta = zeta
-        self.level = zeta.level
+        self.level = self.lc_level = self.ring_level = zeta.level
 
     def evaluate(self, x: PadicInt):
         v = cyclo_pow(self.zeta, x)
@@ -123,7 +115,7 @@ class LocallyConstant(ContinuousFn):
         if len(table) != n:
             raise ValueError(f"level {level} requires {n} table entries")
         self.ctx = ctx
-        self.level = level
+        self.level = self.lc_level = level
         self.table = table
 
     def evaluate(self, x: PadicInt):
@@ -142,30 +134,45 @@ def indicator(ctx: PadicContext, level: int, cls: int) -> LocallyConstant:
 
 
 class MahlerSeries(ContinuousFn):
-    """f(z) = sum_k coeffs[k] C(z, k), with a declared tail bound.
+    """f(z) = sum_k c_k C(z, k), with a declared tail bound.
 
+    ``coeffs`` is a coefficient list or a {k: c_k} dict; ``terms`` keeps
+    every given c_k, zeros included, so {k: 1} is the binomial C(z, k).
     tail_valuation is the caller's promise that every coefficient beyond the
     stored ones has p-adic valuation >= tail_valuation; evaluations deduct
     precision accordingly.  A value is summed on integers, known to the
     least precision of x, the tail, every c_k and C(x, k): C(x, k) loses
-    floor(log_p k) digits of x (``binomial_padic``), most at the last k.
+    floor(log_p k) digits of x (``binomial_padic``), most at the largest
+    stored k.
     """
 
     def __init__(self, ctx: PadicContext, coeffs, tail_valuation: int):
         self.ctx = ctx
-        self.coeffs = [c if isinstance(c, PadicInt) else PadicInt(ctx, c)
-                       for c in coeffs]
+        self.terms = {k: c if isinstance(c, PadicInt) else PadicInt(ctx, c)
+                      for k, c in (coeffs.items() if isinstance(coeffs, dict)
+                                   else enumerate(coeffs))}
         self.tail_valuation = tail_valuation
 
     def evaluate(self, x: PadicInt):
-        cs, r = self.coeffs, x.residue
-        prec = min([x.prec, self.tail_valuation, *(c.prec for c in cs)])
-        if len(cs) > 1:
-            prec = min(prec, x.prec - ilog(len(cs) - 1, self.ctx.p))
+        r, top = x.residue, max(self.terms, default=0)
+        prec = min([x.prec, self.tail_valuation,
+                    *(c.prec for c in self.terms.values())])
+        if top:
+            prec = min(prec, x.prec - ilog(top, self.ctx.p))
         if prec <= 0:
             raise PrecisionExhausted("tail bound certifies no digits")
         return PadicInt(self.ctx, sum(c.residue * comb(r, k)
-                                      for k, c in enumerate(cs)), prec)
+                                      for k, c in self.terms.items()), prec)
+
+
+def binomial(ctx: PadicContext, k: int) -> ContinuousFn:
+    """z |-> C(z, k): the constant 1 for k = 0, else the one-term Mahler
+    series.  It takes p-integral values on Z_p although its monomial
+    coefficients do not, and is the k-th member of the basis dual to the
+    Amice coefficients."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return MahlerSeries(ctx, {k: 1}, ctx.N) if k else constant_fn(ctx, 1)
 
 
 class Product(ContinuousFn):
@@ -175,6 +182,9 @@ class Product(ContinuousFn):
         self.ctx = f.ctx
         self.f = f
         self.g = g
+        a, b = f.lc_level, g.lc_level
+        self.lc_level = None if a is None or b is None else max(a, b)
+        self.ring_level = max(f.ring_level, g.ring_level)
 
     def evaluate(self, x: PadicInt):
         return self.f.evaluate(x) * self.g.evaluate(x)
@@ -191,6 +201,7 @@ class Scaled(ContinuousFn):
         self.ctx = inner.ctx
         self.inner = inner
         self.mult = mult
+        self.lc_level, self.ring_level = inner.lc_level, inner.ring_level
 
     def evaluate(self, x: PadicInt):
         return self.inner.evaluate(self.mult * x)
@@ -202,6 +213,9 @@ class ZeroExtendedUnits(ContinuousFn):
     def __init__(self, inner: ContinuousFn):
         self.ctx = inner.ctx
         self.inner = inner
+        m = inner.lc_level
+        self.lc_level = None if m is None else max(m, 1)
+        self.ring_level = inner.ring_level
 
     def evaluate(self, x: PadicInt):
         if x.prec < 1:
@@ -224,7 +238,7 @@ def mahler_coeffs(f: ContinuousFn, K: int) -> list:
     than K^2 / 2; from k = p^m - 1 on, c_k is known to the least precision
     over the period.
     """
-    ctx, m = f.ctx, lc_level(f)
+    ctx, m = f.ctx, f.lc_level
     # wrap = 1: one period, differenced cyclically; 0: all K + 1 values
     wrap = int(m is not None and ctx.p ** m <= K)
     vals = values(f, range(ctx.p ** m if wrap else K + 1))
@@ -270,44 +284,6 @@ def scale_argument(f: ContinuousFn, u: PadicInt) -> ContinuousFn:
 
 # -- locally constant structure ----------------------------------------------
 
-def lc_level(f: ContinuousFn) -> int | None:
-    """Smallest level at which f is known to factor through Z/p^level.
-
-    None means "not known locally constant" (honest polynomials, Mahler
-    series); a Polynomial of degree 0 is locally constant of level 0.
-    """
-    if isinstance(f, Polynomial):
-        return 0 if f.degree() == 0 else None
-    if isinstance(f, Binomial):
-        return 0 if f.k == 0 else None
-    if isinstance(f, Character):
-        return f.level
-    if isinstance(f, LocallyConstant):
-        return f.level
-    if isinstance(f, Product):
-        a, b = lc_level(f.f), lc_level(f.g)
-        return max(a, b) if a is not None and b is not None else None
-    if isinstance(f, Scaled):
-        return lc_level(f.inner)
-    if isinstance(f, ZeroExtendedUnits):
-        inner = lc_level(f.inner)
-        return max(inner, 1) if inner is not None else None
-    return None
-
-
-def ring_valued(f: ContinuousFn) -> int:
-    """The deepest level of a character factor of f, scaled or zero-extended,
-    0 for none: f's values are ring elements when it is >= 1.  Follows the
-    recursion of lc_level."""
-    if isinstance(f, Character):
-        return f.level
-    if isinstance(f, Product):
-        return max(ring_valued(f.f), ring_valued(f.g))
-    if isinstance(f, (Scaled, ZeroExtendedUnits)):
-        return ring_valued(f.inner)
-    return 0
-
-
 def as_table(f: ContinuousFn, level: int) -> list:
     """Value table of f on residues mod p^level.
 
@@ -321,25 +297,15 @@ def as_table(f: ContinuousFn, level: int) -> list:
     return [f.evaluate(PadicInt(f.ctx, c)) for c in range(n)]
 
 
-def _lift_table(table: list, ctx: PadicContext, frm: int, to: int) -> list:
-    return table if frm == to else _row(table, range(ctx.p ** to))
-
-
 def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
     """Decompose f(z) = sum_j z^j g_j(z) with every g_j a level-m table.
 
     Returns (m, {j: table}); raises UnsupportedShape for functions with no
-    exact polynomial-times-step presentation (Mahler series, binomials of
-    positive index).
+    exact polynomial-times-step presentation (Mahler series).
     """
     ctx = f.ctx
     if isinstance(f, Polynomial):
         return 0, {j: [c] for j, c in _terms(f).items()}
-    if isinstance(f, Binomial):
-        if f.k == 0:
-            return 0, {0: [PadicInt(ctx, 1)]}
-        raise UnsupportedShape("binomial functions have no p-integral "
-                               "polynomial presentation")
     if isinstance(f, Character):
         # a level above N, which no argument's digits resolve, is refused
         # by evaluate before the p^m-entry table, as each point refuses it
@@ -352,15 +318,15 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
     if isinstance(f, Product):
         m1, t1 = poly_lc_terms(f.f)
         m2, t2 = poly_lc_terms(f.g)
-        m = max(m1, m2)
+        n = range(ctx.p ** max(m1, m2))
         out: dict = {}
         for j1, tab1 in t1.items():
-            tab1 = _lift_table(tab1, ctx, m1, m)
+            tab1 = _row(tab1, n)
             for j2, tab2 in t2.items():
-                t = [a * b for a, b in zip(tab1, _lift_table(tab2, ctx, m2, m))]
+                t = [a * b for a, b in zip(tab1, _row(tab2, n))]
                 j = j1 + j2
                 out[j] = [a + b for a, b in zip(out[j], t)] if j in out else t
-        return m, out
+        return max(m1, m2), out
     if isinstance(f, Scaled):
         u = f.mult
         if u.prec < ctx.N:
@@ -382,7 +348,7 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
         m_in, terms = poly_lc_terms(f.inner)
         m, zero = max(m_in, 1), PadicInt(ctx, 0)
         return m, {j: [v if c % ctx.p else zero for c, v in
-                       enumerate(_lift_table(tab, ctx, m_in, m))]
+                       enumerate(_row(tab, range(ctx.p ** m)))]
                    for j, tab in terms.items()}
     raise UnsupportedShape(f"cannot decompose {type(f).__name__}")
 
@@ -500,13 +466,18 @@ def fn_from_json(ctx: PadicContext, obj,
         level = json_int_field(obj, "level", kind)
         if level < 0:
             raise ConfigError(f"{kind} field 'level' must be >= 0, got {level}")
+        # no argument known to N digits resolves a class mod p^level: the
+        # level is refused before a table of p^level entries is built
+        if level > ctx.N:
+            raise PrecisionExhausted(
+                f"{kind} level {level} exceeds the precision N = {ctx.N}")
     if kind == "indicator":
         return indicator(ctx, level, json_int_field(obj, "class", kind))
     if kind == "character":
         power = json_int_field(obj, "power", kind, default=1)
         return Character(CyclotomicElem.zeta_power(ctx, level, power))
     if kind == "binomial":
-        return Binomial(ctx, json_int_field(obj, "k", kind))
+        return binomial(ctx, json_int_field(obj, "k", kind))
     if kind == "mahler":
         return MahlerSeries(ctx, json_int_list(obj, "coeffs", kind),
                             json_int_field(obj, "tail_valuation", kind))

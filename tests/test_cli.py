@@ -179,15 +179,35 @@ def test_commands_match_the_benchmark_reference_outputs(capsys):
 
 
 def test_character_above_N_is_refused_before_its_table(capsys):
-    # a level-5 character at N = 2 is past the level cap; it is refused
-    # from its level, before its 5^5 powers
+    # a level-5 character at N = 2 is past the level cap and past N; it is
+    # refused from its level as it is read, before its 5^5 powers
     start = time.monotonic()
     code, out, err = run_cli(capsys, "--N", "2", "apply", "--measure",
                              '{"kind":"amice","coeffs":[1]}', "--fn",
                              '{"kind":"character","level":5}')
     assert time.monotonic() - start < 1.0
     assert code == 2 and out == ""
-    assert json.loads(err) == {"code": 2, "message": "level 5 exceeds the level cap 3"}
+    assert json.loads(err) == {
+        "code": 2, "message": "character level 5 exceeds the precision N = 2"}
+
+
+@pytest.mark.parametrize("measure", ['{"kind":"dirac","c":1}',
+                                     '{"kind":"amice","coeffs":[1,2,3]}',
+                                     '{"kind":"eisenstein","a":2}'])
+@pytest.mark.parametrize("kind", ['"indicator","level":14,"class":3',
+                                  '"character","level":14'])
+def test_levels_above_N_are_refused_before_any_table(capsys, measure, kind):
+    # no argument known to N = 12 digits resolves a class mod 5^14, so the
+    # descriptor is refused as it is read: a level-14 indicator table has
+    # 5^14 entries, a level-14 root of unity phi(5^14) coordinates
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "--M", "5", "apply", "--measure", measure,
+                             "--fn", f"{{\"kind\":{kind}}}")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    name = kind.split('"')[1]
+    assert json.loads(err) == {
+        "code": 2, "message": f"{name} level 14 exceeds the precision N = 12"}
 
 
 @pytest.mark.parametrize("level", [4, 6])

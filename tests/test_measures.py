@@ -4,12 +4,13 @@ from math import comb
 
 import pytest
 
-from padicq import (AmiceMeasure, Binomial, Character, CyclotomicElem,
+from padicq import (AmiceMeasure, Character, CyclotomicElem,
                     DiracMeasure, EisensteinMeasure, EulerFactorNotInvertible,
-                    LocallyConstant, MahlerSeries, NotUnit, PadicContext,
-                    PadicInt, Polynomial, PrecisionExhausted, QExpansion,
-                    Scaled, TwoVarFn, ZeroExtendedUnits,
-                    amice_transform, bernoulli, constant_fn, convolution_nu,
+                    LocallyConstant, MahlerSeries, NotRootOfUnity, NotUnit,
+                    PadicContext, PadicInt, Polynomial, PrecisionExhausted,
+                    QExpansion, Scaled, TwoVarFn, ZeroExtendedUnits,
+                    amice_transform, bernoulli, binomial, constant_fn,
+                    convolution_nu,
                     eisenstein_2G, eisenstein_2G_twisted, eisenstein_eval,
                     eval_at_character, eval_measure, indicator, kl_constant,
                     lvalue, lvalue_periodic, monomial, multiply,
@@ -60,7 +61,7 @@ def test_amice_transform_of_eisenstein_measure(ctx5):
     am = amice_transform(EisensteinMeasure(ctx5, a), 4)
     assert len(am.coeffs) == 5
     for k, b in enumerate(am.coeffs):
-        want = eisenstein_eval(a, Binomial(ctx5, k))
+        want = eisenstein_eval(a, binomial(ctx5, k))
         assert (b.res, b.prec) == (want.res, want.prec)
 
 
@@ -139,7 +140,7 @@ def test_scalar_pairings_match_padicint_sums(ctx5):
     fns = [indicator(ctx5, 2, 7), monomial(ctx5, 3),
            Polynomial(ctx5, [PadicInt(ctx5, 3, 4), 1]),
            LocallyConstant(ctx5, 1, [PadicInt(ctx5, 2, 5), 0, 1, 4, 3]),
-           Character(z), Binomial(ctx5, 2)]
+           Character(z), binomial(ctx5, 2)]
     for size in (0, 1, 7, 40):
         for prec in (ctx5.N, 6):
             bs = [PadicInt(ctx5, rng.randrange(ctx5.modulus),
@@ -486,7 +487,7 @@ def test_psi_reduction_matches_full_horner(p, level):
     # the series reduced modulo the torsion polynomial (1 + T)^n - 1 of a
     # root with zeta^n = 1 and evaluated at zeta - 1 equals the full-length
     # Horner evaluation, coefficient by coefficient, residues and precisions
-    # alike; a root with zeta^(p^level) != 1 gets the full series
+    # alike; value_character refuses a zeta with zeta^(p^level) != 1
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -525,14 +526,14 @@ def test_psi_reduction_matches_full_horner(p, level):
         n = p if N > 1 else 1
         assert flat(_torsion_horner(series, zeta, n)) == \
             flat(_full_horner(ctx, series, zeta))
-        # value_character picks the least n for a root and none for 2 zeta,
-        # whose p^level-th power is 2^(p^level) != 1 mod p
+        # value_character reduces by (1 + T)^(p^level) - 1 for a root and
+        # refuses 2 zeta, whose p^level-th power is 2^(p^level) != 1 mod p
         kl = kl_constant_functional(ctx, PadicInt(ctx, 2))
-        F = kl.kernel.twisted(1, K)
-        for z in (CyclotomicElem.zeta_power(ctx, level, roots[-1]),
-                  CyclotomicElem.zeta_power(ctx, level, roots[-1]) * 2):
-            assert flat(kl.value_character(z, 1)) == \
-                flat(_full_horner(ctx, F, z))
+        z = CyclotomicElem.zeta_power(ctx, level, roots[-1])
+        assert flat(kl.value_character(z, 1)) == \
+            flat(_full_horner(ctx, kl.kernel.twisted(1, K), z))
+        with pytest.raises(NotRootOfUnity):
+            kl.value_character(z * 2, 1)
 
     check()
 
@@ -711,12 +712,11 @@ def test_eisenstein_interpolation_on_a_invariant_twist(ctx5):
 
 
 def test_kl_binomial_values_are_series_coefficients(ctx5):
-    from padicq.zpfun import Binomial
     a = PadicInt(ctx5, 2)
     kl = kl_constant_functional(ctx5, a)
     base = kl.kernel.base(8)
     for k in range(9):
-        assert kl.value(Binomial(ctx5, k)) == PadicInt(ctx5, base[k])
+        assert kl.value(binomial(ctx5, k)) == PadicInt(ctx5, base[k])
 
 
 def _x_to_the_z(ctx, x):
@@ -856,7 +856,7 @@ def test_eisenstein_rows_match_pointwise_loops():
                  LocallyConstant(ctx, 3, [c % 4 for c in range(125)])),
         Character(CyclotomicElem.zeta(ctx, 1)),
         multiply(monomial(ctx, 1), Character(CyclotomicElem.zeta(ctx, 1))),
-        Binomial(ctx, 3),
+        binomial(ctx, 3),
     ]
     for ar in (2, 3):
         a = PadicInt(ctx, ar)

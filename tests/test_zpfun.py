@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicq import (Binomial, Character, ContinuousFn, CyclotomicElem,
+from padicq import (Character, ContinuousFn, CyclotomicElem,
                     LocallyConstant, MahlerSeries, NotRootOfUnity, NotUnit,
                     PadicContext, PadicInt, PadicqError, Polynomial,
                     PrecisionExhausted, Product, QExpansion, Scaled, TwoVarFn,
-                    UnsupportedShape, ZeroExtendedUnits, act, binomial_padic,
-                    eisenstein_eval, fn_from_json, indicator,
-                    kl_constant, lc_level, mahler_coeffs, monomial, multiply,
+                    UnsupportedShape, ZeroExtendedUnits, act, binomial,
+                    binomial_padic, eisenstein_eval, fn_from_json, indicator,
+                    kl_constant, mahler_coeffs, monomial, multiply,
                     poly_lc_terms, scale_argument)
+from padicq.measures import kl_constant_functional
 from padicq.zpfun import values
 
 
@@ -157,12 +158,91 @@ def test_zero_extended_units(ctx5):
 
 
 def test_lc_level(ctx5):
-    assert lc_level(indicator(ctx5, 2, 3)) == 2
-    assert lc_level(Character(CyclotomicElem.zeta(ctx5, 1))) == 1
-    assert lc_level(monomial(ctx5, 2)) is None
-    assert lc_level(Polynomial(ctx5, [4])) == 0
-    assert lc_level(ZeroExtendedUnits(indicator(ctx5, 2, 3))) == 2
-    assert lc_level(multiply(indicator(ctx5, 1, 1), indicator(ctx5, 2, 3))) == 2
+    assert indicator(ctx5, 2, 3).lc_level == 2
+    assert Character(CyclotomicElem.zeta(ctx5, 1)).lc_level == 1
+    assert monomial(ctx5, 2).lc_level is None
+    assert Polynomial(ctx5, [4]).lc_level == 0
+    assert ZeroExtendedUnits(indicator(ctx5, 2, 3)).lc_level == 2
+    assert multiply(indicator(ctx5, 1, 1), indicator(ctx5, 2, 3)).lc_level == 2
+
+
+def _ref_lc_level(f):
+    """The level recursion over the function classes, kept as a reference
+    for the attribute each constructor sets."""
+    if isinstance(f, Polynomial):
+        return 0 if f.degree() == 0 else None
+    if isinstance(f, (Character, LocallyConstant)):
+        return f.level
+    if isinstance(f, Product):
+        a, b = _ref_lc_level(f.f), _ref_lc_level(f.g)
+        return max(a, b) if a is not None and b is not None else None
+    if isinstance(f, Scaled):
+        return _ref_lc_level(f.inner)
+    if isinstance(f, ZeroExtendedUnits):
+        inner = _ref_lc_level(f.inner)
+        return max(inner, 1) if inner is not None else None
+    return None
+
+
+def _ref_ring_level(f):
+    """The deepest level of a character factor, 0 for none (reference)."""
+    if isinstance(f, Character):
+        return f.level
+    if isinstance(f, Product):
+        return max(_ref_ring_level(f.f), _ref_ring_level(f.g))
+    if isinstance(f, (Scaled, ZeroExtendedUnits)):
+        return _ref_ring_level(f.inner)
+    return 0
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_level_attributes_match_the_recursions(data):
+    ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
+    f = data.draw(_functions(ctx, depth=data.draw(st.integers(2, 3))))
+    assert (f.lc_level, f.ring_level) == (_ref_lc_level(f), _ref_ring_level(f))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_binomial_is_binomial_padic(p):
+    # C(z, k) as a one-term Mahler series has the residue and precision of
+    # binomial_padic wherever that certifies a digit, and refuses where it
+    # certifies none; C(z, 0) is the constant 1, a polynomial, which like
+    # every polynomial is known to the argument's precision, 0 included
+    ctx = PadicContext(p, 4, 1)
+    rng = random.Random(p)
+    xs = [PadicInt(ctx, r, e) for e in range(ctx.N + 1)
+          for r in (0, 1, p, rng.randrange(ctx.modulus))]
+    for k in range(31):
+        f = binomial(ctx, k)
+        for x in xs:
+            want = binomial_padic(x, k)
+            if want.prec or k == 0:
+                got = f.evaluate(x)
+                assert (got.residue, got.prec) == (want.residue, want.prec)
+            else:
+                with pytest.raises(PrecisionExhausted):
+                    f.evaluate(x)
+    with pytest.raises(ValueError):
+        binomial(ctx, -1)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_mahler_list_and_dict_agree(data):
+    # a coefficient list and the {k: c_k} dict of the same entries are the
+    # same series: values, refusals and the regularized constant term
+    ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
+    cs = data.draw(st.lists(_scalars(ctx), max_size=12))
+    t = data.draw(st.integers(0, ctx.N))
+    f, g = MahlerSeries(ctx, cs, t), MahlerSeries(ctx, dict(enumerate(cs)), t)
+    xs = data.draw(st.lists(st.integers(0, ctx.modulus - 1), min_size=1, max_size=4))
+    for x in xs:
+        e = data.draw(st.integers(0, ctx.N))
+        assert _outcome(lambda: [f.evaluate(PadicInt(ctx, x, e))]) == \
+            _outcome(lambda: [g.evaluate(PadicInt(ctx, x, e))])
+    kl = kl_constant_functional(ctx, PadicInt(ctx, 2))
+    assert _outcome(lambda: [kl.value(f)]) == _outcome(lambda: [kl.value(g)])
 
 
 def test_poly_lc_terms_reconstructs(ctx5):
@@ -206,7 +286,7 @@ def _ref_mahler_evaluate(f, x):
     """MahlerSeries.evaluate as a PadicInt loop: sum_k c_k C(x, k) with
     binomial_padic, certified to the tail."""
     acc = PadicInt(f.ctx, 0, x.prec)
-    for k, c in enumerate(f.coeffs):
+    for k, c in f.terms.items():
         acc = acc + c * binomial_padic(x, k)
     certified = min(acc.prec, f.tail_valuation)
     if certified <= 0:
@@ -219,11 +299,14 @@ def _ref_mahler_evaluate(f, x):
 def test_mahler_evaluate_matches_padicint_loop(data):
     # the sum on integers has the residue, precision and refusal of the
     # PadicInt loop: coefficients and arguments known to mixed precisions,
-    # series long enough that C(x, k) loses digits, tails <= 0
+    # series long enough that C(x, k) loses digits, sparse {k: c_k} dicts
+    # with gaps, tails <= 0
     ctx = PadicContext(data.draw(st.sampled_from([3, 5, 7])),
                        data.draw(st.integers(1, 8)), 4)
-    f = MahlerSeries(ctx, data.draw(st.lists(_scalars(ctx), max_size=30)),
-                     data.draw(st.integers(-2, ctx.N + 2)))
+    f = MahlerSeries(ctx, data.draw(
+        st.lists(_scalars(ctx), max_size=30)
+        | st.dictionaries(st.integers(0, 60), _scalars(ctx), max_size=4)),
+        data.draw(st.integers(-2, ctx.N + 2)))
     x = PadicInt(ctx, data.draw(st.integers(0, ctx.modulus - 1)),
                  data.draw(st.integers(0, ctx.N)))
     assert _outcome(lambda: [f.evaluate(x)]) == \
@@ -320,7 +403,7 @@ def _functions(draw, ctx, depth=2, known=False):
             PadicInt(ctx, c.residue + (shift if i == 0 else 0), prec)
             for i, c in enumerate(zeta.coeffs)]))
     if kind == "binomial":
-        return Binomial(ctx, draw(st.integers(0, 3)))
+        return binomial(ctx, draw(st.integers(0, 3)))
     if kind == "mahler":
         return MahlerSeries(ctx, draw(st.lists(_scalars(ctx), max_size=3)),
                             draw(st.integers(0, ctx.N)))
@@ -460,7 +543,7 @@ def test_periodic_mahler_matches_full_differences(data):
     # all K + 1 values differenced K^2 / 2 times, around and past K = p^m
     ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
     f = data.draw(_step_functions(ctx))
-    K = data.draw(st.integers(0, 3 * ctx.p ** lc_level(f)))
+    K = data.draw(st.integers(0, 3 * ctx.p ** f.lc_level))
     assert _outcome(lambda: mahler_coeffs(f, K)) == \
         _outcome(lambda: _old_mahler(f, K))
 
@@ -596,8 +679,8 @@ def test_sparse_polynomials_match_the_dense_reference(data):
         ref = _dense_multiply(ref, _DensePolynomial(ctx, cs))
     trailing = any(len(cs) > 1 and cs[-1].is_exact_zero()
                    for cs in lists + [ref.coeffs])
-    assert lc_level(f) == (0 if len(ref.coeffs) == 1 else None) or \
-        trailing and lc_level(f) == 0
+    assert f.lc_level == (0 if len(ref.coeffs) == 1 else None) or \
+        trailing and f.lc_level == 0
     # the consumers read a dense list as the polynomial of its coefficients
     lib = Polynomial(ctx, ref.coeffs)
     if data.draw(st.booleans()):
