@@ -1,7 +1,9 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ import pytest
 import padicq
 from padicq import (ConfigError, PadicContext, bernoulli, eisenstein_2G,
                     reduce_rational, series_from_json, series_to_json)
-from padicq.cli import main
+from padicq.cli import COMMANDS, GLOBAL_OPTIONS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -731,11 +733,178 @@ def test_character_past_level_cap_exits_2_before_work():
                                     "message": "level 4 exceeds the level cap 3"}
 
 
+def _buffered_env():
+    # stdout block-buffered, as for a user without PYTHONUNBUFFERED
+    return {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_runner_writes_what_main_writes(capsys, tmp_path, unbuffered):
+    # run() ends the process with os._exit once the output is flushed: a
+    # pipe and a file get the bytes an in-process main() prints
+    argv = ["--p", "3", "kummer-dump", "--k", "2"]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(want) > 8192  # more than stdout's buffer
+    cmd = [sys.executable, "-m", "padicq", *argv]
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    piped = subprocess.run(cmd, capture_output=True, timeout=120, env=env)
+    assert piped.returncode == 0 and piped.stderr == b""
+    assert piped.stdout == want.encode()
+    out = tmp_path / "out.json"
+    with open(out, "wb") as fh:
+        proc = subprocess.run(cmd, stdout=fh, timeout=120, env=env)
+    assert proc.returncode == 0 and out.read_bytes() == want.encode()
+
+
+def test_help_to_a_closed_stdout_exits_141_silently():
+    # the help is still in stdout's buffer when main() returns; run()'s
+    # flush finds the reader gone
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "padicq", "--help"],
+                              stdout=w, stderr=subprocess.PIPE, timeout=120,
+                              env=_buffered_env())
+    finally:
+        os.close(w)
+    assert proc.returncode == 141 and proc.stderr == b""
+
+
+_BROKEN_SUITE = """
+import padicq.verify as pv
+def broken(ctx, a, k):
+    r = pv.CheckReport("moments")
+    r.check(False, "synthetic failure")
+    return r
+pv.SUITES["moments"] = broken
+"""
+_WRONG_NU = """
+import padicq.verify as pv
+from padicq import QExpansion
+pv.reference_nu = lambda ctx, a, s, t: QExpansion(ctx, [1] * (ctx.M + 1))
+"""
+
+
+@pytest.mark.parametrize("code, setup, argv", [
+    (0, "", ["--p", "5", "--M", "6", "moment", "--k", "2"]),
+    (0, "", ["--help"]),
+    (1, _BROKEN_SUITE, ["--M", "6", "verify", "moments"]),
+    (2, "", ["--p", "5", "eisenstein", "--k", "4"]),
+    (3, _WRONG_NU, ["--p", "5", "--M", "8", "nu", "--s", "1", "--t", "0"]),
+    (4, "", ["--p", "4", "moment", "--k", "2"]),
+], ids=["ok", "help", "verify-fail", "domain", "disagree", "config"])
+def test_runner_keeps_exit_codes_and_atexit_hooks(code, setup, argv):
+    # python -m padicq as runpy starts it, after a hook registered by the
+    # code that started it; the hook still runs, after main's output
+    script = textwrap.dedent(setup) + textwrap.dedent(f"""
+        import atexit, runpy, sys
+        atexit.register(sys.stderr.write, "atexit hook ran\\n")
+        sys.argv = ["padicq", *{argv!r}]
+        runpy.run_module("padicq", run_name="__main__")
+        """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=_buffered_env())
+    assert proc.returncode == code, proc.stderr
+    *errors, hook = proc.stderr.splitlines()
+    assert hook == "atexit hook ran"
+    if code in (2, 4):
+        assert proc.stdout == "" and len(errors) == 1
+        assert json.loads(errors[0])["code"] == code
+    else:
+        assert errors == [] and proc.stdout.endswith("\n")
+
+
+def test_options_take_values_inline_and_by_prefix(capsys, tmp_path):
+    _, want, _ = run_cli(capsys, "--p", "3", "kummer-dump", "--k", "1",
+                         "--what", "pairing")
+    for argv in (["--p=3", "kummer-dump", "--k=1", "--what=pairing"],
+                 ["--p", "3", "kummer-dump", "--wh", "pairing", "--k", "1"],
+                 ["--p=3", "kummer-dump", "--w=pairing"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == want, argv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\n")
+    code, out, _ = run_cli(capsys, "--con", str(cfg), "kummer-dump",
+                           "--wha=pairing")
+    assert code == 0 and out == want
+    # ints go through int(), a negative one is a value, and the verify
+    # suite may stand before or after its options
+    args = build_parser().parse_args(["--a=-3", "--N", " +12 ", "verify",
+                                      "--k", "-2", "all"])
+    assert (args.a, args.N, args.command, args.suite, args.k) == \
+        (-3, 12, "verify", "all", -2)
+    assert vars(build_parser().parse_args(["verify", "--k", "2", "all"])) == \
+        vars(build_parser().parse_args(["verify", "all", "--k=2"]))
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "command"),
+    (["frob"], "'frob'"),
+    (["moment"], "--k"),
+    (["apply", "--fn", "{}"], "--measure"),
+    (["verify", "--k", "1"], "suite"),
+    (["moment", "--kk", "2"], "--kk"),
+    (["--k", "2", "moment"], "--k"),
+    (["moment", "--k", "2", "--p", "3"], "--p"),
+    (["verify", "all", "moments"], "moments"),
+    (["lvalue", "--chi", "trivial", "--chi2", "trivial"], "--chi"),
+    (["moment", "--k", "two"], "--k"),
+    (["--p", "5.0", "moment", "--k", "2"], "--p"),
+    (["--M=", "moment", "--k", "2"], "--M"),
+    (["moment", "--k"], "--k"),
+    (["eisenstein", "--tw", "--k", "2"], "--twist"),
+    (["kummer-dump", "--what", "table"], "--what"),
+], ids=["no-command", "unknown-command", "missing", "missing-of-two",
+        "missing-positional", "unknown", "unknown-before-command",
+        "global-after-command", "extra-positional", "ambiguous", "not-an-int",
+        "float", "empty", "no-value", "option-as-value", "bad-choice"])
+def test_bad_command_lines_exit_4_naming_the_argument(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert_config_error(code, out, err)
+    assert named in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"],
+                                  ["--p", "3", "verify", "-h"],
+                                  ["moment", "--h", "--k", "x"]])
+def test_help_lists_every_command_and_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert set(COMMANDS) == {"eisenstein", "moment", "nu", "lvalue", "apply",
+                             "verify", "kummer-dump"}
+    for name in COMMANDS:
+        assert f"\n{name}: " in out
+    for flag in [o[0] for o in GLOBAL_OPTIONS] + [
+            "--k", "--twist", "--s", "--t", "--chi1", "--chi2", "--measure",
+            "--fn", "suite", "--what {cayley,pairing}"]:
+        assert f"  {flag}" in out, flag
+
+
+def _order(a: int, mod: int) -> int:
+    n, x = 1, a % mod
+    while x != 1:
+        x = x * a % mod
+        n += 1
+    return n
+
+
 def test_default_a_choices():
     from padicq.cli import default_a
+    from padicq.padic import is_prime
     assert default_a(5) == 2
     assert default_a(3) == 2
     assert default_a(7) == 3
+    # the brute-force order of each candidate mod p^2
+    for p in filter(is_prime, range(3, 200, 2)):
+        want = next(a for a in itertools.count(2)
+                    if a % p and _order(a, p * p) == p * (p - 1))
+        assert default_a(p) == want, p
+    # stepping through the powers was O(p^2) per candidate: 3.2 s at 3001
+    t0 = time.monotonic()
+    assert [default_a(p) for p in (3001, 10007, 1000003)] == [14, 5, 2]
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_readme_snippets_execute():

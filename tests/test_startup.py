@@ -36,9 +36,10 @@ def _after_command(*argv) -> set:
 
 
 def test_parser_loads_only_errors_and_padic():
-    mods = _loaded_after("import padicq.cli; padicq.cli.build_parser()")
+    mods = _loaded_after("import padicq.cli\n"
+                         "padicq.cli.build_parser().parse_args(['moment', '--k', '2'])")
     assert mods & LAYERS == {"padicq.cli", "padicq.errors", "padicq.padic"}
-    assert "dataclasses" not in mods
+    assert not mods & {"argparse", "gettext", "dataclasses"}
 
 
 @pytest.mark.parametrize("argv", [
