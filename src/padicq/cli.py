@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 from .errors import (ConfigError, PadicqError, check_a_range, json_int_field,
                      json_int_list, json_object)
-from .padic import PadicContext, PadicInt, is_prime
+from .padic import PadicContext, PadicInt, is_prime, unit_group_generator
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -36,26 +36,6 @@ EXIT_DOMAIN = 2
 EXIT_DISAGREE = 3
 EXIT_CONFIG = 4
 EXIT_BROKEN_PIPE = 141
-
-
-def default_a(p: int) -> int:
-    """Smallest integer >= 2 that is a unit generating (Z/p^2)^x: the cyclic
-    group of order p(p - 1), so a generates it unless a^(p(p-1)/q) = 1 mod
-    p^2 for a prime q dividing p(p - 1)."""
-    order, mod = p * (p - 1), p * p
-    primes, rest, d = {p}, p - 1, 2
-    while d * d <= rest:
-        if rest % d:
-            d += 1
-        else:
-            primes.add(d)
-            rest //= d
-    if rest > 1:
-        primes.add(rest)
-    a = 2
-    while a % p == 0 or any(pow(a, order // q, mod) == 1 for q in primes):
-        a += 1
-    return a
 
 
 CONFIG_KEYS = ("p", "N", "M", "a")
@@ -105,7 +85,7 @@ class RunConfig:
             raise ConfigError("N and M must be >= 1")
         self.ctx = PadicContext(self.p, self.N, self.M)
         if a is None:
-            a = default_a(self.p)
+            a = unit_group_generator(self.p)
         if a % self.p == 0:
             raise ConfigError(f"a = {a} is not a unit mod {self.p}")
         self.a = PadicInt(self.ctx, check_a_range(a, self.p, self.N, "a"))

@@ -37,7 +37,8 @@ from .cyclotomic import CyclotomicElem, phi_pm
 from .errors import (ConfigError, EulerFactorNotInvertible, NotRootOfUnity,
                      NotUnit, PrecisionExhausted, check_a_range, json_int,
                      json_int_field, json_int_list, json_list, json_object)
-from .padic import PadicContext, PadicInt, binomial_padic, padic_valuation
+from .padic import (PadicContext, PadicInt, binomial_padic, padic_valuation,
+                    unit_group_generator)
 from .qseries import (SIGMA_CACHE_SIZE, QExpansion, _least_prime_factors,
                       divisor_sum, sigma_table)
 from .zpfun import (Character, ContinuousFn, LocallyConstant, MahlerSeries,
@@ -587,24 +588,27 @@ def measure_from_json(ctx: PadicContext, obj,
 # -- two-variable L-values -----------------------------------------------------
 
 def validate_character(chi: ContinuousFn, m: int) -> list:
-    """Check multiplicativity of a unit-character table; returns the table."""
-    ctx = chi.ctx
-    pm = ctx.p ** m
-    lvl = chi.lc_level
-    if lvl is None:
+    """Check that chi is a character of (Z/p^m)^x; returns its table.
+
+    The group is cyclic with generator g = unit_group_generator(p), so the
+    check is chi(1) = 1 and chi(g^(i+1)) = chi(g^i) chi(g) for i < phi(p^m),
+    each modulo the least precision of its three entries: a pass proves
+    multiplicativity modulo p^e, e the least precision of a unit-class entry.
+    """
+    ctx, pm = chi.ctx, chi.ctx.p ** m
+    if chi.lc_level is None:
         raise ValueError("characters must be locally constant data")
-    if lvl > m:
+    if chi.lc_level > m:
         raise ValueError("character level exceeds requested level")
     tab = as_table(chi, m)
-    units = [u for u in range(pm) if u % ctx.p != 0]
-    one = tab[1 % pm]
-    if not (one == PadicInt(ctx, 1)):
+    if not (tab[1 % pm] == PadicInt(ctx, 1)):
         raise ValueError("character must send 1 to 1")
-    for u in units:
-        for v in units:
-            if not (tab[(u * v) % pm] == tab[u] * tab[v]):
-                raise ValueError(
-                    f"character table not multiplicative at ({u}, {v})")
+    g, u = unit_group_generator(ctx.p) % pm, 1
+    for _ in range(phi_pm(ctx.p, m)):
+        if not (tab[u * g % pm] == tab[u] * tab[g]):
+            raise ValueError(
+                f"character table not multiplicative at ({u}, {g})")
+        u = u * g % pm
     return tab
 
 
@@ -612,20 +616,18 @@ def lvalue(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt) -> tuple:
     """(L, factor, nu) for a pair of characters, from one validated table of
     each at their common level m >= 1.
 
-    Both characters are zero-extended off the units.  The y-side extension
-    annihilates the literal constant coefficient of the convolution value,
-    so L is the measure-side constant: the regularized functional on the
-    zero-extended quotient character chi1/chi2, divided by the Euler-type
-    factor 1 - chi1(a) a / chi2(a).  nu is the full convolution value on
-    the zero-extended pair.
+    The Eisenstein measure is evaluated once, on the table of chi1/chi2 (0
+    off the units).  L is its constant term over the Euler-type factor
+    1 - chi1(a) a / chi2(a); nu is chi2, zero-extended off the units, acting
+    on it: the convolution value on the zero-extended pair.
     """
     ctx = chi1.ctx
     m = max(chi1.lc_level or 0, chi2.lc_level or 0, 1)
     _check_level(m)
     tab1, tab2 = validate_character(chi1, m), validate_character(chi2, m)
-    fn = ZeroExtendedUnits(LocallyConstant(ctx, m, [
+    quotient = LocallyConstant(ctx, m, [
         tab1[c] * tab2[c].inverse() if c % ctx.p != 0 else PadicInt(ctx, 0)
-        for c in range(ctx.p ** m)]))
+        for c in range(ctx.p ** m)])
     if not a.is_unit():
         raise NotUnit("a must be a unit")
     ar = a.residue % ctx.p ** m
@@ -633,7 +635,6 @@ def lvalue(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt) -> tuple:
     if not factor.is_unit():
         raise EulerFactorNotInvertible(
             "1 - chi1(a) a / chi2(a) is congruent to 0 mod p")
-    L = kl_constant(a, fn) * factor.inverse()
-    nu = convolution_nu(a, TwoVarFn.tensor(
-        fn, ZeroExtendedUnits(LocallyConstant(ctx, m, tab2))))
-    return L, factor, nu
+    g = EisensteinMeasure(ctx, a)(quotient)
+    return (g.coefficient(0) * factor.inverse(), factor,
+            act(ZeroExtendedUnits(LocallyConstant(ctx, m, tab2)), g))

@@ -27,6 +27,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def unit_group_generator(p: int) -> int:
+    """Smallest integer >= 2 generating (Z/p^2)^x for an odd prime p, and so
+    (Z/p^m)^x for every m >= 1: the group is cyclic of order p(p - 1), and a
+    unit a generates it unless a^(p(p-1)/q) = 1 mod p^2 for a prime q
+    dividing p(p - 1)."""
+    order, primes, rest, d = p * (p - 1), {p}, p - 1, 2
+    while d * d <= rest:
+        if rest % d:
+            d += 1
+        else:
+            primes.add(d)
+            rest //= d
+    if rest > 1:
+        primes.add(rest)
+    return next(a for a in range(2, p * p) if a % p and all(
+        pow(a, order // q, p * p) != 1 for q in primes))
+
+
 class PadicContext:
     """Global parameters: the odd prime p, p-adic precision N, q-precision M.
 

@@ -236,7 +236,8 @@ def mahler_coeffs(f: ContinuousFn, K: int) -> list:
     and p^m <= K, every Delta^k f has period p^m, so only f(0), ...,
     f(p^m - 1) are read and differenced cyclically, in K p^m steps rather
     than K^2 / 2; from k = p^m - 1 on, c_k is known to the least precision
-    over the period.
+    over the period.  Differencing stops at an all-zero scalar row: every
+    later row is zero too, so each later c_k is 0 at the precision above.
     """
     ctx, m = f.ctx, f.lc_level
     # wrap = 1: one period, differenced cyclically; 0: all K + 1 values
@@ -250,7 +251,10 @@ def mahler_coeffs(f: ContinuousFn, K: int) -> list:
         return out
     mod, (res, precs) = ctx.modulus, vals
     precs = list(accumulate(precs, min))
-    for e in precs + precs[-1:] * (K + 1 - len(precs)):
+    precs += precs[-1:] * (K + 1 - len(precs))
+    for k, e in enumerate(precs):
+        if not any(res):  # every later row is zero too
+            return out + [PadicInt(ctx, 0, d) for d in precs[k:]]
         out.append(PadicInt(ctx, res[0], e))
         res = [(y - x) % mod for x, y in zip(res, res[1:] + res[:wrap])]
     return out

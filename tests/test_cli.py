@@ -891,7 +891,7 @@ def _order(a: int, mod: int) -> int:
 
 
 def test_default_a_choices():
-    from padicq.cli import default_a
+    from padicq.padic import unit_group_generator as default_a
     from padicq.padic import is_prime
     assert default_a(5) == 2
     assert default_a(3) == 2

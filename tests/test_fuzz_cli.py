@@ -36,16 +36,17 @@ def _teichmuller(p: int, N: int, level: int, power: int) -> list[int]:
 
 
 @st.composite
-def _step(draw, p):
-    m = draw(st.integers(0, 2))
+def _step(draw, p, N):
+    m = draw(st.integers(0, min(2, N)))
     return draw(st.integers(0, 4)), m, draw(st.integers(0, p ** m - 1))
 
 
 @st.composite
 def jobs(draw):
-    """(p, N, argv, want): want(ex, oracles) is the expected output."""
-    p = draw(st.sampled_from((3, 5, 7)))
-    N, M = draw(st.integers(2, 8)), draw(st.integers(1, 12))
+    """(p, N, argv, want): want(ex, oracles) is the expected output.  Every
+    step, twist and character level is at most N, which resolves it."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23)))
+    N, M = draw(st.integers(1, 8)), draw(st.integers(1, 12))
     unit = st.integers(1, p ** N - 1).filter(lambda x: x % p)
     kind = draw(st.sampled_from(("moment", "eisenstein", "twisted", "step",
                                  "nu", "lvalue", "amice")))
@@ -64,13 +65,13 @@ def jobs(draw):
         return p, N, head + ["eisenstein", "--k", str(k)], \
             lambda ex, o: ex.eisenstein(k, M)
     if kind == "twisted":
-        k, level = draw(st.integers(2, 30)), draw(st.integers(1, 2))
+        k, level = draw(st.integers(2, 30)), draw(st.integers(1, min(2, N)))
         twist = {"kind": "indicator", "level": level, "class": 0}
         return p, N, head + ["eisenstein", "--k", str(k),
                              "--twist", json.dumps(twist)], \
             lambda ex, o: ex.eisenstein_twisted(k, level, M)
     if kind == "step":
-        b, fn = draw(unit), draw(_step(p))
+        b, fn = draw(unit), draw(_step(p, N))
         measure = {"kind": "eisenstein", "a": b}
         return p, N, head + ["apply", "--measure", json.dumps(measure),
                              "--fn", json.dumps(_fn(*fn))], \
@@ -84,7 +85,7 @@ def jobs(draw):
                     "convolution": series, "reference": series}
         return p, N, head + ["nu", "--s", str(s), "--t", str(t)], nu
     if kind == "lvalue":
-        level = draw(st.integers(1, 2))
+        level = draw(st.integers(1, min(2, N)))
         i1, i2 = draw(st.integers(0, p - 2)), draw(st.integers(0, p - 2))
         # the Euler factor 1 - chi1(a) a / chi2(a) must be a unit
         if (1 - pow(a, i1 - i2 + 1 + (p - 1), p)) % p == 0:
@@ -96,7 +97,7 @@ def jobs(draw):
         return p, N, head + ["lvalue", "--chi1", args[0], "--chi2", args[1]], \
             lambda ex, o: ex.lvalue(a, *chis, level, M)
     coeffs = draw(st.lists(st.integers(0, p ** N - 1), min_size=1, max_size=8))
-    fn = draw(_step(p))
+    fn = draw(_step(p, N))
     measure = {"kind": "amice", "coeffs": coeffs}
     return p, N, head + ["apply", "--measure", json.dumps(measure),
                          "--fn", json.dumps(_fn(*fn))], \

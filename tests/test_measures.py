@@ -15,7 +15,9 @@ from padicq import (AmiceMeasure, Character, CyclotomicElem,
                     eval_at_character, eval_measure, indicator, kl_constant,
                     lvalue, lvalue_periodic, monomial, multiply,
                     reduce_rational, theta)
-from padicq.measures import KLConstantTerm, kl_constant_functional
+from padicq.measures import (KLConstantTerm, kl_constant_functional,
+                             validate_character)
+from padicq.padic import unit_group_generator
 from padicq.verify import reference_nu
 
 
@@ -1162,6 +1164,90 @@ def test_two_variable_L_rejects_non_multiplicative(ctx5):
     doubled = LocallyConstant(ctx5, 1, [0, 2, 2, 2, 2])
     with pytest.raises(ValueError):
         lvalue(doubled, trivial_character(ctx5), a)
+
+
+def _teichmuller_table(ctx, m, k):
+    """omega^k on (Z/p^m)^x to all N digits, 0 on multiples of p."""
+    p, mod = ctx.p, ctx.modulus
+    return [PadicInt(ctx, pow(c, p ** (ctx.N - 1) * k, mod) if c % p else 0)
+            for c in range(p ** m)]
+
+
+def _pair_check(tab, p, m):
+    """The verdict of comparing chi(1) with 1 and chi(uv) with chi(u) chi(v)
+    for all pairs of units, each modulo the least precision it involves."""
+    pm = p ** m
+    units = [u for u in range(pm) if u % p]
+    if (tab[1 % pm].residue - 1) % p ** tab[1 % pm].prec:
+        return False
+    return all((w.residue - x.residue * y.residue)
+               % p ** min(w.prec, x.prec, y.prec) == 0
+               for u in units for v in units
+               for w, x, y in [(tab[u * v % pm], tab[u], tab[v])])
+
+
+def _walk_verdict(ctx, m, tab):
+    try:
+        return validate_character(LocallyConstant(ctx, m, tab), m) == tab
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("m", [1, 2])
+def test_character_walk_agrees_with_the_pair_check(p, m):
+    # Teichmuller powers, and each moved by 1, p or p^(N-1) at chi(1), at
+    # another unit class and at a multiple of p (where nothing is checked)
+    ctx, rng = PadicContext(p, 4, 1), random.Random(p * 10 + m)
+    verdicts = []
+    for k in (0, 1, p - 2):
+        tab = _teichmuller_table(ctx, m, k)
+        tables = [tab]
+        for c in (1, rng.choice([u for u in range(2, p ** m) if u % p]),
+                  rng.randrange(0, p ** m, p)):
+            for d in (1, p, p ** (ctx.N - 1)):
+                moved = list(tab)
+                moved[c] = tab[c] + d
+                tables.append(moved)
+        for t in tables:
+            verdicts.append(_walk_verdict(ctx, m, t))
+            assert verdicts[-1] == _pair_check(t, p, m), (k, t)
+    # chi(g^i) = (1 + p)^i for i < phi(p^m): multiplicative except where
+    # the powers of g wrap around, as (1 + p)^phi(p^m) != 1 mod p^N
+    g, x = unit_group_generator(p), PadicInt(ctx, 1)
+    cycle = [PadicInt(ctx, 0)] * p ** m
+    for i in range((p - 1) * p ** (m - 1)):
+        cycle[pow(g, i, p ** m)], x = x, x * (1 + p)
+    assert not _walk_verdict(ctx, m, cycle) and not _pair_check(cycle, p, m)
+    assert verdicts.count(True) == 12 and verdicts.count(False) == 18
+
+
+def test_character_walk_makes_phi_products(monkeypatch):
+    # p = 31, m = 2: phi(p^m) = 930 products along the generator, where
+    # the check of all unit pairs made 930^2 = 864 900
+    ctx = PadicContext(31, 3, 1)
+    tab = _teichmuller_table(ctx, 2, 1)
+    calls, real = [], PadicInt.__mul__
+    monkeypatch.setattr(PadicInt, "__mul__",
+                        lambda x, y: calls.append(1) or real(x, y))
+    assert validate_character(LocallyConstant(ctx, 2, tab), 2) == tab
+    assert 0 < len(calls) <= 930 + 1
+
+
+def test_character_walk_proves_multiplicativity_to_the_least_precision():
+    # chi(g) known to e = 2 digits puts every step of the walk mod p^2, so
+    # a table that is multiplicative only mod p^2 passes: chi(g^3) moved by
+    # p^2 at full precision.  The pair check compares chi(g^5) chi(g^4)
+    # with chi(g^3) to all N digits and rejects it; the verdicts can differ
+    # only on such mixed-precision tables
+    ctx, e = PadicContext(7, 4, 1), 2
+    g = unit_group_generator(7)
+    tab = _teichmuller_table(ctx, 1, 1)
+    tab[g] = PadicInt(ctx, tab[g].residue, e)
+    tab[g ** 3 % 7] = tab[g ** 3 % 7] + 7 ** e
+    assert _walk_verdict(ctx, 1, tab)
+    assert not _pair_check(tab, 7, 1)
+    assert _pair_check([PadicInt(ctx, v.residue, e) for v in tab], 7, 1)
 
 
 def hensel_sqrt_minus_one(ctx):

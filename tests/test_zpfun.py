@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 
 import pytest
@@ -442,6 +443,28 @@ def _old_mahler(f, K):
         out.append(vals[0])
         vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
     return out
+
+
+@pytest.mark.parametrize("p", sorted(TABLE_CTXS))
+def test_mahler_stops_at_a_zero_row(p):
+    # K far past the degree: differencing stops at the first all-zero row,
+    # with every residue and precision of the full K-round loop, also where
+    # low-precision values keep the later rows nonzero as integers
+    ctx = TABLE_CTXS[p]
+    low = PadicInt(ctx, 2, 3)
+    for f in (monomial(ctx, 2), Polynomial(ctx, [7, 0, 2, 1]),
+              Polynomial(ctx, []), Polynomial(ctx, {0: low, 4: 1}),
+              Polynomial(ctx, {1: PadicInt(ctx, 0, 2)}),
+              MahlerSeries(ctx, [1, 2, 3], ctx.N),
+              MahlerSeries(ctx, {0: 1, 5: low}, 4), binomial(ctx, 7)):
+        assert _outcome(lambda: mahler_coeffs(f, 60)) == \
+            _outcome(lambda: _old_mahler(f, 60))
+    # 20 001 values of z^2 cost three rounds, not 20 000 (about 8 s)
+    start = time.monotonic()
+    c = mahler_coeffs(monomial(ctx, 2), 20000)
+    assert time.monotonic() - start < 2.0
+    assert [(x.residue, x.prec) for x in c] == \
+        [(0, ctx.N), (1, ctx.N), (2, ctx.N)] + [(0, ctx.N)] * 19998
 
 
 def _old_act(f, g):
