@@ -23,7 +23,9 @@ from .qseries import QExpansion
 from .zpfun import ContinuousFn, values
 
 # the deepest cyclotomic level the package evaluates: it guards the
-# character sums, which cost about p^(3m) integer products at level m
+# character sums, where each level l <= m reduces N phi(p^l) + j kernel
+# coefficients by a degree-p^l polynomial and takes p^l sparse ring steps,
+# about N p^(2m) integer operations at level m
 M_MAX = 3
 
 

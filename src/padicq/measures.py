@@ -8,15 +8,15 @@ the regularized constant-term functional, which is pinned by its moments
     A_a(T) = a / ((1+T)^a - 1)  -  1/T,
 
 which lies in Z_p[[T]] because the denominator has unit linear coefficient.
-Truncations of A_a are computed by exact series inversion modulo p^N (the
+Truncations of A_a are computed by one series division modulo p^N (the
 only division is by the unit a), polynomial moments come out of the finite
 Mahler pairing at full precision, and locally constant functions go through
 the character decomposition, costing exactly m digits for level m.  The
-pairing stops at the least n0 with v_p(n0!) >= N, about (p-1)N whatever the
-weight: the n-th Mahler coefficient of z^j is Delta^n(z^j)(0) = n! S(j, n),
-a multiple of n! and so 0 mod p^N from n0 on, which keeps the sum exact.
-As Delta^n f(0) = sum_i (-1)^(n-i) C(n, i) f(i), the pairing is a dot
-product sum_i w_i i^j with point weights w_i, i < n0, built once.
+n-th Mahler coefficient of z^j is Delta^n(z^j)(0) = n! S(j, n): 0 for n > j,
+and a multiple of n!, so 0 mod p^N from the least n0 with v_p(n0!) >= N,
+about (p-1)N.  So only n < min(n0, j + 1) count, and a sum over n < L is
+exact for any L from there to n0: as Delta^n f(0) = sum_i (-1)^(n-i) C(n, i)
+f(i), it is a dot product sum_i w_i i^j with point weights w_i, i < L.
 A character chi_zeta is a torsion point of the formal group Gm-hat: when
 zeta^(p^l) = 1, zeta - 1 is a root of (1 + T)^(p^l) - 1, monic of degree
 p^l, so the kernel series is reduced modulo it with plain integers, then
@@ -66,36 +66,26 @@ class RegularizedKernel:
         self.ctx = ctx
         self.a = a
         self._base: list[int] = []
+        # C(r, i) mod p^N for i < len, and the last of them exact
+        self._binom, self._last = [1], 1
 
     def base(self, K: int) -> list[int]:
-        """Coefficients of A_a(T) mod (p^N, T^(K+1))."""
-        if len(self._base) < K + 1:
-            self._base = self._compute(K)
-        return self._base[: K + 1]
+        """Coefficients of A_a(T) mod (p^N, T^(K+1)), grown in place.
 
-    def _compute(self, K: int) -> list[int]:
-        ctx, r = self.ctx, self.a.residue
-        mod = ctx.modulus
-        # P(T) = ((1+T)^r - 1)/T, Q(T) = ((1+T)^r - 1 - rT)/T^2, both exact,
-        # from C(r, i) = C(r, i - 1) (r - i + 1) / i for i <= min(r, K + 2)
-        c = [1]
-        for i in range(1, min(r, K + 2) + 1):
-            c.append(c[-1] * (r - i + 1) // i)
-        P, Q = [x % mod for x in c[1:K + 2]], [x % mod for x in c[2:K + 3]] or [0]
-        inv0 = pow(P[0], -1, mod)
-        R = [inv0] + [0] * K
-        for n in range(1, K + 1):
-            acc = 0
-            for i in range(1, min(n, len(P) - 1) + 1):
-                acc += P[i] * R[n - i]
-            R[n] = (-inv0 * acc) % mod
-        out = []
-        for n in range(K + 1):
-            acc = 0
-            for i in range(0, min(n, len(Q) - 1) + 1):
-                acc += Q[i] * R[n - i]
-            out.append((-acc) % mod)
-        return out
+        With P_i = C(r, i+1) and Q_i = C(r, i+2), (1+T)^r - 1 = T P and
+        A_r = -Q/P, so b_n = -(Q_n + sum_{1<=i<=n} P_i b_(n-i)) / r.  As
+        C(r, i) = 0 for i > r, the binomials stop at C(r, r) and each b_n
+        takes at most r - 1 products."""
+        mod, r, b, c = self.ctx.modulus, self.a.residue, self._base, self._binom
+        inv = pow(r, -1, mod)
+        while len(c) < min(K + 3, r + 1):
+            self._last = self._last * (r - len(c) + 1) // len(c)
+            c.append(self._last % mod)
+        P = c[2:]  # P_1, P_2, ...; map stops at the shorter of P and b
+        for n in range(len(b), K + 1):
+            q = c[n + 2] if n + 2 < len(c) else 0
+            b.append(-(q + sum(map(mul, P, reversed(b)))) * inv % mod)
+        return b[:K + 1]
 
     def twisted(self, j: int, K: int) -> list[int]:
         """Coefficients of ((1+T) d/dT)^j A_a, to T-degree K."""
@@ -131,10 +121,12 @@ class KLConstantTerm:
     """The constant-term functional of the Eisenstein measure.
 
     Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N.  Each
-    is one dot product of the point weights w_i, i < n0, with the powers
-    i^(k-1) mod p^N.  The weights and the least prime factors of i < n0 are
-    built once per functional; i^(k-1) is completely multiplicative in i,
-    so only prime i take a modular power, and the cost barely grows with k.
+    is one dot product of the point weights w_i, i < L, with the powers
+    i^(k-1) mod p^N, for an L from min(n0, k) to n0.  The weights and the
+    least prime factors of i < L are rebuilt, at least doubling L, only
+    when a moment needs more, so a sweep over k builds them about log2(n0)
+    times; i^(k-1) is completely multiplicative in i, so only prime i take
+    a modular power, and the cost barely grows with k.
     Values on level-m step functions are exact to N - m digits and cost one
     Horner per level l <= m (p^l ring products, after reducing the kernel
     series by the torsion polynomial (1+T)^(p^l) - 1) plus integer traces.
@@ -154,17 +146,19 @@ class KLConstantTerm:
     # -- core values --------------------------------------------------------
 
     def moment(self, j: int) -> PadicInt:
-        """kappa(z^j) = sum_{n<n0} b_n Delta^n(z^j)(0) = sum_{i<n0} w_i i^j
+        """kappa(z^j) = sum_{n<L} b_n Delta^n(z^j)(0) = sum_{i<L} w_i i^j
         mod p^N, b_n the kernel coefficients (see the module docstring);
         i^j = q^j (i/q)^j for the least prime factor q of a composite i."""
         ctx, mod = self.ctx, self.ctx.modulus
-        if not self._weights:
-            n0, v = 0, 0
-            while v < ctx.N:
-                n0 += 1
-                v += padic_valuation(n0, ctx.p)
-            self._weights = _point_weights(self.kernel.base(n0 - 1), mod)
-            self._factors = _least_prime_factors(n0 - 1)
+        need = max(j + 1, 2 * len(self._weights))
+        n, v = 0, 0  # v_p(n!) grows at multiples of p only, so n0 is one
+        while v < ctx.N and n < need:
+            n += ctx.p
+            v += padic_valuation(n, ctx.p)
+        if len(self._weights) < min(n, j + 1):  # min(n, j + 1) = min(n0, j + 1)
+            L = min(n, need)
+            self._weights = _point_weights(self.kernel.base(L - 1), mod)
+            self._factors = _least_prime_factors(L - 1)
         row: list[int] = []
         for i, q in enumerate(self._factors):
             row.append(pow(i, j, mod) if q == i else row[q] * row[i // q] % mod)
@@ -191,6 +185,7 @@ class KLConstantTerm:
         power-basis coordinates of that value with integers.  F is twisted
         once, to T-degree N phi(p^m): coefficient n of a twist depends only
         on coefficients n..n + j of A_a, so each level reads a prefix.
+        Each value is known to N digits: zeta_l is exact and F integral.
         """
         key = (j, m)
         if key in self._indicator_cache:
@@ -198,12 +193,10 @@ class KLConstantTerm:
         ctx, p = self.ctx, self.ctx.p
         F = self.kernel.twisted(j, ctx.N * phi_pm(p, m))
         sums = [F[0]] * p ** m
-        prec = ctx.N
         for lvl in range(1, m + 1):
             K = ctx.N * phi_pm(p, lvl)
             e = _torsion_horner(F[:K + 1], CyclotomicElem.zeta(ctx, lvl),
                                 p ** lvl)
-            prec = min(prec, e.min_prec())
             # Tr_l(zeta^k) is p^l - q if p^l | k, -q if v_p(k) = l - 1 and 0
             # otherwise (q = p^(l-1)), so zeta^(-c) meets only the p - 1
             # coordinates k = c mod q, and k = c mod p^l if k < phi(p^l)
@@ -213,7 +206,7 @@ class KLConstantTerm:
                 sums[c] -= q * sum(x[c % q::q])
                 if k < len(x):
                     sums[c] += p * q * x[k]
-        out = [PadicInt(ctx, s, prec).divide_by_p(m) for s in sums]
+        out = [PadicInt(ctx, s).divide_by_p(m) for s in sums]
         self._indicator_cache[key] = out
         return out
 

@@ -25,7 +25,6 @@ from math import isqrt
 from operator import add
 
 from .cyclotomic import CyclotomicElem, phi_pm
-from .errors import ConfigError, json_int_field, json_int_list
 from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
     padic_valuation, reduce_rational
 from .zpfun import ContinuousFn, LocallyConstant, as_table, values
@@ -440,17 +439,3 @@ def series_to_json(g: QExpansion) -> dict:
         "coeffs": [str(r) for r in g.res],
         "prec": list(g.prec),
     }
-
-
-def series_from_json(obj: dict) -> QExpansion:
-    """The series of ``series_to_json``; ConfigError names a field unless
-    coeffs and prec hold M + 1 >= 1 entries and every prec is in 0..N."""
-    p, N, M = (json_int_field(obj, key, "series") for key in ("p", "N", "M"))
-    res, prec = (json_int_list(obj, key, "series") for key in ("coeffs", "prec"))
-    for key, ok in (("M", M >= 0), ("coeffs", len(res) == M + 1),
-                    ("prec", len(prec) == M + 1 and all(0 <= e <= N for e in prec))):
-        if not ok:
-            raise ConfigError(f"series field {key!r} does not fit M = {M}, N = {N}")
-    ctx = PadicContext(p, N, max(M, 1))
-    return QExpansion.from_flat(ctx, [r % ctx.pows[e] for r, e in zip(res, prec)],
-                                prec)

@@ -1394,8 +1394,65 @@ def test_kernel_binomials_match_math_comb(p, N):
     ctx = PadicContext(p, N, 10)
     for r in (1, 2, 3, p ** N - 1):
         for K in (0, 1, 2, 5, 17, 60):
-            got = RegularizedKernel(ctx, PadicInt(ctx, r))._compute(K)
+            got = RegularizedKernel(ctx, PadicInt(ctx, r)).base(K)
             assert got == _kernel_from_comb(r, K, ctx.modulus), (r, K)
+
+
+def test_kernel_grown_in_any_order_matches_math_comb():
+    # one kernel per (p, N, r), asked for prefixes growing and shrinking
+    # at random: each answer equals a fresh two-step computation
+    from padicq.measures import RegularizedKernel
+
+    rng = random.Random(33)
+    for p in (3, 5, 7, 101):
+        for N in (1, 2, 12, 40):
+            ctx, mod = PadicContext(p, N, 10), p ** N
+            # the kernel reads a.residue, so r is taken mod p^N
+            for r in sorted({r % mod for r in (1, 2, 3, p + 2, mod - 1)}):
+                if r % p == 0:
+                    continue
+                kernel = RegularizedKernel(ctx, PadicInt(ctx, r))
+                for K in [rng.randrange(70) for _ in range(6)] + [0, 80, 3]:
+                    assert kernel.base(K) == _kernel_from_comb(r, K, mod), \
+                        (p, N, r, K)
+
+
+def test_moments_in_any_order_equal_the_full_n0_pairing():
+    # Delta^n(z^j)(0) = 0 for n > j, so moment(j) needs min(n0, j + 1)
+    # kernel terms; with weights kept between calls in a random order of j,
+    # it equals the pairing over all n0 point weights
+    from padicq.measures import RegularizedKernel
+
+    rng = random.Random(34)
+    for p in (3, 5, 7, 11, 101):
+        for N in (1, 2, 12):
+            ctx, mod, n0 = PadicContext(p, N, 4), p ** N, _mahler_cutoff(p, N)
+            js = set(range(min(n0 + 3, 100))) | {n0 - 1, n0, n0 + 1, 1001}
+            if n0 > 100:
+                js |= {rng.randrange(100, 1002) for _ in range(8)}
+            for a in sorted({2, mod - 1, (mod + 1) // 2}):
+                kl = KLConstantTerm(ctx, PadicInt(ctx, a))
+                w = _list_point_weights(
+                    RegularizedKernel(ctx, PadicInt(ctx, a)).base(n0 - 1), mod)
+                for j in sorted(js, key=lambda _: rng.random()):
+                    want = sum(x * pow(i, j, mod) for i, x in enumerate(w)) % mod
+                    got = kl.moment(j)
+                    assert (got.residue, got.prec) == (want, N), (p, N, a, j)
+
+
+def test_a_moment_sweep_rebuilds_the_weights_log_times(monkeypatch):
+    # each rebuild at least doubles the weights, up to n0 = 202 at p = 101,
+    # N = 2, so j = 0..399 builds them 9 times, not once per length
+    import padicq.measures as measures
+
+    built, real = [], measures._point_weights
+    monkeypatch.setattr(measures, "_point_weights",
+                        lambda b, mod: built.append(len(b)) or real(b, mod))
+    ctx = PadicContext(101, 2, 4)
+    kl = KLConstantTerm(ctx, PadicInt(ctx, 2))
+    for j in range(400):
+        kl.moment(j)
+    assert built == [1, 2, 4, 8, 16, 32, 64, 128, 202]
 
 
 def test_twisted_series_prefixes_are_shorter_twists():

@@ -6,7 +6,7 @@ import pytest
 from padicq import (CyclotomicElem, LocallyConstant, NotPIntegral, PadicContext, PadicInt,
                     QExpansion, bernoulli, constant_fn, divisor_sum,
                     eisenstein_2G, eisenstein_2G_twisted, indicator, lvalue_periodic,
-                    reduce_rational, series_from_json, series_to_json,
+                    reduce_rational, series_to_json,
                     sigma_table, theta, u_p, v_p)
 from padicq.verify import reference_nu
 
@@ -397,8 +397,7 @@ def test_series_json_roundtrip(ctx5):
     g = eisenstein_2G(ctx5, 2)
     obj = series_to_json(g)
     assert obj["schema"] == 1 and len(obj["coeffs"]) == len(obj["prec"])
-    back = series_from_json(obj)
-    assert back == g
+    assert [int(c) for c in obj["coeffs"]] == g.res and obj["prec"] == g.prec
 
 
 # -- the flat representation against PadicInt-list arithmetic ------------------
@@ -535,7 +534,6 @@ def test_flat_series_match_padicint_lists():
             (lambda: f == f + g.scale(ctx.modulus),
              lambda: all(a == a + b * ctx.modulus
                          for a, b in zip(rf.coeffs, rg.coeffs))),
-            (lambda: series_from_json(series_to_json(f)), lambda: rf),
         ]
         for got, want in checks:
             assert _outcome(got) == _outcome(want)
@@ -627,9 +625,6 @@ def test_series_ops_claim_only_known_digits():
         out = QExpansion.from_flat(ctx, *divisor_sum(ctx, (f.res, f.prec), e))
         out2 = QExpansion.from_flat(ctx, *divisor_sum(ctx, (f2.res, f2.prec), e))
         assert _agree(out, out2)
-        obj = series_to_json(f)
-        lifted = {**obj, "coeffs": [str(c.residue) for c in f2.coeffs]}
-        assert _agree(series_from_json(obj), series_from_json(lifted))
 
     inner()
 
