@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 from .errors import (ConfigError, PadicqError, check_a_range, json_int_field,
                      json_int_list, json_object)
-from .padic import PadicContext, PadicInt, is_prime, unit_group_generator
+from .padic import PadicContext, PadicInt, unit_group_generator
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -38,54 +38,15 @@ EXIT_CONFIG = 4
 EXIT_BROKEN_PIPE = 141
 
 
-CONFIG_KEYS = ("p", "N", "M", "a")
-
-
-def load_config_file(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}; expected one "
-                                  f"of {', '.join(CONFIG_KEYS)}")
-            out[key] = value.strip()
-    return out
-
-
 class RunConfig:
-    """Validated run parameters: p, N, M, a."""
+    """Run parameters: p, N and M as the command line gives them, checked by
+    the PadicContext they make, and the regularizing unit a, by default the
+    smallest generator of (Z/p^2)^x."""
 
     def __init__(self, args):
-        file_cfg = load_config_file(args.config) if args.config else {}
-
-        def pick(name, flag_value, cast, default):
-            if flag_value is not None:
-                return cast(flag_value)
-            if name in file_cfg:
-                return cast(file_cfg[name])
-            return default
-
-        try:
-            self.p = pick("p", args.p, int, 5)
-            self.N = pick("N", args.N, int, 12)
-            self.M = pick("M", args.M, int, 60)
-            a = pick("a", args.a, int, None)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not is_prime(self.p) or self.p < 3:
-            raise ConfigError(f"p must be an odd prime, got {self.p}")
-        if self.N < 1 or self.M < 1:
-            raise ConfigError("N and M must be >= 1")
-        self.ctx = PadicContext(self.p, self.N, self.M)
-        if a is None:
-            a = unit_group_generator(self.p)
+        self.p, self.N, self.M = args.p, args.N, args.M
+        self.ctx = PadicContext(args.p, args.N, args.M)
+        a = unit_group_generator(self.p) if args.a is None else args.a
         if a % self.p == 0:
             raise ConfigError(f"a = {a} is not a unit mod {self.p}")
         self.a = PadicInt(self.ctx, check_a_range(a, self.p, self.N, "a"))
@@ -124,12 +85,11 @@ def emit(obj) -> None:
 _REQUIRED = object()
 
 GLOBAL_OPTIONS = (
-    ("--p", int, None, "odd prime (default 5)"),
-    ("--N", int, None, "p-adic precision (default 12)"),
-    ("--M", int, None, "q-adic precision (default 60)"),
+    ("--p", int, 5, "odd prime"),
+    ("--N", int, 12, "p-adic precision"),
+    ("--M", int, 60, "q-adic precision"),
     ("--a", int, None, "regularizing unit (default: smallest generator of "
                        "(Z/p^2)^x)"),
-    ("--config", str, None, "flat key=value config file"),
 )
 
 COMMANDS: dict = {}  # command name -> function(cfg, args) -> exit code

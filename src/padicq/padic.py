@@ -117,11 +117,7 @@ class PadicInt:
         """v_p of the value, capped at prec (a residue of 0 means v >= prec)."""
         if self.residue == 0:
             return self.prec
-        v, r, p = 0, self.residue, self.ctx.p
-        while r % p == 0:
-            r //= p
-            v += 1
-        return v
+        return padic_valuation(self.residue, self.ctx.p)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -375,59 +375,37 @@ def assert_config_error(code, out, err):
     assert len(lines) == 1 and json.loads(lines[0])["code"] == 4
 
 
-def test_determinism_and_threads(capsys, tmp_path):
+def test_determinism_and_threads(capsys):
     args = ["--p", "5", "--M", "15", "eisenstein", "--k", "2"]
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
-    # the thread pool and the level-cap option are gone: each flag and
-    # each config key is rejected
+    # the thread pool and the level-cap option are gone: each flag is
+    # rejected
     for key, value in (("threads", "2"), ("mmax", "3")):
         assert_config_error(*run_cli(capsys, f"--{key}", value, *args))
-        cfg = tmp_path / f"{key}.cfg"
-        cfg.write_text(f"{key}={value}\n")
-        assert_config_error(*run_cli(capsys, "--config", str(cfg), *args))
 
 
-def test_config_file_and_overrides(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# sample\np=7\nN=6\nM=8\n")
-    code, out, _ = run_cli(capsys, "--config", str(cfg), "eisenstein", "--k", "4")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["p"] == 7 and obj["N"] == 6 and obj["M"] == 8
-    # flag beats file
-    code, out, _ = run_cli(capsys, "--config", str(cfg), "--M", "5",
-                           "eisenstein", "--k", "4")
-    assert json.loads(out)["M"] == 5
-
-
-def test_config_errors_exit_4(capsys, tmp_path):
+def test_config_errors_exit_4(capsys):
     code, _, err = run_cli(capsys, "--p", "4", "eisenstein", "--k", "2")
     assert code == 4 and json.loads(err)["code"] == 4
     code, _, err = run_cli(capsys, "--p", "5", "--a", "10", "moment", "--k", "2")
     assert code == 4
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense\n")
-    code, _, err = run_cli(capsys, "--config", str(bad), "moment", "--k", "2")
-    assert code == 4
-    typo = tmp_path / "typo.cfg"
-    typo.write_text("p=5\nn=3\n")
-    assert_config_error(*run_cli(capsys, "--config", str(typo), "moment",
-                                 "--k", "2"))
     assert_config_error(*run_cli(capsys, "moment"))
+    # L = min(n0, k) = 100000 point weights are refused before any is built
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "--p", "10007", "moment", "--k", "100000")
+    assert_config_error(code, out, err)
+    assert "100000 point weights" in err and time.monotonic() - t0 < 1.0
 
 
-def test_a_outside_0_to_p_pow_N_exits_4(capsys, tmp_path):
+def test_a_outside_0_to_p_pow_N_exits_4(capsys):
     # the moments with (p - 1) | k depend on a beyond p^N: a = 2 + 5^12
     # once printed the moment for a = 2, wrong in the last digit
-    cfg = tmp_path / "a.cfg"
-    cfg.write_text(f"a={5 ** 12 + 2}\n")
     mono = '{"kind":"monomial","degree":3}'
     big = '{"kind":"eisenstein","a":%d}' % (5 ** 12 + 2)
     for argv in (["--a", str(5 ** 12 + 2), "moment", "--k", "4"],
                  ["--a", "-1", "moment", "--k", "4"],
-                 ["--config", str(cfg), "moment", "--k", "4"],
                  ["apply", "--measure", '{"kind":"eisenstein","a":-1}',
                   "--fn", mono],
                  ["apply", "--measure", big, "--fn", mono]):
@@ -803,7 +781,7 @@ def test_runner_keeps_exit_codes_and_atexit_hooks(code, setup, argv):
         assert errors == [] and proc.stdout.endswith("\n")
 
 
-def test_options_take_values_inline_and_by_prefix(capsys, tmp_path):
+def test_options_take_values_inline_and_by_prefix(capsys):
     _, want, _ = run_cli(capsys, "--p", "3", "kummer-dump", "--k", "1",
                          "--what", "pairing")
     for argv in (["--p=3", "kummer-dump", "--k=1", "--what=pairing"],
@@ -811,11 +789,6 @@ def test_options_take_values_inline_and_by_prefix(capsys, tmp_path):
                  ["--p=3", "kummer-dump", "--w=pairing"]):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out == want, argv
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p=3\n")
-    code, out, _ = run_cli(capsys, "--con", str(cfg), "kummer-dump",
-                           "--wha=pairing")
-    assert code == 0 and out == want
     # ints go through int(), a negative one is a value, and the verify
     # suite may stand before or after its options
     args = build_parser().parse_args(["--a=-3", "--N", " +12 ", "verify",
@@ -824,6 +797,9 @@ def test_options_take_values_inline_and_by_prefix(capsys, tmp_path):
         (-3, 12, "verify", "all", -2)
     assert vars(build_parser().parse_args(["verify", "--k", "2", "all"])) == \
         vars(build_parser().parse_args(["verify", "all", "--k=2"]))
+    # p, N and M default to the table's values; a, to None until RunConfig
+    args = build_parser().parse_args(["moment", "--k", "2"])
+    assert (args.p, args.N, args.M, args.a) == (5, 12, 60, None)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -843,10 +819,14 @@ def test_options_take_values_inline_and_by_prefix(capsys, tmp_path):
     (["moment", "--k"], "--k"),
     (["eisenstein", "--tw", "--k", "2"], "--twist"),
     (["kummer-dump", "--what", "table"], "--what"),
+    (["--config", "run.cfg", "moment", "--k", "2"], "--config"),
+    (["--config=run.cfg", "moment", "--k", "2"], "--config"),
+    (["--con", "run.cfg", "moment", "--k", "2"], "--con"),
 ], ids=["no-command", "unknown-command", "missing", "missing-of-two",
         "missing-positional", "unknown", "unknown-before-command",
         "global-after-command", "extra-positional", "ambiguous", "not-an-int",
-        "float", "empty", "no-value", "option-as-value", "bad-choice"])
+        "float", "empty", "no-value", "option-as-value", "bad-choice",
+        "config-file", "config-file-inline", "config-prefix"])
 def test_bad_command_lines_exit_4_naming_the_argument(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert_config_error(code, out, err)
@@ -867,6 +847,9 @@ def test_help_lists_every_command_and_exits_0(capsys, argv):
             "--k", "--twist", "--s", "--t", "--chi1", "--chi2", "--measure",
             "--fn", "suite", "--what {cayley,pairing}"]:
         assert f"  {flag}" in out, flag
+    # the help prints each default from the table
+    assert f"  {'--p P':<24} odd prime (default 5)\n" in out
+    assert "--config" not in out
 
 
 def _order(a: int, mod: int) -> int:

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from padicq import (AmiceMeasure, Character, CyclotomicElem,
+from padicq import (AmiceMeasure, Character, ConfigError, CyclotomicElem,
                     DiracMeasure, EisensteinMeasure, EulerFactorNotInvertible,
                     LocallyConstant, MahlerSeries, NotRootOfUnity, NotUnit,
                     PadicContext, PadicInt, Polynomial, PrecisionExhausted,
@@ -1453,6 +1453,38 @@ def test_a_moment_sweep_rebuilds_the_weights_log_times(monkeypatch):
     for j in range(400):
         kl.moment(j)
     assert built == [1, 2, 4, 8, 16, 32, 64, 128, 202]
+
+
+def test_moments_past_the_weight_cap_are_refused_before_any_work(monkeypatch):
+    # L = min(n0, j + 1) point weights cost about L^3: at p = 10007 the
+    # moment of z^99999 needs L = 100000 and is refused with nothing built;
+    # under the cap a sweep is never refused, the doubling stops at the cap
+    # and the values are those of the full n0 pairing
+    import padicq.measures as measures
+
+    built, real = [], measures._point_weights
+    monkeypatch.setattr(measures, "_point_weights",
+                        lambda b, mod: built.append(len(b)) or real(b, mod))
+    ctx = PadicContext(10007, 12, 4)
+    kl = KLConstantTerm(ctx, PadicInt(ctx, 5))
+    with pytest.raises(ConfigError, match="L = min.* = 100000 point weights, "
+                                          "over the cap of 2500"):
+        kl.moment(99999)
+    assert built == [] and kl.kernel._base == []
+
+    from padicq.measures import RegularizedKernel
+
+    monkeypatch.setattr(measures, "POINT_WEIGHTS_CAP", 100)
+    ctx, mod = PadicContext(101, 2, 4), 101 ** 2  # n0 = 202
+    kl = KLConstantTerm(ctx, PadicInt(ctx, 2))
+    w = _list_point_weights(RegularizedKernel(ctx, PadicInt(ctx, 2)).base(201), mod)
+    for j in range(100):
+        got = kl.moment(j)
+        want = sum(x * pow(i, j, mod) for i, x in enumerate(w)) % mod
+        assert (got.residue, got.prec) == (want, 2), j
+    assert built == [1, 2, 4, 8, 16, 32, 64, 100]
+    with pytest.raises(ConfigError, match="= 101 point weights"):
+        kl.moment(100)
 
 
 def test_twisted_series_prefixes_are_shorter_twists():

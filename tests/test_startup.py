@@ -53,6 +53,18 @@ def test_value_commands_skip_kummer_and_verify(argv):
     assert not mods & {"padicq.kummer", "padicq.verify", "dataclasses"}
 
 
+@pytest.mark.parametrize("twist", [
+    (), ("--twist", '{"kind":"indicator","level":1,"class":0}'),
+], ids=["plain", "level-1-twist"])
+def test_eisenstein_skips_measures_action_kummer_and_verify(twist):
+    # a q-expansion, twisted or not, needs only qseries and zpfun; at p = 7
+    # the constant term -B_4/4 is 7-integral
+    mods = _after_command("--p", "7", "eisenstein", "--k", "4", *twist)
+    assert "padicq.qseries" in mods
+    assert not mods & {"padicq.measures", "padicq.action", "padicq.kummer",
+                       "padicq.verify"}
+
+
 def test_kummer_dump_skips_the_measure_layers():
     mods = _after_command("--p", "3", "kummer-dump", "--k", "1")
     assert "padicq.kummer" in mods
