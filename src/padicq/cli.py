@@ -3,7 +3,8 @@
 All output is JSON with a schema version; every numeric field carries its
 precision next to the residue.  Exit codes: 0 success, 1 verification
 failure, 2 domain error, 3 internal identity disagreement, 4 config error,
-141 stdout closed by its reader (128 + SIGPIPE).
+74 output that cannot be written (sysexits EX_IOERR), 141 stdout closed by
+its reader (128 + SIGPIPE).
 
 One table states the command line: the global options in ``GLOBAL_OPTIONS``
 and, declared with each command, its help line and options.  ``Parser``
@@ -35,6 +36,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_DISAGREE = 3
 EXIT_CONFIG = 4
+EXIT_IO = 74
 EXIT_BROKEN_PIPE = 141
 
 
@@ -409,19 +411,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:
         # only --help exits the parser; a bad command line raises ConfigError
         return EXIT_OK
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull so the flush at
-        # interpreter exit cannot fail again, and report nothing
+    except OSError as exc:
+        # only writing the output raises one: point stdout at devnull so the
+        # flush at exit cannot fail again, and report nothing if the reader
+        # closed it
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        _emit_error(EXIT_IO, exc)
+        return EXIT_IO
     except ConfigError as exc:
         _emit_error(EXIT_CONFIG, exc)
         return EXIT_CONFIG
     except PadicqError as exc:
         _emit_error(EXIT_DOMAIN, exc)
         return EXIT_DOMAIN
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         _emit_error(EXIT_CONFIG, exc)
         return EXIT_CONFIG
 
@@ -439,7 +446,7 @@ def run() -> None:
     object one at a time after the output is out (about 15 ms of a cold
     ``apply`` on a 2-core VM) and which nothing padicq holds needs.  A flush
     that finds stdout closed by its reader exits 141 with nothing on
-    stderr."""
+    stderr; one that fails otherwise exits 74 with its JSON error."""
     code = main()
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
@@ -447,6 +454,9 @@ def run() -> None:
             stream.flush()
         except BrokenPipeError:
             code = EXIT_BROKEN_PIPE
+        except OSError as exc:
+            code = EXIT_IO
+            _emit_error(code, exc)
     os._exit(code)
 
 

@@ -127,9 +127,11 @@ class LocallyConstant(ContinuousFn):
 
 
 def indicator(ctx: PadicContext, level: int, cls: int) -> LocallyConstant:
-    """Indicator function of the residue class cls + p^level Z_p."""
+    """Indicator function of the residue class cls + p^level Z_p; the table
+    shares one 0 and one 1 (no PadicInt changes after it is built)."""
     n = ctx.p ** level
-    table = [PadicInt(ctx, 1 if c == cls % n else 0) for c in range(n)]
+    table = [PadicInt(ctx, 0)] * n
+    table[cls % n] = PadicInt(ctx, 1)
     return LocallyConstant(ctx, level, table)
 
 

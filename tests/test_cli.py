@@ -211,6 +211,18 @@ def test_levels_above_N_are_refused_before_any_table(capsys, measure, kind):
         "code": 2, "message": f"{name} level 14 exceeds the precision N = 12"}
 
 
+def test_level_9_indicator_is_refused_at_once(capsys):
+    # its 5^9-entry table shares one 0 and one 1, so the Eisenstein
+    # measure's level cap refuses it well under a second
+    start = time.monotonic()
+    code, out, err = run_cli(
+        capsys, "apply", "--measure", '{"kind":"eisenstein","a":2}',
+        "--fn", '{"kind":"indicator","level":9,"class":3}')
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == 2
+
+
 @pytest.mark.parametrize("level", [4, 6])
 def test_amice_pairing_refuses_a_character_above_the_cap(capsys, level):
     # the Mahler coefficients of a character need its p^level powers,
@@ -735,6 +747,25 @@ def test_help_to_a_closed_stdout_exits_141_silently():
     finally:
         os.close(w)
     assert proc.returncode == 141 and proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["moment", "--k", "2"], ["--help"]])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_unwritable_stdout_exits_74(argv, unbuffered):
+    # a full device is an I/O error (sysexits EX_IOERR), not a config
+    # error: one JSON line on stderr, whether main's flush fails or, for
+    # the help still in the buffer, run()'s
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "padicq", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=env)
+    assert proc.returncode == 74
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == 74
 
 
 _BROKEN_SUITE = """

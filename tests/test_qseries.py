@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
 import pytest
 
@@ -8,6 +10,7 @@ from padicq import (CyclotomicElem, LocallyConstant, NotPIntegral, PadicContext,
                     eisenstein_2G, eisenstein_2G_twisted, indicator, lvalue_periodic,
                     reduce_rational, series_to_json,
                     sigma_table, theta, u_p, v_p)
+from padicq.qseries import _convolve
 from padicq.verify import reference_nu
 
 
@@ -350,6 +353,62 @@ def test_product_matches_schoolbook():
                 schoolbook_product(x, y)
 
     inner()
+
+
+def _plain_product(xs, ys):
+    """First len(xs) coefficients of the product, by the definition."""
+    return [sum(map(mul, xs[:k + 1], ys[k::-1])) for k in range(len(xs))]
+
+
+def test_convolve_matches_the_definition():
+    rng, mod = random.Random(35), 5 ** 12
+    for n in list(range(1, 41)) + [rng.randrange(41, 3002) for _ in range(3)]:
+        bits = 2 * mod.bit_length() + n.bit_length()  # as QExpansion.__mul__
+        xs = [rng.randrange(mod) for _ in range(n)]
+        ys = [rng.randrange(mod) for _ in range(n)]
+        assert _convolve(xs, ys, bits) == _plain_product(xs, ys), n
+        # every coefficient p^N - 1
+        top = [mod - 1] * n
+        assert _convolve(top, top, bits) == _plain_product(top, top), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 61, 121, 1001])
+def test_convolve_fills_its_slots(n):
+    # the largest coefficient n c^2 just below 2^(8w): the slot bound is tight
+    for w in (1, 2, 3, 9):
+        c = isqrt((2 ** (8 * w) - 1) // n)
+        if c:
+            xs = [c] * n
+            got = _convolve(xs, xs, 8 * w)
+            assert got == _plain_product(xs, xs)
+            assert got[-1] == n * c * c < 2 ** (8 * w)
+
+
+def test_convolve_counts_in_one_and_two_byte_slots():
+    # the precision pass counts hits in slots of n.bit_length() bits
+    rng = random.Random(36)
+    for n in (1, 2, 3, 5, 9, 100, 255, 256, 1201, 3001):
+        ones = [1] * n
+        assert _convolve(ones, ones, n.bit_length()) == list(range(1, n + 1))
+        xs = [rng.randrange(2) for _ in range(n)]
+        ys = [rng.randrange(2) for _ in range(n)]
+        assert _convolve(xs, ys, n.bit_length()) == _plain_product(xs, ys)
+
+
+@pytest.mark.parametrize("M", [1000, 1200])
+def test_large_products_match_schoolbook(M):
+    # every coefficient known to N digits (the precision pass is skipped),
+    # then one low-precision coefficient in the second factor, then one in
+    # each (the general path)
+    ctx, rng = PadicContext(5, 12, M), random.Random(M)
+    f, g = ([PadicInt(ctx, rng.randrange(ctx.modulus)) for _ in range(M + 1)]
+            for _ in range(2))
+    for side, i, least in ((g, 0, 12), (g, M // 2, 7), (f, M // 3, 4)):
+        side[i] = PadicInt(ctx, side[i].residue, least)
+        x, y = QExpansion(ctx, f), QExpansion(ctx, g)
+        got = x * y
+        assert list(zip(got.res, got.prec)) == schoolbook_product(x, y)
+        assert min(got.prec) == least
 
 
 def test_product_needs_scalar_coefficients(ctx5):

@@ -4,17 +4,24 @@ Usage: python tools/bench_compare.py BENCH.json
 
 BENCH.json holds ``{"parent": [...], "change": [...]}``: the records that
 ``bench/run.py --out`` writes, in the order they were run.  The i-th parent
-and change records of one workload form a pair; alternate the runs so that
-both sides of a pair see the same machine load.
+and change records of one workload and seed form a pair; alternate the runs
+so that both sides of a pair see the same machine load.
 
 The comparison fails (exit 1) when a change record's ``outputs_sha256``
 differs from the parent's at any deck position of the same workload and
 seed, except the ``verify`` job, whose report carries its elapsed time; the
-deck is rebuilt by ``bench/workloads.deck`` to find it.  For every workload
-and metric it prints the median of the per-pair ratios change / parent,
-their quartiles (the pair spread) and, for the metrics BENCHMARK.json
-declares, in how many pairs the change was the better side.  Standard
-library only.
+deck is rebuilt by ``bench/workloads.deck`` to find it.  For every workload,
+seed and metric it prints the median of the per-pair ratios change /
+parent, their quartiles (the pair spread), the parent's own quartile spread
+as a share of its median and, for the metrics BENCHMARK.json declares, in
+how many pairs the change was the better side and a mark:
+
+  GAIN   the change is better in at least 9 of 10 pairs, and its median is
+         better than the parent's by more than the parent's spread;
+  WORSE  the change's median is worse than the parent's by more than the
+         metric's ``bound`` (a share of the parent's median).
+
+Only a changed output fails the comparison.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,29 +46,30 @@ def _load_workloads():
     return workloads
 
 
-def _directions() -> dict:
-    """metric name -> "lower" or "higher", from BENCHMARK.json."""
+def _declared_metrics() -> dict:
+    """metric name -> its BENCHMARK.json entry ("better", maybe "bound")."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"]
+    return {m["name"]: m
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
 def _pairs(bench: dict) -> dict:
-    """workload -> [(parent record, change record)], in run order."""
+    """(workload, seed) -> [(parent record, change record)], in run order."""
     sides = {side: {} for side in ("parent", "change")}
     for side, runs in sides.items():
         for rec in bench[side]:
-            runs.setdefault(rec["workload"], []).append(rec)
+            key = rec["workload"], rec["env"]["seed"]
+            runs.setdefault(key, []).append(rec)
     if sides["parent"].keys() != sides["change"].keys():
         raise SystemExit("parent and change records cover different workloads")
     out = {}
-    for name, parents in sides["parent"].items():
-        changes = sides["change"][name]
+    for (name, seed), parents in sides["parent"].items():
+        changes = sides["change"][name, seed]
         if len(parents) != len(changes):
-            raise SystemExit(f"{name}: {len(parents)} parent records but "
-                             f"{len(changes)} change records")
-        out[name] = list(zip(parents, changes))
+            raise SystemExit(f"{name} seed {seed}: {len(parents)} parent "
+                             f"records but {len(changes)} change records")
+        out[name, seed] = list(zip(parents, changes))
     return out
 
 
@@ -69,12 +77,9 @@ def hash_changes(pairs: dict, deck) -> list:
     """(workload, seed, position) of every output that changed, outside the
     verify job; a position a run never reached (None) is not compared."""
     changed = set()
-    for name, recs in pairs.items():
+    for (name, seed), recs in pairs.items():
+        jobs = deck(name, seed)
         for parent, change in recs:
-            seed = parent["env"]["seed"]
-            if change["env"]["seed"] != seed:
-                raise SystemExit(f"{name}: a pair mixes seeds")
-            jobs = deck(name, seed)
             for i, (a, b) in enumerate(zip(parent["outputs_sha256"],
                                            change["outputs_sha256"])):
                 if (a is not None and b is not None and a != b
@@ -90,10 +95,11 @@ def _quartiles(xs: list) -> tuple:
     return q[0], q[2]
 
 
-def metric_rows(pairs: dict, better: dict) -> list:
-    """One row per workload and metric: median ratio, quartiles, wins."""
+def metric_rows(pairs: dict, spec: dict) -> list:
+    """One row per workload and metric: median ratio, quartiles, the
+    parent's spread, wins and mark."""
     rows = []
-    for name, recs in sorted(pairs.items()):
+    for (name, seed), recs in sorted(pairs.items()):
         metrics = sorted(set().union(*(p["metrics"] for p, _ in recs)))
         for metric in metrics:
             values = [(p["metrics"][metric]["value"], c["metrics"][metric]["value"])
@@ -103,12 +109,21 @@ def metric_rows(pairs: dict, better: dict) -> list:
             if not ratios:
                 continue
             q1, q3 = _quartiles(ratios)
-            wins = None
-            if metric in better:
-                sign = 1 if better[metric] == "higher" else -1
+            base = statistics.median(p for p, _ in values)
+            lo, hi = _quartiles(sorted(p for p, _ in values))
+            spread = (hi - lo) / base
+            wins = mark = None
+            if metric in spec:
+                sign = 1 if spec[metric]["better"] == "higher" else -1
                 wins = sum(sign * (c - p) > 0 for p, c in values)
-            rows.append((name, metric, statistics.median(ratios), q1, q3,
-                         wins, len(values)))
+                # the change's median against the parent's, positive if better
+                gap = sign * (statistics.median(c for _, c in values) - base) / base
+                if 10 * wins >= 9 * len(values) and gap > spread:
+                    mark = "GAIN"
+                elif -gap > spec[metric].get("bound", float("inf")):
+                    mark = "WORSE"
+            rows.append((name, seed, metric, statistics.median(ratios), q1,
+                         q3, spread, wins, len(values), mark))
     return rows
 
 
@@ -120,12 +135,13 @@ def main(argv: list[str] | None = None) -> int:
     with open(argv[0]) as fh:
         bench = json.load(fh)
     pairs = _pairs(bench)
-    print(f"{'workload':<14} {'metric':<36} {'median':>8} {'q1':>8} "
-          f"{'q3':>8} {'better':>7}")
-    for name, metric, med, q1, q3, wins, n in metric_rows(pairs, _directions()):
+    print(f"{'workload':<14} {'seed':>4} {'metric':<36} {'median':>8} "
+          f"{'q1':>8} {'q3':>8} {'spread':>8} {'better':>7}")
+    for name, seed, metric, med, q1, q3, spread, wins, n, mark in \
+            metric_rows(pairs, _declared_metrics()):
         won = "" if wins is None else f"{wins}/{n}"
-        print(f"{name:<14} {metric:<36} {med:8.4f} {q1:8.4f} {q3:8.4f} "
-              f"{won:>7}")
+        print(f"{name:<14} {seed:>4} {metric:<36} {med:8.4f} {q1:8.4f} "
+              f"{q3:8.4f} {spread:8.4f} {won:>7} {mark or ''}".rstrip())
     changed = hash_changes(pairs, _load_workloads().deck)
     for name, seed, i in changed:
         print(f"CHANGED OUTPUT: {name} seed {seed} job {i}")
