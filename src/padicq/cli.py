@@ -3,8 +3,8 @@
 All output is JSON with a schema version; every numeric field carries its
 precision next to the residue.  Exit codes: 0 success, 1 verification
 failure, 2 domain error, 3 internal identity disagreement, 4 config error,
-74 output that cannot be written (sysexits EX_IOERR), 141 stdout closed by
-its reader (128 + SIGPIPE).
+74 output or error report that cannot be written (sysexits EX_IOERR), 141
+stdout closed by its reader (128 + SIGPIPE).
 
 One table states the command line: the global options in ``GLOBAL_OPTIONS``
 and, declared with each command, its help line and options.  ``Parser``
@@ -420,23 +420,24 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return EXIT_BROKEN_PIPE
-        _emit_error(EXIT_IO, exc)
-        return EXIT_IO
+        return _emit_error(EXIT_IO, exc)
     except ConfigError as exc:
-        _emit_error(EXIT_CONFIG, exc)
-        return EXIT_CONFIG
+        return _emit_error(EXIT_CONFIG, exc)
     except PadicqError as exc:
-        _emit_error(EXIT_DOMAIN, exc)
-        return EXIT_DOMAIN
+        return _emit_error(EXIT_DOMAIN, exc)
     except (ValueError, TypeError, KeyError) as exc:
-        _emit_error(EXIT_CONFIG, exc)
-        return EXIT_CONFIG
+        return _emit_error(EXIT_CONFIG, exc)
 
 
-def _emit_error(code: int, exc: Exception) -> None:
-    sys.stderr.write(json.dumps({"code": code, "message": str(exc)},
-                                sort_keys=True))
-    sys.stderr.write("\n")
+def _emit_error(code: int, exc: Exception) -> int:
+    """Write exc as one JSON line on stderr and return code, or EXIT_IO
+    with nothing more written if stderr cannot take it."""
+    try:
+        sys.stderr.write(json.dumps({"code": code, "message": str(exc)},
+                                    sort_keys=True) + "\n")
+    except OSError:
+        return EXIT_IO
+    return code
 
 
 def run() -> None:
@@ -455,8 +456,7 @@ def run() -> None:
         except BrokenPipeError:
             code = EXIT_BROKEN_PIPE
         except OSError as exc:
-            code = EXIT_IO
-            _emit_error(code, exc)
+            code = _emit_error(EXIT_IO, exc)
     os._exit(code)
 
 

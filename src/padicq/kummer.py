@@ -9,7 +9,7 @@ Laurent-cyclotomic monomials zeta^j * q^(e/p^D), exist to verify every
 closed form against honest ring arithmetic.
 
 The checks split each identity in two.  Closed-form index arithmetic (the
-group law's indices, (I1) its zeta-linearity, (I2) the pairing's index) is
+group law's indices, once per public check, and (I2) the pairing's index) is
 checked on all p^(4k) pairs as plain integers; ring realizations only on a
 generating set: (R1) x(a, j) = zeta^j x(a, 0) once per element, (R2) the
 carrying product on the p^(2k) pairs of elements (a, 0), (R3) zeta^(p^k) = 1
@@ -155,14 +155,11 @@ class KummerElement:
 
 
 def kummer_mul(e1: KummerElement, e2: KummerElement) -> KummerElement:
-    """Group law with carrying: overflow of the q-exponent divides by q."""
+    """Group law with carrying: overflow of the q-exponent divides by q,
+    which is KummerElement's reduction of a mod p^k."""
     if not e1.base.compatible(e2.base):
         raise BaseMismatch("elements live over different Kummer bases")
-    pk = e1.base.ctx.p ** e1.base.k
-    a = e1.a + e2.a
-    if a >= pk:
-        a -= pk
-    return KummerElement(e1.base, a, e1.j + e2.j)
+    return KummerElement(e1.base, e1.a + e2.a, e1.j + e2.j)
 
 
 def kummer_mul_corrupted(e1: KummerElement, e2: KummerElement) -> KummerElement:
@@ -271,6 +268,21 @@ class CheckReport:
             self.failures.append(msg)
 
 
+def _check_law(rep: CheckReport, els: list[KummerElement], mul) -> bool:
+    """mul(e1, e2) has the indices ((a1 + a2) mod p^k, (j1 + j2) mod p^k)
+    on every pair of els; stops at the first counterexample."""
+    pk = els[0].base.ctx.p ** els[0].base.k
+    for e1 in els:
+        for e2 in els:
+            e3 = mul(e1, e2)
+            if e3.a != (e1.a + e2.a) % pk or e3.j != (e1.j + e2.j) % pk:
+                rep.checks += els.index(e2) + 1
+                rep.fail(f"group law gives {e3} at {e1}, {e2}")
+                return False
+        rep.checks += len(els)
+    return True
+
+
 def check_group_axioms(ctx: PadicContext, k: int) -> CheckReport:
     """The group law is index addition in (Z/p^k)^2, on every pair.
 
@@ -281,14 +293,7 @@ def check_group_axioms(ctx: PadicContext, k: int) -> CheckReport:
     homomorphism whose kernel is the root-of-unity subgroup.
     """
     rep = CheckReport("group-axioms")
-    els = KummerBase.standard(ctx, k).elements()
-    pk = ctx.p ** k
-    for e1 in els:
-        rep.checks += len(els)
-        for e2 in els:
-            e3 = kummer_mul(e1, e2)
-            if e3.a != (e1.a + e2.a) % pk or e3.j != (e1.j + e2.j) % pk:
-                rep.fail(f"group law gives {e3} at {e1}, {e2}")
+    _check_law(rep, KummerBase.standard(ctx, k).elements(), kummer_mul)
     return rep
 
 
@@ -306,21 +311,11 @@ def _check_zeta_linear(rep: CheckReport, base: KummerBase) -> None:
 
 def _check_products(rep: CheckReport, base: KummerBase, mul,
                     label: str = "") -> None:
-    """x(e1) x(e2) = x(mul(e1, e2)) q^carry on every pair, through (I1)
-    mul(e1, e2) = mul((a1, 0), (a2, 0)) + (0, j1 + j2) on every pair, (R1),
-    (R3) and (R2) the identity on every pair of elements (a, 0)."""
-    pk = base.ctx.p ** base.k
-    els = base.elements()
-    heads = els[::pk]  # the elements (a, 0), in order of a
-    prods = [[mul(h1, h2) for h2 in heads] for h1 in heads]
-    for e1 in els:
-        row = prods[e1.a]
-        rep.checks += len(els)
-        for e2 in els:
-            e3, h = mul(e1, e2), row[e2.a]
-            if e3.a != h.a or e3.j != (h.j + e1.j + e2.j) % pk:
-                rep.fail(f"{label}group law is not zeta-linear at {e1}, {e2}")
+    """x(e1) x(e2) = x(mul(e1, e2)) q^carry on every pair once _check_law
+    holds, as mul(e1, e2) is then mul((a1, 0), (a2, 0)) + (0, j1 + j2):
+    (R1), (R3) and (R2) the identity on every pair of elements (a, 0)."""
     _check_zeta_linear(rep, base)
+    heads = base.elements()[::base.ctx.p ** base.k]  # the elements (a, 0)
     for h1 in heads:
         for h2 in heads:
             rep.check(verify_mul_realization(h1, h2, mul),
@@ -330,17 +325,18 @@ def _check_products(rep: CheckReport, base: KummerBase, mul,
 def check_realization(ctx: PadicContext, k: int) -> CheckReport:
     """Closed form equals ring realization for all products and pairings.
 
-    Products through _check_products; the pairing through (I2)
-    kummer_pair = (i b + j a) mod p^k on every pair, (R1) on both bases and
-    (R4) x(a, 0)^b x'(b, 0)^a = 1 for every a, b.
+    Products through _check_law and _check_products; the pairing through
+    (I2) kummer_pair = (i b + j a) mod p^k on every pair, (R1) on both
+    bases and (R4) x(a, 0)^b x'(b, 0)^a = 1 for every a, b.
     """
     rep = CheckReport("realization")
     base = KummerBase.standard(ctx, k)
     inv = KummerBase.inverted(ctx, k)
     pk = ctx.p ** k
+    els, inv_els = base.elements(), inv.elements()
+    _check_law(rep, els, kummer_mul)
     _check_products(rep, base, kummer_mul)
     _check_zeta_linear(rep, inv)
-    els, inv_els = base.elements(), inv.elements()
     for e in els:
         rep.checks += len(inv_els)
         for f in inv_els:
@@ -373,13 +369,14 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
                             corrupt_carry: bool = False) -> CheckReport:
     """Torsion-level check of the coordinate-multiplication action.
 
-    Verifies that substituting q -> zeta^(-1) q maps the realized element
-    table of the standard torsion group onto the table over the new
-    parameter, that the group law stays sound under realization on both
-    sides (every pair, through (I1) and the generators as in
-    check_realization), and that transporting back along the root system of
-    zeta returns the original table.  corrupt_carry swaps in a broken group
-    law and must produce a counterexample pair.
+    Verifies that q -> zeta^(-1) q maps the realized element table of the
+    standard torsion group onto the table over the new parameter, that the
+    group law stays sound under realization on both bases, and that
+    transport back along the roots of zeta returns the original table.  One
+    _check_law covers both bases: kummer_mul and kummer_mul_corrupted read
+    only a, j, p and k.  The realizations differ, so they are checked per
+    base.  corrupt_carry swaps in the broken law, and the check returns at
+    its first counterexample pair.
     """
     rep = CheckReport("serre-tate-action")
     pk = ctx.p ** k
@@ -404,6 +401,9 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
               "twisted parameter is not zeta^(-1) q")
 
     # (1) group law soundness under realization, both parameters
+    els = base.elements()
+    if not _check_law(rep, els, mul):
+        return rep
     _check_products(rep, base, mul)
     _check_products(rep, twisted, mul, "twisted ")
 
@@ -420,7 +420,6 @@ def serre_tate_action_check(ctx: PadicContext, zeta: CyclotomicElem, k: int,
             s_pows[n] = s_const ** n
         return LaurentElem(ctx, K, elem.e, elem.coeff * s_pows[n])
 
-    els = base.elements()
     for e in els:
         rep.checks += 1
         t = KummerElement(twisted, e.a, e.j)

@@ -768,6 +768,37 @@ def test_unwritable_stdout_exits_74(argv, unbuffered):
     assert len(lines) == 1 and json.loads(lines[0])["code"] == 74
 
 
+class _FullStream:
+    """A stream whose every write and flush fails as a full device does."""
+
+    def write(self, *text):
+        raise OSError(28, "No space left on device")
+
+    flush = write
+
+
+@pytest.mark.parametrize("argv", [["moment", "--k", "x"],
+                                  ["--p", "5", "eisenstein", "--k", "4"]])
+def test_unwritable_stderr_exits_74(monkeypatch, argv):
+    # a config (4) or domain (2) error whose JSON line cannot be written is
+    # an I/O error, not exit 1 from a traceback in the handler
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert main(argv) == 74
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("stdout_full", [False, True])
+def test_full_stderr_exits_74(stdout_full):
+    # moment --k x is a config error; with stdout full too, moment --k 2
+    # fails its write first.  Either way nothing can be reported
+    argv = ["moment", "--k", "2" if stdout_full else "x"]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "padicq", *argv],
+                              stdout=full if stdout_full else subprocess.PIPE,
+                              stderr=full, timeout=120, env=_buffered_env())
+    assert proc.returncode == 74
+
+
 _BROKEN_SUITE = """
 import padicq.verify as pv
 def broken(ctx, a, k):

@@ -40,11 +40,10 @@ def test_laurent_monomial_arithmetic(kctx3):
 # serre_tate_action_check without and with the corrupted carry; `verify`
 # prints these counts
 CHECK_COUNTS = {
-    (3, 1): [(True, 81), (True, 200), (True, 8), (True, 219), (False, 219)],
-    (5, 1): [(True, 625), (True, 1352), (True, 24), (True, 1403),
-             (False, 1403)],
-    (3, 2): [(True, 6561), (True, 13448), (True, 80), (True, 13611),
-             (False, 13611)],
+    (3, 1): [(True, 81), (True, 200), (True, 8), (True, 138), (False, 35)],
+    (5, 1): [(True, 625), (True, 1352), (True, 24), (True, 778), (False, 147)],
+    (3, 2): [(True, 6561), (True, 13448), (True, 80), (True, 7050),
+             (False, 803)],
 }
 
 
@@ -92,14 +91,19 @@ def _at_pair(law, pair, change):
     return mutant
 
 
-def _mutants():
-    mul, pair = kummer.kummer_mul, kummer.kummer_pair
+def _mutants(pk):
+    mul, pair, last = kummer.kummer_mul, kummer.kummer_pair, pk - 1
     return {
         "kummer_mul": {},
         "corrupted carry": {"kummer_mul": kummer_mul_corrupted},
-        # only (I1) sees this one: the realizations are checked at j = 0
+        # only the index law sees this one: the realizations are checked at
+        # j = 0
         "j off by one at one pair": {"kummer_mul": _at_pair(
             mul, ((1, 1), (1, 1)),
+            lambda e: KummerElement(e.base, e.a, e.j + 1))},
+        # wrong only at the pair the index law reaches last
+        "j off by one at the last pair": {"kummer_mul": _at_pair(
+            mul, ((last, last), (last, last)),
             lambda e: KummerElement(e.base, e.a, e.j + 1))},
         "a off by one at one pair": {"kummer_mul": _at_pair(
             mul, ((1, 0), (1, 0)),
@@ -116,21 +120,41 @@ def test_reduced_checks_match_brute_force(p, k, monkeypatch):
     # each law gives the same pass/fail on every check, reduced or brute
     ctx = PadicContext(p, 8, 4)
     zeta = CyclotomicElem.zeta(ctx, k)
+    pk = p ** k
     brute = {}
-    for name, patch in _mutants().items():
+    for name, patch in _mutants(pk).items():
         with monkeypatch.context() as m:
             for attr, fn in patch.items():
                 m.setattr(kummer, attr, fn)
             brute[name] = _brute_force(ctx, k, kummer.kummer_mul)
+            group = check_group_axioms(ctx, k)
             real = check_realization(ctx, k)
-            got = [check_group_axioms(ctx, k).passed, real.passed,
+            got = [group.passed, real.passed,
                    serre_tate_action_check(ctx, zeta, k).passed]
         assert got == brute[name], name
         assert all(got) == (not patch), name
-        if name == "j off by one at one pair":
-            assert all("zeta-linear" in msg for msg in real.failures)
+        if name.startswith("j off by one"):
+            assert real.failures and all(
+                msg.startswith("group law gives") for msg in real.failures)
+        if name == "j off by one at the last pair":
+            e = f"KummerElement(a={pk - 1}, j={pk - 1})"
+            assert group.checks == pk ** 4 and group.failures == [
+                f"group law gives KummerElement(a={pk - 2}, j={pk - 1}) "
+                f"at {e}, {e}"]
     neg = serre_tate_action_check(ctx, zeta, k, corrupt_carry=True)
     assert neg.passed == brute["corrupted carry"][2] and neg.failures
+
+
+def test_negative_control_stops_at_the_first_carrying_pair():
+    # at p = 5, k = 2 the corrupted carry fails at ((1, 0), (24, 0)), the
+    # first pair whose a-indices overflow, long before the 5^8 pairs
+    ctx = PadicContext(5, 8, 4)
+    neg = serre_tate_action_check(ctx, CyclotomicElem.zeta(ctx, 2), 2,
+                                  corrupt_carry=True)
+    assert not neg.passed and neg.checks < 5 ** 8
+    assert neg.failures == ["group law gives KummerElement(a=0, j=1) at "
+                            "KummerElement(a=1, j=0), "
+                            "KummerElement(a=24, j=0)"]
 
 
 def test_carrying_examples(kctx3):
