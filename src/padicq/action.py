@@ -8,9 +8,10 @@ multiplicative group acts through the Mahler series x^z = sum_k (x - 1)^k
 C(z, k), by q -> x q: at x = 1 + p^s with 2s >= N, x^z is 1 + p^s z mod
 p^N and g goes to g + p^s theta(g), which is how the action integrates
 theta.  The values f(0), ..., f(M) come from ``zpfun.values``: f's
-polynomial-times-step tables are built once and read at n mod p^m, and
-only functions without tables (Mahler series, the binomials C(z, k) among
-them) are evaluated coefficient by coefficient.
+polynomial-times-step tables are built once and read at n mod p^m when
+p^m <= M + 1; deeper step functions, and functions without tables (Mahler
+series, the binomials C(z, k) among them), are evaluated coefficient by
+coefficient.
 """
 
 from __future__ import annotations

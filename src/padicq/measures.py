@@ -42,7 +42,7 @@ from .padic import (PadicContext, PadicInt, binomial_padic, padic_valuation,
 from .qseries import (SIGMA_CACHE_SIZE, QExpansion, _least_prime_factors,
                       divisor_sum, sigma_table)
 from .zpfun import (Character, ContinuousFn, LocallyConstant, MahlerSeries,
-                    TwoVarFn, ZeroExtendedUnits, as_table, binomial,
+                    TwoVarFn, ZeroExtendedUnits, binomial,
                     mahler_coeffs, poly_lc_terms, table_values, values)
 
 
@@ -227,8 +227,10 @@ class KLConstantTerm:
     # -- public evaluation ----------------------------------------------------
 
     def value(self, f: ContinuousFn, lc: tuple | None = None):
-        """kappa(f) for exactly representable f (``lc``: poly_lc_terms(f))."""
+        """kappa(f) for exactly representable f (``lc``: poly_lc_terms(f));
+        a step or character level past the cap is refused before any table."""
         ctx = self.ctx
+        _check_level(f.step_level)
         if isinstance(f, MahlerSeries):
             # kappa(C(z, k)) = b_k; the tail's terms have valuation >= t
             terms = f.terms
@@ -239,10 +241,8 @@ class KLConstantTerm:
             return PadicInt(ctx, sum(c.residue * b[k] for k, c in terms.items()),
                             prec)
         if isinstance(f, Character) and f.level:
-            _check_level(f.level)
             return self.value_character(f.zeta)
         m, terms = lc or poly_lc_terms(f)
-        _check_level(m)
         if m == 0:
             acc = PadicInt(ctx, 0)
             for j, tab in terms.items():
@@ -414,7 +414,7 @@ class EisensteinMeasure(Measure):
         ctx, ar = self.ctx, self.a.residue
         # levels past the cap are refused before any table is built; kl
         # shares f's tables
-        _check_level(max(f.lc_level or 0, f.ring_level))
+        _check_level(f.step_level)
         lc = None if isinstance(f, MahlerSeries) else poly_lc_terms(f)
         const = self.kl.value(f, lc)
         if lc and lc[0] == 0 and len(lc[1]) <= SIGMA_CACHE_SIZE and all(
@@ -607,7 +607,8 @@ def validate_character(chi: ContinuousFn, m: int) -> list:
         raise ValueError("characters must be locally constant data")
     if chi.lc_level > m:
         raise ValueError("character level exceeds requested level")
-    tab = as_table(chi, m)
+    tab = poly_lc_terms(chi)[1][0]
+    tab = tab * (pm // len(tab))  # one period, repeated up to level m
     if not (tab[1 % pm] == PadicInt(ctx, 1)):
         raise ValueError("character must send 1 to 1")
     g, u = unit_group_generator(ctx.p) % pm, 1
@@ -632,9 +633,9 @@ def lvalue(chi1: ContinuousFn, chi2: ContinuousFn, a: PadicInt) -> tuple:
     m = max(chi1.lc_level or 0, chi2.lc_level or 0, 1)
     _check_level(m)
     tab1, tab2 = validate_character(chi1, m), validate_character(chi2, m)
-    quotient = LocallyConstant(ctx, m, [
-        tab1[c] * tab2[c].inverse() if c % ctx.p != 0 else PadicInt(ctx, 0)
-        for c in range(ctx.p ** m)])
+    quotient = LocallyConstant(ctx, m, {c: tab1[c] * tab2[c].inverse()
+                                        for c in range(ctx.p ** m)
+                                        if c % ctx.p})
     if not a.is_unit():
         raise NotUnit("a must be a unit")
     ar = a.residue % ctx.p ** m

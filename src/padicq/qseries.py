@@ -30,7 +30,7 @@ from operator import add
 from .cyclotomic import CyclotomicElem, phi_pm
 from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
     padic_valuation, reduce_rational
-from .zpfun import ContinuousFn, LocallyConstant, as_table, values
+from .zpfun import ContinuousFn, LocallyConstant, poly_lc_terms, values
 
 
 def _same_ring(ctx: PadicContext, other: PadicContext) -> None:
@@ -405,7 +405,7 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
     # digits for each entry f(c) known to fewer than N digits
     F, table = _period_table(f)
     top = ctx.N
-    for c, v in enumerate(table):
+    for c, v in table.items():
         w = _lvalue_weight(k, F, c) if v.prec < ctx.N else 0
         if w:
             top = min(top, v.prec + padic_valuation(w.numerator, ctx.p)
@@ -428,19 +428,22 @@ def lvalue_periodic(k: int, f: ContinuousFn) -> Fraction:
         raise ValueError("k must be >= 1")
     F, table = _period_table(f)
     return sum((v.residue * _lvalue_weight(k, F, c)
-                for c, v in enumerate(table) if v.residue), Fraction(0))
+                for c, v in table.items() if v.residue), Fraction(0))
 
 
-def _period_table(f: ContinuousFn) -> tuple[int, list]:
-    """The period F = p^m of a locally constant f and its scalar table."""
+def _period_table(f: ContinuousFn) -> tuple[int, dict]:
+    """The period F = p^m of a locally constant f and its scalar values
+    {c: f(c)} where f may be nonzero: a step table's own dict, else the
+    entries of f's poly_lc_terms table that are not an exact 0."""
     m = f.lc_level
     if m is None:
         raise ValueError("twist must be locally constant")
     if f.ring_level:  # refused before its p^m ring elements are built
         raise TypeError("L-values need scalar (non-cyclotomic) twists")
-    table = f.table if isinstance(f, LocallyConstant) and f.level == m \
-        else as_table(f, m)
-    if not all(isinstance(v, PadicInt) for v in table):
+    table = f.table if isinstance(f, LocallyConstant) else {
+        c: v for c, v in enumerate(poly_lc_terms(f)[1][0])
+        if not (isinstance(v, PadicInt) and v.is_exact_zero())}
+    if not all(isinstance(v, PadicInt) for v in table.values()):
         raise TypeError("L-values need scalar (non-cyclotomic) twists")
     return f.ctx.p ** m, table
 

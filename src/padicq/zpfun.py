@@ -4,13 +4,13 @@ Every variant evaluates exactly at p-adic integer arguments.  A polynomial
 is its nonzero terms {j: c_j}: a coefficient is dropped only when it is 0
 to all N digits, a value is known to the least precision over the stored
 terms, and z^j or a product of polynomials costs its number of terms, not
-its degree.  Locally constant functions (step functions, p-power
-characters and their products with polynomials) additionally decompose
-into a canonical "sum of z^j times step function" form, f(z) = sum_j z^j
-T_j[z mod p^m], which is what measure evaluation consumes.  The same tables evaluate f at
-many integers at once (``values``): they are built once, with p^m entries,
-and each value is then a sum of x^j T_j[x mod p^m] on plain integers, with
-exactly the residue and precision ``evaluate`` gives.
+its degree; a step function is likewise its classes {c: value} mod p^m.
+Locally constant functions (step functions, p-power characters and their
+products with polynomials) additionally decompose into a canonical "sum of
+z^j times step function" form, f(z) = sum_j z^j T_j[z mod p^m], which is
+what measure evaluation consumes.  ``values`` reads f at xs from these
+tables, built once with p^m entries, when len(xs) >= p^m, and point by point
+otherwise, with exactly the residues and precisions of ``evaluate``.
 Functions without such tables (Mahler series, among them the binomials
 C(z, k) with k > 0, and argument scalings known to fewer than N digits)
 raise UnsupportedShape and are evaluated point by point.  General continuous
@@ -18,9 +18,10 @@ functions enter only as Mahler series with an explicit, caller-declared tail
 valuation; the library never guesses a modulus of continuity.  Every
 function states its shape where it is built: ``lc_level`` is the smallest
 level m at which it is known to factor through Z/p^m (None: not known
-locally constant, as for honest polynomials and Mahler series), and
-``ring_level`` the deepest level of a character factor (0 for none; its
-values are ring elements when it is >= 1).
+locally constant, as for honest polynomials and Mahler series),
+``step_level`` the level m of its tables T_j (the deepest step or character
+factor, 0 for none), and ``ring_level`` the deepest level of a character
+factor (0 for none; its values are ring elements when it is >= 1).
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .padic import PadicContext, PadicInt, ilog
 
 class ContinuousFn:
     """Base class; subclasses implement exact pointwise evaluation and set
-    ``lc_level`` and ``ring_level`` (module docstring) where they differ."""
+    ``lc_level``, ``step_level`` and ``ring_level`` (module docstring) where
+    they differ.  Level caps read ``step_level``, before any table exists."""
 
     ctx: PadicContext
     lc_level: int | None = None
-    ring_level = 0
+    step_level = ring_level = 0
 
     def evaluate(self, x: PadicInt):
         raise NotImplementedError
@@ -93,7 +95,8 @@ class Character(ContinuousFn):
     def __init__(self, zeta: CyclotomicElem):
         self.ctx = zeta.ctx
         self.zeta = zeta
-        self.level = self.lc_level = self.ring_level = zeta.level
+        self.level = self.lc_level = self.step_level = self.ring_level = \
+            zeta.level
 
     def evaluate(self, x: PadicInt):
         v = cyclo_pow(self.zeta, x)
@@ -101,38 +104,37 @@ class Character(ContinuousFn):
 
 
 class LocallyConstant(ContinuousFn):
-    """A function constant on residue classes mod p^level, given by a table.
-
-    table[c] is the value on c + p^level Z_p; the table has exactly p^level
-    entries of scalars (PadicInt or CyclotomicElem).
+    """A function constant on residue classes mod p^level: ``table`` lists
+    its p^level values (PadicInt or CyclotomicElem), or is a {class: value}
+    dict of the classes where it may be nonzero.  Either is stored as a dict,
+    classes reduced mod p^level; a class left out reads as one shared exact 0.
     """
 
     def __init__(self, ctx: PadicContext, level: int, table):
         if level < 0:
             raise ValueError("level must be >= 0")
         n = ctx.p ** level
-        table = [v if not isinstance(v, int) else PadicInt(ctx, v) for v in table]
-        if len(table) != n:
-            raise ValueError(f"level {level} requires {n} table entries")
+        if not isinstance(table, dict):
+            if len(table) != n:
+                raise ValueError(f"level {level} requires {n} table entries")
+            table = dict(enumerate(table))
         self.ctx = ctx
-        self.level = self.lc_level = level
-        self.table = table
+        self.level = self.lc_level = self.step_level = level
+        self.table = {c % n: v if not isinstance(v, int) else PadicInt(ctx, v)
+                      for c, v in table.items()}
+        self.zero = PadicInt(ctx, 0)
 
     def evaluate(self, x: PadicInt):
         if x.prec < self.level:
             raise PrecisionExhausted(
                 f"argument known mod p^{x.prec}, table needs mod p^{self.level}"
             )
-        return self.table[x.residue % (self.ctx.p ** self.level)]
+        return self.table.get(x.residue % self.ctx.p ** self.level, self.zero)
 
 
 def indicator(ctx: PadicContext, level: int, cls: int) -> LocallyConstant:
-    """Indicator function of the residue class cls + p^level Z_p; the table
-    shares one 0 and one 1 (no PadicInt changes after it is built)."""
-    n = ctx.p ** level
-    table = [PadicInt(ctx, 0)] * n
-    table[cls % n] = PadicInt(ctx, 1)
-    return LocallyConstant(ctx, level, table)
+    """Indicator function of the residue class cls + p^level Z_p: one entry."""
+    return LocallyConstant(ctx, level, {cls: 1})
 
 
 class MahlerSeries(ContinuousFn):
@@ -186,6 +188,7 @@ class Product(ContinuousFn):
         self.g = g
         a, b = f.lc_level, g.lc_level
         self.lc_level = None if a is None or b is None else max(a, b)
+        self.step_level = max(f.step_level, g.step_level)
         self.ring_level = max(f.ring_level, g.ring_level)
 
     def evaluate(self, x: PadicInt):
@@ -203,7 +206,8 @@ class Scaled(ContinuousFn):
         self.ctx = inner.ctx
         self.inner = inner
         self.mult = mult
-        self.lc_level, self.ring_level = inner.lc_level, inner.ring_level
+        self.lc_level, self.step_level, self.ring_level = \
+            inner.lc_level, inner.step_level, inner.ring_level
 
     def evaluate(self, x: PadicInt):
         return self.inner.evaluate(self.mult * x)
@@ -217,6 +221,7 @@ class ZeroExtendedUnits(ContinuousFn):
         self.inner = inner
         m = inner.lc_level
         self.lc_level = None if m is None else max(m, 1)
+        self.step_level = max(inner.step_level, 1)
         self.ring_level = inner.ring_level
 
     def evaluate(self, x: PadicInt):
@@ -290,19 +295,6 @@ def scale_argument(f: ContinuousFn, u: PadicInt) -> ContinuousFn:
 
 # -- locally constant structure ----------------------------------------------
 
-def as_table(f: ContinuousFn, level: int) -> list:
-    """Value table of f on residues mod p^level.
-
-    Faithful only when f is locally constant of level <= level; it is the
-    caller's job to check lc_level first.  A character's table is its
-    power table (``poly_lc_terms``), repeated.
-    """
-    n = f.ctx.p ** level
-    if isinstance(f, Character):
-        return _row(poly_lc_terms(f)[1][0], range(n))
-    return [f.evaluate(PadicInt(f.ctx, c)) for c in range(n)]
-
-
 def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
     """Decompose f(z) = sum_j z^j g_j(z) with every g_j a level-m table.
 
@@ -320,7 +312,8 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
         powers = zeta_powers(f.zeta, ctx.p ** f.level)
         return f.level, {0: powers if f.level else [powers[0].constant_part()]}
     if isinstance(f, LocallyConstant):
-        return f.level, {0: as_table(f, f.level)}
+        return f.level, {0: [f.evaluate(PadicInt(ctx, c))
+                             for c in range(ctx.p ** f.level)]}
     if isinstance(f, Product):
         m1, t1 = poly_lc_terms(f.f)
         m2, t2 = poly_lc_terms(f.g)
@@ -362,24 +355,27 @@ def poly_lc_terms(f: ContinuousFn) -> tuple[int, dict]:
 def values(f: ContinuousFn, xs):
     """[f(x) for x in xs] for integers x, as f.evaluate(PadicInt(ctx, x)).
 
-    The poly_lc_terms tables are built once and read by ``table_values``;
-    residues, precisions and raised exception types equal those of
-    evaluate.  Functions without tables, or whose tables fail to build
-    (evaluate skips a bad root of unity on p Z_p when it is zero-extended),
-    are evaluated point by point.
+    With len(xs) >= p^step_level the poly_lc_terms tables are built once and
+    read by ``table_values``, with the residues, precisions and exception
+    types of evaluate.  Shorter xs, functions without tables, and tables that
+    fail to build (evaluate skips a bad root of unity on p Z_p when it is
+    zero-extended) are evaluated point by point.
     """
     xs = xs if isinstance(xs, range) else list(xs)
     if not xs:
         return []
     ctx = f.ctx
-    try:
-        m, terms = poly_lc_terms(f)
-    except PadicqError:
-        out = [f.evaluate(PadicInt(ctx, x)) for x in xs]
-        if all(isinstance(v, PadicInt) for v in out):
-            return [v.residue for v in out], [v.prec for v in out]
-        return out
-    return table_values(ctx, m, terms, xs)
+    if ctx.p ** f.step_level <= len(xs):
+        try:
+            m, terms = poly_lc_terms(f)
+        except PadicqError:
+            pass
+        else:
+            return table_values(ctx, m, terms, xs)
+    out = [f.evaluate(PadicInt(ctx, x)) for x in xs]
+    if all(isinstance(v, PadicInt) for v in out):
+        return [v.residue for v in out], [v.prec for v in out]
+    return out
 
 
 def _row(t: list, xs) -> list:
@@ -472,8 +468,7 @@ def fn_from_json(ctx: PadicContext, obj,
         level = json_int_field(obj, "level", kind)
         if level < 0:
             raise ConfigError(f"{kind} field 'level' must be >= 0, got {level}")
-        # no argument known to N digits resolves a class mod p^level: the
-        # level is refused before a table of p^level entries is built
+        # no argument known to N digits resolves a class mod p^level
         if level > ctx.N:
             raise PrecisionExhausted(
                 f"{kind} level {level} exceeds the precision N = {ctx.N}")

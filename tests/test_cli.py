@@ -212,8 +212,8 @@ def test_levels_above_N_are_refused_before_any_table(capsys, measure, kind):
 
 
 def test_level_9_indicator_is_refused_at_once(capsys):
-    # its 5^9-entry table shares one 0 and one 1, so the Eisenstein
-    # measure's level cap refuses it well under a second
+    # an indicator is one entry, so the Eisenstein measure's level cap
+    # refuses it from its step level well under a second
     start = time.monotonic()
     code, out, err = run_cli(
         capsys, "apply", "--measure", '{"kind":"eisenstein","a":2}',
@@ -221,6 +221,22 @@ def test_level_9_indicator_is_refused_at_once(capsys):
     assert time.monotonic() - start < 1.0
     assert code == 2 and out == ""
     assert json.loads(err)["code"] == 2
+
+
+def test_level_9_step_product_is_refused_before_its_tables(capsys):
+    # z^3 1_c: the level cap reads the product's step level, before any
+    # 5^9-entry table of its poly_lc_terms decomposition
+    fn = {"kind": "product", "factors": [
+        {"kind": "monomial", "degree": 3},
+        {"kind": "indicator", "level": 9, "class": 3}]}
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "apply", "--measure",
+                             '{"kind":"eisenstein","a":2}',
+                             "--fn", json.dumps(fn))
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"code": 2,
+                               "message": "level 9 exceeds the level cap 3"}
 
 
 @pytest.mark.parametrize("level", [4, 6])

@@ -36,8 +36,9 @@ def _teichmuller(p: int, N: int, level: int, power: int) -> list[int]:
 
 
 @st.composite
-def _step(draw, p, N):
-    m = draw(st.integers(0, min(2, N)))
+def _step(draw, p, N, top):
+    """(j, m, c) with the step level m at most top."""
+    m = draw(st.integers(0, top))
     return draw(st.integers(0, 4)), m, draw(st.integers(0, p ** m - 1))
 
 
@@ -65,13 +66,15 @@ def jobs(draw):
         return p, N, head + ["eisenstein", "--k", str(k)], \
             lambda ex, o: ex.eisenstein(k, M)
     if kind == "twisted":
-        k, level = draw(st.integers(2, 30)), draw(st.integers(1, min(2, N)))
+        k, level = draw(st.integers(2, 30)), draw(st.integers(1, N))
         twist = {"kind": "indicator", "level": level, "class": 0}
         return p, N, head + ["eisenstein", "--k", str(k),
                              "--twist", json.dumps(twist)], \
             lambda ex, o: ex.eisenstein_twisted(k, level, M)
     if kind == "step":
-        b, fn = draw(unit), draw(_step(p, N))
+        # the measure reads whole periods (p^3 entries at its level cap 3,
+        # and a deeper step exits 2), so its steps stay at level <= 2
+        b, fn = draw(unit), draw(_step(p, N, min(2, N)))
         measure = {"kind": "eisenstein", "a": b}
         return p, N, head + ["apply", "--measure", json.dumps(measure),
                              "--fn", json.dumps(_fn(*fn))], \
@@ -97,7 +100,7 @@ def jobs(draw):
         return p, N, head + ["lvalue", "--chi1", args[0], "--chi2", args[1]], \
             lambda ex, o: ex.lvalue(a, *chis, level, M)
     coeffs = draw(st.lists(st.integers(0, p ** N - 1), min_size=1, max_size=8))
-    fn = draw(_step(p, N))
+    fn = draw(_step(p, N, N))
     measure = {"kind": "amice", "coeffs": coeffs}
     return p, N, head + ["apply", "--measure", json.dumps(measure),
                          "--fn", json.dumps(_fn(*fn))], \

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,7 @@ from padicq import (AmiceMeasure, Character, ConfigError, CyclotomicElem,
                     DiracMeasure, EisensteinMeasure, EulerFactorNotInvertible,
                     LocallyConstant, MahlerSeries, NotRootOfUnity, NotUnit,
                     PadicContext, PadicInt, Polynomial, PrecisionExhausted,
-                    QExpansion, Scaled, TwoVarFn, ZeroExtendedUnits,
+                    QExpansion, Scaled, TwoVarFn, ZeroExtendedUnits, act,
                     amice_transform, bernoulli, binomial, constant_fn,
                     convolution_nu,
                     eisenstein_2G, eisenstein_2G_twisted, eisenstein_eval,
@@ -471,6 +472,18 @@ def test_kl_level_cap(ctx5):
     with pytest.raises(PrecisionExhausted):
         EisensteinMeasure(ctx5, a)(chi)
 
+    # a step function is refused from its step level, before its table
+    class UnevaluatedStep(LocallyConstant):
+        def evaluate(self, x):
+            raise AssertionError("evaluated before the level check")
+
+    step = UnevaluatedStep(ctx5, 5, {1: 1})
+    for f in (step, multiply(monomial(ctx5, 3), step)):
+        with pytest.raises(PrecisionExhausted):
+            kl_constant(a, f)
+        with pytest.raises(PrecisionExhausted):
+            EisensteinMeasure(ctx5, a)(f)
+
 
 def _full_horner(ctx, series, zeta):
     """The series evaluated at zeta - 1 term by term, with no reduction."""
@@ -880,6 +893,42 @@ def test_eisenstein_rows_match_pointwise_loops():
             got = eisenstein_2G_twisted(ctx, k, f)
             assert _shapes(got)[1:] == \
                 [(c.residue, c.prec) for c in (2 * c for c in out[1:])]
+
+
+def test_deep_steps_are_read_at_the_points_asked():
+    # 1_c and z^3 1_c at level 12 = N have 5^12-entry periods: the Amice
+    # and Dirac pairings, the action on a short series and the twisted
+    # series read them only where they are asked, against plain integers
+    ctx = PadicContext(5, 12, 8)
+    F, mod, c = 5 ** 12, ctx.modulus, 3
+    coeffs, g = [1, 2, 3, 4, 5, 6], eisenstein_2G(ctx, 6)
+    for j in (0, 3):
+        f = indicator(ctx, 12, c)
+        f = multiply(monomial(ctx, 3), f) if j else f
+        start = time.monotonic()
+        vals, want = [n ** j if n == c else 0 for n in range(len(coeffs))], 0
+        for b in coeffs:  # sum_k b_k (Delta^k f)(0)
+            want += b * vals[0]
+            vals = [y - x for x, y in zip(vals, vals[1:])]
+        got = eval_measure(AmiceMeasure(ctx, coeffs), f)
+        assert (got.residue, got.prec) == (want % mod, ctx.N)
+        for x in (c, c + 5, F - 1):
+            got = eval_measure(DiracMeasure(PadicInt(ctx, x)), f)
+            assert (got.residue, got.prec) == (x ** j * (x == c) % mod, ctx.N)
+        want = [PadicInt(ctx, n ** j * (n == c)) * a
+                for n, a in enumerate(g.coeffs)]
+        assert _shapes(act(f, g)) == [(v.residue, v.prec) for v in want]
+        assert time.monotonic() - start < 1.0, j
+    # twists: 1_0, whose constant term -F^3 B_4 / 4 is p-integral and whose
+    # divisor sums see no d <= M, and 1_1 - 1_(-1), whose divisor sums see
+    # d = 1 alone
+    start = time.monotonic()
+    got = eisenstein_2G_twisted(ctx, 4, indicator(ctx, 12, 0))
+    const = reduce_rational(Fraction(F) ** 3 * bernoulli(4) / -4, ctx)
+    assert _shapes(got) == [(const.residue, ctx.N)] + [(0, ctx.N)] * ctx.M
+    got = eisenstein_2G_twisted(ctx, 4, LocallyConstant(ctx, 12, {1: 1, -1: -1}))
+    assert _shapes(got)[1:] == [(2, ctx.N)] * ctx.M
+    assert time.monotonic() - start < 1.0
 
 
 def test_long_polynomials_bypass_the_sigma_cache(monkeypatch):

@@ -33,6 +33,12 @@ def test_evaluate_indicator(ctx5):
     f = indicator(ctx5, 1, 1)
     assert f.evaluate(PadicInt(ctx5, 6)) == 1
     assert f.evaluate(PadicInt(ctx5, 7)) == 0
+    # dict classes are read mod p^level; a class left out is an exact 0
+    g = LocallyConstant(ctx5, 2, {-1: 3, 27: PadicInt(ctx5, 2, 4)})
+    got = [g.evaluate(PadicInt(ctx5, x)) for x in (24, 49, 2, 0)]
+    assert [(v.residue, v.prec) for v in got] == \
+        [(3, ctx5.N), (3, ctx5.N), (2, 4), (0, ctx5.N)]
+    assert indicator(ctx5, 2, -3).evaluate(PadicInt(ctx5, 22)) == 1
 
 
 def test_mahler_square(ctx5):
@@ -196,12 +202,33 @@ def _ref_ring_level(f):
     return 0
 
 
+def _ref_step_level(f):
+    """The level of f's poly_lc_terms tables: the deepest step or character
+    factor, 0 for none (reference)."""
+    if isinstance(f, (Character, LocallyConstant)):
+        return f.level
+    if isinstance(f, Product):
+        return max(_ref_step_level(f.f), _ref_step_level(f.g))
+    if isinstance(f, Scaled):
+        return _ref_step_level(f.inner)
+    if isinstance(f, ZeroExtendedUnits):
+        return max(_ref_step_level(f.inner), 1)
+    return 0
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_level_attributes_match_the_recursions(data):
     ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
     f = data.draw(_functions(ctx, depth=data.draw(st.integers(2, 3))))
-    assert (f.lc_level, f.ring_level) == (_ref_lc_level(f), _ref_ring_level(f))
+    assert (f.lc_level, f.step_level, f.ring_level) == \
+        (_ref_lc_level(f), _ref_step_level(f), _ref_ring_level(f))
+    # a function with tables builds them at its step level
+    try:
+        m, _ = poly_lc_terms(f)
+    except PadicqError:
+        return
+    assert m == f.step_level
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -370,6 +397,19 @@ def _table_entries(draw, ctx):
 
 
 @st.composite
+def _step_table(draw, ctx, level, entries):
+    """A level-m table for LocallyConstant: its p^m entries, or a {class:
+    value} dict whose classes may be negative or past p^m (read mod p^m; a
+    class left out is 0).  entries(n) draws a list of n values."""
+    n = ctx.p ** level
+    if draw(st.booleans()):
+        return draw(entries(n))
+    classes = draw(st.lists(st.integers(-2 * n, 2 * n), max_size=min(n, 6),
+                            unique=True))
+    return dict(zip(classes, draw(entries(len(classes)))))
+
+
+@st.composite
 def _functions(draw, ctx, depth=2, known=False):
     """A drawn function; ``known`` draws polynomial coefficients and table
     entries with _known_scalars."""
@@ -389,10 +429,9 @@ def _functions(draw, ctx, depth=2, known=False):
         return Polynomial(ctx, [0] * draw(st.sampled_from([0, 1, 2, 5])) + [c])
     if kind == "table":
         level = draw(st.integers(0, 3 if p < 7 else 2))
-        n = p ** level
-        return LocallyConstant(ctx, level, draw(
-            _known_scalars(ctx, n) if known else
-            st.lists(_table_entries(ctx), min_size=n, max_size=n)))
+        return LocallyConstant(ctx, level, draw(_step_table(
+            ctx, level, (lambda n: _known_scalars(ctx, n)) if known else
+            lambda n: st.lists(_table_entries(ctx), min_size=n, max_size=n))))
     if kind == "character":
         level = draw(st.integers(1, 2 if p < 7 else 1))
         power = draw(st.integers(0, p ** level - 1))
@@ -479,10 +518,11 @@ def test_values_match_evaluate(data):
     ctx = TABLE_CTXS[data.draw(st.sampled_from(sorted(TABLE_CTXS)))]
     for known in (False, True):
         f = data.draw(_functions(ctx, known=known))
-        # a range from 0 is read as repeated periods of the tables, other
-        # xs entry by entry; a range inside [0, p^N) is its own power row
-        # x^1, lists (negative entries and entries past p^N among them) and
-        # ranges that cross p^N are reduced first
+        # xs shorter than a period (tables of level 2-3) are read point by
+        # point; otherwise a range from 0 is read as repeated periods of the
+        # tables, other xs entry by entry; a range inside [0, p^N) is its
+        # own power row x^1, lists (negative entries and entries past p^N
+        # among them) and ranges that cross p^N are reduced first
         mod = ctx.modulus
         xs = data.draw(st.lists(st.integers(-2 * mod, 2 * mod), min_size=1,
                                 max_size=12) | st.builds(
@@ -529,19 +569,19 @@ def test_act_and_mahler_match_pointwise_loops(data):
 
 @st.composite
 def _step_functions(draw, ctx):
-    """A function of known level m: indicators, step tables with
-    low-precision entries and zeros, their zero extensions, full-precision
-    unit scalings, products of two steps, and characters (ring values)."""
+    """A function of known level m: indicators, step tables (lists or dicts)
+    with low-precision entries and zeros, their zero extensions,
+    full-precision unit scalings, products of two steps, and characters
+    (ring values)."""
     p = ctx.p
 
     def step():
         level = draw(st.integers(0, 3 if p == 3 else 2))
-        n = p ** level
-        return LocallyConstant(ctx, level, draw(
-            st.lists(_scalars(ctx), min_size=n, max_size=n)))
+        return LocallyConstant(ctx, level, draw(_step_table(ctx, level, (
+            lambda n: st.lists(_scalars(ctx), min_size=n, max_size=n)))))
 
     table = step()
-    level, n = table.level, len(table.table)
+    level, n = table.level, p ** table.level
     kind = draw(st.sampled_from(["indicator", "table", "zero_extended",
                                  "scaled", "product", "character"]))
     if kind == "indicator":
