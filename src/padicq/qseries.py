@@ -398,19 +398,12 @@ def eisenstein_2G(ctx: PadicContext, k: int) -> QExpansion:
 
 def eisenstein_2G_twisted(ctx: PadicContext, k: int,
                           f: ContinuousFn) -> QExpansion:
-    """Twisted series: L(1-k, f) + 2 sum_n q^n sum_{d|n} d^(k-1) f(d)."""
+    """Twisted series: L(1-k, f) + 2 sum_n q^n sum_{d|n} d^(k-1) f(d), the
+    constant term known to the digits ``_lvalue`` gives it."""
     if k < 2:
         raise ValueError("twisted 2G_k requires k >= 2")
-    # the constant term sum_c f(c) w_c is known to prec f(c) + v_p(w_c)
-    # digits for each entry f(c) known to fewer than N digits
-    F, table = _period_table(f)
-    top = ctx.N
-    for c, v in table.items():
-        w = _lvalue_weight(k, F, c) if v.prec < ctx.N else 0
-        if w:
-            top = min(top, v.prec + padic_valuation(w.numerator, ctx.p)
-                      - padic_valuation(w.denominator, ctx.p))
-    const = reduce_rational(lvalue_periodic(k, f), ctx, max(top, 0))
+    total, top = _lvalue(k, f)
+    const = reduce_rational(total, ctx, top)
     res, prec = values(f, range(ctx.M + 1))  # flat: f's table is scalar
     res, prec = divisor_sum(ctx, ([2 * r for r in res], prec), k - 1)
     res[0], prec[0] = const.residue, const.prec
@@ -418,40 +411,44 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
 
 
 def lvalue_periodic(k: int, f: ContinuousFn) -> Fraction:
-    """Exact L(1-k, f) = -B_{k,f}/k for locally constant f.
-
-    B_{k,f} = F^(k-1) sum_{c<F} f(c) B_k(c/F) with F the period p^m; the
-    table values are read as their canonical integer residues.  For f = 1
-    this recovers -B_k/k.
-    """
+    """Exact L(1-k, f) = -B_{k,f}/k for locally constant f, the values of f
+    read as their canonical integer residues (``_lvalue``).  For f = 1 this
+    recovers -B_k/k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    F, table = _period_table(f)
-    return sum((v.residue * _lvalue_weight(k, F, c)
-                for c, v in table.items() if v.residue), Fraction(0))
+    return _lvalue(k, f)[0]
 
 
-def _period_table(f: ContinuousFn) -> tuple[int, dict]:
-    """The period F = p^m of a locally constant f and its scalar values
-    {c: f(c)} where f may be nonzero: a step table's own dict, else the
-    entries of f's poly_lc_terms table that are not an exact 0."""
-    m = f.lc_level
+def _lvalue(k: int, f: ContinuousFn) -> tuple[Fraction, int]:
+    """(L, e): L = sum_c f(c) w_c, w_c = -F^(k-1) B_k(c/F)/k, summed over
+    one period F = p^m of a locally constant scalar f, and the digits e of
+    L(1-k, f) that L is known to.
+
+    The table is a step function's own dict, else the j = 0 row of f's
+    poly_lc_terms.  Each f(c) is read as its canonical residue: an exact 0
+    is skipped before its weight is computed, and every other f(c), known
+    to e_c <= N digits, caps e at e_c + v_p(w_c); e is kept in 0..N.
+    """
+    m, ctx = f.lc_level, f.ctx
     if m is None:
         raise ValueError("twist must be locally constant")
     if f.ring_level:  # refused before its p^m ring elements are built
         raise TypeError("L-values need scalar (non-cyclotomic) twists")
-    table = f.table if isinstance(f, LocallyConstant) else {
-        c: v for c, v in enumerate(poly_lc_terms(f)[1][0])
-        if not (isinstance(v, PadicInt) and v.is_exact_zero())}
-    if not all(isinstance(v, PadicInt) for v in table.values()):
-        raise TypeError("L-values need scalar (non-cyclotomic) twists")
-    return f.ctx.p ** m, table
-
-
-def _lvalue_weight(k: int, F: int, c: int) -> Fraction:
-    """w_c = -F^(k-1) B_k(c/F)/k, so that L(1-k, f) = sum_c f(c) w_c."""
-    return Fraction(F) ** (k - 1) * bernoulli_polynomial(k, Fraction(c, F)) \
-        * Fraction(-1, k)
+    F, p = ctx.p ** m, ctx.p
+    table = f.table.items() if isinstance(f, LocallyConstant) \
+        else enumerate(poly_lc_terms(f)[1][0])
+    total, top = Fraction(0), ctx.N
+    for c, v in table:
+        if not isinstance(v, PadicInt):
+            raise TypeError("L-values need scalar (non-cyclotomic) twists")
+        if v.is_exact_zero():
+            continue
+        w = bernoulli_polynomial(k, Fraction(c, F)) * F ** (k - 1) / -k
+        if w:
+            total += v.residue * w
+            top = min(top, v.prec + padic_valuation(w.numerator, p)
+                      - padic_valuation(w.denominator, p))
+    return total, max(top, 0)
 
 
 # -- JSON ------------------------------------------------------------------------

@@ -921,13 +921,18 @@ def test_deep_steps_are_read_at_the_points_asked():
         assert time.monotonic() - start < 1.0, j
     # twists: 1_0, whose constant term -F^3 B_4 / 4 is p-integral and whose
     # divisor sums see no d <= M, and 1_1 - 1_(-1), whose divisor sums see
-    # d = 1 alone
+    # d = 1 alone.  Its constant term L(-3, f) is 0, as B_4(1 - x) =
+    # B_4(x); the weights of classes +-1 at level m have valuation -m, so
+    # the value -1, known to 12 digits, leaves 12 - m: none at m = 12
     start = time.monotonic()
     got = eisenstein_2G_twisted(ctx, 4, indicator(ctx, 12, 0))
     const = reduce_rational(Fraction(F) ** 3 * bernoulli(4) / -4, ctx)
     assert _shapes(got) == [(const.residue, ctx.N)] + [(0, ctx.N)] * ctx.M
-    got = eisenstein_2G_twisted(ctx, 4, LocallyConstant(ctx, 12, {1: 1, -1: -1}))
-    assert _shapes(got)[1:] == [(2, ctx.N)] * ctx.M
+    for m in (12, 3):
+        got = eisenstein_2G_twisted(ctx, 4, LocallyConstant(ctx, m, {1: 1, -1: -1}))
+        (res, prec), rest = _shapes(got)[0], _shapes(got)[1:]
+        assert prec == ctx.N - m and res % 5 ** prec == 0, m
+        assert rest == [(2, ctx.N)] * ctx.M
     assert time.monotonic() - start < 1.0
 
 

@@ -1,15 +1,19 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 from operator import mul
 
 import pytest
 
 from padicq import (CyclotomicElem, LocallyConstant, NotPIntegral, PadicContext, PadicInt,
-                    QExpansion, bernoulli, constant_fn, divisor_sum,
-                    eisenstein_2G, eisenstein_2G_twisted, indicator, lvalue_periodic,
-                    reduce_rational, series_to_json,
-                    sigma_table, theta, u_p, v_p)
+                    QExpansion, ZeroExtendedUnits, bernoulli, constant_fn,
+                    divisor_sum, eisenstein_2G, eisenstein_2G_twisted, indicator,
+                    lvalue_periodic, multiply, reduce_rational, scale_argument,
+                    series_to_json, sigma_table, theta, u_p, v_p)
+from padicq.cli import main
 from padicq.qseries import _convolve
 from padicq.verify import reference_nu
 
@@ -192,6 +196,85 @@ def test_lvalue_units_removes_euler_factor(ctx5):
             * bernoulli(k) / k
 
 
+def _valuation(x, p):
+    x, v = Fraction(x), 0
+    for part, sign in ((x.numerator, 1), (x.denominator, -1)):
+        while part % p == 0:
+            part, v = part // p, v + sign
+    return v
+
+
+def _exact_twisted_constant(p, N, k, m, entries):
+    """L(1-k, f) = -F^(k-1)/k sum_c x_c B_k(c/F), F = p^m, for f(c) = x_c
+    known to e_c digits, entries {c: (x_c, e_c)} over the classes where f
+    is not an exact 0; and the digits the rule claims: the least
+    e_c + v_p(w_c) over those entries with w_c != 0, kept in 0..N."""
+    F, total, digits = p ** m, Fraction(0), N
+    for c, (x, e) in entries.items():
+        t = Fraction(c, F)
+        w = -Fraction(F) ** (k - 1) / k * sum(
+            comb(k, j) * bernoulli(j) * t ** (k - j) for j in range(k + 1))
+        total += x * w
+        if w:
+            digits = min(digits, e + _valuation(w, p))
+    return total, max(digits, 0)
+
+
+def test_twisted_constants_against_exact_rationals():
+    # each twist with the integers it is meant to hold, class by class:
+    # negative and p-divisible entries, entries known to fewer than N
+    # digits, zero-extended constants, a product and a scaling
+    ctx = PadicContext(5, 12, 4)
+    low, low_zero = PadicInt(ctx, 5, 4), PadicInt(ctx, 0, 6)
+    units = {c: (1, 12) for c in range(1, 5)}
+    cases = [
+        (LocallyConstant(ctx, 1, {1: -5}), 1, {1: (-5, 12)}),
+        (multiply(constant_fn(ctx, -5), indicator(ctx, 1, 1)), 1, {1: (-5, 12)}),
+        # exact zeros on the unit classes, whose weights would cap the digits
+        (multiply(constant_fn(ctx, -3), indicator(ctx, 2, 5)), 2, {5: (-3, 12)}),
+        (LocallyConstant(ctx, 1, {2: 25, -2: -50, 0: -7}), 1,
+         {2: (25, 12), 3: (-50, 12), 0: (-7, 12)}),
+        (LocallyConstant(ctx, 2, {7: -125, 18: 10, 5: 3}), 2,
+         {7: (-125, 12), 18: (10, 12), 5: (3, 12)}),
+        (LocallyConstant(ctx, 1, [1, low, 0, 0, 0]), 1, {0: (1, 12), 1: (5, 4)}),
+        (LocallyConstant(ctx, 1, [1, low_zero, 0, 0, 0]), 1,
+         {0: (1, 12), 1: (0, 6)}),
+        (ZeroExtendedUnits(constant_fn(ctx, 1)), 1, units),
+        (ZeroExtendedUnits(constant_fn(ctx, -3)), 1,
+         {c: (-3, 12) for c in units}),
+        # 1_3(-2 z) is 1 on z = 11 mod 25, times 50
+        (scale_argument(LocallyConstant(ctx, 2, {3: 50}), PadicInt(ctx, -2)),
+         2, {11: (50, 12)}),
+    ]
+    for f, m, entries in cases:
+        for k in (2, 4, 6):
+            exact, digits = _exact_twisted_constant(5, ctx.N, k, m, entries)
+            if exact.denominator % 5 == 0:
+                with pytest.raises(NotPIntegral):
+                    eisenstein_2G_twisted(ctx, k, f)
+                continue
+            got = eisenstein_2G_twisted(ctx, k, f).coefficient(0)
+            assert got.prec == digits, (entries, k)
+            assert (exact.numerator - got.residue * exact.denominator) \
+                % 5 ** digits == 0, (entries, k)
+            diff = lvalue_periodic(k, f) - exact  # the residues' L-value
+            assert diff == 0 or _valuation(diff, 5) >= digits, (entries, k)
+    # the unit-class weights of the constant 1 zero-extended have valuation
+    # -1 at k = 2, though their sum, L(-1, 1_(Z_5^x)) = 1/3, has none
+    got = eisenstein_2G_twisted(ctx, 2, ZeroExtendedUnits(constant_fn(ctx, 1)))
+    assert (got.coefficient(0).residue, got.coefficient(0).prec) == (16276042, 11)
+    # -5 1_(1+5Z_5) at k = 4: the weight 29/120 of class 1 has valuation -1
+    twist = {"kind": "product", "factors": [
+        {"kind": "constant", "value": -5},
+        {"kind": "indicator", "level": 1, "class": 1}]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--p", "5", "--M", "2", "eisenstein", "--k", "4",
+                     "--twist", json.dumps(twist)]) == 0
+    obj = json.loads(out.getvalue())
+    assert (obj["coeffs"][0], obj["prec"][0]) == ("2034504", 11)
+
+
 def test_phi_identity(ctx5):
     # the brute-force 2 sum_{dd'=n} d^k d'^r is symmetric in k, r and equals
     # 2 n^r sigma_{k-r}(n) for k >= r, read off the sigma table mod p^N
@@ -283,12 +366,13 @@ def test_low_precision_zero_caps_twisted_series(ctx5):
     assert all(g.coefficient(n).prec == 3 for n in range(1, ctx5.M + 1))
     assert g.coefficient(1).residue == 0
     # f(1) enters the constant term with weight -5 B_2(1/5)/2 = -1/60, of
-    # valuation -1, so the constant term is known to 3 - 1 digits
+    # valuation -1, so the constant term is known to 3 - 1 digits, and the
+    # lift's entry 125, known to 12, leaves it 11
     lift = eisenstein_2G_twisted(
         ctx5, 2, LocallyConstant(ctx5, 1, [1, 125, 0, 0, 0]))
     assert g.coefficient(0).prec == 2
     assert (g.coefficient(0).residue - lift.coefficient(0).residue) % 25 == 0
-    assert lift.coefficient(0).prec == 12
+    assert lift.coefficient(0).prec == 11
 
 
 def test_low_precision_zero_caps_product(ctx5):
