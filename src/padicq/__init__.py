@@ -29,7 +29,7 @@ _EXPORTS = {name: module for module, names in {
     "padic": "PadicContext PadicInt bernoulli bernoulli_polynomial binomial_padic "
     "reduce_rational",
     "qseries": "QExpansion divisor_sum eisenstein_2G eisenstein_2G_twisted "
-    "lvalue_periodic series_to_json sigma_table theta u_p v_p",
+    "series_to_json sigma_table theta u_p v_p",
     "zpfun": "Character ContinuousFn LocallyConstant MahlerSeries Polynomial Product "
     "Scaled TwoVarFn ZeroExtendedUnits binomial constant_fn fn_from_json indicator "
     "mahler_coeffs monomial multiply poly_lc_terms scale_argument",

@@ -27,8 +27,7 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .errors import (ConfigError, PadicqError, check_a_range, json_int_field,
-                     json_int_list, json_object)
+from .errors import ConfigError, PadicqError, check_a_range
 from .padic import PadicContext, PadicInt, unit_group_generator
 
 EXIT_OK = 0
@@ -299,30 +298,17 @@ def cmd_nu(cfg: RunConfig, args) -> int:
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
-def _parse_character(cfg: RunConfig, text: str):
-    from .zpfun import LocallyConstant, fn_from_json
-    ctx = cfg.ctx
-    if text == "trivial":
-        table = [1 if c % ctx.p != 0 else 0 for c in range(ctx.p)]
-        return LocallyConstant(ctx, 1, table)
-    obj = json_object(text, "a character descriptor")
-    if obj.get("kind") == "table":
-        return LocallyConstant(ctx, json_int_field(obj, "level", "table"),
-                               json_int_list(obj, "values", "table"))
-    f = fn_from_json(ctx, obj)
-    if f.lc_level is None:
-        raise ConfigError("character data must be locally constant")
-    return f
-
-
 @_command("lvalue", "two-variable L-value data",
           ("--chi1", str, _REQUIRED, '"trivial" or JSON character data'),
           ("--chi2", str, _REQUIRED, '"trivial" or JSON character data'))
 def cmd_lvalue(cfg: RunConfig, args) -> int:
     from .measures import lvalue
     from .qseries import series_to_json
-    chi1 = _parse_character(cfg, args.chi1)
-    chi2 = _parse_character(cfg, args.chi2)
+    from .zpfun import fn_from_json
+    trivial = {"kind": "table", "level": 1, "values": [0] + [1] * (cfg.p - 1)}
+    chi1, chi2 = (fn_from_json(cfg.ctx, trivial if text == "trivial" else text,
+                               "a character descriptor")
+                  for text in (args.chi1, args.chi2))
     if chi1.ring_level or chi2.ring_level:  # nu_series would be a ring series
         raise ConfigError(_RING_RESULT)
     value, factor, series = lvalue(chi1, chi2, cfg.a)

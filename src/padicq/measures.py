@@ -190,7 +190,8 @@ class KLConstantTerm:
         return _torsion_horner(coeffs, zeta, n)
 
     def _indicator_values(self, j: int, m: int) -> list[PadicInt]:
-        """kappa(z^j 1_{c + p^m Z_p}) for all c, by Galois traces.
+        """kappa(z^j 1_{c + p^m Z_p}) for all c, by Galois traces; at m = 0
+        the moment kappa(z^j), uncached (``moment`` keeps its weights).
 
         p^m kappa(z^j 1_c) = F(0) + sum_l Tr_l(zeta_l^(-c) F(zeta_l - 1)) for
         the j-th twisted series F and one primitive p^l-th root zeta_l per
@@ -201,6 +202,8 @@ class KLConstantTerm:
         on coefficients n..n + j of A_a, so each level reads a prefix.
         Each value is known to N digits: zeta_l is exact and F integral.
         """
+        if m == 0:
+            return [self.moment(j)]
         key = (j, m)
         if key in self._indicator_cache:
             return self._indicator_cache[key]
@@ -227,8 +230,9 @@ class KLConstantTerm:
     # -- public evaluation ----------------------------------------------------
 
     def value(self, f: ContinuousFn, lc: tuple | None = None):
-        """kappa(f) for exactly representable f (``lc``: poly_lc_terms(f));
-        a step or character level past the cap is refused before any table."""
+        """kappa(f) for exactly representable f (``lc``: poly_lc_terms(f)):
+        sum_j sum_c T_j[c] kappa(z^j 1_c), polynomials at level 0 too; a step
+        or character level past the cap is refused before any table."""
         ctx = self.ctx
         _check_level(f.step_level)
         if isinstance(f, MahlerSeries):
@@ -243,11 +247,6 @@ class KLConstantTerm:
         if isinstance(f, Character) and f.level:
             return self.value_character(f.zeta)
         m, terms = lc or poly_lc_terms(f)
-        if m == 0:
-            acc = PadicInt(ctx, 0)
-            for j, tab in terms.items():
-                acc = acc + tab[0] * self.moment(j)
-            return acc
         acc = PadicInt(ctx, 0, ctx.N)
         for j, tab in terms.items():
             ind = self._indicator_values(j, m)
@@ -492,11 +491,6 @@ class LinearMeasure(Measure):
     def __call__(self, f: ContinuousFn):
         return _dot(self.ctx, [w for w, _ in self.terms],
                     [mu(f) for _, mu in self.terms])
-
-    def amice(self, K: int) -> list:
-        cols = [mu.amice(K) for _, mu in self.terms]
-        return [_dot(self.ctx, [w for w, _ in self.terms],
-                     [col[k] for col in cols]) for k in range(K + 1)]
 
     def at_character(self, zeta: CyclotomicElem):
         return _dot(self.ctx, [w for w, _ in self.terms],

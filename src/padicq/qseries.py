@@ -28,9 +28,11 @@ from math import isqrt
 from operator import add
 
 from .cyclotomic import CyclotomicElem, phi_pm
+from .errors import PrecisionExhausted
 from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
     padic_valuation, reduce_rational
-from .zpfun import ContinuousFn, LocallyConstant, poly_lc_terms, values
+from .zpfun import ContinuousFn, LocallyConstant, Product, Scaled, \
+    ZeroExtendedUnits, values
 
 
 def _same_ring(ctx: PadicContext, other: PadicContext) -> None:
@@ -410,45 +412,57 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
     return QExpansion.from_flat(ctx, res, prec)
 
 
-def lvalue_periodic(k: int, f: ContinuousFn) -> Fraction:
-    """Exact L(1-k, f) = -B_{k,f}/k for locally constant f, the values of f
-    read as their canonical integer residues (``_lvalue``).  For f = 1 this
-    recovers -B_k/k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _lvalue(k, f)[0]
-
-
 def _lvalue(k: int, f: ContinuousFn) -> tuple[Fraction, int]:
     """(L, e): L = sum_c f(c) w_c, w_c = -F^(k-1) B_k(c/F)/k, summed over
     one period F = p^m of a locally constant scalar f, and the digits e of
     L(1-k, f) that L is known to.
 
-    The table is a step function's own dict, else the j = 0 row of f's
-    poly_lc_terms.  Each f(c) is read as its canonical residue: an exact 0
-    is skipped before its weight is computed, and every other f(c), known
-    to e_c <= N digits, caps e at e_c + v_p(w_c); e is kept in 0..N.
+    f(c) is read, as its canonical residue, at each class c where f may be
+    nonzero (``_support``), and caps e at e_c + v_p(w_c), e_c <= N its
+    digits: a value 0 to all N digits too.  A cap below 0 leaves unknown
+    whether L(1-k, f) is p-integral at all and raises PrecisionExhausted.
     """
     m, ctx = f.lc_level, f.ctx
     if m is None:
         raise ValueError("twist must be locally constant")
-    if f.ring_level:  # refused before its p^m ring elements are built
+    if f.ring_level:  # refused before any of its values is read
         raise TypeError("L-values need scalar (non-cyclotomic) twists")
     F, p = ctx.p ** m, ctx.p
-    table = f.table.items() if isinstance(f, LocallyConstant) \
-        else enumerate(poly_lc_terms(f)[1][0])
-    total, top = Fraction(0), ctx.N
-    for c, v in table:
+    total, top, (lvl, cs) = Fraction(0), ctx.N, _support(f)
+    for c in [c + i * p ** lvl for c in cs for i in range(p ** (m - lvl))]:
+        v = f.evaluate(PadicInt(ctx, c))
         if not isinstance(v, PadicInt):
             raise TypeError("L-values need scalar (non-cyclotomic) twists")
-        if v.is_exact_zero():
-            continue
         w = bernoulli_polynomial(k, Fraction(c, F)) * F ** (k - 1) / -k
         if w:
             total += v.residue * w
             top = min(top, v.prec + padic_valuation(w.numerator, p)
                       - padic_valuation(w.denominator, p))
-    return total, max(top, 0)
+    if top < 0:
+        raise PrecisionExhausted("L(1-k, f) is known to fewer than 0 digits")
+    return total, top
+
+
+def _support(f: ContinuousFn) -> tuple[int, set]:
+    """(l, S): f is 0 off the classes S mod p^l.  A step function stores
+    them, a unit scaling maps them by the inverse unit, and a product or a
+    zero extension keeps those of both factors; (0, {0}), every class, for
+    a constant or any other f."""
+    p = f.ctx.p
+    if isinstance(f, LocallyConstant):
+        return f.level, set(f.table)
+    if isinstance(f, Scaled) and f.mult.is_unit():
+        lvl, cs = _support(f.inner)
+        inv = pow(f.mult.residue, -1, p ** lvl)
+        return lvl, {inv * c % p ** lvl for c in cs}
+    if isinstance(f, Product):
+        pair = _support(f.f), _support(f.g)
+    elif isinstance(f, ZeroExtendedUnits):  # inner times 1 on the units
+        pair = _support(f.inner), (1, set(range(1, p)))
+    else:
+        return 0, {0}
+    (la, sa), (lb, sb) = sorted(pair, key=lambda s: s[0])
+    return lb, {c for c in sb if c % p ** la in sa}
 
 
 # -- JSON ------------------------------------------------------------------------

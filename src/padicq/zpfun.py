@@ -105,9 +105,11 @@ class Character(ContinuousFn):
 
 class LocallyConstant(ContinuousFn):
     """A function constant on residue classes mod p^level: ``table`` lists
-    its p^level values (PadicInt or CyclotomicElem), or is a {class: value}
-    dict of the classes where it may be nonzero.  Either is stored as a dict,
-    classes reduced mod p^level; a class left out reads as one shared exact 0.
+    its p^level values (int, PadicInt or CyclotomicElem), or is a
+    {class: value} dict of the classes where it may be nonzero.  Either is
+    stored as a dict, classes reduced mod p^level, without any class given
+    as the integer 0: it reads as one shared exact 0.  Every stored class
+    counts as one where f may be nonzero, even if its value is 0 to N digits.
     """
 
     def __init__(self, ctx: PadicContext, level: int, table):
@@ -121,7 +123,7 @@ class LocallyConstant(ContinuousFn):
         self.ctx = ctx
         self.level = self.lc_level = self.step_level = level
         self.table = {c % n: v if not isinstance(v, int) else PadicInt(ctx, v)
-                      for c, v in table.items()}
+                      for c, v in table.items() if not isinstance(v, int) or v}
         self.zero = PadicInt(ctx, 0)
 
     def evaluate(self, x: PadicInt):
@@ -455,7 +457,8 @@ class TwoVarFn:
 def fn_from_json(ctx: PadicContext, obj,
                  what: str = "a function descriptor") -> ContinuousFn:
     """Build a ContinuousFn from its JSON descriptor (dict or JSON string);
-    ``what`` names the descriptor in the ConfigError of a malformed one."""
+    ``what`` names the descriptor in the ConfigError of a malformed one.
+    A "table" of level m lists p^m integer values (``LocallyConstant``)."""
     obj = json_object(obj, what)
     kind = obj.get("kind")
     if kind == "monomial":
@@ -464,7 +467,7 @@ def fn_from_json(ctx: PadicContext, obj,
         return Polynomial(ctx, json_int_list(obj, "coeffs", kind))
     if kind == "constant":
         return constant_fn(ctx, json_int_field(obj, "value", kind))
-    if kind in ("indicator", "character"):
+    if kind in ("indicator", "table", "character"):
         level = json_int_field(obj, "level", kind)
         if level < 0:
             raise ConfigError(f"{kind} field 'level' must be >= 0, got {level}")
@@ -474,6 +477,8 @@ def fn_from_json(ctx: PadicContext, obj,
                 f"{kind} level {level} exceeds the precision N = {ctx.N}")
     if kind == "indicator":
         return indicator(ctx, level, json_int_field(obj, "class", kind))
+    if kind == "table":
+        return LocallyConstant(ctx, level, json_int_list(obj, "values", kind))
     if kind == "character":
         power = json_int_field(obj, "power", kind, default=1)
         return Character(CyclotomicElem.zeta_power(ctx, level, power))

@@ -109,6 +109,15 @@ def test_level0_character_twist_is_the_constant_one(capsys):
         twisted("--twist", '{"kind":"constant","value":3}')
 
 
+def test_table_twist_is_the_step_function_it_lists(capsys):
+    # --twist reads the table grammar of --chi1: [1, 0, 0, 0, 0] stores
+    # class 0 alone, so it prints the bytes of the class-0 indicator twist
+    outs = [run_cli(capsys, "eisenstein", "--k", "4", "--twist", twist)
+            for twist in ('{"kind":"table","level":1,"values":[1,0,0,0,0]}',
+                          '{"kind":"indicator","level":1,"class":0}')]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_lvalue_validates_each_character_once(capsys, monkeypatch):
     # the L-value, its Euler factor and the nu series share one validated
     # pair: one multiplicativity pass per character, not two each
@@ -531,13 +540,15 @@ def test_descriptor_fields_are_strict_integers(capsys):
         assert_config_error(code, out, err)
         message = json.loads(err)["message"]
         assert all(w in message for w in words), (measure, fn, message)
+    # a table reads by one grammar, as a character and as a function
     for table in ('{"kind":"table","level":1,"values":[0,1,1,1,1.0]}',
                   '{"kind":"table","level":true,"values":[0,1,1,1,1]}',
                   '{"kind":"table","values":[0,1,1,1,1]}'):
-        code, out, err = run_cli(capsys, "lvalue", "--chi1", table,
-                                 "--chi2", "trivial")
-        assert_config_error(code, out, err)
-        assert "table" in json.loads(err)["message"]
+        for args in (["lvalue", "--chi1", table, "--chi2", "trivial"],
+                     ["apply", "--measure", dirac, "--fn", table]):
+            code, out, err = run_cli(capsys, *args)
+            assert_config_error(code, out, err)
+            assert "table" in json.loads(err)["message"], args
     # a negative level names the field and the descriptor's kind
     for fn in ('{"kind":"indicator","level":-1,"class":0}',
                '{"kind":"character","level":-1,"power":1}'):

@@ -14,11 +14,12 @@ from padicq import (AmiceMeasure, Character, ConfigError, CyclotomicElem,
                     convolution_nu,
                     eisenstein_2G, eisenstein_2G_twisted, eisenstein_eval,
                     eval_at_character, eval_measure, indicator, kl_constant,
-                    lvalue, lvalue_periodic, monomial, multiply,
+                    lvalue, monomial, multiply,
                     reduce_rational, theta)
 from padicq.measures import (KLConstantTerm, kl_constant_functional,
                              validate_character)
 from padicq.padic import unit_group_generator
+from padicq.qseries import _lvalue
 from padicq.verify import reference_nu
 
 
@@ -265,13 +266,17 @@ def test_kl_moment_spot_values(ctx5):
 
 
 def test_kl_moments_against_bernoulli_oracle(ctx5):
+    # a monomial takes the step functions' class loop at level 0, whose one
+    # value is the moment itself: no indicator values are cached
     for ar in (2, 3, 7):
         a = PadicInt(ctx5, ar)
+        kl = KLConstantTerm(ctx5, a)
         for k in range(2, 2 * 4 + 3):
-            got = kl_constant(a, monomial(ctx5, k - 1))
+            got = kl.value(monomial(ctx5, k - 1))
             want = reduce_rational(
                 Fraction(1 - ar ** k) * (-bernoulli(k)) / k, ctx5)
             assert got == want and got.prec == ctx5.N, (ar, k)
+        assert kl._indicator_cache == {}, ar
 
 
 def _mahler_cutoff(p, N):
@@ -706,7 +711,7 @@ def test_kl_interpolation_on_a_invariant_twist(ctx5):
     for k in (2, 4, 6, 8):
         got = kl_constant(a, multiply(monomial(ctx5, k - 1), units))
         want = reduce_rational(
-            Fraction(1 - 2 ** k) * lvalue_periodic(k, units), ctx5)
+            Fraction(1 - 2 ** k) * _lvalue(k, units)[0], ctx5)
         assert got == want, k
         assert got.prec >= ctx5.N - 1
 
@@ -723,7 +728,7 @@ def test_eisenstein_interpolation_on_a_invariant_twist(ctx5):
                 if n % d == 0 and d % 5 != 0)
             assert lhs.coefficient(n) == want
         assert lhs.coefficient(0) == reduce_rational(
-            Fraction(1 - 2 ** k) * lvalue_periodic(k, units), ctx5)
+            Fraction(1 - 2 ** k) * _lvalue(k, units)[0], ctx5)
 
 
 def test_kl_binomial_values_are_series_coefficients(ctx5):

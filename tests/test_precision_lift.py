@@ -1,13 +1,12 @@
 """Lift check of the CLI: a command run at precision N and again at N + 6.
 
 Each example builds one command as a function of the precision n: the same
-function of Z_p at every n (integers, classes and units do not depend on n;
-a Teichmuller table is written to n digits, a refinement of its table at
-N).  The run at N + 6 then knows every digit the run at N claims, so each
-residue printed at N must agree with the deeper one modulo p^(claimed
-prec), and a command that exits 0 at N must exit 0 at N + 6.  A twist
-constant c has v_p(c) < N: one divisible by p^N is an exact 0 at N but not
-at N + 6, a different function.
+function of Z_p at every n (integers, multiples of p^N among them, classes
+and units do not depend on n; a Teichmuller table is written to n digits, a
+refinement of its table at N).  The run at N + 6 then knows every digit the
+run at N claims, so each residue printed at N must agree with the deeper one
+modulo p^(claimed prec), and a command that exits 0 at N must exit 0 at
+N + 6.
 """
 
 import contextlib
@@ -45,9 +44,27 @@ def _units(p, N):
 
 
 @st.composite
+def _multiples(draw, p, N):
+    """+-u p^v, u a unit and v <= N + 2: a multiple of p^N is 0 to the N
+    digits of the run at N, but not to those of the run at N + 6."""
+    # v runs down from N + 2, where a unit-class weight of valuation -m
+    # leaves L(1 - k, c 1_b) p-integral most often
+    return draw(st.sampled_from((-1, 1))) * draw(_units(p, N)) \
+        * p ** (N + 2 - draw(st.integers(0, N + 2)))
+
+
+def _table(p, N, m):
+    """A level-m table descriptor whose values are 0, +-u p^v or any
+    integer."""
+    value = st.one_of(st.just(0), _multiples(p, N), st.integers(-p ** N, p ** N))
+    return st.lists(value, min_size=p ** m, max_size=p ** m).map(
+        lambda vs: {"kind": "table", "level": m, "values": vs})
+
+
+@st.composite
 def _fn(draw, p, N, top, depth=2):
     """A function descriptor whose step levels are at most top."""
-    kinds = ["monomial", "constant", "indicator", "binomial", "mahler"]
+    kinds = ["monomial", "constant", "indicator", "table", "binomial", "mahler"]
     kinds += ["product", "scaled", "zero_extended_units"] if depth else []
     kind = draw(st.sampled_from(kinds))
     if kind == "monomial":
@@ -58,6 +75,8 @@ def _fn(draw, p, N, top, depth=2):
         m = draw(st.integers(0, top))
         return {"kind": kind, "level": m,
                 "class": draw(st.integers(-2 * p ** m, 2 * p ** m))}
+    if kind == "table":
+        return draw(_table(p, N, draw(st.integers(0, min(top, 2)))))
     if kind == "binomial":
         return {"kind": kind, "k": draw(st.integers(0, 5))}
     if kind == "mahler":
@@ -75,20 +94,18 @@ def _fn(draw, p, N, top, depth=2):
 
 @st.composite
 def _twist(draw, p, N):
-    """A class-0 indicator of any level, or a composite twist of level <= 2:
-    c 1_b, c zero-extended from the units, or 1_b(u z), with v_p(c) < N."""
-    kind = draw(st.sampled_from(("indicator", "product", "product",
+    """A class-0 indicator of any level, or a twist of level <= 2: a table,
+    c 1_b, c zero-extended from the units, or 1_b(u z), with v_p(c) <= N + 2."""
+    kind = draw(st.sampled_from(("indicator", "table", "product", "product",
                                  "zero_extended_units", "scaled")))
     if kind == "indicator":
         return {"kind": kind, "level": draw(st.integers(1, N)), "class": 0}
-    # v_p(c) runs down from N - 1, where a unit-class weight of valuation
-    # -m leaves L(1 - k, c 1_b) p-integral most often
-    c = draw(st.sampled_from((-1, 1))) * draw(_units(p, N)) \
-        * p ** (N - 1 - draw(st.integers(0, N - 1)))
     m = draw(st.integers(1, min(2, N)))
+    if kind == "table":
+        return draw(_table(p, N, m))
     ind = {"kind": "indicator", "level": m,
            "class": draw(st.integers(-2 * p ** m, 2 * p ** m))}
-    const = {"kind": "constant", "value": c}
+    const = {"kind": "constant", "value": draw(_multiples(p, N))}
     if kind == "product":
         return {"kind": kind, "factors": [const, ind]}
     if kind == "scaled":
@@ -161,12 +178,19 @@ def commands(draw):
 MINUS_FIVE_ON_ONE = json.dumps({"kind": "product", "factors": [
     {"kind": "constant", "value": -5},
     {"kind": "indicator", "level": 1, "class": 1}]})
+# 147 = 3 7^2 is 0 to N = 2 digits, and its weight at class 31 mod 49 has
+# valuation -2: L(-1, 147 1_31) is a unit, known to no digit at N = 2
+ONE_FORTY_SEVEN_ON_31 = json.dumps({"kind": "product", "factors": [
+    {"kind": "constant", "value": 147},
+    {"kind": "indicator", "level": 2, "class": 31}]})
 
 
 @settings(max_examples=300)
 @given(commands())
 @example((5, 12, lambda n: ["--p", "5", "--N", str(n), "--M", "2", "eisenstein",
                             "--k", "4", "--twist", MINUS_FIVE_ON_ONE]))
+@example((7, 2, lambda n: ["--p", "7", "--N", str(n), "--M", "1", "eisenstein",
+                           "--k", "2", "--twist", ONE_FORTY_SEVEN_ON_31]))
 def test_digits_claimed_at_N_survive_the_lift(job):
     p, N, argv = job
     code, out = _run(argv(N))
