@@ -11,6 +11,12 @@ class PadicqError(Exception):
 class NotPIntegral(PadicqError, ArithmeticError):
     """A rational value has p in its denominator and cannot be reduced."""
 
+    @classmethod
+    def pole(cls, p: int, v: int) -> "NotPIntegral":
+        """The error for a value of p-adic valuation v < 0."""
+        return cls(f"value of {p}-adic valuation {v} has p={p} in its "
+                   "denominator")
+
 
 class NotUnit(PadicqError, ArithmeticError):
     """A scalar required to be a p-adic unit is divisible by p."""

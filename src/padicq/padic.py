@@ -4,12 +4,16 @@ Values are carried modulo p**N.  Each scalar remembers how many digits of
 it are actually known (``prec``); sums and products know min(prec) digits,
 dividing by p costs one digit.  Nothing here ever rounds: a residue is an
 exact integer and the precision says which congruence class it pins down.
+
+An exact rational is an integer pair (num, den), den != 0: the Bernoulli
+numbers and polynomials come back in lowest terms with den > 0, and
+``reduce_rational`` takes any pair.  Plain integers keep ``fractions`` and
+``decimal`` out of every process.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .errors import NotPIntegral, NotUnit
 
@@ -201,11 +205,18 @@ class PadicInt:
 # each stage i = 1..c, entry 0 unused): a request past the table computes
 # only the new columns.  The tuple is replaced whole, so every thread reads
 # a table and a column that belong together.
-_bernoulli_state = ([Fraction(1), Fraction(-1, 2)], [0])
+_bernoulli_state = ([(1, 1), (-1, 2)], [0])
 
 
-def bernoulli(k: int) -> Fraction:
-    """Exact Bernoulli number B_k (convention B_1 = -1/2).
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den as the pair in lowest terms with den > 0."""
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
+def bernoulli(k: int) -> tuple[int, int]:
+    """Exact Bernoulli number B_k (convention B_1 = -1/2) as the pair
+    (num, den) in lowest terms, den > 0.
 
     B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) from the tangent numbers T_n,
     in O(n^2) small integer products (Brent and Harvey, arXiv:1108.0286).
@@ -228,7 +239,7 @@ def bernoulli(k: int) -> Fraction:
             for j in range(max(i, c + 1), n + 1):
                 t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
             col.append(t[n])
-    table = table + [Fraction(0) if m % 2 else Fraction(
+    table = table + [(0, 1) if m % 2 else _lowest(
         -(-1) ** (m // 2) * m * t[m // 2], 4 ** m - 2 ** m)
         for m in range(len(table), k + 1)]
     # a longer state another thread stored meanwhile is kept
@@ -237,11 +248,26 @@ def bernoulli(k: int) -> Fraction:
     return table[k]
 
 
-def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
-    """B_k(x) = sum_j C(k, j) B_j x^(k-j), evaluated exactly."""
-    x = Fraction(x)
+def _bernoulli_terms(k: int, b: int) -> tuple[list, int]:
+    """(t, D): B_k(a/b) = sum_j t_j a^(k-j) / (D b^k) for every integer a,
+    t_j = C(k, j) B_j D b^j with D the least common denominator of
+    B_0..B_k, so each t_j is an integer."""
     bernoulli(k)  # fill the table once, not once per j
-    return sum(comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1))
+    bs = [bernoulli(j) for j in range(k + 1)]
+    D = lcm(*(d for _, d in bs))
+    return [comb(k, j) * n * (D // d) * b ** j
+            for j, (n, d) in enumerate(bs)], D
+
+
+def bernoulli_polynomial(k: int, x: tuple[int, int]) -> tuple[int, int]:
+    """B_k(a/b) = sum_j C(k, j) B_j (a/b)^(k-j) for x = (a, b), b != 0,
+    evaluated exactly: the pair (num, den) in lowest terms, den > 0."""
+    a, b = x
+    terms, D = _bernoulli_terms(k, b)
+    num = 0
+    for t in terms:  # Horner's rule in a
+        num = num * a + t
+    return _lowest(num, D * b ** k)
 
 
 def padic_valuation(n: int, p: int) -> int:
@@ -254,24 +280,26 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
-def reduce_rational(r: Fraction, ctx: PadicContext, prec: int | None = None) -> PadicInt:
-    """Reduce an exact rational into Z/p**N.
+def reduce_rational(num: int, den: int, ctx: PadicContext,
+                    prec: int | None = None) -> PadicInt:
+    """Reduce the exact rational num/den (den != 0, any pair, not only one
+    in lowest terms) into Z/p**prec, prec = N by default.
 
-    The value must be p-integral: Fraction keeps numerator and denominator
-    coprime, so any p left in the denominator means a genuine pole and raises
-    NotPIntegral.  Zero comes back at full precision.
+    The value must be p-integral.  The pair is reduced by the power of p
+    in den first, so a p left in the denominator is a genuine pole, of
+    valuation v_p(num) - v_p(den) < 0, and raises NotPIntegral.  Zero comes
+    back at full precision.
     """
-    r = Fraction(r)
     if prec is None:
         prec = ctx.N
-    if r.numerator == 0:
+    if num == 0:
         return PadicInt(ctx, 0, prec)
-    if r.denominator % ctx.p == 0:
-        v = padic_valuation(r.denominator, ctx.p)
-        raise NotPIntegral(f"value of {ctx.p}-adic valuation {-v} has "
-                           f"p={ctx.p} in its denominator")
-    m = ctx.p ** prec
-    return PadicInt(ctx, r.numerator * pow(r.denominator, -1, m), prec)
+    p = ctx.p
+    v = padic_valuation(den, p)
+    if num % p ** v:
+        raise NotPIntegral.pole(p, padic_valuation(num, p) - v)
+    return PadicInt(ctx, num // p ** v * pow(den // p ** v, -1, p ** prec),
+                    prec)
 
 
 def ilog(n: int, p: int) -> int:

@@ -16,20 +16,20 @@ lifted as ``CyclotomicElem.lift_to`` lifts them).  Sums, U_p and V_p run
 the scalar code on each coordinate.  A product of scalar series is one
 convolution of the residues, ``_convolve``: four-point Kronecker
 substitution, five integer products of a quarter of the size of the one
-that packs whole series.
+that packs whole series.  Exact constant terms, -B_k/k and L(1-k, f), are
+integer pairs (num, den) that ``reduce_rational`` reduces mod p^N.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import isqrt
 from operator import add
 
 from .cyclotomic import CyclotomicElem, phi_pm
-from .errors import PrecisionExhausted
-from .padic import PadicContext, PadicInt, bernoulli, bernoulli_polynomial, \
+from .errors import NotPIntegral, PrecisionExhausted
+from .padic import PadicContext, PadicInt, _bernoulli_terms, bernoulli, \
     padic_valuation, reduce_rational
 from .zpfun import ContinuousFn, LocallyConstant, Product, Scaled, \
     ZeroExtendedUnits, values
@@ -383,15 +383,20 @@ def eisenstein_2G(ctx: PadicContext, k: int) -> QExpansion:
     """The weight-k Eisenstein series 2G_k, zero for odd k.
 
     Constant term is the reduction of -B_k/k; for (p-1) | k that value has a
-    genuine p in the denominator and NotPIntegral propagates (callers needing
-    those weights go through the regularized measure instead).  The other
-    coefficients are 2 sigma_(k-1)(n) mod p^N, from the sigma table mod p^N.
+    genuine p in the denominator, v_p(-B_k/k) = -1 - v_p(k) by von
+    Staudt-Clausen, and NotPIntegral is raised before B_k is built (callers
+    needing those weights go through the regularized measure instead).  The
+    other coefficients are 2 sigma_(k-1)(n) mod p^N, from the sigma table
+    mod p^N.
     """
     if k < 2:
         raise ValueError("2G_k requires k >= 2 (the k = 1 series is not defined)")
     if k % 2 == 1:
         return QExpansion.zero(ctx)
-    const, mod = reduce_rational(-bernoulli(k) / k, ctx), ctx.modulus
+    if k % (ctx.p - 1) == 0:
+        raise NotPIntegral.pole(ctx.p, -1 - padic_valuation(k, ctx.p))
+    num, den = bernoulli(k)
+    const, mod = reduce_rational(-num, den * k, ctx), ctx.modulus
     return QExpansion.from_flat(
         ctx, [const.residue] + [2 * s % mod
                                 for s in sigma_table(k - 1, ctx.M, mod)[1:]],
@@ -404,23 +409,27 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
     constant term known to the digits ``_lvalue`` gives it."""
     if k < 2:
         raise ValueError("twisted 2G_k requires k >= 2")
-    total, top = _lvalue(k, f)
-    const = reduce_rational(total, ctx, top)
+    (num, den), top = _lvalue(k, f)
+    const = reduce_rational(num, den, ctx, top)
     res, prec = values(f, range(ctx.M + 1))  # flat: f's table is scalar
     res, prec = divisor_sum(ctx, ([2 * r for r in res], prec), k - 1)
     res[0], prec[0] = const.residue, const.prec
     return QExpansion.from_flat(ctx, res, prec)
 
 
-def _lvalue(k: int, f: ContinuousFn) -> tuple[Fraction, int]:
-    """(L, e): L = sum_c f(c) w_c, w_c = -F^(k-1) B_k(c/F)/k, summed over
-    one period F = p^m of a locally constant scalar f, and the digits e of
-    L(1-k, f) that L is known to.
+def _lvalue(k: int, f: ContinuousFn) -> tuple[tuple[int, int], int]:
+    """((num, den), e): L = num/den = sum_c f(c) w_c, w_c = -F^(k-1)
+    B_k(c/F)/k, summed over one period F = p^m of a locally constant scalar
+    f, and the digits e of L(1-k, f) that L is known to.
 
-    f(c) is read, as its canonical residue, at each class c where f may be
-    nonzero (``_support``), and caps e at e_c + v_p(w_c), e_c <= N its
-    digits: a value 0 to all N digits too.  A cap below 0 leaves unknown
-    whether L(1-k, f) is p-integral at all and raises PrecisionExhausted.
+    Every w_c is -W_c/den over the one integer denominator den = D F k,
+    with W_c = sum_j t_j c^(k-j) from ``_bernoulli_terms``, so the sum is
+    of integers; (num, den) need not be in lowest terms.  f(c) is read, as
+    its canonical residue, at each class c where f may be nonzero
+    (``_support``), and caps e at e_c + v_p(w_c) = e_c + v_p(W_c) - v_p(den),
+    e_c <= N its digits: a value 0 to all N digits too.  A cap below 0
+    leaves unknown whether L(1-k, f) is p-integral at all and raises
+    PrecisionExhausted.
     """
     m, ctx = f.lc_level, f.ctx
     if m is None:
@@ -428,19 +437,22 @@ def _lvalue(k: int, f: ContinuousFn) -> tuple[Fraction, int]:
     if f.ring_level:  # refused before any of its values is read
         raise TypeError("L-values need scalar (non-cyclotomic) twists")
     F, p = ctx.p ** m, ctx.p
-    total, top, (lvl, cs) = Fraction(0), ctx.N, _support(f)
+    terms, D = _bernoulli_terms(k, F)
+    den = D * F * k
+    vden, total, top, (lvl, cs) = padic_valuation(den, p), 0, ctx.N, _support(f)
     for c in [c + i * p ** lvl for c in cs for i in range(p ** (m - lvl))]:
         v = f.evaluate(PadicInt(ctx, c))
         if not isinstance(v, PadicInt):
             raise TypeError("L-values need scalar (non-cyclotomic) twists")
-        w = bernoulli_polynomial(k, Fraction(c, F)) * F ** (k - 1) / -k
+        w = 0
+        for t in terms:  # Horner's rule in c
+            w = w * c + t
         if w:
-            total += v.residue * w
-            top = min(top, v.prec + padic_valuation(w.numerator, p)
-                      - padic_valuation(w.denominator, p))
+            total -= v.residue * w
+            top = min(top, v.prec + padic_valuation(w, p) - vden)
     if top < 0:
         raise PrecisionExhausted("L(1-k, f) is known to fewer than 0 digits")
-    return total, top
+    return (total, den), top
 
 
 def _support(f: ContinuousFn) -> tuple[int, set]:

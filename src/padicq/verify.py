@@ -8,7 +8,6 @@ fixed seed so repeated runs are byte-identical.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import comb
 
 from .action import act, act_character
@@ -34,7 +33,8 @@ def reference_nu(ctx: PadicContext, a: PadicInt, s: int, t: int) -> QExpansion:
     Eisenstein measure reads, so the two routes check each other.
     """
     factor, n = 1 - a.residue ** (s + 1), ctx.M + 1
-    const = reduce_rational(factor * (-bernoulli(s + 1)) / (s + 1), ctx)
+    num, den = bernoulli(s + 1)
+    const = reduce_rational(-factor * num, den * (s + 1), ctx)
     w = ([2 * factor % ctx.modulus] * n, [ctx.N] * n)
     res, prec = divisor_sum(ctx, w, s)
     res[0], prec[0] = const.residue, const.prec
@@ -48,8 +48,8 @@ def suite_moments(ctx: PadicContext, a: PadicInt) -> CheckReport:
     res = CheckReport("moments")
     for k in range(2, 2 * (ctx.p - 1) + 3, 2):
         got = kl_constant(a, monomial(ctx, k - 1))
-        want = reduce_rational(
-            Fraction(1 - a.residue ** k) * (-bernoulli(k)) / k, ctx)
+        num, den = bernoulli(k)
+        want = reduce_rational((a.residue ** k - 1) * num, den * k, ctx)
         res.check(got == want and got.prec >= ctx.N - 1,
                   f"kl moment k={k}: {got!r} != {want!r}")
         # (1 - a^k) 2G_k by divisor sums, independent of the sigma tables

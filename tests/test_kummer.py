@@ -296,7 +296,7 @@ def _root_system(ctx, x: Fraction, k: int) -> list:
             acc += term
             term *= (e - n) / (n + 1) * (x - 1)
         out.append(LaurentElem(ctx, 2 * k, 0, CyclotomicElem.from_scalar(
-            reduce_rational(acc, ctx, N - i))))
+            reduce_rational(acc.numerator, acc.denominator, ctx, N - i))))
     return out
 
 

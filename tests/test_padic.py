@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given
@@ -75,33 +75,33 @@ def test_reduce_rational_two_thirds():
     # extended Euclid oracle: 3 * 42 = 126 = 1 mod 125, so 2/3 = 84 mod 125
     ctx = PadicContext(5, 3, 4)
     assert pow(3, -1, 125) == 42
-    r = reduce_rational(Fraction(2, 3), ctx)
+    r = reduce_rational(2, 3, ctx)
     assert r.residue == 84 and r.prec == 3
 
 
 def test_reduce_rational_zero_full_precision():
     ctx = PadicContext(7, 6, 4)
-    r = reduce_rational(Fraction(0, 7), ctx)
+    r = reduce_rational(0, 7, ctx)
     assert r.residue == 0 and r.prec == 6
 
 
 def test_reduce_rational_pole():
     ctx = PadicContext(5, 3, 4)
     with pytest.raises(NotPIntegral):
-        reduce_rational(Fraction(1, 5), ctx)
+        reduce_rational(1, 5, ctx)
 
 
 # -- Bernoulli numbers ------------------------------------------------------------
 
 def test_bernoulli_small_values():
     # recurrence by hand: B0=1, B1=-1/2 gives B2=1/6; odd vanish; B4=-1/30
-    assert bernoulli(0) == 1
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(3) == 0
-    assert bernoulli(4) == Fraction(-1, 30)
-    assert bernoulli(6) == Fraction(1, 42)
-    assert bernoulli(12) == Fraction(-691, 2730)
+    assert Fraction(*bernoulli(0)) == 1
+    assert Fraction(*bernoulli(1)) == Fraction(-1, 2)
+    assert Fraction(*bernoulli(2)) == Fraction(1, 6)
+    assert Fraction(*bernoulli(3)) == 0
+    assert Fraction(*bernoulli(4)) == Fraction(-1, 30)
+    assert Fraction(*bernoulli(6)) == Fraction(1, 42)
+    assert Fraction(*bernoulli(12)) == Fraction(-691, 2730)
 
 
 def test_bernoulli_cache_is_thread_safe():
@@ -134,7 +134,7 @@ def test_bernoulli_against_independent_recurrence():
         at.append(A[0])
     for k in range(n + 1):
         if k != 1:
-            assert bernoulli(k) == at[k]
+            assert Fraction(*bernoulli(k)) == at[k]
 
 
 def test_bernoulli_matches_defining_recurrence():
@@ -142,7 +142,7 @@ def test_bernoulli_matches_defining_recurrence():
     table = [Fraction(1)]
     for m in range(1, 301):
         table.append(-sum(comb(m + 1, j) * table[j] for j in range(m)) / (m + 1))
-    assert [bernoulli(k) for k in range(301)] == table
+    assert [Fraction(*bernoulli(k)) for k in range(301)] == table
 
 
 def test_bernoulli_von_staudt_clausen():
@@ -151,7 +151,7 @@ def test_bernoulli_von_staudt_clausen():
     # B_2n is (-1)^(n+1)
     for k in (2000, 1998, 1002, 500, 256, 14, 2):
         qs = [q for q in range(2, k + 2) if k % (q - 1) == 0 and is_prime(q)]
-        b = bernoulli(k)
+        b = Fraction(*bernoulli(k))
         assert (b + sum(Fraction(1, q) for q in qs)).denominator == 1, k
         assert b.denominator == prod(qs), k
         assert (b > 0) == (k % 4 == 2), k
@@ -162,7 +162,7 @@ def test_von_staudt_clausen(p):
     # (p-1) | k puts exactly one p in the denominator of B_k; dividing by k
     # contributes v_p(k) more (the k = 20, p = 5 case really does this)
     for k in range(2, 21, 2):
-        val = -bernoulli(k) / k
+        val = -Fraction(*bernoulli(k)) / k
         den = val.denominator
         v = 0
         while den % p == 0:
@@ -178,18 +178,80 @@ def test_von_staudt_clausen(p):
         else:
             assert v == 0
             ctx = PadicContext(p, 12, 4)
-            reduce_rational(val, ctx)  # must not raise
+            reduce_rational(val.numerator, val.denominator, ctx)  # must not raise
+
+
+def _bpoly(k: int, x: Fraction) -> Fraction:
+    return Fraction(*bernoulli_polynomial(k, (x.numerator, x.denominator)))
 
 
 def test_bernoulli_polynomial():
-    assert bernoulli_polynomial(2, Fraction(0)) == Fraction(1, 6)
-    assert bernoulli_polynomial(2, Fraction(1, 2)) == Fraction(-1, 12)
+    assert _bpoly(2, Fraction(0)) == Fraction(1, 6)
+    assert _bpoly(2, Fraction(1, 2)) == Fraction(-1, 12)
     # B_k(x+1) - B_k(x) = k x^(k-1)
     for k in range(1, 8):
         for x in (Fraction(0), Fraction(1, 3), Fraction(7, 5)):
-            assert bernoulli_polynomial(k, x + 1) - bernoulli_polynomial(k, x) \
+            assert _bpoly(k, x + 1) - _bpoly(k, x) \
                 == k * x ** (k - 1)
 
+
+
+# -- integer pairs against fractions.Fraction ------------------------------------
+
+def test_bernoulli_pairs_are_in_lowest_terms():
+    for k in range(301):
+        num, den = bernoulli(k)
+        assert den > 0 and gcd(num, den) == 1, k
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reduce_rational_ignores_common_factors(p):
+    # n g / d g reduces as n / d does, for g negative or a power of p too;
+    # the oracle reduces the Fraction n / d, and a pole gives the message
+    # its reduced denominator gave
+    ctx, rng = PadicContext(p, 6, 4), random.Random(p)
+    for _ in range(150):
+        n = rng.randint(-10 ** 6, 10 ** 6) * p ** rng.choice([0, 0, 1, 3])
+        d = rng.choice([-1, 1]) * rng.randint(1, 10 ** 6) * p ** rng.choice([0, 1, 2])
+        r = Fraction(n, d)
+        for prec, digits in ((None, 6), (3, 3)):
+            try:
+                want = reduce_rational(n, d, ctx, prec)
+            except NotPIntegral as exc:
+                want = str(exc)
+            if r.denominator % p:
+                m = p ** digits
+                assert (want.residue, want.prec) == (
+                    r.numerator * pow(r.denominator, -1, m) % m, digits)
+            else:
+                v = 0
+                while r.denominator % p ** (v + 1) == 0:
+                    v += 1
+                assert want == (f"value of {p}-adic valuation {-v} has p={p} "
+                                "in its denominator")
+            for g in (-1, p, -p ** 3, 6, -35 * p ** 2, rng.randint(2, 10 ** 9)):
+                try:
+                    got = reduce_rational(n * g, d * g, ctx, prec)
+                except NotPIntegral as exc:
+                    assert str(exc) == want, (n, d, g)
+                else:
+                    assert (got.residue, got.prec) == (want.residue, want.prec)
+
+
+def test_bernoulli_polynomial_matches_fractions():
+    # at negative and unreduced arguments, against the defining sum in
+    # Fractions, with B_j from the defining recurrence
+    B = [Fraction(1)]
+    for m in range(1, 25):
+        B.append(-sum(comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    for k in range(25):
+        for a, b in ((-7, 3), (7, -3), (-7, -3), (4, 6), (-10, 4), (0, -5),
+                     (9, 3), (-1, 1), (25, -10)):
+            x = Fraction(a, b)
+            want = sum(comb(k, j) * B[j] * x ** (k - j) for j in range(k + 1))
+            num, den = bernoulli_polynomial(k, (a, b))
+            assert Fraction(num, den) == want and den > 0 \
+                and gcd(num, den) == 1, (k, a, b)
 
 # -- binomials ----------------------------------------------------------------------
 
@@ -284,12 +346,12 @@ def test_bernoulli_table_does_not_depend_on_request_order(monkeypatch):
         for m in range(2, K + 1)]
     states = []
     for ks in (range(K + 1), range(K, -1, -1), [K], [7, 40, 39, 41, 300, K]):
-        monkeypatch.setattr(padic, "_bernoulli_state",
-                            ([Fraction(1), Fraction(-1, 2)], [0]))
+        monkeypatch.setattr(padic, "_bernoulli_state", ([(1, 1), (-1, 2)], [0]))
         for k in ks:
-            assert padic.bernoulli(k) == want[k], k
+            assert Fraction(*padic.bernoulli(k)) == want[k], k
         states.append(padic._bernoulli_state)
-    assert all(state == (want, states[0][1]) for state in states)
+    assert all([Fraction(*b) for b in state[0]] == want
+               and state[1] == states[0][1] for state in states)
     assert len(states[0][1]) == n + 1
 
 
@@ -303,8 +365,7 @@ def test_bernoulli_state_stays_consistent_under_threads(monkeypatch):
     import padicq.padic as padic
 
     want = {k: bernoulli(k) for k in range(0, 161)}
-    monkeypatch.setattr(padic, "_bernoulli_state",
-                        ([Fraction(1), Fraction(-1, 2)], [0]))
+    monkeypatch.setattr(padic, "_bernoulli_state", ([(1, 1), (-1, 2)], [0]))
     errors = []
 
     def worker(ks):

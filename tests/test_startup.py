@@ -72,6 +72,52 @@ def test_kummer_dump_skips_the_measure_layers():
                        "padicq.verify", "dataclasses"}
 
 
+
+# exact rationals are integer pairs: the standard library's rational and
+# decimal types, and the numeric tower they pull in, stay unloaded
+RATIONAL_MODULES = {"fractions", "decimal", "_decimal", "numbers"}
+
+
+@pytest.mark.parametrize("code", [
+    "import padicq.cli\n"
+    "padicq.cli.build_parser().parse_args(['moment', '--k', '2'])",
+    "from padicq import *",
+] + [
+    "import padicq.cli\n"
+    f"assert padicq.cli.main({argv!r}) == 0, {argv!r}" for argv in [
+        ["--M", "8", "moment", "--k", "2"],
+        ["--M", "8", "apply", "--measure", '{"kind":"eisenstein","a":2}',
+         "--fn", '{"kind":"indicator","level":2,"class":7}'],
+        ["--M", "8", "lvalue", "--chi1", "trivial", "--chi2", "trivial"],
+        ["--p", "7", "--M", "8", "eisenstein", "--k", "4"],
+        ["--p", "7", "--M", "8", "eisenstein", "--k", "4", "--twist",
+         '{"kind":"indicator","level":1,"class":0}'],
+        ["--M", "8", "nu", "--s", "3", "--t", "1"],
+        ["--p", "3", "--N", "3", "--M", "6", "verify", "all"],
+        ["--p", "3", "kummer-dump", "--k", "1"],
+    ]
+], ids=["parser", "star", "moment", "apply", "lvalue", "eisenstein",
+        "eisenstein-twist", "nu", "verify-all", "kummer-dump"])
+def test_no_command_loads_fractions_or_decimal(code):
+    # against a bare interpreter's modules, so that a site .pth that loads
+    # one of them anyway fails nothing
+    base = _loaded_after("pass")
+    assert not (_loaded_after(code) - base) & RATIONAL_MODULES
+
+
+def test_first_eisenstein_calls_load_no_module():
+    # the constant terms are integer sums, not a deferred import paid
+    # inside the first call
+    _loaded_after(
+        "import padicq.qseries as qs\n"
+        "from padicq import PadicContext, indicator\n"
+        "ctx = PadicContext(7, 12, 8)\n"
+        "f = indicator(ctx, 1, 0)\n"
+        "before = set(sys.modules)\n"
+        "qs.eisenstein_2G(ctx, 4)\n"
+        "qs.eisenstein_2G_twisted(ctx, 4, f)\n"
+        "assert set(sys.modules) == before, sorted(set(sys.modules) - before)")
+
 def _imports_padicq(node) -> bool:
     if isinstance(node, ast.ImportFrom):
         return node.level > 0 or (node.module or "").startswith("padicq")
