@@ -26,8 +26,7 @@ _EXPORTS = {name: module for module, names in {
     "KLConstantTerm LinearMeasure Measure amice_transform convolution_nu "
     "eisenstein_eval eval_at_character eval_measure kl_constant lvalue "
     "measure_from_json psi",
-    "padic": "PadicContext PadicInt bernoulli bernoulli_polynomial binomial_padic "
-    "reduce_rational",
+    "padic": "PadicContext PadicInt bernoulli binomial_padic reduce_rational",
     "qseries": "QExpansion divisor_sum eisenstein_2G eisenstein_2G_twisted "
     "series_to_json sigma_table theta u_p v_p",
     "zpfun": "Character ContinuousFn LocallyConstant MahlerSeries Polynomial Product "

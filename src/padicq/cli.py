@@ -53,22 +53,7 @@ class RunConfig:
         self.a = PadicInt(self.ctx, check_a_range(a, self.p, self.N, "a"))
 
 
-_RING_RESULT = ("cyclotomic-valued results are not serializable; "
-                "use scalar character tables")
-
-
-def _as_scalar(v) -> PadicInt:
-    """v itself, or a cyclotomic v's constant coefficient when every other
-    coefficient is 0 to the full N digits; any other v cannot print."""
-    if isinstance(v, PadicInt):
-        return v
-    if any(v.res[1:]) or any(e < v.ctx.N for e in v.prec[1:]):
-        raise ConfigError(_RING_RESULT)
-    return PadicInt(v.ctx, v.res[0], v.prec[0])
-
-
-def value_to_json(v, cfg: RunConfig) -> dict:
-    v = _as_scalar(v)
+def value_to_json(v: PadicInt, cfg: RunConfig) -> dict:
     return {"schema": 1, "kind": "value", "p": cfg.p, "N": cfg.N,
             "residue": str(v.residue), "prec": v.prec}
 
@@ -299,8 +284,8 @@ def cmd_nu(cfg: RunConfig, args) -> int:
 
 
 @_command("lvalue", "two-variable L-value data",
-          ("--chi1", str, _REQUIRED, '"trivial" or JSON character data'),
-          ("--chi2", str, _REQUIRED, '"trivial" or JSON character data'))
+          ("--chi1", str, _REQUIRED, '"trivial" or a JSON function descriptor'),
+          ("--chi2", str, _REQUIRED, '"trivial" or a JSON function descriptor'))
 def cmd_lvalue(cfg: RunConfig, args) -> int:
     from .measures import lvalue
     from .qseries import series_to_json
@@ -309,8 +294,6 @@ def cmd_lvalue(cfg: RunConfig, args) -> int:
     chi1, chi2 = (fn_from_json(cfg.ctx, trivial if text == "trivial" else text,
                                "a character descriptor")
                   for text in (args.chi1, args.chi2))
-    if chi1.ring_level or chi2.ring_level:  # nu_series would be a ring series
-        raise ConfigError(_RING_RESULT)
     value, factor, series = lvalue(chi1, chi2, cfg.a)
     emit({"schema": 1, "kind": "lvalue", "value": value_to_json(value, cfg),
           "euler_factor": value_to_json(factor, cfg),
@@ -331,8 +314,6 @@ def cmd_apply(cfg: RunConfig, args) -> int:
     f = fn_from_json(cfg.ctx, args.fn)
     v = eval_measure(mu, f)
     if isinstance(v, QExpansion):
-        if v.parts:
-            v = QExpansion(cfg.ctx, [_as_scalar(c) for c in v.coeffs], v.qprec)
         emit(series_to_json(v))
     else:
         emit(value_to_json(v, cfg))

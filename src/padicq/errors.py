@@ -89,11 +89,8 @@ def json_int(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, got {json.dumps(value)}")
 
 
-def json_int_field(obj: dict, key: str, kind: str, default=None) -> int:
-    """obj[key] as an integer (``default`` when given and the field is
-    missing)."""
-    if default is not None and key not in obj:
-        return default
+def json_int_field(obj: dict, key: str, kind: str) -> int:
+    """obj[key] as an integer."""
     return json_int(json_field(obj, key, kind), f"{kind} field {key!r}")
 
 

@@ -6,9 +6,9 @@ dividing by p costs one digit.  Nothing here ever rounds: a residue is an
 exact integer and the precision says which congruence class it pins down.
 
 An exact rational is an integer pair (num, den), den != 0: the Bernoulli
-numbers and polynomials come back in lowest terms with den > 0, and
-``reduce_rational`` takes any pair.  Plain integers keep ``fractions`` and
-``decimal`` out of every process.
+numbers come back in lowest terms with den > 0, and ``reduce_rational``
+takes any pair.  Plain integers keep ``fractions`` and ``decimal`` out of
+every process.
 """
 
 from __future__ import annotations
@@ -257,17 +257,6 @@ def _bernoulli_terms(k: int, b: int) -> tuple[list, int]:
     D = lcm(*(d for _, d in bs))
     return [comb(k, j) * n * (D // d) * b ** j
             for j, (n, d) in enumerate(bs)], D
-
-
-def bernoulli_polynomial(k: int, x: tuple[int, int]) -> tuple[int, int]:
-    """B_k(a/b) = sum_j C(k, j) B_j (a/b)^(k-j) for x = (a, b), b != 0,
-    evaluated exactly: the pair (num, den) in lowest terms, den > 0."""
-    a, b = x
-    terms, D = _bernoulli_terms(k, b)
-    num = 0
-    for t in terms:  # Horner's rule in a
-        num = num * a + t
-    return _lowest(num, D * b ** k)
 
 
 def padic_valuation(n: int, p: int) -> int:

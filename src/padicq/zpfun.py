@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from math import comb
 
-from .cyclotomic import CyclotomicElem, cyclo_pow, zeta_powers
+from .cyclotomic import cyclo_pow, zeta_powers
 from .errors import (ConfigError, NotUnit, PadicqError, PrecisionExhausted,
                      UnsupportedShape, json_field, json_int_field,
                      json_int_list, json_list, json_object)
@@ -89,10 +89,10 @@ def constant_fn(ctx: PadicContext, value) -> Polynomial:
 
 
 class Character(ContinuousFn):
-    """f(z) = zeta^z for a p-power root of unity zeta; at level 0 (zeta = 1)
-    the scalar constant 1."""
+    """f(z) = zeta^z for a p-power root of unity zeta, a CyclotomicElem; at
+    level 0 (zeta = 1) the scalar constant 1."""
 
-    def __init__(self, zeta: CyclotomicElem):
+    def __init__(self, zeta):
         self.ctx = zeta.ctx
         self.zeta = zeta
         self.level = self.lc_level = self.step_level = self.ring_level = \
@@ -467,7 +467,7 @@ def fn_from_json(ctx: PadicContext, obj,
         return Polynomial(ctx, json_int_list(obj, "coeffs", kind))
     if kind == "constant":
         return constant_fn(ctx, json_int_field(obj, "value", kind))
-    if kind in ("indicator", "table", "character"):
+    if kind in ("indicator", "table"):
         level = json_int_field(obj, "level", kind)
         if level < 0:
             raise ConfigError(f"{kind} field 'level' must be >= 0, got {level}")
@@ -479,9 +479,6 @@ def fn_from_json(ctx: PadicContext, obj,
         return indicator(ctx, level, json_int_field(obj, "class", kind))
     if kind == "table":
         return LocallyConstant(ctx, level, json_int_list(obj, "values", kind))
-    if kind == "character":
-        power = json_int_field(obj, "power", kind, default=1)
-        return Character(CyclotomicElem.zeta_power(ctx, level, power))
     if kind == "binomial":
         return binomial(ctx, json_int_field(obj, "k", kind))
     if kind == "mahler":

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import padicq
-from padicq import ConfigError, PadicContext, bernoulli, reduce_rational
+from padicq import PadicContext, bernoulli, reduce_rational
 from padicq.cli import COMMANDS, GLOBAL_OPTIONS, build_parser, main
 
 
@@ -67,46 +67,36 @@ def test_eisenstein_twist(capsys):
     assert obj["coeffs"][3] == "0"
 
 
-def test_character_twists_are_refused_before_any_table(capsys):
-    # a character of level >= 1, bare, in a product, scaled or zero-extended,
-    # is refused from its descriptor; building its p^m ring elements first
-    # took seconds at level 4 and did not finish at level 5.  A level-0
-    # character is the scalar 1 and is not refused (see below)
-    char = '{"kind":"character","level":%d,"power":%d}'
+def test_character_descriptors_exit_4_before_any_table(capsys):
+    # every descriptor value is a scalar, so "character" is no kind: it is
+    # refused as it is read, bare or wrapped, at every level up to N = 12,
+    # before any table or ring element (phi(5^12) coordinates at level 12)
     ind = '{"kind":"indicator","level":1,"class":0}'
-    twists = [char % (5, 1), char % (6, 3),
-              '{"kind":"product","factors":[%s,%s]}' % (ind, char % (5, 2)),
-              '{"kind":"scaled","unit":2,"inner":%s}' % (char % (5, 1)),
-              '{"kind":"zero_extended_units","inner":%s}' % (char % (5, 1))]
-    for twist in twists:
+    wraps = ('%s', '{"kind":"product","factors":[%s,%%s]}' % ind,
+             '{"kind":"scaled","unit":2,"inner":%s}',
+             '{"kind":"zero_extended_units","inner":%s}')
+    commands = (["apply", "--measure", '{"kind":"dirac","c":1}', "--fn"],
+                ["eisenstein", "--k", "4", "--twist"],
+                ["lvalue", "--chi2", "trivial", "--chi1"])
+    want = {"code": 4, "message": "unknown function kind 'character'"}
+    for level in (0, 1, 10, 12):
+        char = '{"kind":"character","level":%d,"power":1}' % level
+        for wrap in wraps:
+            for command in commands:
+                start = time.monotonic()
+                code, out, err = run_cli(capsys, *command, wrap % char)
+                assert time.monotonic() - start < 1.0, (level, wrap, command)
+                assert_config_error(code, out, err)
+                assert json.loads(err) == want
+    for command in commands:
         start = time.monotonic()
-        code, out, err = run_cli(capsys, "eisenstein", "--k", "4", "--twist", twist)
-        assert time.monotonic() - start < 1.0, twist
-        assert code == 4 and out == ""
-        assert json.loads(err) == {
-            "code": 4, "message": "L-values need scalar (non-cyclotomic) twists"}
-
-
-def test_level0_character_twist_is_the_constant_one(capsys):
-    # zeta = 1 at level 0: the character is the scalar 1, so the twist is
-    # the untwisted series, as is the level-0 indicator; its product with
-    # a level-1 indicator is that indicator's twist.  A polynomial is its
-    # nonzero terms, so [3, 0] is the constant 3
-    char = '{"kind":"character","level":0}'
-    ind = '{"kind":"indicator","level":1,"class":0}'
-
-    def twisted(*twist):
-        code, out, err = run_cli(capsys, "--M", "5", "eisenstein", "--k", "6", *twist)
-        assert code == 0 and err == "", twist
-        return out
-
-    plain = twisted()
-    assert twisted("--twist", char) == plain
-    assert twisted("--twist", '{"kind":"indicator","level":0,"class":0}') == plain
-    assert twisted("--twist", '{"kind":"product","factors":[%s,%s]}' % (char, ind)) \
-        == twisted("--twist", ind)
-    assert twisted("--twist", '{"kind":"polynomial","coeffs":[3,0]}') == \
-        twisted("--twist", '{"kind":"constant","value":3}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicq", *command,
+             '{"kind":"character","level":12}'],
+            capture_output=True, text=True, timeout=60, env=_child_env())
+        assert time.monotonic() - start < 1.0, command
+        assert_config_error(proc.returncode, proc.stdout, proc.stderr)
+        assert json.loads(proc.stderr) == want
 
 
 def test_table_twist_is_the_step_function_it_lists(capsys):
@@ -116,6 +106,22 @@ def test_table_twist_is_the_step_function_it_lists(capsys):
             for twist in ('{"kind":"table","level":1,"values":[1,0,0,0,0]}',
                           '{"kind":"indicator","level":1,"class":0}')]
     assert outs[0] == outs[1] and outs[0][0] == 0
+    # the level-0 indicator is the constant 1: its twist is the untwisted
+    # series, alone or in a product with a level-1 indicator.  A polynomial
+    # is its nonzero terms, so [3, 0] is the constant 3
+    one = '{"kind":"indicator","level":0,"class":0}'
+    ind = '{"kind":"indicator","level":1,"class":0}'
+
+    def twisted(*twist):
+        code, out, err = run_cli(capsys, "--M", "5", "eisenstein", "--k", "6", *twist)
+        assert code == 0 and err == "", twist
+        return out
+
+    assert twisted("--twist", one) == twisted()
+    assert twisted("--twist", '{"kind":"product","factors":[%s,%s]}' % (one, ind)) \
+        == twisted("--twist", ind)
+    assert twisted("--twist", '{"kind":"polynomial","coeffs":[3,0]}') == \
+        twisted("--twist", '{"kind":"constant","value":3}')
 
 
 def test_lvalue_validates_each_character_once(capsys, monkeypatch):
@@ -131,20 +137,6 @@ def test_lvalue_validates_each_character_once(capsys, monkeypatch):
                                   for c in range(25)]})
     code, out, err = run_cli(capsys, "lvalue", "--chi1", chi1, "--chi2", "trivial")
     assert code == 0 and err == "" and calls == [2, 2]
-
-
-@pytest.mark.parametrize("chi1", ['{"kind":"character","level":4,"power":0}',
-                                  '{"kind":"character","level":6}'])
-def test_lvalue_refuses_ring_characters_at_once(capsys, chi1):
-    # a character of level >= 1 makes nu_series a ring series, which never
-    # prints: refused with exit 4 before any table is built or validated
-    start = time.monotonic()
-    code, out, err = run_cli(capsys, "lvalue", "--chi1", chi1, "--chi2", "trivial")
-    assert time.monotonic() - start < 1.0
-    assert code == 4 and out == ""
-    assert json.loads(err) == {
-        "code": 4, "message": "cyclotomic-valued results are not serializable; "
-                              "use scalar character tables"}
 
 
 def test_lvalue_refuses_levels_past_the_cap_before_validating(capsys):
@@ -188,28 +180,14 @@ def test_commands_match_the_benchmark_reference_outputs(capsys):
         assert _strip_volatile(obj) == job["output"], job["argv"]
 
 
-def test_character_above_N_is_refused_before_its_table(capsys):
-    # a level-5 character at N = 2 is past the level cap and past N; it is
-    # refused from its level as it is read, before its 5^5 powers
-    start = time.monotonic()
-    code, out, err = run_cli(capsys, "--N", "2", "apply", "--measure",
-                             '{"kind":"amice","coeffs":[1]}', "--fn",
-                             '{"kind":"character","level":5}')
-    assert time.monotonic() - start < 1.0
-    assert code == 2 and out == ""
-    assert json.loads(err) == {
-        "code": 2, "message": "character level 5 exceeds the precision N = 2"}
-
-
 @pytest.mark.parametrize("measure", ['{"kind":"dirac","c":1}',
                                      '{"kind":"amice","coeffs":[1,2,3]}',
                                      '{"kind":"eisenstein","a":2}'])
-@pytest.mark.parametrize("kind", ['"indicator","level":14,"class":3',
-                                  '"character","level":14'])
+@pytest.mark.parametrize("kind", ['"indicator","level":14,"class":3'])
 def test_levels_above_N_are_refused_before_any_table(capsys, measure, kind):
     # no argument known to N = 12 digits resolves a class mod 5^14, so the
     # descriptor is refused as it is read: a level-14 indicator table has
-    # 5^14 entries, a level-14 root of unity phi(5^14) coordinates
+    # 5^14 entries
     start = time.monotonic()
     code, out, err = run_cli(capsys, "--M", "5", "apply", "--measure", measure,
                              "--fn", f"{{\"kind\":{kind}}}")
@@ -246,20 +224,6 @@ def test_level_9_step_product_is_refused_before_its_tables(capsys):
     assert code == 2 and out == ""
     assert json.loads(err) == {"code": 2,
                                "message": "level 9 exceeds the level cap 3"}
-
-
-@pytest.mark.parametrize("level", [4, 6])
-def test_amice_pairing_refuses_a_character_above_the_cap(capsys, level):
-    # the Mahler coefficients of a character need its p^level powers,
-    # about 2 GB at level 6, so the cap is applied before them
-    start = time.monotonic()
-    code, out, err = run_cli(capsys, "--M", "5", "apply", "--measure",
-                             '{"kind":"amice","coeffs":[1,2,3]}', "--fn",
-                             f'{{"kind":"character","level":{level}}}')
-    assert time.monotonic() - start < 1.0
-    assert code == 2 and out == ""
-    assert json.loads(err) == {
-        "code": 2, "message": f"level {level} exceeds the level cap 3"}
 
 
 def test_moment_value(capsys):
@@ -539,8 +503,6 @@ def test_descriptor_fields_are_strict_integers(capsys):
         ('{"kind":"amice","coeffs":[1,0.5]}', mono, ["amice", "'coeffs'"]),
         ('{"kind":"linear","terms":[[false,' + dirac + ']]}', mono,
          ["linear", "false"]),
-        (dirac, '{"kind":"character","level":1,"power":1.0}',
-         ["character", "'power'"]),
         (dirac, '{"kind":"polynomial","coeffs":3}', ["polynomial", "list"]),
         # a missing field names the field and the descriptor's kind
         (dirac, '{"kind":"indicator","level":1}', ["indicator", "'class'"]),
@@ -564,7 +526,7 @@ def test_descriptor_fields_are_strict_integers(capsys):
             assert "table" in json.loads(err)["message"], args
     # a negative level names the field and the descriptor's kind
     for fn in ('{"kind":"indicator","level":-1,"class":0}',
-               '{"kind":"character","level":-1,"power":1}'):
+               '{"kind":"table","level":-1,"values":[]}'):
         code, out, err = run_cli(capsys, "apply", "--measure", dirac,
                                  "--fn", fn)
         assert_config_error(code, out, err)
@@ -617,42 +579,6 @@ def test_apply_to_the_mahler_series_of_x_to_the_z(capsys):
                            "--fn", fn)
     assert code == 0
     assert json.loads(out)["residue"] == str(1 + 2 * 5 + 3 * 25)
-
-
-def test_scalar_cyclotomic_results_print_as_values(capsys):
-    # a character that is the constant 1 prints like the monomial z^0,
-    # as a value and as a series; a genuine character exits 4 either way
-    for measure in ('{"kind":"dirac","c":3}', '{"kind":"eisenstein","a":2}'):
-        want = run_cli(capsys, "--M", "8", "apply", "--measure", measure,
-                       "--fn", '{"kind":"monomial","degree":0}')
-        assert want[0] == 0
-        for level, power in ((0, 1), (1, 5)):
-            fn = json.dumps({"kind": "character", "level": level,
-                             "power": power})
-            assert run_cli(capsys, "--M", "8", "apply", "--measure", measure,
-                           "--fn", fn) == want
-        code, out, err = run_cli(
-            capsys, "--M", "8", "apply", "--measure", measure,
-            "--fn", '{"kind":"character","level":1,"power":1}')
-        assert_config_error(code, out, err)
-        assert json.loads(err)["message"] == (
-            "cyclotomic-valued results are not serializable; "
-            "use scalar character tables")
-
-
-def test_as_scalar_needs_zeros_to_full_precision():
-    from padicq import CyclotomicElem, PadicInt
-    from padicq.cli import _as_scalar
-    ctx = PadicContext(5, 6, 4)
-    head = PadicInt(ctx, 7, 4)
-    exact = CyclotomicElem(ctx, 1, [head] + [PadicInt(ctx, 0)] * 3)
-    got = _as_scalar(exact)
-    assert (got.residue, got.prec) == (7, 4)
-    # a coefficient known to be 0 only mod p^2 may be any multiple of p^2
-    low = CyclotomicElem(ctx, 1, [head, PadicInt(ctx, 0, 2)]
-                         + [PadicInt(ctx, 0)] * 2)
-    with pytest.raises(ConfigError):
-        _as_scalar(low)
 
 
 def test_kummer_dump(capsys):
@@ -733,21 +659,6 @@ def test_closed_stdout_exits_141_silently():
             assert proc.stderr == b""
     finally:
         os.close(w)
-
-
-def test_character_past_level_cap_exits_2_before_work():
-    # a level-4 character is refused up front, not after its character sum
-    proc = subprocess.run(
-        [sys.executable, "-m", "padicq", "--M", "5", "apply",
-         "--measure", '{"kind":"eisenstein","a":2}',
-         "--fn", '{"kind":"character","level":4,"power":1}'],
-        capture_output=True, text=True, timeout=60, env=_child_env(),
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {"code": 2,
-                                    "message": "level 4 exceeds the level cap 3"}
 
 
 def _buffered_env():

@@ -93,7 +93,8 @@ def _twisted_table(ex, o, k: int, m: int, values: list, M: int) -> dict:
 @st.composite
 def jobs(draw):
     """(p, N, argv, want): want(ex, oracles) is the expected output.  Every
-    step, twist and character level is at most N, which resolves it."""
+    step, twist and --chi1/--chi2 table level is at most N, which resolves
+    it."""
     p = draw(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23)))
     N, M = draw(st.integers(1, 8)), draw(st.integers(1, 12))
     unit = st.integers(1, p ** N - 1).filter(lambda x: x % p)

@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from padicq import (CyclotomicElem, LocallyConstant, NotPIntegral, PadicContext, PadicInt,
+from padicq import (Character, CyclotomicElem, LocallyConstant, NotPIntegral, PadicContext, PadicInt,
                     QExpansion, ZeroExtendedUnits, bernoulli, constant_fn,
                     divisor_sum, eisenstein_2G, eisenstein_2G_twisted, indicator,
                     multiply, reduce_rational, scale_argument,
@@ -167,6 +167,23 @@ def test_eisenstein_pole_is_known_before_bernoulli(monkeypatch):
 def test_twisted_trivial_equals_plain(ctx5):
     one = constant_fn(ctx5, 1)
     assert eisenstein_2G_twisted(ctx5, 2, one) == eisenstein_2G(ctx5, 2)
+
+
+def test_twisted_refuses_ring_twists_before_any_value(ctx5):
+    # a character factor of level >= 1 has ring values: refused from its
+    # ring_level, bare or wrapped, before the twist is read anywhere; at
+    # level 0 (zeta = 1) it is the scalar 1 and twists nothing
+    class Unevaluated(Character):
+        def evaluate(self, x):
+            raise AssertionError("evaluated before the ring check")
+
+    chi = Unevaluated(CyclotomicElem.zeta(ctx5, 1))
+    for twist in (chi, multiply(indicator(ctx5, 1, 0), chi),
+                  scale_argument(chi, PadicInt(ctx5, 2)), ZeroExtendedUnits(chi)):
+        with pytest.raises(TypeError, match="non-cyclotomic"):
+            eisenstein_2G_twisted(ctx5, 4, twist)
+    one = Character(CyclotomicElem.zeta_power(ctx5, 0, 1))
+    assert eisenstein_2G_twisted(ctx5, 6, one) == eisenstein_2G(ctx5, 6)
 
 
 def test_twisted_unit_class_constant_is_a_pole(ctx5):
