@@ -337,6 +337,8 @@ def check_realization(ctx: PadicContext, k: int) -> CheckReport:
     _check_law(rep, els, kummer_mul)
     _check_products(rep, base, kummer_mul)
     _check_zeta_linear(rep, inv)
+    # (I2) is the only check that catches a wrong kummer_pair (one without
+    # its j a term fails nothing else): keep it, though it reads as a tautology
     for e in els:
         rep.checks += len(inv_els)
         for f in inv_els:

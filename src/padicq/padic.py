@@ -201,17 +201,9 @@ class PadicInt:
 
 # -- exact rational utilities ----------------------------------------------
 
-# (table B_0..B_K, column c = K // 2 of the tangent-number triangle after
-# each stage i = 1..c, entry 0 unused): a request past the table computes
-# only the new columns.  The tuple is replaced whole, so every thread reads
-# a table and a column that belong together.
-_bernoulli_state = ([(1, 1), (-1, 2)], [0])
-
-
-def _lowest(num: int, den: int) -> tuple[int, int]:
-    """num/den as the pair in lowest terms with den > 0."""
-    g = gcd(num, den)
-    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+# B_0..B_K: a request past the table rebuilds it at twice the length.  Only
+# a longer list replaces it, whole, so every thread reads a complete table.
+_bernoulli_table = [(1, 1), (-1, 2)]
 
 
 def bernoulli(k: int) -> tuple[int, int]:
@@ -223,40 +215,54 @@ def bernoulli(k: int) -> tuple[int, int]:
     Column j of their triangle starts at (j-1)! and stage i = 2..j sets it
     to (j-i) (column j-1) + (j-i+2) (column j); it holds T_j from stage j on.
     """
-    global _bernoulli_state
+    global _bernoulli_table
     if k < 0:
         raise ValueError("k must be >= 0")
-    table, prev = _bernoulli_state
+    table = _bernoulli_table
     if k < len(table):
         return table[k]
-    c, n, col = len(prev) - 1, k // 2, prev
-    t = [0] * (c + 1) + [factorial(j - 1) for j in range(c + 1, n + 1)]
-    if n > c:
-        col = [0, t[n]]
-        for i in range(2, n + 1):
-            if c:  # column c at stage i, from the stored column
-                t[c] = prev[min(i, c)]
-            for j in range(max(i, c + 1), n + 1):
-                t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
-            col.append(t[n])
-    table = table + [(0, 1) if m % 2 else _lowest(
-        -(-1) ** (m // 2) * m * t[m // 2], 4 ** m - 2 ** m)
-        for m in range(len(table), k + 1)]
-    # a longer state another thread stored meanwhile is kept
-    if len(table) > len(_bernoulli_state[0]):
-        _bernoulli_state = (table, col)
+    n = max(k, 2 * len(table)) // 2  # B_0..B_(2n+1)
+    t = [0] + [factorial(j - 1) for j in range(1, n + 1)]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    table = [(1, 1), (-1, 2)]
+    for i in range(1, n + 1):  # B_2i, then B_(2i+1) = 0
+        num, den = (-1) ** (i - 1) * 2 * i * t[i], 16 ** i - 4 ** i
+        g = gcd(num, den)
+        table += [(num // g, den // g), (0, 1)]
+    if len(table) > len(_bernoulli_table):
+        _bernoulli_table = table
     return table[k]
 
 
-def _bernoulli_terms(k: int, b: int) -> tuple[list, int]:
-    """(t, D): B_k(a/b) = sum_j t_j a^(k-j) / (D b^k) for every integer a,
-    t_j = C(k, j) B_j D b^j with D the least common denominator of
-    B_0..B_k, so each t_j is an integer."""
-    bernoulli(k)  # fill the table once, not once per j
-    bs = [bernoulli(j) for j in range(k + 1)]
-    D = lcm(*(d for _, d in bs))
-    return [comb(k, j) * n * (D // d) * b ** j
-            for j, (n, d) in enumerate(bs)], D
+def _bernoulli_weights(ctx: PadicContext, k: int, m: int,
+                       classes) -> tuple[list, int]:
+    """(W, den): the Bernoulli distribution w_c = -F^(k-1) B_k(c/F)/k of
+    level m, F = p^m, is -W_c/den at each c in ``classes``, every W_c
+    reduced mod p^(N + v_p(den)); at m = 0 the one class 0 has weight
+    -B_k/k, the sum of the level-1 weights.
+
+    w_c = -c^k/(k F) - sum_(j>=1) C(k-1, j-1)/j B_j c^(k-j) F^(j-1), and
+    term j has valuation >= m(j-1) - 1 - floor(log_p j) (v_p(B_j) >= -1 by
+    von Staudt-Clausen), a bound that grows with j: the sum stops at the
+    last j = J where it is below N, about N/m + 2, so B_j is built only to
+    J and c^(k-J) is one modular pow.
+    """
+    p, N = ctx.p, ctx.N
+    if m == 0:
+        ws, den = _bernoulli_weights(ctx, k, 1, range(p))
+        return [sum(ws) % p ** (N + padic_valuation(den, p))], den
+    F = p ** m
+    J = next((j for j in range(1, k) if m * j - 1 - ilog(j + 1, p) >= N), k)
+    bs = [bernoulli(j) for j in range(J + 1)]
+    den = k * F * lcm(*(j * d for j, (_, d) in enumerate(bs) if j))
+    mod = p ** (N + padic_valuation(den, p))
+    ts = [den // (k * F)] + [
+        comb(k - 1, j - 1) * b * (den // (j * d)) * F ** (j - 1) % mod
+        for j, (b, d) in enumerate(bs) if j]
+    return [sum(t * c ** (J - j) for j, t in enumerate(ts))
+            * pow(c, k - J, mod) % mod for c in classes], den
 
 
 def padic_valuation(n: int, p: int) -> int:

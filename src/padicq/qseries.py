@@ -16,8 +16,8 @@ lifted as ``CyclotomicElem.lift_to`` lifts them).  Sums, U_p and V_p run
 the scalar code on each coordinate.  A product of scalar series is one
 convolution of the residues, ``_convolve``: four-point Kronecker
 substitution, five integer products of a quarter of the size of the one
-that packs whole series.  Exact constant terms, -B_k/k and L(1-k, f), are
-integer pairs (num, den) that ``reduce_rational`` reduces mod p^N.
+that packs whole series.  Constant terms, -B_k/k and L(1-k, f), are integer
+pairs (num, den), exact mod p^N, that ``reduce_rational`` reduces.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from math import isqrt
 from operator import add
 
 from .cyclotomic import CyclotomicElem, phi_pm
-from .errors import NotPIntegral, PrecisionExhausted
-from .padic import PadicContext, PadicInt, _bernoulli_terms, bernoulli, \
+from .errors import PrecisionExhausted
+from .padic import PadicContext, PadicInt, _bernoulli_weights, \
     padic_valuation, reduce_rational
 from .zpfun import ContinuousFn, LocallyConstant, Product, Scaled, \
     ZeroExtendedUnits, values
@@ -382,21 +382,17 @@ def sigma_table(e: int, M: int, mod: int) -> tuple:
 def eisenstein_2G(ctx: PadicContext, k: int) -> QExpansion:
     """The weight-k Eisenstein series 2G_k, zero for odd k.
 
-    Constant term is the reduction of -B_k/k; for (p-1) | k that value has a
-    genuine p in the denominator, v_p(-B_k/k) = -1 - v_p(k) by von
-    Staudt-Clausen, and NotPIntegral is raised before B_k is built (callers
-    needing those weights go through the regularized measure instead).  The
-    other coefficients are 2 sigma_(k-1)(n) mod p^N, from the sigma table
-    mod p^N.
+    Constant term -B_k/k from ``_bernoulli_weights``, a pole that raises
+    NotPIntegral for (p-1) | k (v_p = -1 - v_p(k) by von Staudt-Clausen;
+    the regularized measure has those moments); the other coefficients are
+    2 sigma_(k-1)(n) from the sigma table mod p^N.
     """
     if k < 2:
         raise ValueError("2G_k requires k >= 2 (the k = 1 series is not defined)")
     if k % 2 == 1:
         return QExpansion.zero(ctx)
-    if k % (ctx.p - 1) == 0:
-        raise NotPIntegral.pole(ctx.p, -1 - padic_valuation(k, ctx.p))
-    num, den = bernoulli(k)
-    const, mod = reduce_rational(-num, den * k, ctx), ctx.modulus
+    (w,), den = _bernoulli_weights(ctx, k, 0, [0])
+    const, mod = reduce_rational(-w, den, ctx), ctx.modulus
     return QExpansion.from_flat(
         ctx, [const.residue] + [2 * s % mod
                                 for s in sigma_table(k - 1, ctx.M, mod)[1:]],
@@ -418,13 +414,11 @@ def eisenstein_2G_twisted(ctx: PadicContext, k: int,
 
 
 def _lvalue(k: int, f: ContinuousFn) -> tuple[tuple[int, int], int]:
-    """((num, den), e): L = num/den = sum_c f(c) w_c, w_c = -F^(k-1)
-    B_k(c/F)/k, summed over one period F = p^m of a locally constant scalar
-    f, and the digits e of L(1-k, f) that L is known to.
+    """((num, den), e): L = sum_c f(c) w_c mod p^(N + v_p(den)) is num/den,
+    w_c = -F^(k-1) B_k(c/F)/k over one period F = p^m of a locally
+    constant scalar f, and e the digits of L(1-k, f) that L is known to.
 
-    Every w_c is -W_c/den over the one integer denominator den = D F k,
-    with W_c = sum_j t_j c^(k-j) from ``_bernoulli_terms``, so the sum is
-    of integers; (num, den) need not be in lowest terms.  f(c) is read, as
+    Every w_c is -W_c/den from ``_bernoulli_weights``.  f(c) is read, as
     its canonical residue, at each class c where f may be nonzero
     (``_support``), and caps e at e_c + v_p(w_c) = e_c + v_p(W_c) - v_p(den),
     e_c <= N its digits: a value 0 to all N digits too.  A cap below 0
@@ -436,17 +430,14 @@ def _lvalue(k: int, f: ContinuousFn) -> tuple[tuple[int, int], int]:
         raise ValueError("twist must be locally constant")
     if f.ring_level:  # refused before any of its values is read
         raise TypeError("L-values need scalar (non-cyclotomic) twists")
-    F, p = ctx.p ** m, ctx.p
-    terms, D = _bernoulli_terms(k, F)
-    den = D * F * k
-    vden, total, top, (lvl, cs) = padic_valuation(den, p), 0, ctx.N, _support(f)
-    for c in [c + i * p ** lvl for c in cs for i in range(p ** (m - lvl))]:
+    p, (lvl, cs) = ctx.p, _support(f)
+    classes = [c + i * p ** lvl for c in cs for i in range(p ** (m - lvl))]
+    ws, den = _bernoulli_weights(ctx, k, m, classes)
+    vden, total, top = padic_valuation(den, p), 0, ctx.N
+    for c, w in zip(classes, ws):
         v = f.evaluate(PadicInt(ctx, c))
         if not isinstance(v, PadicInt):
             raise TypeError("L-values need scalar (non-cyclotomic) twists")
-        w = 0
-        for t in terms:  # Horner's rule in c
-            w = w * c + t
         if w:
             total -= v.residue * w
             top = min(top, v.prec + padic_valuation(w, p) - vden)

@@ -17,7 +17,8 @@ from .kummer import (CheckReport, check_group_axioms, check_pairing_perfect,
 from .measures import (AmiceMeasure, DiracMeasure, amice_transform,
                        convolution_nu, eisenstein_eval, eval_at_character,
                        kl_constant)
-from .padic import PadicContext, PadicInt, bernoulli, reduce_rational
+from .padic import PadicContext, PadicInt, _bernoulli_weights, bernoulli, \
+    reduce_rational
 from .qseries import QExpansion, divisor_sum, theta, u_p, v_p
 from .zpfun import (Character, MahlerSeries, Polynomial, Scaled, TwoVarFn,
                     indicator, mahler_coeffs, monomial, multiply)
@@ -26,15 +27,15 @@ from .zpfun import (Character, MahlerSeries, Polynomial, Scaled, TwoVarFn,
 def reference_nu(ctx: PadicContext, a: PadicInt, s: int, t: int) -> QExpansion:
     """(1 - a^(s+1)) theta^t 2G_(s+1): the divisor-sum route to the moments.
 
-    Here 2G_(s+1) means -B_(s+1)/(s+1) + 2 sum_n sigma_s(n) q^n for every
-    s >= 0, not the convention of eisenstein_2G that is zero at odd weight.
-    The sigma_s(n) come from the generic flat divisor_sum (d^s mod p^N
-    added to each multiple of d), not from the sigma_table sieve that the
+    Here 2G_(s+1) is -B_(s+1)/(s+1), from ``_bernoulli_weights``, plus
+    2 sum_n sigma_s(n) q^n for every s >= 0 (eisenstein_2G is 0 at odd
+    weight).  The sigma_s(n) come from the generic flat divisor_sum (d^s mod
+    p^N added to each multiple of d), not the sigma_table sieve that the
     Eisenstein measure reads, so the two routes check each other.
     """
     factor, n = 1 - a.residue ** (s + 1), ctx.M + 1
-    num, den = bernoulli(s + 1)
-    const = reduce_rational(-factor * num, den * (s + 1), ctx)
+    (num,), den = _bernoulli_weights(ctx, s + 1, 0, [0])
+    const = reduce_rational(-factor * num, den, ctx)
     w = ([2 * factor % ctx.modulus] * n, [ctx.N] * n)
     res, prec = divisor_sum(ctx, w, s)
     res[0], prec[0] = const.residue, const.prec

@@ -372,8 +372,9 @@ def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
 
 
 def test_eisenstein_pole_exits_2_before_bernoulli(capsys):
-    # (p - 1) | k: the pole of -B_k/k is known from k, and the tangent-number
-    # table for B_6000 (seconds of work) is never built
+    # (p - 1) | k: the level-1 weights summed to their last term below N
+    # show the pole of -B_k/k; no B_j past that term, let alone B_6000
+    # (seconds of tangent-number work), is built
     start = time.monotonic()
     code, out, err = run_cli(capsys, "--p", "5", "--M", "2", "eisenstein",
                              "--k", "6000")

@@ -279,6 +279,27 @@ def test_kl_moments_against_bernoulli_oracle(ctx5):
         assert kl._indicator_cache == {}, ar
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_kl_moments_equal_the_2G_constant_up_to_large_weight(p):
+    # kappa(z^(k-1)) = (1 - a^k)(-B_k/k): the moment's point weights never
+    # read the Bernoulli distribution, so they check the truncated constant
+    # of 2G_k on a second route, up to k = 10^5, residue and digits (at
+    # p = 3 every even k is a pole)
+    for N in (1, 6, 12):
+        ctx, mod = PadicContext(p, N, 1), p ** N
+        for a in (2, p + 1):
+            for k in list(range(2, 120, 2)) + [1002, 3002, 10002, 99998, 100002]:
+                if k % (p - 1):
+                    const = eisenstein_2G(ctx, k).coefficient(0)
+                    got = kl_constant(PadicInt(ctx, a), monomial(ctx, k - 1))
+                    assert (got.residue, got.prec) == (
+                        (1 - pow(a, k, mod)) * const.residue % mod, N), (p, N, a, k)
+    ctx = PadicContext(5, 12, 1)
+    assert eisenstein_2G(ctx, 100002).coefficient(0).residue == 64510417
+    assert kl_constant(PadicInt(ctx, 2), monomial(ctx, 100001)).residue \
+        == (1 - pow(2, 100002, 5 ** 12)) * 64510417 % 5 ** 12
+
+
 def _mahler_cutoff(p, N):
     """The least n with v_p(n!) >= N, from Legendre's formula."""
     n = 0

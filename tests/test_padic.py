@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from padicq import (NotPIntegral, NotUnit, PadicContext, PadicInt, bernoulli,
                     binomial_padic, reduce_rational)
-from padicq.padic import _bernoulli_terms, is_prime
+from padicq.padic import _bernoulli_weights, ilog, is_prime, padic_valuation
 
 ints = st.integers(min_value=-10**9, max_value=10**9)
 
@@ -181,13 +181,24 @@ def test_von_staudt_clausen(p):
             reduce_rational(val.numerator, val.denominator, ctx)  # must not raise
 
 
+def _recurrence(n: int) -> list:
+    # B_0..B_n in Fractions, from sum_{j<=m} C(m+1, j) B_j = 0
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum(comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B
+
+
+_B = _recurrence(24)
+
+
 def _horner(k: int, a: int, b: int) -> Fraction:
-    # B_k(a/b) from the integer terms the L-values sum, by Horner's rule in a
-    terms, D = _bernoulli_terms(k, b)
-    num = 0
-    for t in terms:
-        num = num * a + t
-    return Fraction(num, D * b ** k)
+    # B_k(a/b) = sum_j C(k, j) B_j (a/b)^(k-j) by Horner's rule in a/b, with
+    # B_j from the defining recurrence
+    x, value = Fraction(a, b), Fraction(0)
+    for j in range(k + 1):
+        value = value * x + comb(k, j) * _B[j]
+    return value
 
 
 def _bpoly(k: int, x: Fraction) -> Fraction:
@@ -249,16 +260,96 @@ def test_reduce_rational_ignores_common_factors(p):
 
 def test_bernoulli_polynomial_matches_fractions():
     # at negative and unreduced arguments, against the defining sum in
-    # Fractions, with B_j from the defining recurrence
-    B = [Fraction(1)]
-    for m in range(1, 25):
-        B.append(-sum(comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    # Fractions, with B_j from the tangent numbers of ``bernoulli``
     for k in range(25):
         for a, b in ((-7, 3), (7, -3), (-7, -3), (4, 6), (-10, 4), (0, -5),
                      (9, 3), (-1, 1), (25, -10)):
             x = Fraction(a, b)
-            want = sum(comb(k, j) * B[j] * x ** (k - j) for j in range(k + 1))
+            want = sum(comb(k, j) * Fraction(*bernoulli(j)) * x ** (k - j)
+                       for j in range(k + 1))
             assert _horner(k, a, b) == want, (k, a, b)
+
+
+def _exact_weights(p: int, k: int, m: int, classes) -> list:
+    # w_c = -F^(k-1) B_k(c/F)/k, F = p^m, summing every term of B_k(c/F)
+    # with exact B_j; at m = 0 the one weight -B_k/k
+    if m == 0:
+        return [-Fraction(*bernoulli(k)) / k]
+    F, bs = p ** m, [Fraction(*bernoulli(j)) for j in range(k + 1)]
+    D = lcm(*(b.denominator for b in bs))
+    terms = [comb(k, j) * b.numerator * (D // b.denominator) * F ** j
+             for j, b in enumerate(bs)]
+    out = []
+    for c in classes:
+        num = 0
+        for t in terms:  # Horner's rule in c
+            num = num * c + t
+        out.append(-Fraction(num, D * F * k))
+    return out
+
+
+def _reduced(num: int, den: int, ctx: PadicContext):
+    try:
+        r = reduce_rational(num, den, ctx)
+    except NotPIntegral as exc:
+        return str(exc)
+    return r.residue, r.prec
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_bernoulli_weights_match_exact_distribution(p):
+    # the truncated kernel against every term of the distribution: each
+    # weight reduces to the same residue, or the same pole message, and has
+    # the same valuation below N (a W_c of 0 mod p^(N + v_p(den)) is a
+    # weight 0 to N digits), for k <= 400, N in {1, 6, 12}, levels 0-3
+    rng = random.Random(p)
+    ks = list(range(1, 61)) + rng.sample(range(61, 400), 30) + [400]
+    ctxs = [PadicContext(p, N, 1) for N in (1, 6, 12)]
+    for m in range(4):
+        F = p ** m
+        classes = [0] if m == 0 else list(range(F)) if m == 1 else sorted(
+            {0, 1, F - 1, p ** (m - 1)} | set(rng.sample(range(F), 4)))
+        for k in range(1, 401) if m == 0 else ks:
+            exact = _exact_weights(p, k, m, classes)
+            for ctx in ctxs:
+                ws, den = _bernoulli_weights(ctx, k, m, classes)
+                vden, mod = padic_valuation(den, p), p ** ctx.N
+                assert len(ws) == len(classes)
+                for c, W, w in zip(classes, ws, exact):
+                    assert 0 <= W < mod * p ** vden
+                    assert _reduced(-W, den, ctx) == _reduced(
+                        w.numerator, w.denominator, ctx), (p, ctx.N, m, k, c)
+                    got = padic_valuation(W, p) - vden if W else ctx.N
+                    want = ctx.N if w == 0 else min(
+                        padic_valuation(w.numerator, p)
+                        - padic_valuation(w.denominator, p), ctx.N)
+                    assert min(got, ctx.N) == want, (p, ctx.N, m, k, c)
+            if m == 1:
+                # the level-1 weights sum to the level-0 one, -B_k/k
+                assert sum(exact) == _exact_weights(p, k, 0, [0])[0]
+
+
+def test_bernoulli_weights_build_only_the_terms_below_N(monkeypatch):
+    # term j of w_c has valuation >= m(j-1) - 1 - floor(log_p j), so no
+    # B_j past the last j where that is below N is asked for, at any k
+    import padicq.padic as padic
+
+    asked = []
+
+    def recording(j):
+        asked.append(j)
+        return bernoulli(j)
+
+    monkeypatch.setattr(padic, "bernoulli", recording)
+    for p, N, m, k in ((5, 12, 0, 100002), (5, 12, 1, 10 ** 6), (3, 20, 2, 5001),
+                       (13, 1, 3, 4000), (7, 6, 1, 3)):
+        ctx, lvl = PadicContext(p, N, 1), max(m, 1)
+        asked.clear()
+        _bernoulli_weights(ctx, k, m, [0, 1])
+        J = max(j for j in range(1, min(k, 4 * N) + 1)
+                if lvl * (j - 1) - 1 - ilog(j, p) < N)
+        assert max(asked) == J, (p, N, m, k)
+
 
 # -- binomials ----------------------------------------------------------------------
 
@@ -336,10 +427,9 @@ def test_claimed_digits_do_not_depend_on_unknown_ones(p, N, x, y, px, py, seed):
 
 
 def test_bernoulli_table_does_not_depend_on_request_order(monkeypatch):
-    # the table kept between calls (Bernoulli numbers and the last column
-    # of the tangent-number triangle) is the same whether it grew one k at
-    # a time, from the top down or in one call, and equal to the closed
-    # form built from scratch
+    # the table kept between calls is the same whether it grew one k at a
+    # time, from the top down or in one call, and equal to the closed form
+    # built from scratch
     import padicq.padic as padic
 
     K, n = 600, 300
@@ -351,28 +441,26 @@ def test_bernoulli_table_does_not_depend_on_request_order(monkeypatch):
         Fraction(0) if m % 2 else
         Fraction((-1) ** (m // 2 - 1) * m * T[m // 2], 4 ** m - 2 ** m)
         for m in range(2, K + 1)]
-    states = []
     for ks in (range(K + 1), range(K, -1, -1), [K], [7, 40, 39, 41, 300, K]):
-        monkeypatch.setattr(padic, "_bernoulli_state", ([(1, 1), (-1, 2)], [0]))
+        monkeypatch.setattr(padic, "_bernoulli_table", [(1, 1), (-1, 2)])
         for k in ks:
             assert Fraction(*padic.bernoulli(k)) == want[k], k
-        states.append(padic._bernoulli_state)
-    assert all([Fraction(*b) for b in state[0]] == want
-               and state[1] == states[0][1] for state in states)
-    assert len(states[0][1]) == n + 1
+        table = padic._bernoulli_table
+        assert len(table) > K
+        assert [Fraction(*b) for b in table[:K + 1]] == want
 
 
 def test_bernoulli_state_stays_consistent_under_threads(monkeypatch):
     # threads extending the table at once, with frequent switches, may
-    # each build their own extension; whichever state is kept pairs a
-    # table with its own column, so later requests still get exact values
+    # each build their own extension; whichever table is kept is whole, so
+    # later requests still get exact values
     import sys
     import threading
 
     import padicq.padic as padic
 
     want = {k: bernoulli(k) for k in range(0, 161)}
-    monkeypatch.setattr(padic, "_bernoulli_state", ([(1, 1), (-1, 2)], [0]))
+    monkeypatch.setattr(padic, "_bernoulli_table", [(1, 1), (-1, 2)])
     errors = []
 
     def worker(ks):
@@ -392,6 +480,4 @@ def test_bernoulli_state_stays_consistent_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads) and not errors
-    table, col = padic._bernoulli_state
-    assert len(col) - 1 == (len(table) - 1) // 2
     assert all(padic.bernoulli(k) == want[k] for k in range(161))

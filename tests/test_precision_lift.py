@@ -136,15 +136,19 @@ def commands(draw):
     if kind == "moment":
         k = draw(st.integers(1, 40))
         return p, N, lambda n: head(n) + ["moment", "--k", str(k)]
+    # weights up to 10^4 and nu degrees up to 3000: a constant term costs
+    # B_j only to the last term j below N, not B_k
     if kind == "eisenstein":
-        k = 2 * draw(st.integers(1, 15))
+        k = 2 * draw(st.one_of(st.integers(1, 15), st.integers(16, 5000)))
         return p, N, lambda n: head(n) + ["eisenstein", "--k", str(k)]
     if kind == "twisted":
-        k, twist = draw(st.integers(2, 30)), json.dumps(draw(_twist(p, N)))
+        k = draw(st.one_of(st.integers(2, 30), st.integers(31, 10 ** 4)))
+        twist = json.dumps(draw(_twist(p, N)))
         return p, N, lambda n: head(n) + ["eisenstein", "--k", str(k),
                                           "--twist", twist]
     if kind == "nu":
-        s, t = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+        s = draw(st.one_of(st.integers(0, 5), st.integers(6, 3000)))
+        t = draw(st.integers(0, 3))
         return p, N, lambda n: head(n) + ["nu", "--s", str(s), "--t", str(t)]
     if kind == "lvalue":
         level = draw(st.integers(1, min(2, N)))
